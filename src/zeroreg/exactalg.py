@@ -11,7 +11,10 @@ fields are supported:
 
 Rational elimination is fraction-free: rows are cleared to integers and
 reduced with Bareiss-style cross-multiplication so intermediate entries
-stay integral and growth stays bounded by minor sizes.  Prime-field
+stay integral and growth stays bounded by minor sizes.  Kernels (and
+the particular solutions of affine systems) are back-substituted on
+those integer rows too, over one running common denominator, so a
+Fraction is built only for each returned entry.  Prime-field
 elimination uses ordinary division.  Pivoting is deterministic (first
 nonzero entry), so results are reproducible bit for bit.
 """
@@ -66,12 +69,21 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def _ratio_mod(num: int, den: int, p: int) -> int:
+    """num / den reduced mod p; a denominator divisible by p has no image."""
+    if den % p == 0:
+        raise ZeroDivisionError(f"{num}/{den} has no image in F_{p}")
+    return num * pow(den, -1, p) % p
+
+
 @functools.lru_cache(maxsize=None)
 def prime_field(p: int):
     """Return the element class for F_p.  p must be an odd prime.
 
     The returned class doubles as the field tag: calling it coerces ints,
-    strings ("7", "3/4") and other elements of the same field.
+    Fractions and strings ("7", "3/4") to num * den^-1 mod p, and takes
+    other elements of the same field as they are.  A denominator that p
+    divides raises ZeroDivisionError.
     """
     if p < 3 or not is_probable_prime(p):
         raise ValueError(f"prime_field needs an odd prime, got {p}")
@@ -84,12 +96,18 @@ def prime_field(p: int):
         def __init__(self, value=0):
             if isinstance(value, FpElement):
                 self.value = value.value
+            elif isinstance(value, int):
+                # before the Fraction test: isinstance against an ABC
+                # subclass is slow, and ints are the hot case
+                self.value = value % p
             elif isinstance(value, str):
                 if "/" in value:
                     num, den = value.split("/")
-                    self.value = int(num) * pow(int(den), -1, p) % p
+                    self.value = _ratio_mod(int(num), int(den), p)
                 else:
                     self.value = int(value) % p
+            elif isinstance(value, Fraction):
+                self.value = _ratio_mod(value.numerator, value.denominator, p)
             else:
                 self.value = int(value) % p
 
@@ -172,7 +190,10 @@ def scalar_str(x) -> str:
 def _clear_row(row):
     """Scale a row of Fractions to coprime integers (rank/kernel preserving)."""
     mult = lcm(*(f.denominator for f in row)) if row else 1
-    ints = [int(f * mult) for f in row]
+    if mult == 1:
+        ints = [f.numerator for f in row]
+    else:
+        ints = [f.numerator * (mult // f.denominator) for f in row]
     g = 0
     for v in ints:
         g = gcd(g, v)
@@ -219,6 +240,43 @@ def _bareiss_echelon(rows, width):
         if r == len(rows):
             break
     return pivots
+
+
+def _integer_kernel(rows, pivots, width):
+    """Kernel basis of echelon integer rows, one vector per free column
+    with that column set to 1, as tuples of Fractions.
+
+    Back-substitution runs in integers: the vector is kept as integer
+    numerators over one running common denominator, and each pivot step
+    rescales the numerators set so far instead of dividing.
+    """
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        x = [0] * width
+        x[f] = den = 1
+        for i in range(len(pivots) - 1, -1, -1):
+            c = pivots[i]
+            row = rows[i]
+            s = 0
+            for j in range(c + 1, width):
+                if x[j]:
+                    s += row[j] * x[j]
+            if not s:
+                continue
+            p = row[c]
+            g = gcd(s, p)
+            scale = p // g
+            if scale != 1:
+                for j in range(c + 1, width):
+                    if x[j]:
+                        x[j] *= scale
+                den *= scale
+            x[c] = -(s // g)
+        basis.append(tuple(Fraction(v, den) for v in x))
+    return basis
 
 
 def _field_echelon(rows, width, field):
@@ -282,20 +340,43 @@ class Matrix:
         zero = self.field(0)
         return tuple(sum((a * b for a, b in zip(row, vec)), zero) for row in self.data)
 
-    def _echelon(self):
-        """Echelon form of a working copy.  Returns (rows over field, pivots)."""
+    def _echelon(self, rows, width):
+        """Echelon form of a working copy of the given rows.  Returns
+        (rows, pivots); over Q the rows are coprime integers."""
         if self.field is QQ:
-            rows = [_clear_row(row) for row in self.data]
-            pivots = _bareiss_echelon(rows, self.ncols)
-            return [[Fraction(v) for v in row] for row in rows], pivots
-        rows = [list(row) for row in self.data]
-        pivots = _field_echelon(rows, self.ncols, self.field)
-        return rows, pivots
+            rows = [_clear_row(row) for row in rows]
+            return rows, _bareiss_echelon(rows, width)
+        rows = [list(row) for row in rows]
+        return rows, _field_echelon(rows, width, self.field)
+
+    def _kernel(self, rows, pivots, width):
+        """Kernel basis of echelon rows from `_echelon`, one vector per
+        free column with that column set to 1."""
+        if self.field is QQ:
+            return _integer_kernel(rows, pivots, width)
+        zero, one = self.field(0), self.field(1)
+        pivot_set = set(pivots)
+        basis = []
+        for f in range(width):
+            if f in pivot_set:
+                continue
+            x = [zero] * width
+            x[f] = one
+            for i in range(len(pivots) - 1, -1, -1):
+                c = pivots[i]
+                s = zero
+                row = rows[i]
+                for j in range(c + 1, width):
+                    if x[j] != 0:
+                        s = s + row[j] * x[j]
+                x[c] = -s / row[c]
+            basis.append(tuple(x))
+        return basis
 
     def rank(self) -> int:
         if not self.nrows or not self.ncols:
             return 0
-        _, pivots = self._echelon()
+        _, pivots = self._echelon(self.data, self.ncols)
         return len(pivots)
 
     def kernel_basis(self):
@@ -306,31 +387,8 @@ class Matrix:
         """
         if not self.ncols:
             return []
-        if not self.nrows:
-            one, zero = self.field(1), self.field(0)
-            return [tuple(one if i == j else zero for i in range(self.ncols))
-                    for j in range(self.ncols)]
-        rows, pivots = self._echelon()
-        return self._back_substitute_kernel(rows, pivots)
-
-    def _back_substitute_kernel(self, rows, pivots):
-        zero, one = self.field(0), self.field(1)
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free_cols:
-            x = [zero] * self.ncols
-            x[f] = one
-            for i in range(len(pivots) - 1, -1, -1):
-                c = pivots[i]
-                s = zero
-                row = rows[i]
-                for j in range(c + 1, self.ncols):
-                    if x[j] != 0:
-                        s = s + row[j] * x[j]
-                x[c] = -s / row[c]
-            basis.append(tuple(x))
-        return basis
+        rows, pivots = self._echelon(self.data, self.ncols)
+        return self._kernel(rows, pivots, self.ncols)
 
     def solve_affine(self, rhs):
         """Solve self * x = rhs exactly.
@@ -341,37 +399,19 @@ class Matrix:
         rhs = list(rhs)
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
-        if self.field is QQ:
-            work = []
-            for row, b in zip(self.data, rhs):
-                cleared = _clear_row([Fraction(v) for v in row] + [Fraction(b)])
-                work.append(cleared)
-            pivots = _bareiss_echelon(work, self.ncols + 1)
-            if pivots and pivots[-1] == self.ncols:
-                return None
-            rows = [[Fraction(v) for v in row] for row in work]
-        else:
-            rows = [[self.field(v) for v in row] + [self.field(b)]
-                    for row, b in zip(self.data, rhs)]
-            pivots = _field_echelon(rows, self.ncols + 1, self.field)
-            if pivots and pivots[-1] == self.ncols:
-                return None
-        pivots = [c for c in pivots if c < self.ncols]
+        width = self.ncols + 1
+        augmented = [row + [self.field(b)] for row, b in zip(self.data, rhs)]
+        rows, pivots = self._echelon(augmented, width)
+        if pivots and pivots[-1] == self.ncols:
+            return None
         for i in range(len(pivots), len(rows)):
             if any(v != 0 for v in rows[i]):
                 return None
-        zero = self.field(0)
-        x = [zero] * self.ncols
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            row = rows[i]
-            s = row[self.ncols]
-            for j in range(c + 1, self.ncols):
-                if x[j] != 0:
-                    s = s - row[j] * x[j]
-            x[c] = s / row[c]
-        kernel = self._back_substitute_kernel(rows, pivots)
-        return AffineSolution(tuple(x), kernel)
+        # the augmented column is free; its kernel vector (x, 1) has
+        # self * x = -rhs, so -x is the particular solution
+        *kernel, shifted = self._kernel(rows, pivots, width)
+        return AffineSolution(tuple(-v for v in shifted[:-1]),
+                              [v[:-1] for v in kernel])
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"

@@ -38,15 +38,6 @@ def monomials_of_degree(nvars: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def form_from_terms(terms, field=QQ):
-    f = {}
-    for mon, coeff in terms:
-        c = field(coeff)
-        if c != 0:
-            f[tuple(mon)] = f.get(tuple(mon), field(0)) + c
-    return {m: c for m, c in f.items() if c != 0}
-
-
 def linear_form(coeffs, field=QQ):
     """The linear form sum_i coeffs[i] * x_i as a form dict."""
     n = len(coeffs)
@@ -57,12 +48,6 @@ def linear_form(coeffs, field=QQ):
             mon = tuple(1 if j == i else 0 for j in range(n))
             f[mon] = c
     return f
-
-
-def form_degree(f) -> int:
-    if not f:
-        return -1
-    return sum(next(iter(f)))
 
 
 def form_add(a, b):
@@ -128,14 +113,38 @@ def substitute_linear(f, replacements, field=QQ):
 
 
 def evaluate_form(f, point, field=QQ):
-    total = field(0)
+    """Value of the form f at the given point, as an element of `field`.
+
+    Over Q the point and the coefficients are cleared to integers once:
+    with D the common denominator of the point, n = D * point, E the
+    common denominator of the coefficients and K the largest total
+    degree, the value is sum_m (E a_m) n^m D^(K - |m|) / (E D^K), summed
+    in Python ints and reduced to a Fraction once.  Forms need not be
+    homogeneous.  Over F_p powers are taken with `**`.
+    """
+    if field is not QQ:
+        total = field(0)
+        for mon, coeff in f.items():
+            v = coeff
+            for x, e in zip(point, mon):
+                if e:
+                    v = v * x ** e
+            total = total + v
+        return total
+    if not f:
+        return Fraction(0)
+    point_den = lcm(*(x.denominator for x in point))
+    nums = [x.numerator * (point_den // x.denominator) for x in point]
+    coeff_den = lcm(*(c.denominator for c in f.values()))
+    top = max(sum(mon) for mon in f)
+    total = 0
     for mon, coeff in f.items():
-        v = coeff
-        for x, e in zip(point, mon):
-            for _ in range(e):
-                v = v * x
-        total = total + v
-    return total
+        v = coeff.numerator * (coeff_den // coeff.denominator)
+        for x, e in zip(nums, mon):
+            if e:
+                v *= x ** e
+        total += v * point_den ** (top - sum(mon))
+    return Fraction(total, coeff_den * point_den ** top)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +153,6 @@ def evaluate_form(f, point, field=QQ):
 
 def series_of_constant(c, length, field=QQ):
     return (field(c),) + tuple(field(0) for _ in range(length - 1))
-
-
-def series_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def series_scale(a, c):
-    return tuple(c * x for x in a)
 
 
 def series_mul(a, b, length=None):
@@ -456,11 +457,6 @@ def binary_is_zero(f) -> bool:
     return all(c == 0 for c in f)
 
 
-def binary_dehomogenize(f):
-    """g(t) = f(1, t); the degree drop of g is the multiplicity of (0:1)."""
-    return poly_normalize(f)
-
-
 def binary_from_poly(p, degree, field=QQ):
     """Homogenize an ascending-coefficient polynomial to the given degree."""
     if poly_degree(p) > degree:
@@ -506,11 +502,3 @@ def binary_gcd_many(forms):
         if binary_degree(out) == 0 and not binary_is_zero(out):
             break
     return out
-
-
-def binary_derivative_t(f):
-    """Partial derivative with respect to the second variable."""
-    d = binary_degree(f)
-    if d == 0:
-        return (f[0] * 0,)
-    return tuple(f[i + 1] * (i + 1) for i in range(d))

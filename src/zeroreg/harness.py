@@ -746,13 +746,9 @@ def _trial_lemma26(rng, field, index):
     allowed = set(separator_monomial_basis(n))
     confined = all(set(f) <= allowed for f in forms)
     pts = config.points
-    diagonal = True
-    for j, f in enumerate(forms):
-        for i, p in enumerate(pts):
-            value = evaluate_form(f, p.coords, field)
-            if (i == j) == (value == 0):
-                diagonal = False
     rows = [[evaluate_form(f, p.coords, field) for f in forms] for p in pts]
+    diagonal = all((i == j) != (value == 0)
+                   for i, row in enumerate(rows) for j, value in enumerate(row))
     rank = Matrix(rows, field=field).rank()
     sig = (n, case, confined, diagonal, rank)
     ok = confined and diagonal and rank == n + 3
@@ -856,7 +852,19 @@ def _trial_lemma31(rng, field, index):
 
 def _trial_mather(rng, field, index):
     log = _Redraws()
-    curve = _draw_curve(rng, log)
+    for _ in range(20):
+        curve = _draw_curve(rng, log)
+        result = _mather_on_curve(rng, curve, log)
+        if result is not None:
+            return result
+        # no generic center in 200 draws: the curve is redrawn
+        log.bump()
+    raise GenerationExhausted("no generic plane-projection center")
+
+
+def _mather_on_curve(rng, curve, log):
+    """The Mather check on plane projections of one curve; None when
+    no generic center turned up within the draw budget."""
     n = curve.ambient
     for _ in range(200):
         t1, t2 = rng.sample(range(-9, 10), 2)
@@ -903,7 +911,7 @@ def _trial_mather(rng, field, index):
                 "curve fiber multiplicity exceeds the generic bound",
                 extra={"totals": [c.total for c in checks]})
         return True, log.count, sig, None
-    raise GenerationExhausted("no generic plane-projection center")
+    return None
 
 
 def _trial_invariance(rng, field, index):

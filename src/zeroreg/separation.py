@@ -21,8 +21,8 @@ configuration as degenerate.
 
 from __future__ import annotations
 
-from zeroreg.exactalg import ColumnSpace, Matrix, QQ, kernel_basis
-from zeroreg.forms import evaluate_form, monomials_of_degree
+from zeroreg.exactalg import ColumnSpace, Matrix, QQ, _clear_row, kernel_basis
+from zeroreg.forms import monomials_of_degree
 from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint
 
 
@@ -209,6 +209,31 @@ class SeparatorConfig:
         return FiniteScheme([reduced_germ(p, self.field) for p in self.points], self.field)
 
 
+def _monomial_values(coords, mons, degree, field):
+    """Values of the monomials at the point, from one power table per
+    coordinate.  Over Q the point is first scaled to its primitive
+    integer representative: that multiplies every value of the row by
+    the same positive constant, which changes no kernel and no zero
+    pattern of the separator systems."""
+    if field is QQ:
+        coords, one = _clear_row(coords), 1
+    else:
+        one = field(1)
+    powers = []
+    for x in coords:
+        table = [one]
+        for _ in range(degree):
+            table.append(table[-1] * x)
+        powers.append(table)
+    out = []
+    for m in mons:
+        v = powers[0][m[0]]
+        for table, e in zip(powers[1:], m[1:]):
+            v = v * table[e]
+        out.append(v)
+    return out
+
+
 def separator_forms(config: SeparatorConfig):
     """One degree-n separator per configuration point, each a linear
     combination of the n + 4 family monomials vanishing at every other
@@ -216,10 +241,7 @@ def separator_forms(config: SeparatorConfig):
     admits none."""
     mons = separator_monomial_basis(config.n)
     pts = config.points
-    values = [
-        [evaluate_form({m: config.field(1)}, p.coords, config.field) for m in mons]
-        for p in pts
-    ]
+    values = [_monomial_values(p.coords, mons, config.n, config.field) for p in pts]
     out = []
     for j in range(len(pts)):
         system = Matrix(

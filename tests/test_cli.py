@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface: golden outputs,
 exit codes, and determinism of the verification reports."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -127,6 +128,20 @@ def test_separate_standard_and_recipe(tmp_path, capsys):
     assert code == 1 and json.loads(out)["family_rank"] == 4
 
 
+def test_separate_maps_fractional_recipe_coefficients_into_fp(tmp_path, capsys):
+    # (1/2) T1 is 4 T1 over F_7, not the zero form
+    scheme = tmp_path / "pts.json"
+    scheme.write_text('{"ambient":2,"field":{"Fp":7},'
+                      '"germs":[{"point":["1","0","0"]},{"point":["1","2","0"]}]}')
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text('{"levels":{"0":[[[[0,0],"1"]]],"1":[[[[1,0],"1/2"]]]},'
+                      '"standard":false,"t_count":2}')
+    code, out, _ = run_cli(
+        ["separate", "--scheme", str(scheme), "--degree", "1", "--recipe", str(recipe)], capsys)
+    assert code == 0
+    assert json.loads(out)["family_rank"] == 2
+
+
 def test_lemma26_output_stays_in_family(capsys):
     code, out, _ = run_cli(
         ["lemma26", "--aligned", "1,2,3,4", "--a", "1", "--b", "1",
@@ -146,6 +161,46 @@ def test_lemma26_rejects_point_on_line(capsys):
          "--off", "2:1:1", "--off", "1:5:-1"], capsys)
     assert code == 2
     assert "line" in err
+
+
+# stdout digests recorded with the earlier all-Fraction separator solver;
+# the integer paths must reproduce them byte for byte
+LEMMA26_PINNED = [
+    (["--aligned", "1,2,3,4", "--a", "1", "--b", "1", "--off", "1:2:3", "--off", "1:5:-1"],
+     0, "0038747188c609b3cd96d98d429e833405c5ab4dc05706e66f6e683a2aa53e90"),
+    (["--aligned", "1,-2,3", "--a", "2", "--b", "-3", "--off", "1:2:3", "--off", "0:1:4",
+      "--off", "1:-1:1"],
+     0, "6bb0b185db2866d545faf891849986916ebc03d866c61db60496fa17816b4b9d"),
+    (["--aligned", "1/2,3,-5/3,7,2", "--a", "3/4", "--b", "-2", "--off", "1:1/3:2",
+      "--off", "2:-1:5"],
+     0, "f8f1692af8af0bcd0a6345cda07fba6640ef742a89a059d9a2e436e238a798a1"),
+    (["--aligned=-1,2,5,-7,9", "--a", "4", "--b", "1", "--off", "3:1:-2", "--off", "1:0:1",
+      "--off=-2:5:1/2"],
+     0, "bb01ec85d75598a0371c9f2bf273d3955b7c30960cd19b0875480df7a665fd8c"),
+    (["--aligned", "1,2,3,4,5,6", "--a", "1", "--b", "2", "--off", "1:3:1", "--off", "2:-3:7"],
+     0, "d374ec1d3943201684367c34ed9aff5c5334dcafea0c89d75ccb9eab32e6102f"),
+    (["--aligned", "1,2,3,4", "--a", "1", "--b", "1", "--off", "1:2:3", "--off", "1:5:-1",
+      "--field", "fp:7"],
+     0, "e7708905317c8161289252a565e4c30d607ff1a18a7dddb3478643f3e53cba25"),
+    (["--aligned", "2,3,5", "--a", "1", "--b", "3", "--off", "1:1:0", "--off", "0:1:1",
+      "--off", "1:2:5", "--field", "fp:101"],
+     0, "2d7fe005ed08676c19156015920797bc5545cd175b414235f4dd16b15bfeaf67"),
+    (["--aligned", "1,4,9,16", "--a", "-1", "--b", "5", "--off", "1:1/2:1", "--off", "3:2:-1",
+      "--field", "fp:2147483647"],
+     0, "aedb72d6ca44cf99ae1943c5c87ec17532b277f0ae75ff5d53c769c284cb4505"),
+    (["--aligned", "1,2,3", "--a", "1", "--b", "1", "--off", "1:0:1", "--off", "1:0:2",
+      "--off", "1:0:3"],
+     0, "416d5d0caf76ec0ee66534c978396aa6885c93e10d45ca8b59741972ce106a01"),
+    (["--aligned", "1,2,3,4", "--a", "1", "--b", "1", "--off", "0:1:0", "--off", "0:0:1"],
+     1, "81be41995a99bdcc99d3550905d4e387b94f5deab9bf7e67ac92763b6ea94481"),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, want_digest", LEMMA26_PINNED)
+def test_lemma26_stdout_pinned(argv, want_code, want_digest, capsys):
+    code, out, _ = run_cli(["lemma26"] + argv, capsys)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest
 
 
 def test_project_fibers(tmp_path, capsys):

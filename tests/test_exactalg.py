@@ -191,3 +191,110 @@ def test_scalar_round_trip():
         assert scalar_str(parse_scalar(text)) == text
     F = prime_field(13)
     assert scalar_str(parse_scalar("7", F)) == "7"
+
+
+def _fraction_rref(rows, width):
+    """Reference: Gauss-Jordan over Fractions.  Returns (rows, pivots)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                head = rows[i][c]
+                rows[i] = [a - head * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _fraction_kernel(rows, width):
+    """Reference kernel: one vector per free column, that column set to 1."""
+    reduced, pivots = _fraction_rref(rows, width)
+    basis = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * width
+        x[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -reduced[i][f]
+        basis.append(tuple(x))
+    return basis
+
+
+def _random_rational_matrix(rng):
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+    rank = rng.randint(0, min(nrows, ncols))
+    basis = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ncols)]
+             for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = [Fraction(0)] * ncols
+        for b in basis:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            row = [x + c * y for x, y in zip(row, b)]
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_kernel_basis_matches_fraction_reference():
+    rng = random.Random(31)
+    shapes = {"wide": 0, "deficient": 0, "zero_row": 0}
+    for _ in range(600):
+        rows, ncols = _random_rational_matrix(rng)
+        m = Matrix(rows, field=QQ, ncols=ncols)
+        got = m.kernel_basis()
+        assert got == _fraction_kernel(rows, ncols)
+        assert all(isinstance(x, Fraction) for v in got for x in v)
+        shapes["wide"] += ncols > len(rows)
+        shapes["deficient"] += m.rank() < min(len(rows), ncols)
+        shapes["zero_row"] += any(all(x == 0 for x in row) for row in rows)
+    assert all(count > 50 for count in shapes.values()), shapes
+
+
+def test_kernel_basis_edge_shapes():
+    assert Matrix([[0, 0, 0]]).kernel_basis() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert Matrix([], field=QQ, ncols=2).kernel_basis() == [(1, 0), (0, 1)]
+    assert Matrix([[Fraction(1, 2), 0], [0, 3]]).kernel_basis() == []
+
+
+def test_solve_affine_matches_fraction_reference():
+    rng = random.Random(47)
+    consistent = 0
+    for _ in range(400):
+        rows, ncols = _random_rational_matrix(rng)
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in rows]
+        if rng.random() < 0.7:
+            # put rhs in the column space so the system is consistent
+            x = [Fraction(rng.randint(-5, 5)) for _ in range(ncols)]
+            rhs = list(Matrix(rows, field=QQ, ncols=ncols).mul_vec(x))
+        got = Matrix(rows, field=QQ, ncols=ncols).solve_affine(rhs)
+        reduced, pivots = _fraction_rref([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
+        if pivots and pivots[-1] == ncols:
+            assert got is None
+            continue
+        consistent += 1
+        particular = [Fraction(0)] * ncols
+        for i, c in enumerate(pivots):
+            particular[c] = reduced[i][ncols]
+        assert got.particular == tuple(particular)
+        assert got.kernel == _fraction_kernel(rows, ncols)
+    assert consistent > 200
+
+
+def test_prime_field_coerces_fractions_exactly():
+    F = prime_field(7)
+    assert F(Fraction(1, 2)) == F(4)
+    assert F(Fraction(-3, 4)) == F("-3/4") == F(1)
+    assert F(Fraction(14, 3)) == F(0)
+    with pytest.raises(ZeroDivisionError):
+        F(Fraction(1, 7))
+    with pytest.raises(ZeroDivisionError):
+        F("2/21")

@@ -277,3 +277,64 @@ def test_rational_roots_roundtrip(seed):
     for r, m in roots:
         merged[r] = merged.get(r, 0) + m
     assert rational_roots(p) == sorted(merged.items())
+
+
+def _naive_evaluate(f, point, field):
+    """Reference: every power by repeated multiplication in the field."""
+    total = field(0)
+    for mon, coeff in f.items():
+        v = coeff
+        for x, e in zip(point, mon):
+            for _ in range(e):
+                v = v * x
+        total = total + v
+    return total
+
+
+def _random_scalar(rng):
+    if rng.random() < 0.3:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+
+
+def test_evaluate_form_matches_naive_over_q():
+    rng = random.Random(2024)
+    for _ in range(1500):
+        nvars = rng.randint(1, 4)
+        top = rng.randint(0, 6)
+        homogeneous = rng.random() < 0.5
+        f = {}
+        for _ in range(rng.randint(0, 6)):
+            k = top if homogeneous else rng.randint(0, top)
+            mon = rng.choice(monomials_of_degree(nvars, k))
+            c = _random_scalar(rng)
+            if c:
+                f[mon] = c
+        point = tuple(_random_scalar(rng) for _ in range(nvars))
+        got = evaluate_form(f, point)
+        assert isinstance(got, Fraction)
+        assert got == _naive_evaluate(f, point, Fraction)
+
+
+def test_evaluate_form_edge_inputs_over_q():
+    assert evaluate_form({}, (Fraction(1, 2), 3)) == 0
+    assert isinstance(evaluate_form({}, (1, 2)), Fraction)
+    # ints throughout, and a constant term beside higher degrees
+    f = {(0, 0): 5, (1, 0): -2, (2, 1): 3}
+    assert evaluate_form(f, (2, -1)) == 5 - 4 - 12
+    g = {(0, 0): Fraction(1, 3), (3, 0): Fraction(-2, 5)}
+    pt = (Fraction(3, 2), Fraction(7))
+    assert evaluate_form(g, pt) == _naive_evaluate(g, pt, Fraction)
+    # a zero coordinate with a zero exponent contributes 1, not 0
+    assert evaluate_form({(0, 2): Fraction(1, 4)}, (0, Fraction(2, 3))) == Fraction(1, 9)
+
+
+def test_evaluate_form_matches_naive_over_fp():
+    F = prime_field(7)
+    rng = random.Random(7)
+    for _ in range(300):
+        f = {mon: F(rng.randint(1, 6))
+             for mon in rng.sample(monomials_of_degree(3, 4), 4)}
+        point = tuple(F(rng.randint(0, 6)) for _ in range(3))
+        assert evaluate_form(f, point, F) == _naive_evaluate(f, point, F)
+    assert evaluate_form({}, (F(1), F(2)), F) == F(0)

@@ -1,5 +1,7 @@
 """Tests for the seeded generators and verification suites."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,3 +284,17 @@ def test_curve_suites_share_the_same_curves():
         assert len(forms) == 1
         degrees.append(curves[0].degree)
     assert len(set(degrees)) > 1
+
+
+def test_mather_redraws_the_curve_when_no_center_is_generic():
+    # the first curve of this trial admits no generic plane-projection
+    # center within the draw budget; the trial must redraw the curve
+    report = run_suite("mather_consistency", 1, 7679948960636915873)
+    assert report.passed, report.failures
+    assert report.redraws > 200
+
+
+def test_mather_reports_unchanged_where_the_first_curve_suffices():
+    report = run_suite("mather_consistency", 150, 99)
+    digest = hashlib.sha256(canonical_json(report.to_jsonable()).encode()).hexdigest()
+    assert digest == "d34263b5ea15a85442c4546a347b00a443e16e6537d25369af0b2f5cbb6cdde5"
