@@ -1,22 +1,27 @@
 """Exact scalars and dense exact linear algebra.
 
 Everything downstream (Hilbert functions, secant detection, separator
-construction) reduces to exact rank / kernel / inhomogeneous-solve
-questions, so elimination lives here and nowhere else.  Two coefficient
-fields are supported:
+construction) reduces to exact rank and kernel questions, so
+elimination lives here and nowhere else.  Two coefficient fields are
+supported:
 
 * the rationals, represented by ``fractions.Fraction`` (authoritative);
 * prime fields F_p for a caller-chosen odd prime (opt-in fast mode,
   useful for cross-checks with a large random prime).
 
+Each field has one elimination kernel working on plain Python ints.
 Rational elimination is fraction-free: rows are cleared to integers and
 reduced with Bareiss-style cross-multiplication so intermediate entries
-stay integral and growth stays bounded by minor sizes.  Kernels (and
-the particular solutions of affine systems) are back-substituted on
-those integer rows too, over one running common denominator, so a
-Fraction is built only for each returned entry.  Prime-field
-elimination uses ordinary division.  Pivoting is deterministic (first
-nonzero entry), so results are reproducible bit for bit.
+stay integral and growth stays bounded by minor sizes.  Kernels are
+back-substituted on those integer rows too, over one running common
+denominator, so a Fraction is built only for each returned entry.
+Prime-field elimination runs on the residues mod p, inverting pivots
+with ``pow(x, -1, p)``; field elements are built only for returned
+kernel vectors.  Pivoting is deterministic (first nonzero entry), so
+results are reproducible bit for bit.
+
+Scalars never cross fields silently: comparing an F_p element with a
+Fraction or with an element of another prime field raises TypeError.
 """
 
 from __future__ import annotations
@@ -149,7 +154,7 @@ def prime_field(p: int):
                 return self.value == other.value
             if isinstance(other, int):
                 return self.value == other % p
-            return NotImplemented
+            raise TypeError("cannot compare an element of F_%d with %r" % (p, other))
 
         def __hash__(self):
             return hash((p, self.value))
@@ -279,26 +284,50 @@ def _integer_kernel(rows, pivots, width):
     return basis
 
 
-def _field_echelon(rows, width, field):
-    """Ordinary row echelon over a prime field.  Returns pivot columns."""
+def _field_echelon(rows, width, p):
+    """In-place reduced-pivot echelon form of integer rows mod p: every
+    pivot row is scaled to lead with 1.  Returns the pivot columns."""
     pivots = []
     r = 0
     for c in range(width):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        inv = pow(rows[r][c], -1, p)
+        row_r = rows[r] = [v * inv % p for v in rows[r]]
         for i in range(r + 1, len(rows)):
             head = rows[i][c]
-            if head != 0:
-                rows[i] = [a - head * b for a, b in zip(rows[i], rows[r])]
+            if head:
+                rows[i] = [(a - head * b) % p for a, b in zip(rows[i], row_r)]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return pivots
+
+
+def _field_kernel(rows, pivots, width, field):
+    """Kernel basis of echelon rows from `_field_echelon`, one vector per
+    free column with that column set to 1, as tuples of field elements."""
+    p = field.modulus
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        x = [0] * width
+        x[f] = 1
+        for i in range(len(pivots) - 1, -1, -1):
+            c = pivots[i]
+            row = rows[i]
+            s = 0
+            for j in range(c + 1, width):
+                if x[j]:
+                    s += row[j] * x[j]
+            x[c] = -s % p
+        basis.append(tuple(field(v) for v in x))
+    return basis
 
 
 class Matrix:
@@ -342,36 +371,20 @@ class Matrix:
 
     def _echelon(self, rows, width):
         """Echelon form of a working copy of the given rows.  Returns
-        (rows, pivots); over Q the rows are coprime integers."""
+        (rows, pivots); the rows are coprime integers over Q and
+        residues mod p over F_p."""
         if self.field is QQ:
             rows = [_clear_row(row) for row in rows]
             return rows, _bareiss_echelon(rows, width)
-        rows = [list(row) for row in rows]
-        return rows, _field_echelon(rows, width, self.field)
+        rows = [[v.value for v in row] for row in rows]
+        return rows, _field_echelon(rows, width, self.field.modulus)
 
     def _kernel(self, rows, pivots, width):
         """Kernel basis of echelon rows from `_echelon`, one vector per
         free column with that column set to 1."""
         if self.field is QQ:
             return _integer_kernel(rows, pivots, width)
-        zero, one = self.field(0), self.field(1)
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(width):
-            if f in pivot_set:
-                continue
-            x = [zero] * width
-            x[f] = one
-            for i in range(len(pivots) - 1, -1, -1):
-                c = pivots[i]
-                s = zero
-                row = rows[i]
-                for j in range(c + 1, width):
-                    if x[j] != 0:
-                        s = s + row[j] * x[j]
-                x[c] = -s / row[c]
-            basis.append(tuple(x))
-        return basis
+        return _field_kernel(rows, pivots, width, self.field)
 
     def rank(self) -> int:
         if not self.nrows or not self.ncols:
@@ -390,45 +403,8 @@ class Matrix:
         rows, pivots = self._echelon(self.data, self.ncols)
         return self._kernel(rows, pivots, self.ncols)
 
-    def solve_affine(self, rhs):
-        """Solve self * x = rhs exactly.
-
-        Returns an AffineSolution (particular solution plus kernel basis)
-        or None when the system is inconsistent.
-        """
-        rhs = list(rhs)
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        width = self.ncols + 1
-        augmented = [row + [self.field(b)] for row, b in zip(self.data, rhs)]
-        rows, pivots = self._echelon(augmented, width)
-        if pivots and pivots[-1] == self.ncols:
-            return None
-        for i in range(len(pivots), len(rows)):
-            if any(v != 0 for v in rows[i]):
-                return None
-        # the augmented column is free; its kernel vector (x, 1) has
-        # self * x = -rhs, so -x is the particular solution
-        *kernel, shifted = self._kernel(rows, pivots, width)
-        return AffineSolution(tuple(-v for v in shifted[:-1]),
-                              [v[:-1] for v in kernel])
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-
-class AffineSolution:
-    """Solution set of a consistent linear system: particular + kernel span."""
-
-    __slots__ = ("particular", "kernel")
-
-    def __init__(self, particular, kernel):
-        self.particular = particular
-        self.kernel = kernel
-
-    def __iter__(self):
-        yield self.particular
-        yield self.kernel
 
 
 def rank(m: Matrix) -> int:
@@ -439,18 +415,15 @@ def kernel_basis(m: Matrix):
     return m.kernel_basis()
 
 
-def solve_affine(m: Matrix, rhs):
-    return m.solve_affine(rhs)
-
-
 class ColumnSpace:
     """Incremental rank of a stream of vectors in K^d.
 
     Used for wide evaluation matrices: columns are fed one at a time and
     reduced against the pivots collected so far, so the rank computation
-    can stop early once a target rank is reached.  Over the rationals the
-    stored pivot vectors are coprime-integer rescalings and reduction is
-    by cross-multiplication, keeping all arithmetic in integers.
+    can stop early once a target rank is reached.  The stored pivot
+    vectors are plain ints: over the rationals coprime-integer
+    rescalings reduced by cross-multiplication, over F_p residues mod p
+    scaled to lead with 1.
     """
 
     __slots__ = ("field", "pivots")
@@ -465,15 +438,13 @@ class ColumnSpace:
 
     def add(self, vec) -> bool:
         """Reduce vec against the current basis; returns True if rank grew."""
-        if self.field is QQ:
+        field = self.field
+        if field is QQ:
             v = _clear_row([Fraction(x) for x in vec])
-        else:
-            v = [self.field(x) for x in vec]
-        for idx, piv in self.pivots:
-            head = v[idx]
-            if head == 0:
-                continue
-            if self.field is QQ:
+            for idx, piv in self.pivots:
+                head = v[idx]
+                if head == 0:
+                    continue
                 scale = piv[idx]
                 v = [scale * a - head * b for a, b in zip(v, piv)]
                 g = 0
@@ -481,14 +452,19 @@ class ColumnSpace:
                     g = gcd(g, a)
                 if g > 1:
                     v = [a // g for a in v]
-            else:
-                v = [a - head * b for a, b in zip(v, piv)]
+        else:
+            p = field.modulus
+            v = [x.value if type(x) is field else field(x).value for x in vec]
+            for idx, piv in self.pivots:
+                head = v[idx]
+                if head:
+                    v = [(a - head * b) % p for a, b in zip(v, piv)]
         lead = next((i for i, a in enumerate(v) if a != 0), None)
         if lead is None:
             return False
-        if self.field is not QQ:
-            inv = self.field(1) / v[lead]
-            v = [a * inv for a in v]
+        if field is not QQ:
+            inv = pow(v[lead], -1, p)
+            v = [a * inv % p for a in v]
         self.pivots.append((lead, v))
         self.pivots.sort(key=lambda t: t[0])
         return True

@@ -38,80 +38,6 @@ def monomials_of_degree(nvars: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def linear_form(coeffs, field=QQ):
-    """The linear form sum_i coeffs[i] * x_i as a form dict."""
-    n = len(coeffs)
-    f = {}
-    for i, c in enumerate(coeffs):
-        c = field(c)
-        if c != 0:
-            mon = tuple(1 if j == i else 0 for j in range(n))
-            f[mon] = c
-    return f
-
-
-def form_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        s = c if s is None else s + c
-        if s == 0:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
-
-
-def form_scale(f, c):
-    if c == 0:
-        return {}
-    return {m: c * v for m, v in f.items()}
-
-
-def form_mul(a, b):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(m)
-            s = ca * cb if s is None else s + ca * cb
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
-
-
-def form_pow(f, e, nvars=None):
-    if e == 0:
-        if nvars is None:
-            nvars = len(next(iter(f))) if f else 0
-        return {tuple([0] * nvars): Fraction(1)}
-    out = f
-    for _ in range(e - 1):
-        out = form_mul(out, f)
-    return out
-
-
-def substitute_linear(f, replacements, field=QQ):
-    """Substitute x_i -> replacements[i] (forms, typically linear) into f."""
-    nvars_out = None
-    for r in replacements:
-        if r:
-            nvars_out = len(next(iter(r)))
-            break
-    if nvars_out is None:
-        return {}
-    out = {}
-    for mon, coeff in f.items():
-        term = {tuple([0] * nvars_out): field(1)}
-        for i, e in enumerate(mon):
-            if e:
-                term = form_mul(term, form_pow(replacements[i], e))
-        out = form_add(out, form_scale(term, coeff))
-    return out
-
-
 def evaluate_form(f, point, field=QQ):
     """Value of the form f at the given point, as an element of `field`.
 

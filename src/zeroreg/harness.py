@@ -15,6 +15,7 @@ counterexample and is reported with a replayable JSON artifact.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -316,47 +317,6 @@ def gen_scheme(spec: GeneratorSpec, log: _Redraws = None) -> FiniteScheme:
 
 
 # ---------------------------------------------------------------------------
-# fast positive certificates for k-normality
-
-
-def _random_monomial(rng, nvars, k):
-    counts = [0] * nvars
-    for _ in range(k):
-        counts[rng.randrange(nvars)] += 1
-    return tuple(counts)
-
-
-def _family_rows(x: FiniteScheme, monomials):
-    rows = [[] for _ in range(x.degree)]
-    for mon in monomials:
-        offset = 0
-        for g in x.germs:
-            series = g.evaluate_form({mon: x.field(1)})
-            for j in range(g.length):
-                rows[offset + j].append(series[j])
-            offset += g.length
-    return rows
-
-
-def _certified_k_normal(x: FiniteScheme, k: int, rng) -> bool:
-    """Same verdict as comparing the Hilbert function with the degree,
-    but tries small random monomial subfamilies first: a full-rank
-    subfamily certifies normality without building the whole space."""
-    d = x.degree
-    total = comb(x.ambient + k, k)
-    if total <= d + 3:
-        return hilbert_function(x, k) == d
-    for _ in range(4):
-        mons = set()
-        while len(mons) < d + 3:
-            mons.add(_random_monomial(rng, x.ambient + 1, k))
-        m = Matrix(_family_rows(x, sorted(mons)), field=x.field)
-        if m.rank() == d:
-            return True
-    return hilbert_function(x, k) == d
-
-
-# ---------------------------------------------------------------------------
 # plane fiber generators (all in P^2) with closed-form frame certificates
 
 
@@ -654,7 +614,7 @@ def _trial_prop12(rng, field, index):
                          field=field, seed=rng.getrandbits(63))
     x = gen_scheme(spec, log)
     k0 = normality_threshold_bound(x)
-    bad = [k for k in range(k0, d) if not _certified_k_normal(x, k, rng)]
+    bad = [k for k in range(k0, d) if hilbert_function(x, k) != d]
     sig = (d, k0, tuple(bad))
     if bad:
         return False, log.count, sig, _fail(
@@ -707,7 +667,7 @@ def _trial_cor13b(rng, field, index):
                          seed=rng.getrandbits(63))
     x = gen_scheme(spec, log)
     k_star = -((1 - d) // ambient)
-    bad = [k for k in range(k_star, d) if not _certified_k_normal(x, k, rng)]
+    bad = [k for k in range(k_star, d) if hilbert_function(x, k) != d]
     sig = (d, ambient, k_star, tuple(bad))
     if bad:
         return False, log.count, sig, _fail(
@@ -968,7 +928,7 @@ def _trial_hilbert_shape(rng, field, index):
         problems.append("phi exceeds its ceiling")
     if phi[-1] != d:
         problems.append("phi misses the degree at the normal degree")
-    if any(not _certified_k_normal(x, k, rng) for k in range(mnd + 1, d)):
+    if any(hilbert_function(x, k) != d for k in range(mnd + 1, d)):
         problems.append("phi drops below the degree after reaching it")
     sig = (d, mnd, tuple(phi))
     if problems:
@@ -1041,6 +1001,14 @@ def _run_trial(args):
     return out
 
 
+def worker_count(jobs: int, trials: int) -> int:
+    """Worker processes for a run: the requested count, clamped to the
+    number of trials and of CPUs; fewer than one is an error."""
+    if jobs < 1:
+        raise ValueError("--jobs must be at least 1, got %d" % jobs)
+    return min(jobs, trials, os.cpu_count() or 1)
+
+
 def run_suite(name: str, trials: int, seed: int, prime=None,
               jobs: int = 1) -> SuiteReport:
     """Run `trials` independent trials of the named suite.  Deterministic
@@ -1053,6 +1021,7 @@ def run_suite(name: str, trials: int, seed: int, prime=None,
     if prime is not None and name in _CURVE_SUITES:
         raise ValueError("suite %s uses rational curve arithmetic; "
                          "prime fields are not supported" % name)
+    jobs = worker_count(jobs, trials)
     started = time.monotonic()
     args = [(name, int(seed), i, prime) for i in range(trials)]
     if jobs > 1:

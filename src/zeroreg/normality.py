@@ -7,17 +7,23 @@ the arc).  X is k-normal when phi(k) = d, and
 
     reg(X) = 1 + min { k >= 0 : phi(k) = d }.
 
-phi(d - 1) = d always holds, which bounds every search below.
+phi(d - 1) = d always holds, which bounds every search below, and
+phi(k) = d implies phi(k + 1) = d over any field (the Hilbert function
+does not change under field extension, and over the algebraic closure
+some linear form is a nonzerodivisor), so `hilbert_function_values`
+computes no rank past the first degree at which X is normal.
 
 The evaluation matrix has d rows but C(N + k, N) columns, so ranks are
 computed by streaming columns into an incremental column space and
-stopping as soon as the rank hits d.
+stopping as soon as the rank hits d.  Each column is read off the
+germs' `monomial_series`, whose cached jet powers are the one monomial
+evaluation engine shared by every degree and every caller.
 """
 
 from __future__ import annotations
 
-from zeroreg.exactalg import ColumnSpace, Matrix
-from zeroreg.forms import monomials_of_degree, series_mul, series_of_constant
+from zeroreg.exactalg import ColumnSpace
+from zeroreg.forms import monomials_of_degree
 from zeroreg.scheme import FiniteScheme, invariant_t, max_collinear_length, span_dim
 
 
@@ -25,54 +31,24 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-class GermEvaluator:
-    """Caches powers of one germ's jet series so that monomial columns
-    for many degrees share work."""
-
-    __slots__ = ("germ", "_powers")
-
-    def __init__(self, germ):
-        self.germ = germ
-        self._powers = {}
-
-    def _power(self, var: int, e: int):
-        key = (var, e)
-        got = self._powers.get(key)
-        if got is None:
-            if e == 1:
-                got = self.germ.jets[var]
-            else:
-                got = series_mul(
-                    self._power(var, e - 1), self.germ.jets[var], self.germ.length
-                )
-            self._powers[key] = got
-        return got
-
-    def monomial_series(self, mon):
-        g = self.germ
-        out = None
-        for i, e in enumerate(mon):
-            if e == 0 or i == g.chart:
-                continue
-            p = self._power(i, e)
-            out = p if out is None else series_mul(out, p, g.length)
-        if out is None:
-            return series_of_constant(1, g.length, g.field)
-        return out
-
-
 class SchemeEvaluator:
-    """Evaluation-rank engine for one scheme, reusable across degrees."""
+    """Evaluation-rank engine for one scheme, reusable across degrees.
+
+    The rank does not depend on the column order, so monomials are
+    streamed by decreasing largest exponent, graded-lex within ties: the
+    pure powers x_i^k come first, so every support point is reached by
+    the first N + 1 columns.  Plain graded-lex order puts the monomials
+    free of x_0 last, and a support point where x_0 vanishes then keeps
+    the rank below d until the tail of the degree."""
 
     def __init__(self, scheme: FiniteScheme):
         self.scheme = scheme
-        self._germ_evals = [GermEvaluator(g) for g in scheme.germs]
 
     def column(self, mon):
         """The d functional values of the monomial, germ by germ."""
         out = []
-        for ev in self._germ_evals:
-            out.extend(ev.monomial_series(mon))
+        for g in self.scheme.germs:
+            out.extend(g.monomial_series(mon))
         return out
 
     def phi(self, k: int) -> int:
@@ -80,20 +56,12 @@ class SchemeEvaluator:
             raise ValueError("phi is only defined for k >= 0")
         d = self.scheme.degree
         space = ColumnSpace(self.scheme.field)
-        for mon in monomials_of_degree(self.scheme.ambient + 1, k):
+        mons = monomials_of_degree(self.scheme.ambient + 1, k)
+        for mon in sorted(mons, key=max, reverse=True):
             space.add(self.column(mon))
             if space.rank == d:
                 break
         return space.rank
-
-
-def evaluation_matrix(scheme: FiniteScheme, k: int) -> Matrix:
-    """The full d x C(N+k, N) matrix of functional values, one column
-    per degree-k monomial in graded-lex order."""
-    ev = SchemeEvaluator(scheme)
-    cols = [ev.column(mon) for mon in monomials_of_degree(scheme.ambient + 1, k)]
-    rows = [[col[i] for col in cols] for i in range(scheme.degree)]
-    return Matrix(rows, field=scheme.field, ncols=len(cols))
 
 
 def hilbert_function(scheme: FiniteScheme, k: int) -> int:
@@ -101,8 +69,17 @@ def hilbert_function(scheme: FiniteScheme, k: int) -> int:
 
 
 def hilbert_function_values(scheme: FiniteScheme, max_degree: int):
+    """phi(0) .. phi(max_degree); once phi reaches the degree d the
+    remaining entries are d without further rank computations."""
+    d = scheme.degree
     ev = SchemeEvaluator(scheme)
-    return [ev.phi(k) for k in range(max_degree + 1)]
+    out = []
+    for k in range(max_degree + 1):
+        out.append(ev.phi(k))
+        if out[-1] == d:
+            out.extend([d] * (max_degree - k))
+            break
+    return out
 
 
 def is_k_normal(scheme: FiniteScheme, k: int) -> bool:

@@ -66,9 +66,12 @@ class ProjPoint:
 class CurvilinearGerm:
     """A length-L truncated arc.  `jets[i]` is the length-L coefficient
     tuple of coordinate i in the chart `chart` (and `jets[chart]` is
-    None: that coordinate is identically 1)."""
+    None: that coordinate is identically 1).
 
-    __slots__ = ("support", "chart", "length", "jets", "field")
+    Powers of the jets are cached per (coordinate, exponent), so every
+    monomial evaluated on the germ, at any degree, shares them."""
+
+    __slots__ = ("support", "chart", "length", "jets", "field", "_powers")
 
     def __init__(self, support: ProjPoint, chart: int, jets, field=QQ):
         if not support.coords[chart]:
@@ -100,6 +103,7 @@ class CurvilinearGerm:
         self.length = length
         self.jets = tuple(norm)
         self.field = field
+        self._powers = {}
 
     @property
     def ambient(self) -> int:
@@ -138,20 +142,37 @@ class CurvilinearGerm:
                 out[k] = out[k] + c * v
         return tuple(out)
 
+    def _power(self, var: int, e: int):
+        got = self._powers.get((var, e))
+        if got is None:
+            if e == 1:
+                got = self.jets[var]
+            else:
+                got = series_mul(self._power(var, e - 1), self.jets[var], self.length)
+            self._powers[(var, e)] = got
+        return got
+
+    def monomial_series(self, mon):
+        """The length-L series of the monomial (an exponent tuple)
+        composed with the arc."""
+        out = None
+        for i, e in enumerate(mon):
+            if e == 0 or i == self.chart:
+                continue
+            p = self._power(i, e)
+            out = p if out is None else series_mul(out, p, self.length)
+        if out is None:
+            return series_of_constant(1, self.length, self.field)
+        return out
+
     def evaluate_form(self, form):
         """Compose a form (exponent-tuple -> coefficient dict) with the
         arc; returns the length-L coefficient series."""
         out = [self.field(0)] * self.length
         for mon, coeff in form.items():
-            term = series_of_constant(coeff, self.length, self.field)
-            for i, e in enumerate(mon):
-                if i == self.chart or e == 0:
-                    continue
-                s = self.jets[i]
-                for _ in range(e):
-                    term = series_mul(term, s, self.length)
-            for k, v in enumerate(term):
-                out[k] = out[k] + v
+            c = self.field(coeff)
+            for k, v in enumerate(self.monomial_series(mon)):
+                out[k] = out[k] + c * v
         return tuple(out)
 
     def __repr__(self):

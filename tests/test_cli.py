@@ -6,6 +6,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -56,6 +57,20 @@ def test_hilbert_golden(tmp_path, capsys):
     code, out, _ = run_cli(["hilbert", "--scheme", scheme, "--max-degree", "5"], capsys)
     assert code == 0
     assert out == '{"phi":[1,2,3,4,5,5]}\n'
+
+
+def test_hilbert_stops_computing_once_phi_reaches_the_degree(tmp_path, capsys):
+    # phi(1) = 3 = d already, so the 29 entries after it are filled in
+    # without rank computations over the C(k + 5, 5) degree-k monomials
+    germs = [reduced_germ(ProjPoint(tuple(int(i == j) for i in range(6)))) for j in (1, 5)]
+    germs.append(reduced_germ(ProjPoint((1, 2, -1, 3, 1, -2))))
+    path = tmp_path / "p5.json"
+    path.write_text(scheme_dumps(FiniteScheme(germs)))
+    started = time.perf_counter()
+    code, out, _ = run_cli(["hilbert", "--scheme", str(path), "--max-degree", "30"], capsys)
+    assert time.perf_counter() - started < 20
+    assert code == 0
+    assert json.loads(out)["phi"] == [1] + [3] * 30
 
 
 def test_bounds_golden(capsys):
@@ -299,6 +314,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
     code, _, err = run_cli(["verify", "--suite", "prop1_2", "--trials", "0"], capsys)
     assert code == 2
+
+    code, out, err = run_cli(["verify", "--suite", "prop1_2", "--trials", "2",
+                              "--jobs", "0"], capsys)
+    assert code == 2 and out == "" and "--jobs must be at least 1" in err
 
 
 def test_argparse_rejections(capsys):

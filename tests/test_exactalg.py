@@ -1,4 +1,4 @@
-"""Exact linear algebra: ranks, kernels, affine solves, field cross-checks."""
+"""Exact linear algebra: ranks, kernels, field cross-checks."""
 
 import random
 from fractions import Fraction
@@ -37,21 +37,6 @@ def test_kernel_of_dependent_rows():
     # kernel vector must be proportional to (2, -1); certify by m @ v == 0
     assert all(x == 0 for x in m.mul_vec(v))
     assert any(x != 0 for x in v)
-
-
-def test_solve_inconsistent_returns_none():
-    m = Matrix([[1], [1]])
-    assert m.solve_affine([0, 1]) is None
-
-
-def test_solve_affine_particular_and_kernel():
-    m = Matrix([[1, 1, 0], [0, 1, 1]])
-    sol = m.solve_affine([3, 5])
-    assert sol is not None
-    assert m.mul_vec(sol.particular) == (3, 5)
-    assert len(sol.kernel) == 1
-    shifted = tuple(a + b for a, b in zip(sol.particular, sol.kernel[0]))
-    assert m.mul_vec(shifted) == (3, 5)
 
 
 def test_fraction_entries():
@@ -137,15 +122,6 @@ def test_rank_agrees_between_q_and_large_prime_field():
     assert agree >= trials * 99 // 100
 
 
-def test_solve_over_prime_field():
-    F = prime_field(97)
-    m = Matrix([[1, 2], [3, 4]], field=F)
-    sol = m.solve_affine([F(5), F(6)])
-    assert sol is not None
-    assert m.mul_vec(sol.particular) == (F(5), F(6))
-    assert sol.kernel == []
-
-
 def test_column_space_incremental_rank():
     rng = random.Random(3)
     for _ in range(25):
@@ -193,9 +169,10 @@ def test_scalar_round_trip():
     assert scalar_str(parse_scalar("7", F)) == "7"
 
 
-def _fraction_rref(rows, width):
-    """Reference: Gauss-Jordan over Fractions.  Returns (rows, pivots)."""
-    rows = [[Fraction(v) for v in row] for row in rows]
+def _fraction_rref(rows, width, field=Fraction):
+    """Reference: Gauss-Jordan over Fractions (or the elements of a prime
+    field).  Returns (rows, pivots)."""
+    rows = [[field(v) for v in row] for row in rows]
     pivots = []
     r = 0
     for c in range(width):
@@ -213,15 +190,15 @@ def _fraction_rref(rows, width):
     return rows, pivots
 
 
-def _fraction_kernel(rows, width):
+def _fraction_kernel(rows, width, field=Fraction):
     """Reference kernel: one vector per free column, that column set to 1."""
-    reduced, pivots = _fraction_rref(rows, width)
+    reduced, pivots = _fraction_rref(rows, width, field)
     basis = []
     for f in range(width):
         if f in pivots:
             continue
-        x = [Fraction(0)] * width
-        x[f] = Fraction(1)
+        x = [field(0)] * width
+        x[f] = field(1)
         for i, c in enumerate(pivots):
             x[c] = -reduced[i][f]
         basis.append(tuple(x))
@@ -259,34 +236,46 @@ def test_kernel_basis_matches_fraction_reference():
     assert all(count > 50 for count in shapes.values()), shapes
 
 
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_prime_field_kernels_match_gauss_jordan_reference(p):
+    F = prime_field(p)
+    rng = random.Random(p)
+    shapes = {"wide": 0, "deficient": 0, "zero_row": 0}
+    for _ in range(400):
+        rows, ncols = _random_rational_matrix(rng)
+        rows = [[F(x) for x in row] for row in rows]
+        m = Matrix(rows, field=F, ncols=ncols)
+        _, pivots = _fraction_rref(rows, ncols, F)
+        assert m.rank() == len(pivots)
+        got = m.kernel_basis()
+        assert got == _fraction_kernel(rows, ncols, F)
+        assert all(type(x) is F for v in got for x in v)
+        columns, row_space = ColumnSpace(F), ColumnSpace(F)
+        for j in range(ncols):
+            columns.add([row[j] for row in rows])
+        grew = [row_space.add(row) for row in rows]
+        assert columns.rank == row_space.rank == sum(grew) == len(pivots)
+        shapes["wide"] += ncols > len(rows)
+        shapes["deficient"] += len(pivots) < min(len(rows), ncols)
+        shapes["zero_row"] += any(all(x == 0 for x in row) for row in rows)
+    assert all(count > 30 for count in shapes.values()), shapes
+
+
+def test_prime_field_equality_refuses_other_fields():
+    F, G = prime_field(7), prime_field(11)
+    assert F(3) == F(10) and F(3) == 10 and F(3) != 4
+    with pytest.raises(TypeError):
+        F(1) == Fraction(1)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) == F(4)
+    with pytest.raises(TypeError):
+        F(1) != G(1)
+
+
 def test_kernel_basis_edge_shapes():
     assert Matrix([[0, 0, 0]]).kernel_basis() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert Matrix([], field=QQ, ncols=2).kernel_basis() == [(1, 0), (0, 1)]
     assert Matrix([[Fraction(1, 2), 0], [0, 3]]).kernel_basis() == []
-
-
-def test_solve_affine_matches_fraction_reference():
-    rng = random.Random(47)
-    consistent = 0
-    for _ in range(400):
-        rows, ncols = _random_rational_matrix(rng)
-        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in rows]
-        if rng.random() < 0.7:
-            # put rhs in the column space so the system is consistent
-            x = [Fraction(rng.randint(-5, 5)) for _ in range(ncols)]
-            rhs = list(Matrix(rows, field=QQ, ncols=ncols).mul_vec(x))
-        got = Matrix(rows, field=QQ, ncols=ncols).solve_affine(rhs)
-        reduced, pivots = _fraction_rref([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
-        if pivots and pivots[-1] == ncols:
-            assert got is None
-            continue
-        consistent += 1
-        particular = [Fraction(0)] * ncols
-        for i, c in enumerate(pivots):
-            particular[c] = reduced[i][ncols]
-        assert got.particular == tuple(particular)
-        assert got.kernel == _fraction_kernel(rows, ncols)
-    assert consistent > 200
 
 
 def test_prime_field_coerces_fractions_exactly():

@@ -15,10 +15,6 @@ from zeroreg.forms import (
     binary_gcd_many,
     evaluate_form,
     factor_int,
-    form_add,
-    form_mul,
-    form_pow,
-    linear_form,
     monomials_of_degree,
     poly_degree,
     poly_derivative,
@@ -34,7 +30,6 @@ from zeroreg.forms import (
     series_mul,
     series_order,
     squarefree_decomposition,
-    substitute_linear,
 )
 
 x = sympy.Symbol("x")
@@ -64,33 +59,16 @@ def test_monomials_count_and_order():
     assert len(monomials_of_degree(4, 3)) == 20
 
 
-def test_form_arithmetic_against_sympy():
-    rng = random.Random(5)
-    xs = sympy.symbols("x0 x1 x2")
-    for _ in range(20):
-        f = {tuple(m): Fraction(rng.randint(-5, 5)) for m in monomials_of_degree(3, 2)}
-        g = {tuple(m): Fraction(rng.randint(-5, 5)) for m in monomials_of_degree(3, 1)}
-        f = {m: c for m, c in f.items() if c}
-        g = {m: c for m, c in g.items() if c}
-        prod = form_mul(f, g)
-        sf = sum(sympy.Rational(c) * xs[0] ** m[0] * xs[1] ** m[1] * xs[2] ** m[2] for m, c in f.items())
-        sg = sum(sympy.Rational(c) * xs[0] ** m[0] * xs[1] ** m[1] * xs[2] ** m[2] for m, c in g.items())
-        sp = sum(sympy.Rational(c) * xs[0] ** m[0] * xs[1] ** m[1] * xs[2] ** m[2] for m, c in prod.items())
-        assert sympy.expand(sf * sg - sp) == 0
-
-
 def test_form_evaluate_matches_substitution():
-    f = form_add(form_pow(linear_form([1, 2, 3]), 2), linear_form([0, 0, 7]))
+    # (x0 + 2 x1 + 3 x2)^2 + 7 x2, expanded
+    f = {
+        (2, 0, 0): Fraction(1), (1, 1, 0): Fraction(4), (1, 0, 1): Fraction(6),
+        (0, 2, 0): Fraction(4), (0, 1, 1): Fraction(12), (0, 0, 2): Fraction(9),
+        (0, 0, 1): Fraction(7),
+    }
     pt = (Fraction(1), Fraction(-1), Fraction(2))
     # (1 - 2 + 6)^2 + 7*2 = 25 + 14
     assert evaluate_form(f, pt) == 39
-
-
-def test_substitute_linear_composition():
-    # f(x, y) = x^2 + y^2 under x -> u + v, y -> u - v gives 2u^2 + 2v^2
-    f = {(2, 0): Fraction(1), (0, 2): Fraction(1)}
-    subbed = substitute_linear(f, [linear_form([1, 1]), linear_form([1, -1])])
-    assert subbed == {(2, 0): Fraction(2), (0, 2): Fraction(2)}
 
 
 def test_series_inverse_and_div():

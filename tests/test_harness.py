@@ -16,6 +16,7 @@ from zeroreg.harness import (
     gen_scheme,
     run_suite,
     trial_seed,
+    worker_count,
 )
 from zeroreg.jsonio import canonical_json, scheme_dumps
 from zeroreg.normality import min_normal_degree
@@ -234,6 +235,20 @@ def test_reports_are_deterministic_and_job_independent():
     c = run_suite("prop1_2", 24, seed=7, jobs=2)
     assert canonical_json(a.to_jsonable()) == canonical_json(b.to_jsonable())
     assert canonical_json(a.to_jsonable()) == canonical_json(c.to_jsonable())
+
+
+def test_worker_count_is_clamped_to_trials_and_cpus(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert worker_count(1, 100) == 1
+    assert worker_count(3, 100) == 3
+    assert worker_count(64, 100) == 4
+    assert worker_count(64, 2) == 2
+    assert worker_count(10**9, 10**6) == 4
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(8, 100) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            worker_count(bad, 10)
 
 
 def test_report_json_shape_omits_wall_time():

@@ -7,10 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroreg.exactalg import prime_field
+from zeroreg.exactalg import QQ, Matrix, prime_field
+from zeroreg.forms import monomials_of_degree
 from zeroreg.normality import (
     SchemeEvaluator,
-    evaluation_matrix,
     finite_scheme_regularity,
     hilbert_function,
     hilbert_function_values,
@@ -107,9 +107,65 @@ def test_phi_matches_sympy_on_mixed_scheme():
 
 
 def test_evaluation_matrix_shape_and_rank():
-    m = evaluation_matrix(GENERAL_5, 2)
+    # the full d x C(N+k, N) matrix, one column per degree-k monomial, has
+    # the rank that the streamed, early-stopping phi reports
+    ev = SchemeEvaluator(GENERAL_5)
+    cols = [ev.column(mon) for mon in monomials_of_degree(3, 2)]
+    m = Matrix([[col[i] for col in cols] for i in range(GENERAL_5.degree)])
     assert (m.nrows, m.ncols) == (5, 6)
     assert m.rank() == hilbert_function(GENERAL_5, 2)
+
+
+def test_phi_reaches_every_support_with_the_first_columns(monkeypatch):
+    # x_0 vanishes at two of the points, so graded-lex order would keep
+    # the rank below d until the monomials free of x_0 at the end of the
+    # degree; pure powers first reach d with d columns
+    x = points((1, 2, 3, 5), (0, 1, 4, 2), (0, 3, 1, 1), (1, -1, 2, 7), (2, 1, 1, 3))
+    seen = []
+    column = SchemeEvaluator.column
+    monkeypatch.setattr(SchemeEvaluator, "column",
+                        lambda self, mon: seen.append(mon) or column(self, mon))
+    for k in (2, 6):
+        seen.clear()
+        assert SchemeEvaluator(x).phi(k) == 5
+        assert len(seen) == 5
+        assert seen[:4] == [tuple(k * (i == j) for i in range(4)) for j in range(4)]
+
+
+def _rand_germ_scheme(rng, field):
+    """Random reduced points and line germs of length <= 3 in P^2 or P^3."""
+    while True:
+        n = rng.choice([2, 3])
+        germs = []
+        for _ in range(rng.randint(1, 4)):
+            pt = [rng.randint(-3, 3) for _ in range(n + 1)]
+            direction = [rng.randint(-3, 3) for _ in range(n + 1)]
+            length = rng.randint(1, 3)
+            try:
+                germs.append(germ_on_line(pt, direction, length, field) if length > 1
+                             else reduced_germ(pt, field))
+            except (ValueError, ZeroDivisionError):
+                pass
+        try:
+            return FiniteScheme(germs, field)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7)])
+def test_hilbert_function_values_saturate_at_the_degree(field, monkeypatch):
+    # once phi reaches d the remaining entries are filled without ranks;
+    # they must agree with phi computed degree by degree
+    ranked = []
+    phi = SchemeEvaluator.phi
+    monkeypatch.setattr(SchemeEvaluator, "phi", lambda self, k: ranked.append(k) or phi(self, k))
+    rng = random.Random(8)
+    for _ in range(15):
+        x = _rand_germ_scheme(rng, field)
+        ranked.clear()
+        values = hilbert_function_values(x, x.degree + 2)
+        assert ranked == list(range(values.index(x.degree) + 1))
+        assert values == [hilbert_function(x, k) for k in range(x.degree + 3)]
 
 
 def test_phi_over_prime_field():

@@ -7,7 +7,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroreg.exactalg import Matrix, prime_field
+from zeroreg.exactalg import QQ, Matrix, prime_field
+from zeroreg.forms import monomials_of_degree, series_mul, series_of_constant
 from zeroreg.scheme import (
     CurvilinearGerm,
     EnumerationCapExceeded,
@@ -96,6 +97,55 @@ def test_evaluate_form_against_sympy_series():
     for k in range(3):
         w = want[k] if k < len(want) else 0
         assert got[k] == Fraction(int(w))
+
+
+def _uncached_composition(g, form):
+    """Reference: every monomial rebuilt from the coordinate series of the
+    arc by repeated multiplication, chart coordinate included."""
+    out = series_of_constant(0, g.length, g.field)
+    for mon, coeff in form.items():
+        term = series_of_constant(coeff, g.length, g.field)
+        for i, e in enumerate(mon):
+            for _ in range(e):
+                term = series_mul(term, g.hom_series(i), g.length)
+        out = tuple(a + b for a, b in zip(out, term))
+    return out
+
+
+def _rand_germ(rng, field, length):
+    n = rng.choice([2, 3])
+    while True:
+        coords = [rng.randint(-3, 3) for _ in range(n + 1)]
+        chart = rng.randrange(n + 1)
+        if coords[chart] % 7:
+            break
+    lead = field(coords[chart])
+    jets = []
+    for i in range(n + 1):
+        if i != chart:
+            tail = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(length - 1)]
+            jets.append([field(coords[i]) / lead] + tail)
+    if length >= 2 and all(j[1] == 0 for j in jets):
+        jets[0][1] = field(1)
+    return make_germ(coords, chart, jets, field)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7)])
+def test_cached_germ_evaluation_matches_uncached_reference(field):
+    rng = random.Random(19)
+    for length in range(1, 5):
+        for _ in range(6):
+            g = _rand_germ(rng, field, length)
+            nvars = g.ambient + 1
+            # several degrees on the same germ, so later forms reuse the cache
+            for k in (3, 0, 5, 1, 3):
+                mons = monomials_of_degree(nvars, k)
+                form = {m: Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                        for m in rng.sample(mons, min(len(mons), 4))}
+                form = {m: c for m, c in form.items() if c}
+                assert g.evaluate_form(form) == _uncached_composition(g, form)
+                for m in mons[:3]:
+                    assert g.monomial_series(m) == _uncached_composition(g, {m: 1})
 
 
 def test_evaluate_linear_matches_form():
