@@ -26,7 +26,6 @@ from .jsonio import (
     subspace_loads,
 )
 from .normality import (
-    finite_scheme_regularity,
     hilbert_function_values,
     is_k_normal,
     min_normal_degree,
@@ -36,7 +35,6 @@ from .projection import (
     classify_fiber,
     curve_fiber,
     curve_linear_section_length,
-    fiber_scheme,
     project_scheme,
     recipe_for_fiber,
     yk_counts,
@@ -100,8 +98,7 @@ def _cmd_normality(args) -> int:
 def _cmd_regularity(args) -> int:
     x = _load_scheme(args.scheme)
     k = min_normal_degree(x)
-    _emit({"degree": x.degree, "min_normal_degree": k,
-           "regularity": finite_scheme_regularity(x)})
+    _emit({"degree": x.degree, "min_normal_degree": k, "regularity": k + 1})
     return 0
 
 
@@ -174,7 +171,7 @@ def _cmd_project(args) -> int:
         raise _UsageError(str(err)) from None
     out = []
     for image, selector in fibers:
-        piece = fiber_scheme(x, selector)
+        piece = x.truncated(selector)
         out.append({"image": _point_out(image), "length": piece.degree,
                     "fiber": scheme_to_jsonable(piece)})
     counts = yk_counts(f["length"] for f in out)

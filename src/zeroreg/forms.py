@@ -119,14 +119,6 @@ def series_div(a, b, length=None):
     return series_mul(a, series_inverse(b, length), length)
 
 
-def series_order(a) -> int:
-    """Index of the first nonzero coefficient; len(a) if all vanish."""
-    for i, x in enumerate(a):
-        if x != 0:
-            return i
-    return len(a)
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials
 

@@ -340,10 +340,6 @@ def _line_point(basis, s, t, field):
     return ProjPoint(coords, field)
 
 
-def _line_direction(basis, field):
-    return tuple(basis[1])
-
-
 def _off_point(rng, box, field, avoid, on_lines=()):
     """A point with nonzero first coordinate (so the separator frame's
     distinguished coordinate does not vanish there), off the given lines."""
@@ -364,7 +360,7 @@ def _line_scheme(rng, field, box, line_lengths, off_lengths):
     """Contact `sum(line_lengths)` with a generic-frame line plus off
     points; raises _Retry on degenerate draws."""
     basis = _line_basis(rng, box, field)
-    direction = _line_direction(basis, field)
+    direction = basis[1]
     params = rng.sample(range(-7, 8), len(line_lengths))
     germs, used = [], set()
     for length, t in zip(line_lengths, params):

@@ -83,6 +83,9 @@ def hilbert_function_values(scheme: FiniteScheme, max_degree: int):
 
 
 def is_k_normal(scheme: FiniteScheme, k: int) -> bool:
+    """phi(k) = d; true without a rank once k >= d - 1."""
+    if k >= scheme.degree - 1:
+        return True
     return hilbert_function(scheme, k) == scheme.degree
 
 

@@ -25,6 +25,7 @@ from zeroreg.forms import (
     binary_degree,
     binary_eval,
     binary_gcd,
+    binary_gcd_many,
     binary_is_zero,
     poly_degree,
     poly_divmod,
@@ -43,7 +44,7 @@ from zeroreg.scheme import (
     max_collinear_length,
     span_dim,
 )
-from zeroreg.separation import FormSpaceRecipe, line_power_recipe, standard_recipe, t_monomial
+from zeroreg.separation import line_power_recipe, standard_recipe, t_monomial
 
 
 class CenterMeetsScheme(Exception):
@@ -105,10 +106,6 @@ def project_scheme(scheme: FiniteScheme, center: LinearSubspace):
         )
         fibers.append((image, selector))
     return fibers
-
-
-def fiber_scheme(scheme: FiniteScheme, selector) -> FiniteScheme:
-    return scheme.truncated(selector)
 
 
 def yk_counts(fiber_lengths) -> dict:
@@ -326,12 +323,7 @@ class RationalCurve:
         nonzero = [f for f in forms if not binary_is_zero(f)]
         if not nonzero:
             raise ValueError("the zero tuple does not parameterize a curve")
-        g = nonzero[0]
-        for f in nonzero[1:]:
-            g = binary_gcd(g, f)
-            if binary_degree(g) == 0:
-                break
-        if binary_degree(g) != 0:
+        if binary_degree(binary_gcd_many(nonzero)) != 0:
             raise ValueError("coordinate forms share a zero (a base point)")
         self.forms = forms
         self.field = field
@@ -473,22 +465,13 @@ def curve_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     return _fiber_from_binary_form(curve, (y0, y1), form)
 
 
-def curve_fiber_scheme(curve: RationalCurve, center: LinearSubspace, y) -> FiniteScheme:
-    return curve_fiber(curve, center, y).scheme()
-
-
 def plane_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     """Fiber over y in P^2 of the projection from a center of dimension
     N - 3; total length 0 when y is not on the image curve."""
     if center.ambient != curve.ambient or len(center.cutting_forms) != 3:
         raise ValueError("center must be cut by exactly three forms in the curve's space")
     composed = [_compose_linear(curve, f) for f in center.cutting_forms]
-    g = composed[0]
-    for f in composed[1:]:
-        g = binary_gcd(g, f)
-        if binary_degree(g) == 0:
-            break
-    if binary_degree(g) != 0:
+    if binary_degree(binary_gcd_many(composed)) != 0:
         raise CenterMeetsCurve("center intersects the curve")
     ys = [curve.field(c) for c in y]
     if all(v == 0 for v in ys):
@@ -503,10 +486,7 @@ def plane_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
         )
     if all(binary_is_zero(m) for m in minors):
         raise AssertionError("projection collapses the curve despite a disjoint center")
-    nonzero = [m for m in minors if not binary_is_zero(m)]
-    h = nonzero[0]
-    for m in nonzero[1:]:
-        h = binary_gcd(h, m)
+    h = binary_gcd_many([m for m in minors if not binary_is_zero(m)])
     if binary_degree(h) == 0:
         return CurveFiber(tuple(ys), (), (), (), 0)
     return _fiber_from_binary_form(curve, tuple(ys), h)
@@ -521,12 +501,7 @@ def curve_linear_section_length(curve: RationalCurve, subspace: LinearSubspace) 
     nonzero = [f for f in composed if not binary_is_zero(f)]
     if not nonzero:
         raise CurveContainedInSubspace("every cutting form vanishes on the curve")
-    g = nonzero[0]
-    for f in nonzero[1:]:
-        g = binary_gcd(g, f)
-        if binary_degree(g) == 0:
-            break
-    return binary_degree(g)
+    return binary_degree(binary_gcd_many(nonzero))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,15 @@ Each germ of length L carries L linear functionals on forms: the
 coefficients of t^0 .. t^{L-1} of the form composed with the arc.  All
 rank computations on schemes reduce to exact linear algebra on these
 functionals.
+
+On linear forms the functionals are rows: `CurvilinearGerm.linear_rows`
+gives row k = the t^k coefficients of the N + 1 coordinates along the
+arc, so a linear form f composed with the arc has coefficient f . row_k
+at t^k.  Every linear question here reads these row blocks: the span,
+the independence level `invariant_t` (a subscheme's rows are prefixes of
+its germs' blocks), the contact with a subspace (the leading rows that
+all cutting forms kill) and the collinearity search (a germ's tangent
+line is spanned by its first two rows).
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ from __future__ import annotations
 import itertools
 import os
 
-from zeroreg.exactalg import Matrix, QQ, field_of, kernel_basis
-from zeroreg.forms import series_div, series_mul, series_of_constant, series_order
+from zeroreg.exactalg import Matrix, QQ, kernel_basis
+from zeroreg.forms import series_div, series_mul, series_of_constant
 
 DEFAULT_ENUM_CAP = 12
 
@@ -122,25 +131,11 @@ class CurvilinearGerm:
         jets = tuple(None if j is None else j[:new_length] for j in self.jets)
         return CurvilinearGerm(self.support, self.chart, jets, self.field)
 
-    def tangent_vector(self):
-        """Velocity of the arc at t = 0, as a homogeneous vector (zero at
-        the chart coordinate); only defined for length >= 2."""
-        if self.length < 2:
-            raise ValueError("a reduced point has no tangent vector")
-        return tuple(
-            self.field(0) if j is None else j[1] for j in self.jets
-        )
-
-    def evaluate_linear(self, coeffs):
-        """The length-L series of sum_i coeffs[i] * (i-th coordinate of
-        the arc)."""
-        out = [self.field(0)] * self.length
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            for k, v in enumerate(self.hom_series(i)):
-                out[k] = out[k] + c * v
-        return tuple(out)
+    def linear_rows(self):
+        """The germ's functionals on linear forms: row k holds the t^k
+        coefficients of the N + 1 coordinates along the arc."""
+        cols = [self.hom_series(i) for i in range(self.ambient + 1)]
+        return [[c[k] for c in cols] for k in range(self.length)]
 
     def _power(self, var: int, e: int):
         got = self._powers.get((var, e))
@@ -252,15 +247,8 @@ class FiniteScheme:
         return FiniteScheme(kept, self.field)
 
     def linear_rows(self):
-        """One row per functional: the evaluations of the coordinate
-        linear forms, i.e. row (g, k) holds the t^k coefficients of the
-        coordinates along the arc of g."""
-        rows = []
-        for g in self.germs:
-            cols = [g.hom_series(i) for i in range(g.ambient + 1)]
-            for k in range(g.length):
-                rows.append([c[k] for c in cols])
-        return rows
+        """The germs' row blocks, concatenated: one row per functional."""
+        return [row for g in self.germs for row in g.linear_rows()]
 
     def __repr__(self):
         return "FiniteScheme(degree=%d in P^%d)" % (self.degree, self.ambient)
@@ -309,46 +297,40 @@ def subspace_from_rows(rows, ambient: int, field=QQ) -> LinearSubspace:
     return LinearSubspace(ambient, forms, field)
 
 
-def subspace_from_points(points, field=QQ) -> LinearSubspace:
-    pts = [p if isinstance(p, ProjPoint) else ProjPoint(p, field) for p in points]
-    return subspace_from_rows([p.coords for p in pts], pts[0].ambient, field)
-
-
-def line_through(p, q, field=QQ) -> LinearSubspace:
-    sub = subspace_from_points([p, q], field)
-    if sub.dim != 1:
-        raise ValueError("the two points coincide; they span no line")
-    return sub
-
-
 def contact_length(scheme, subspace: LinearSubspace) -> int:
-    """Degree of the scheme-theoretic intersection with the subspace."""
+    """Degree of the scheme-theoretic intersection with the subspace: per
+    germ, the number of leading rows that every cutting form kills."""
     germs = scheme.germs if isinstance(scheme, FiniteScheme) else (scheme,)
+    forms = subspace.cutting_forms
     total = 0
     for g in germs:
-        orders = [series_order(g.evaluate_linear(f)) for f in subspace.cutting_forms]
-        total += min(orders) if orders else g.length
+        for row in g.linear_rows():
+            if any(sum(c * x for c, x in zip(f, row) if c) != 0 for f in forms):
+                break
+            total += 1
     return total
 
 
 def max_collinear_length(scheme: FiniteScheme):
     """Largest degree of a subscheme contained in one line, with a line
     achieving it; (degree, None) when no candidate line exists (a single
-    reduced point, or an ambient line where every germ is collinear)."""
+    reduced point, or an ambient line where every germ is collinear).
+    The candidates are the lines through two support points and the
+    tangent lines, spanned by a germ's first two rows."""
     if scheme.ambient <= 1:
         return scheme.degree, None
-    best, best_line = 0, None
-    candidates = []
+    n, field = scheme.ambient, scheme.field
     supports = [g.support for g in scheme.germs]
-    for a, b in itertools.combinations(supports, 2):
-        candidates.append(line_through(a, b, scheme.field))
-    for g in scheme.germs:
-        if g.length >= 2:
-            candidates.append(
-                subspace_from_rows(
-                    [g.support.coords, g.tangent_vector()], g.ambient, scheme.field
-                )
-            )
+    candidates = [
+        subspace_from_rows([a.coords, b.coords], n, field)
+        for a, b in itertools.combinations(supports, 2)
+    ]
+    candidates += [
+        subspace_from_rows(g.linear_rows()[:2], n, field)
+        for g in scheme.germs
+        if g.length >= 2
+    ]
+    best, best_line = 0, None
     for line in candidates:
         c = contact_length(scheme, line)
         if c > best:
@@ -392,12 +374,12 @@ def invariant_t(scheme: FiniteScheme) -> int:
     d = scheme.degree
     if d == 1:
         return 1
-    n = scheme.ambient
-    top = min(d, n + 2)
+    blocks = [g.linear_rows() for g in scheme.germs]
+    top = min(d, scheme.ambient + 2)
     for s in range(2, top + 1):
         for sel in enumerate_subschemes(scheme, s):
-            sub = scheme.truncated(sel)
-            if Matrix(sub.linear_rows(), field=scheme.field).rank() < s:
+            rows = [r for block, l in zip(blocks, sel) for r in block[:l]]
+            if Matrix(rows, field=scheme.field).rank() < s:
                 return s - 2
     return d - 1
 

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from zeroreg import cli, normality
 from zeroreg.cli import main
 from zeroreg.jsonio import (
     canonical_json,
@@ -59,18 +60,33 @@ def test_hilbert_golden(tmp_path, capsys):
     assert out == '{"phi":[1,2,3,4,5,5]}\n'
 
 
+def _three_points_p5(path):
+    germs = [reduced_germ(ProjPoint(tuple(int(i == j) for i in range(6)))) for j in (1, 5)]
+    germs.append(reduced_germ(ProjPoint((1, 2, -1, 3, 1, -2))))
+    path.write_text(scheme_dumps(FiniteScheme(germs)))
+    return str(path)
+
+
 def test_hilbert_stops_computing_once_phi_reaches_the_degree(tmp_path, capsys):
     # phi(1) = 3 = d already, so the 29 entries after it are filled in
     # without rank computations over the C(k + 5, 5) degree-k monomials
-    germs = [reduced_germ(ProjPoint(tuple(int(i == j) for i in range(6)))) for j in (1, 5)]
-    germs.append(reduced_germ(ProjPoint((1, 2, -1, 3, 1, -2))))
-    path = tmp_path / "p5.json"
-    path.write_text(scheme_dumps(FiniteScheme(germs)))
+    scheme = _three_points_p5(tmp_path / "p5.json")
     started = time.perf_counter()
-    code, out, _ = run_cli(["hilbert", "--scheme", str(path), "--max-degree", "30"], capsys)
+    code, out, _ = run_cli(["hilbert", "--scheme", scheme, "--max-degree", "30"], capsys)
     assert time.perf_counter() - started < 20
     assert code == 0
     assert json.loads(out)["phi"] == [1] + [3] * 30
+
+
+def test_normality_past_the_degree_needs_no_rank(tmp_path, capsys):
+    # phi(d - 1) = d always, so k >= d - 1 is answered without streaming
+    # any of the C(k + 5, 5) degree-k monomials
+    scheme = _three_points_p5(tmp_path / "p5.json")
+    started = time.perf_counter()
+    code, out, _ = run_cli(["normality", "--scheme", scheme, "--degree", "100000"], capsys)
+    assert time.perf_counter() - started < 20
+    assert code == 0
+    assert '"normal":true' in out
 
 
 def test_bounds_golden(capsys):
@@ -101,6 +117,23 @@ def test_regularity_output(tmp_path, capsys):
     code, out, _ = run_cli(["regularity", "--scheme", scheme], capsys)
     assert code == 0
     assert json.loads(out) == {"degree": 5, "min_normal_degree": 4, "regularity": 5}
+
+
+def test_regularity_computes_the_minimal_normal_degree_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = normality.min_normal_degree
+
+    def counted(scheme):
+        calls.append(scheme)
+        return real(scheme)
+
+    monkeypatch.setattr(normality, "min_normal_degree", counted)
+    monkeypatch.setattr(cli, "min_normal_degree", counted)
+    scheme = _collinear5(tmp_path / "pts.json")
+    code, out, _ = run_cli(["regularity", "--scheme", scheme], capsys)
+    assert code == 0
+    assert out == '{"degree":5,"min_normal_degree":4,"regularity":5}\n'
+    assert len(calls) == 1
 
 
 def test_invariant_t_output(tmp_path, capsys):

@@ -28,7 +28,6 @@ from zeroreg.forms import (
     series_div,
     series_inverse,
     series_mul,
-    series_order,
     squarefree_decomposition,
 )
 
@@ -85,12 +84,6 @@ def test_series_inverse_prime_field():
     a = (F(3), F(1), F(7))
     inv = series_inverse(a)
     assert series_mul(a, inv) == (F(1), F(0), F(0))
-
-
-def test_series_order():
-    assert series_order((Fraction(0), Fraction(0), Fraction(4))) == 2
-    assert series_order((Fraction(0),) * 3) == 3
-    assert series_order((Fraction(1), Fraction(0))) == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,12 +20,11 @@ from zeroreg.scheme import (
     enumerate_subschemes,
     germ_on_line,
     invariant_t,
-    line_through,
     make_germ,
     max_collinear_length,
     reduced_germ,
     span_dim,
-    subspace_from_points,
+    subspace_from_rows,
 )
 
 
@@ -148,15 +147,6 @@ def test_cached_germ_evaluation_matches_uncached_reference(field):
                     assert g.monomial_series(m) == _uncached_composition(g, {m: 1})
 
 
-def test_evaluate_linear_matches_form():
-    g = make_germ((2, 1, 7), 1, [(2, -1, 4), (7, 0, 1)])
-    coeffs = (Fraction(3), Fraction(-2), Fraction(1, 2))
-    via_form = g.evaluate_form(
-        {(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]}
-    )
-    assert g.evaluate_linear(coeffs) == via_form
-
-
 def test_invariant_t_general_position():
     assert invariant_t(scheme_of_points(P2_GENERAL_5)) == 2
     assert invariant_t(scheme_of_points(P3_GENERAL_6)) == 3
@@ -230,14 +220,14 @@ def test_contact_length_hyperplane():
 
 
 def test_subspace_helpers():
-    line = line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    line = subspace_from_rows([(1, 0, 0, 0), (0, 1, 0, 0)], 3)
     assert line.dim == 1
     assert line.contains_point(ProjPoint((2, 5, 0, 0)))
     assert not line.contains_point(ProjPoint((0, 0, 1, 0)))
-    plane = subspace_from_points([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    plane = subspace_from_rows([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 3)
     assert plane.dim == 2
-    with pytest.raises(ValueError):
-        line_through((1, 1, 1), (2, 2, 2))
+    # two proportional vectors span a point, not a line
+    assert subspace_from_rows([(1, 1, 1), (2, 2, 2)], 2).dim == 0
     with pytest.raises(ValueError, match="independent"):
         LinearSubspace(2, [(1, 0, 0), (2, 0, 0)])
 
@@ -327,3 +317,129 @@ def test_truncate_roundtrip():
         g.truncate(0)
     with pytest.raises(ValueError):
         g.truncate(4)
+
+
+# ---------------------------------------------------------------------------
+# the row view against the compositions it replaced: truncated schemes for
+# invariant_t, series of linear forms along the arc for contact_length, and
+# support/velocity lines for max_collinear_length
+
+
+def _random_scheme(rng, field, n, max_degree=10):
+    """Up to four germs of lengths 1-4 at small coordinates, some of them
+    straight, so collinear and dependent configurations come up often."""
+    germs, seen = [], set()
+    for _ in range(rng.randint(1, 4)):
+        length = rng.randint(1, 4)
+        if sum(g.length for g in germs) + length > max_degree:
+            break
+        coords = [rng.randint(-1, 1) for _ in range(n + 1)]
+        if not any(coords):
+            continue
+        p = ProjPoint(coords, field)
+        if p in seen:
+            continue
+        seen.add(p)
+        chart = next(i for i, c in enumerate(p.coords) if c != 0)
+        # a third of the germs are straight: no jet term past t^1
+        straight = rng.random() < 0.3
+        jets = [
+            [p.coords[i]]
+            + [field(0 if straight and k > 1 else rng.choice((0, 0, 1, -1, 2)))
+               for k in range(1, length)]
+            for i in range(n + 1)
+            if i != chart
+        ]
+        if length >= 2 and all(j[1] == 0 for j in jets):
+            jets[rng.randrange(n)][1] = field(1)
+        germs.append(make_germ(p, chart, jets, field))
+    return FiniteScheme(germs, field)
+
+
+def _random_subspace(rng, x):
+    """A subspace of dimension 0 .. N - 1 spanned by germ rows and random
+    vectors, so that contacts of every size occur."""
+    n, field = x.ambient, x.field
+    while True:
+        rows = []
+        for _ in range(rng.randint(1, n)):
+            if rng.random() < 0.7:
+                g = rng.choice(x.germs)
+                rows.append(g.linear_rows()[rng.randrange(g.length)])
+            else:
+                rows.append([field(rng.randint(-2, 2)) for _ in range(n + 1)])
+        sub = subspace_from_rows(rows, n, field)
+        if 0 <= sub.dim <= n - 1:
+            return sub
+
+
+def _invariant_t_reference(x):
+    d = x.degree
+    if d == 1:
+        return 1
+    for s in range(2, min(d, x.ambient + 2) + 1):
+        for sel in enumerate_subschemes(x, s):
+            if Matrix(x.truncated(sel).linear_rows(), field=x.field).rank() < s:
+                return s - 2
+    return d - 1
+
+
+def _contact_reference(x, sub):
+    """Per germ, the least order along the arc of a cutting form."""
+    n = x.ambient
+    total = 0
+    for g in x.germs:
+        orders = []
+        for f in sub.cutting_forms:
+            form = {tuple(int(i == j) for j in range(n + 1)): c for i, c in enumerate(f) if c}
+            series = g.evaluate_form(form)
+            orders.append(next((k for k, v in enumerate(series) if v != 0), g.length))
+        total += min(orders, default=g.length)
+    return total
+
+
+def _max_collinear_reference(x):
+    n, field = x.ambient, x.field
+    lines = [
+        subspace_from_rows([a.support.coords, b.support.coords], n, field)
+        for a, b in itertools.combinations(x.germs, 2)
+    ]
+    for g in x.germs:
+        if g.length >= 2:
+            velocity = [field(0) if j is None else j[1] for j in g.jets]
+            lines.append(subspace_from_rows([g.support.coords, velocity], n, field))
+    if not lines:
+        return x.degree
+    return max(_contact_reference(x, line) for line in lines)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_row_view_matches_the_old_compositions(field, n):
+    rng = random.Random(1000 * n + (0 if field is QQ else 7))
+    levels = set()
+    for _ in range(12):
+        x = _random_scheme(rng, field, n)
+        t = invariant_t(x)
+        assert t == _invariant_t_reference(x)
+        levels.add(t)
+        for _ in range(4):
+            sub = _random_subspace(rng, x)
+            assert contact_length(x, sub) == _contact_reference(x, sub)
+            for g in x.germs:
+                assert contact_length(g, sub) == _contact_reference(FiniteScheme([g]), sub)
+        longest, line = max_collinear_length(x)
+        assert longest == _max_collinear_reference(x)
+        if line is not None:
+            assert line.dim == 1 and contact_length(x, line) == longest
+    # the cases reach dependent subschemes, not only general position
+    assert min(levels) == 1
+
+
+def test_germ_rows_are_the_coordinate_coefficients():
+    g = make_germ((2, 1, 7), 1, [(2, -1, 4), (7, 0, 1)])
+    assert g.linear_rows() == [[2, 1, 7], [-1, 0, 0], [4, 0, 1]]
+    x = FiniteScheme([g, reduced_germ((1, 0, 0))])
+    assert x.linear_rows() == g.linear_rows() + [[1, 0, 0]]
+    for k in range(1, 4):
+        assert g.truncate(k).linear_rows() == g.linear_rows()[:k]
