@@ -9,16 +9,19 @@ supported:
 * prime fields F_p for a caller-chosen odd prime (opt-in fast mode,
   useful for cross-checks with a large random prime).
 
-Each field has one elimination kernel working on plain Python ints.
-Rational elimination is fraction-free: rows are cleared to integers and
-reduced with Bareiss-style cross-multiplication so intermediate entries
-stay integral and growth stays bounded by minor sizes.  Kernels are
-back-substituted on those integer rows too, over one running common
-denominator, so a Fraction is built only for each returned entry.
-Prime-field elimination runs on the residues mod p, inverting pivots
-with ``pow(x, -1, p)``; field elements are built only for returned
-kernel vectors.  Pivoting is deterministic (first nonzero entry), so
-results are reproducible bit for bit.
+Each field has one elimination loop, `ColumnSpace.add`, an incremental
+reducer on plain Python ints: vectors are fed one at a time and reduced
+against the pivots kept so far, sorted by lead.  Over Q a vector is
+cleared to coprime integers and reduced by cross-multiplication, then
+divided by its content, so entries stay integral without Bareiss
+divisions; over F_p it is reduced on the residues mod p and scaled to
+lead with 1, inverting with ``pow(x, -1, p)``.  `Matrix.rank` and
+`Matrix.kernel_basis` feed the rows into one such reducer; kernels are
+back-substituted on its pivots, over Q in integers over one running
+common denominator, so a Fraction (or a field element) is built only
+for each returned entry.  A kernel basis is the unique one with one
+vector per non-pivot column set to 1, so results are reproducible bit
+for bit.
 
 Scalars never cross fields silently: comparing an F_p element with a
 Fraction or with an element of another prime field raises TypeError.
@@ -27,6 +30,7 @@ Fraction or with an element of another prime field raises TypeError.
 from __future__ import annotations
 
 import functools
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -193,78 +197,36 @@ def scalar_str(x) -> str:
 
 
 def _clear_row(row):
-    """Scale a row of Fractions to coprime integers (rank/kernel preserving)."""
-    mult = lcm(*(f.denominator for f in row)) if row else 1
+    """Scale a row of Fractions or ints to coprime integers
+    (rank/kernel preserving)."""
+    mult = lcm(*(f.denominator for f in row))
     if mult == 1:
         ints = [f.numerator for f in row]
     else:
         ints = [f.numerator * (mult // f.denominator) for f in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
 
 
-def _bareiss_echelon(rows, width):
-    """In-place fraction-free echelon form of integer rows.
-
-    Returns the list of pivot column indices; rows are left in echelon
-    order (pivot rows first).
-    """
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(width):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            # every lower row must be rescaled each step, even with a zero
-            # head, or the exact-division invariant breaks later
-            head = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            if head == 0:
-                for j in range(c, width):
-                    q, rem = divmod(pivot * row_i[j], prev)
-                    if rem:
-                        raise ArithmeticError("inexact division in elimination")
-                    row_i[j] = q
-            else:
-                for j in range(c, width):
-                    q, rem = divmod(pivot * row_i[j] - head * row_r[j], prev)
-                    if rem:
-                        raise ArithmeticError("inexact division in elimination")
-                    row_i[j] = q
-        prev = pivot
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _integer_kernel(rows, pivots, width):
-    """Kernel basis of echelon integer rows, one vector per free column
-    with that column set to 1, as tuples of Fractions.
+def _integer_kernel(pivots, width):
+    """Kernel basis of echelon integer rows, given as (lead, row) pairs
+    sorted by lead, one vector per free column with that column set to
+    1, as tuples of Fractions.
 
     Back-substitution runs in integers: the vector is kept as integer
     numerators over one running common denominator, and each pivot step
     rescales the numerators set so far instead of dividing.
     """
-    pivot_set = set(pivots)
+    pivot_set = {c for c, _ in pivots}
     basis = []
     for f in range(width):
         if f in pivot_set:
             continue
         x = [0] * width
         x[f] = den = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            row = rows[i]
+        for c, row in reversed(pivots):
             s = 0
             for j in range(c + 1, width):
                 if x[j]:
@@ -284,43 +246,19 @@ def _integer_kernel(rows, pivots, width):
     return basis
 
 
-def _field_echelon(rows, width, p):
-    """In-place reduced-pivot echelon form of integer rows mod p: every
-    pivot row is scaled to lead with 1.  Returns the pivot columns."""
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        row_r = rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(r + 1, len(rows)):
-            head = rows[i][c]
-            if head:
-                rows[i] = [(a - head * b) % p for a, b in zip(rows[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _field_kernel(rows, pivots, width, field):
-    """Kernel basis of echelon rows from `_field_echelon`, one vector per
-    free column with that column set to 1, as tuples of field elements."""
+def _field_kernel(pivots, width, field):
+    """Kernel basis of echelon residue rows mod p that lead with 1, given
+    as (lead, row) pairs sorted by lead, one vector per free column with
+    that column set to 1, as tuples of field elements."""
     p = field.modulus
-    pivot_set = set(pivots)
+    pivot_set = {c for c, _ in pivots}
     basis = []
     for f in range(width):
         if f in pivot_set:
             continue
         x = [0] * width
         x[f] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            row = rows[i]
+        for c, row in reversed(pivots):
             s = 0
             for j in range(c + 1, width):
                 if x[j]:
@@ -331,7 +269,9 @@ def _field_kernel(rows, pivots, width, field):
 
 
 class Matrix:
-    """Dense exact matrix.  Entries are Fractions or F_p elements."""
+    """Dense exact matrix.  Entries are kept as given: ints or Fractions
+    over Q, F_p elements (or ints and Fractions coercible to them) over
+    F_p.  Rank and kernel feed the rows into one `ColumnSpace`."""
 
     __slots__ = ("nrows", "ncols", "data", "field")
 
@@ -349,88 +289,57 @@ class Matrix:
                 raise ValueError("field required for empty matrix")
             field = field_of(self.data[0][0])
         self.field = field
-        if field is QQ:
-            self.data = [[Fraction(v) for v in row] for row in self.data]
-        else:
-            self.data = [[field(v) for v in row] for row in self.data]
 
-    @classmethod
-    def identity(cls, n, field=QQ):
-        return cls([[field(1) if i == j else field(0) for j in range(n)] for i in range(n)], field=field)
-
-    def transpose(self):
-        return Matrix([[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-                      field=self.field, ncols=self.nrows)
-
-    def mul_vec(self, vec):
-        vec = list(vec)
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        zero = self.field(0)
-        return tuple(sum((a * b for a, b in zip(row, vec)), zero) for row in self.data)
-
-    def _echelon(self, rows, width):
-        """Echelon form of a working copy of the given rows.  Returns
-        (rows, pivots); the rows are coprime integers over Q and
-        residues mod p over F_p."""
-        if self.field is QQ:
-            rows = [_clear_row(row) for row in rows]
-            return rows, _bareiss_echelon(rows, width)
-        rows = [[v.value for v in row] for row in rows]
-        return rows, _field_echelon(rows, width, self.field.modulus)
-
-    def _kernel(self, rows, pivots, width):
-        """Kernel basis of echelon rows from `_echelon`, one vector per
-        free column with that column set to 1."""
-        if self.field is QQ:
-            return _integer_kernel(rows, pivots, width)
-        return _field_kernel(rows, pivots, width, self.field)
+    def _row_space(self):
+        """The rows fed into one ColumnSpace, stopping once the rank is
+        ncols: no later row can add a pivot then."""
+        space = ColumnSpace(self.field)
+        for row in self.data:
+            if space.rank == self.ncols:
+                break
+            space.add(row)
+        return space
 
     def rank(self) -> int:
-        if not self.nrows or not self.ncols:
-            return 0
-        _, pivots = self._echelon(self.data, self.ncols)
-        return len(pivots)
+        return self._row_space().rank
 
     def kernel_basis(self):
-        """Basis of the right null space, as a list of tuples.
+        """Basis of the right null space, as a list of tuples: one vector
+        per non-pivot column, with that column set to 1.
 
-        len(result) == ncols - rank, and every basis vector v satisfies
-        self.mul_vec(v) == 0.
+        len(result) == ncols - rank, and row . v == 0 for every row and
+        every basis vector v.  The stored pivots of the row space are
+        sorted by lead and zero before it, so they are an echelon form;
+        the basis does not depend on which echelon form it is read from.
         """
-        if not self.ncols:
-            return []
-        rows, pivots = self._echelon(self.data, self.ncols)
-        return self._kernel(rows, pivots, self.ncols)
+        pivots = self._row_space().pivots
+        if self.field is QQ:
+            return _integer_kernel(pivots, self.ncols)
+        return _field_kernel(pivots, self.ncols, self.field)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix):
-    return m.kernel_basis()
-
-
 class ColumnSpace:
-    """Incremental rank of a stream of vectors in K^d.
+    """Incremental rank of a stream of vectors in K^d: the one
+    elimination loop of each field.
 
-    Used for wide evaluation matrices: columns are fed one at a time and
-    reduced against the pivots collected so far, so the rank computation
-    can stop early once a target rank is reached.  The stored pivot
-    vectors are plain ints: over the rationals coprime-integer
-    rescalings reduced by cross-multiplication, over F_p residues mod p
-    scaled to lead with 1.
+    Vectors (matrix rows, or columns of a wide evaluation matrix) are
+    fed one at a time and reduced against the pivots collected so far,
+    so a caller can stop early once a target rank is reached.  `pivots`
+    holds (lead, vector) pairs sorted by lead, with distinct leads and
+    every vector zero before its lead: an echelon form of the span.
+    The vectors are plain ints: over the rationals coprime integers
+    reduced by cross-multiplication, over F_p residues mod p scaled to
+    lead with 1.
     """
 
     __slots__ = ("field", "pivots")
 
     def __init__(self, field=QQ):
         self.field = field
-        self.pivots = []  # list of (pivot_index, reduced_vector)
+        self.pivots = []
 
     @property
     def rank(self):
@@ -440,16 +349,14 @@ class ColumnSpace:
         """Reduce vec against the current basis; returns True if rank grew."""
         field = self.field
         if field is QQ:
-            v = _clear_row([Fraction(x) for x in vec])
+            v = _clear_row(vec)
             for idx, piv in self.pivots:
                 head = v[idx]
                 if head == 0:
                     continue
                 scale = piv[idx]
                 v = [scale * a - head * b for a, b in zip(v, piv)]
-                g = 0
-                for a in v:
-                    g = gcd(g, a)
+                g = gcd(*v)
                 if g > 1:
                     v = [a // g for a in v]
         else:
@@ -465,6 +372,5 @@ class ColumnSpace:
         if field is not QQ:
             inv = pow(v[lead], -1, p)
             v = [a * inv % p for a in v]
-        self.pivots.append((lead, v))
-        self.pivots.sort(key=lambda t: t[0])
+        insort(self.pivots, (lead, v))
         return True

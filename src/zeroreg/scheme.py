@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import os
 
-from zeroreg.exactalg import Matrix, QQ, kernel_basis
+from zeroreg.exactalg import Matrix, QQ
 from zeroreg.forms import series_div, series_mul, series_of_constant
 
 DEFAULT_ENUM_CAP = 12
@@ -138,13 +138,18 @@ class CurvilinearGerm:
         return [[c[k] for c in cols] for k in range(self.length)]
 
     def _power(self, var: int, e: int):
-        got = self._powers.get((var, e))
+        powers = self._powers
+        got = powers.get((var, e))
         if got is None:
-            if e == 1:
-                got = self.jets[var]
-            else:
-                got = series_mul(self._power(var, e - 1), self.jets[var], self.length)
-            self._powers[(var, e)] = got
+            # fill the cache upwards from the largest cached exponent
+            jet = self.jets[var]
+            top = e - 1
+            while top and (var, top) not in powers:
+                top -= 1
+            got = powers.get((var, top))
+            for k in range(top + 1, e + 1):
+                got = jet if k == 1 else series_mul(got, jet, self.length)
+                powers[(var, k)] = got
         return got
 
     def monomial_series(self, mon):
@@ -292,8 +297,7 @@ class LinearSubspace:
 
 def subspace_from_rows(rows, ambient: int, field=QQ) -> LinearSubspace:
     """Span of the given homogeneous coordinate vectors."""
-    m = Matrix([list(r) for r in rows], field=field, ncols=ambient + 1)
-    forms = kernel_basis(m)
+    forms = Matrix(rows, field=field, ncols=ambient + 1).kernel_basis()
     return LinearSubspace(ambient, forms, field)
 
 
@@ -331,7 +335,12 @@ def max_collinear_length(scheme: FiniteScheme):
         if g.length >= 2
     ]
     best, best_line = 0, None
+    scored = set()
     for line in candidates:
+        # the kernel basis is unique, so equal lines have equal forms
+        if line.cutting_forms in scored:
+            continue
+        scored.add(line.cutting_forms)
         c = contact_length(scheme, line)
         if c > best:
             best, best_line = c, line

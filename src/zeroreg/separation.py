@@ -21,7 +21,7 @@ configuration as degenerate.
 
 from __future__ import annotations
 
-from zeroreg.exactalg import ColumnSpace, Matrix, QQ, _clear_row, kernel_basis
+from zeroreg.exactalg import ColumnSpace, Matrix, QQ, _clear_row
 from zeroreg.forms import monomials_of_degree
 from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint
 
@@ -244,12 +244,11 @@ def separator_forms(config: SeparatorConfig):
     values = [_monomial_values(p.coords, mons, config.n, config.field) for p in pts]
     out = []
     for j in range(len(pts)):
-        system = Matrix(
+        candidates = Matrix(
             [values[i] for i in range(len(pts)) if i != j],
             field=config.field,
             ncols=len(mons),
-        )
-        candidates = kernel_basis(system)
+        ).kernel_basis()
         chosen = None
         for v in candidates:
             val = sum((x * y for x, y in zip(values[j], v)), config.field(0))

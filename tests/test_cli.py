@@ -176,6 +176,19 @@ def test_separate_standard_and_recipe(tmp_path, capsys):
     assert code == 1 and json.loads(out)["family_rank"] == 4
 
 
+def test_separate_at_a_high_degree_off_the_chart(tmp_path, capsys):
+    # x0 vanishes at (0:1:2), so the standard family's U^(k-j) is expanded
+    # in a non-chart coordinate; its powers are cached without recursion
+    scheme = tmp_path / "pts.json"
+    scheme.write_text('{"field":"Q","ambient":2,'
+                      '"germs":[{"point":["0","1","2"]},{"point":["1","1","1"]}]}')
+    started = time.perf_counter()
+    code, out, _ = run_cli(["separate", "--scheme", str(scheme), "--degree", "3000"], capsys)
+    assert time.perf_counter() - started < 20
+    assert code == 1
+    assert '"family_rank":1' in out and '"separates":false' in out
+
+
 def test_separate_maps_fractional_recipe_coefficients_into_fp(tmp_path, capsys):
     # (1/2) T1 is 4 T1 over F_7, not the zero form
     scheme = tmp_path / "pts.json"

@@ -2,26 +2,32 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from zeroreg.exactalg import (
     QQ,
     ColumnSpace,
     Matrix,
     is_probable_prime,
-    kernel_basis,
     parse_scalar,
     prime_field,
     scalar_str,
 )
 
 
+def _mul_vec(rows, vec):
+    return [sum(a * b for a, b in zip(row, vec)) for row in rows]
+
+
 def test_rank_identity():
-    assert Matrix.identity(3).rank() == 3
+    assert Matrix([[int(i == j) for j in range(3)] for i in range(3)]).rank() == 3
 
 
 def test_rank_dependent_rows():
@@ -30,12 +36,12 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_of_dependent_rows():
-    m = Matrix([[1, 2], [2, 4]])
-    basis = m.kernel_basis()
+    rows = [[1, 2], [2, 4]]
+    basis = Matrix(rows).kernel_basis()
     assert len(basis) == 1
     v = basis[0]
     # kernel vector must be proportional to (2, -1); certify by m @ v == 0
-    assert all(x == 0 for x in m.mul_vec(v))
+    assert all(x == 0 for x in _mul_vec(rows, v))
     assert any(x != 0 for x in v)
 
 
@@ -67,7 +73,7 @@ def test_kernel_dimension_and_membership():
         basis = m.kernel_basis()
         assert len(basis) == c - m.rank()
         for v in basis:
-            assert all(x == 0 for x in m.mul_vec(v))
+            assert all(x == 0 for x in _mul_vec(data, v))
         if basis:
             assert Matrix(basis).rank() == len(basis)
 
@@ -81,8 +87,7 @@ def test_kernel_dimension_and_membership():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_rank_equals_rank_of_transpose(rows):
-    m = Matrix(rows)
-    assert m.rank() == m.transpose().rank()
+    assert Matrix(rows).rank() == Matrix([list(col) for col in zip(*rows)]).rank()
 
 
 def test_prime_field_arithmetic():
@@ -156,10 +161,10 @@ def test_kernel_regression_zero_head_rows():
     ]
     m = Matrix([[Fraction(v) for v in row] for row in rows])
     assert m.rank() == 6
-    vecs = kernel_basis(m)
+    vecs = m.kernel_basis()
     assert len(vecs) == 2
     for v in vecs:
-        assert all(r == 0 for r in m.mul_vec(v))
+        assert all(r == 0 for r in _mul_vec(rows, v))
 
 
 def test_scalar_round_trip():
@@ -287,3 +292,65 @@ def test_prime_field_coerces_fractions_exactly():
         F(Fraction(1, 7))
     with pytest.raises(ZeroDivisionError):
         F("2/21")
+
+
+@pytest.mark.parametrize("p", [0, 7, 2**31 - 1])
+def test_column_space_pivots_are_an_echelon_form(p):
+    # Matrix.kernel_basis back-substitutes these pivots as they are
+    field = QQ if p == 0 else prime_field(p)
+    rng = random.Random(100 + p)
+    inserted_before_a_lead = 0
+    for trial in range(200):
+        if trial % 2:
+            rows, ncols = _random_rational_matrix(rng)
+        else:
+            # sparse rows, so that a later row can lead before a kept pivot
+            ncols = rng.randint(1, 8)
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.4
+                     else Fraction(0) for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
+        space = ColumnSpace(field)
+        for row in rows:
+            before = {lead for lead, _ in space.pivots}
+            if space.add(row) and before:
+                (new,) = {lead for lead, _ in space.pivots} - before
+                inserted_before_a_lead += new < max(before)
+        leads = [lead for lead, _ in space.pivots]
+        assert all(a < b for a, b in zip(leads, leads[1:]))
+        for lead, v in space.pivots:
+            assert len(v) == ncols and all(type(x) is int for x in v)
+            assert not any(v[:lead]) and v[lead] != 0
+            if field is QQ:
+                assert gcd(*v) == 1
+            else:
+                assert v[lead] == 1 and all(0 <= x < p for x in v)
+    assert inserted_before_a_lead > 20
+
+
+_SMALL_FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([7, 2**31 - 1]),
+    st.integers(1, 6).flatmap(lambda ncols: st.lists(
+        st.lists(_SMALL_FRACTIONS, min_size=ncols, max_size=ncols), min_size=1, max_size=5)),
+)
+def test_prime_field_rank_and_kernel_match_sympy(p, rows):
+    # Fraction entries are mapped into F_p by the reducer itself
+    F, K = prime_field(p), GF(p)
+    ncols = len(rows[0])
+    ref = DomainMatrix([[K(x.numerator) / K(x.denominator) for x in row] for row in rows],
+                       (len(rows), ncols), K)
+    m = Matrix(rows, field=F)
+    assert m.rank() == ref.rank()
+    # sympy scales its basis vectors otherwise: put 1 at each free column
+    pivots = set(ref.rref()[1])
+    want = []
+    for v in ref.nullspace().to_list():
+        v = [int(x) % p for x in v]
+        inv = pow(next(x for c, x in enumerate(v) if x and c not in pivots), -1, p)
+        want.append([x * inv % p for x in v])
+    assert [[x.value for x in v] for v in m.kernel_basis()] == want

@@ -189,6 +189,24 @@ def test_max_collinear_reduced():
     assert max_collinear_length(scheme_of_points([(1, 2, 3)])) == (1, None)
 
 
+def test_max_collinear_scores_each_distinct_line_once(monkeypatch):
+    # five aligned points and one off them: 15 pair lines, 6 distinct
+    from zeroreg import scheme
+
+    calls = []
+    original = scheme.contact_length
+
+    def counted(x, line):
+        calls.append(line)
+        return original(x, line)
+
+    monkeypatch.setattr(scheme, "contact_length", counted)
+    pts = [(1, k, 0) for k in range(5)] + [(0, 0, 1)]
+    n, line = max_collinear_length(scheme_of_points(pts))
+    assert n == 5 and all(line.contains_point(ProjPoint(p)) for p in pts[:5])
+    assert len(calls) == 6
+
+
 def test_max_collinear_tangent_direction():
     # conic arc: the tangent line meets to order exactly 2
     conic = make_germ((1, 0, 0), 0, [(0, 1, 0), (0, 0, 1)])
@@ -284,7 +302,8 @@ def test_apply_matrix_preserves_invariants():
         assert max_collinear_length(y)[0] == max_collinear_length(x)[0]
         # supports transform as expected
         for g_old, g_new in zip(x.germs, y.germs):
-            assert g_new.support == ProjPoint(m.mul_vec(g_old.support.coords))
+            image = [sum(a * b for a, b in zip(row, g_old.support.coords)) for row in m.data]
+            assert g_new.support == ProjPoint(image)
 
 
 @settings(max_examples=60, deadline=None)
