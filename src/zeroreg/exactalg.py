@@ -325,14 +325,15 @@ class ColumnSpace:
     """Incremental rank of a stream of vectors in K^d: the one
     elimination loop of each field.
 
-    Vectors (matrix rows, or columns of a wide evaluation matrix) are
-    fed one at a time and reduced against the pivots collected so far,
-    so a caller can stop early once a target rank is reached.  `pivots`
-    holds (lead, vector) pairs sorted by lead, with distinct leads and
-    every vector zero before its lead: an echelon form of the span.
-    The vectors are plain ints: over the rationals coprime integers
-    reduced by cross-multiplication, over F_p residues mod p scaled to
-    lead with 1.
+    Vectors (matrix rows, separating-family evaluations, or the
+    operator images of one degree of a Hilbert function) are fed one at
+    a time and reduced against the pivots collected so far, so a caller
+    can stop early once a target rank is reached.  `pivots` holds (lead,
+    vector) pairs sorted by lead, with distinct leads and every vector
+    zero before its lead: an echelon form of the span.  The vectors are
+    plain ints: over the rationals coprime integers reduced by
+    cross-multiplication, over F_p residues mod p (plain ints are taken
+    mod p on entry) scaled to lead with 1.
     """
 
     __slots__ = ("field", "pivots")
@@ -361,7 +362,8 @@ class ColumnSpace:
                     v = [a // g for a in v]
         else:
             p = field.modulus
-            v = [x.value if type(x) is field else field(x).value for x in vec]
+            v = [x % p if type(x) is int else x.value if type(x) is field
+                 else field(x).value for x in vec]
             for idx, piv in self.pivots:
                 head = v[idx]
                 if head:

@@ -407,7 +407,7 @@ def binary_gcd(f, g):
     pg = poly_normalize(g[tg:])
     core = poly_gcd(pf, pg)
     deg = poly_degree(core) + t_common + s_common
-    out = [Fraction(0)] * (deg + 1)
+    out = [core[-1] * 0] * (deg + 1)
     for i, c in enumerate(core):
         out[t_common + i] = c
     return tuple(out)

@@ -75,12 +75,9 @@ class ProjPoint:
 class CurvilinearGerm:
     """A length-L truncated arc.  `jets[i]` is the length-L coefficient
     tuple of coordinate i in the chart `chart` (and `jets[chart]` is
-    None: that coordinate is identically 1).
+    None: that coordinate is identically 1)."""
 
-    Powers of the jets are cached per (coordinate, exponent), so every
-    monomial evaluated on the germ, at any degree, shares them."""
-
-    __slots__ = ("support", "chart", "length", "jets", "field", "_powers")
+    __slots__ = ("support", "chart", "length", "jets", "field")
 
     def __init__(self, support: ProjPoint, chart: int, jets, field=QQ):
         if not support.coords[chart]:
@@ -112,7 +109,6 @@ class CurvilinearGerm:
         self.length = length
         self.jets = tuple(norm)
         self.field = field
-        self._powers = {}
 
     @property
     def ambient(self) -> int:
@@ -137,42 +133,18 @@ class CurvilinearGerm:
         cols = [self.hom_series(i) for i in range(self.ambient + 1)]
         return [[c[k] for c in cols] for k in range(self.length)]
 
-    def _power(self, var: int, e: int):
-        powers = self._powers
-        got = powers.get((var, e))
-        if got is None:
-            # fill the cache upwards from the largest cached exponent
-            jet = self.jets[var]
-            top = e - 1
-            while top and (var, top) not in powers:
-                top -= 1
-            got = powers.get((var, top))
-            for k in range(top + 1, e + 1):
-                got = jet if k == 1 else series_mul(got, jet, self.length)
-                powers[(var, k)] = got
-        return got
-
-    def monomial_series(self, mon):
-        """The length-L series of the monomial (an exponent tuple)
-        composed with the arc."""
-        out = None
-        for i, e in enumerate(mon):
-            if e == 0 or i == self.chart:
-                continue
-            p = self._power(i, e)
-            out = p if out is None else series_mul(out, p, self.length)
-        if out is None:
-            return series_of_constant(1, self.length, self.field)
-        return out
-
     def evaluate_form(self, form):
         """Compose a form (exponent-tuple -> coefficient dict) with the
-        arc; returns the length-L coefficient series."""
-        out = [self.field(0)] * self.length
+        arc; returns the length-L coefficient series.  Each monomial is
+        multiplied out from the coordinate series, the chart coordinate
+        being 1."""
+        out = series_of_constant(0, self.length, self.field)
         for mon, coeff in form.items():
-            c = self.field(coeff)
-            for k, v in enumerate(self.monomial_series(mon)):
-                out[k] = out[k] + c * v
+            term = series_of_constant(coeff, self.length, self.field)
+            for i, e in enumerate(mon):
+                for _ in range(0 if i == self.chart else e):
+                    term = series_mul(term, self.jets[i])
+            out = [a + b for a, b in zip(out, term)]
         return tuple(out)
 
     def __repr__(self):
@@ -218,7 +190,8 @@ def germ_on_line(point, direction, length, field=QQ) -> CurvilinearGerm:
 
 
 class FiniteScheme:
-    __slots__ = ("germs", "field")
+    # immutable; `_evaluator` is the Hilbert function engine of `normality`
+    __slots__ = ("germs", "field", "_evaluator")
 
     def __init__(self, germs, field=None):
         germs = tuple(germs)
@@ -234,6 +207,7 @@ class FiniteScheme:
             raise ValueError("germ supports must be pairwise distinct")
         self.germs = germs
         self.field = field
+        self._evaluator = None
 
     @property
     def ambient(self) -> int:

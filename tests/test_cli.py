@@ -69,7 +69,7 @@ def _three_points_p5(path):
 
 def test_hilbert_stops_computing_once_phi_reaches_the_degree(tmp_path, capsys):
     # phi(1) = 3 = d already, so the 29 entries after it are filled in
-    # without rank computations over the C(k + 5, 5) degree-k monomials
+    # without further rank computations
     scheme = _three_points_p5(tmp_path / "p5.json")
     started = time.perf_counter()
     code, out, _ = run_cli(["hilbert", "--scheme", scheme, "--max-degree", "30"], capsys)
@@ -79,8 +79,8 @@ def test_hilbert_stops_computing_once_phi_reaches_the_degree(tmp_path, capsys):
 
 
 def test_normality_past_the_degree_needs_no_rank(tmp_path, capsys):
-    # phi(d - 1) = d always, so k >= d - 1 is answered without streaming
-    # any of the C(k + 5, 5) degree-k monomials
+    # the operator recurrence stops once phi = d (here at k = 1), so a
+    # degree far past it costs no further rank
     scheme = _three_points_p5(tmp_path / "p5.json")
     started = time.perf_counter()
     code, out, _ = run_cli(["normality", "--scheme", scheme, "--degree", "100000"], capsys)
@@ -134,6 +134,22 @@ def test_regularity_computes_the_minimal_normal_degree_once(tmp_path, capsys, mo
     assert code == 0
     assert out == '{"degree":5,"min_normal_degree":4,"regularity":5}\n'
     assert len(calls) == 1
+
+
+def test_regularity_of_twelve_collinear_points_in_p8_is_bounded(tmp_path, capsys):
+    # twelve points on a line plus two off it: phi first reaches 14 at
+    # k = 11, where the degree-11 monomials of P^8 number C(19, 8) = 75,582;
+    # the operator recurrence ranks at most 9 * 14 vectors per degree
+    germs = [reduced_germ(ProjPoint((1, i) + (0,) * 7)) for i in range(12)]
+    germs.append(reduced_germ(ProjPoint((0, 0, 1) + (0,) * 6)))
+    germs.append(reduced_germ(ProjPoint((1, 2, 3, 5, 7, 11, 13, 17, 19))))
+    path = tmp_path / "p8.json"
+    path.write_text(scheme_dumps(FiniteScheme(germs)))
+    started = time.perf_counter()
+    code, out, _ = run_cli(["regularity", "--scheme", str(path)], capsys)
+    assert time.perf_counter() - started < 20
+    assert code == 0
+    assert out == '{"degree":14,"min_normal_degree":11,"regularity":12}\n'
 
 
 def test_invariant_t_output(tmp_path, capsys):

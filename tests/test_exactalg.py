@@ -146,6 +146,10 @@ def test_column_space_prime_field():
     assert not cs.add([F(2), F(4)])
     assert cs.add([F(0), F(1)])
     assert cs.rank == 2
+    # plain ints are residues after reduction mod p: 14 is a zero lead
+    cs = ColumnSpace(prime_field(7))
+    assert cs.add([14, 3, 7 * 10**12 + 5])
+    assert cs.pivots == [(1, [0, 1, 4])]
 
 
 def test_kernel_regression_zero_head_rows():

@@ -218,6 +218,18 @@ def test_binary_gcd_pure_powers():
     assert got[3] != 0 and all(c == 0 for i, c in enumerate(got) if i != 3)
 
 
+def test_binary_gcd_pads_with_the_field_zero():
+    # over F_7: gcd(s t (4s + t), t (4s + t) (s + t)) = t (4s + t), whose
+    # s^2 coefficient is padding and must be the zero of F_7
+    F = prime_field(7)
+    f = tuple(F(c) for c in (0, 4, 1, 0))
+    g = tuple(F(c) for c in (0, 4, 5, 1))
+    got = binary_gcd(f, g)
+    assert got == (F(0), F(4), F(1))
+    assert all(type(c) is F for c in got)
+    assert all(type(c) is Fraction for c in binary_gcd((0, 0, 0, Fraction(1)), (0, 0, Fraction(1), 0)))
+
+
 def test_binary_gcd_many_and_eval():
     p = binary_from_poly((Fraction(-1), Fraction(1)), 1)  # t - s... careful: coeffs ascend in t
     # p = -s + t, vanishes at (1 : 1)

@@ -108,7 +108,7 @@ def test_phi_matches_sympy_on_mixed_scheme():
 
 def test_evaluation_matrix_shape_and_rank():
     # the full d x C(N+k, N) matrix, one column per degree-k monomial, has
-    # the rank that the streamed, early-stopping phi reports
+    # the rank that the operator recurrence reports
     ev = SchemeEvaluator(GENERAL_5)
     cols = [ev.column(mon) for mon in monomials_of_degree(3, 2)]
     m = Matrix([[col[i] for col in cols] for i in range(GENERAL_5.degree)])
@@ -116,20 +116,77 @@ def test_evaluation_matrix_shape_and_rank():
     assert m.rank() == hilbert_function(GENERAL_5, 2)
 
 
-def test_phi_reaches_every_support_with_the_first_columns(monkeypatch):
-    # x_0 vanishes at two of the points, so graded-lex order would keep
-    # the rank below d until the monomials free of x_0 at the end of the
-    # degree; pure powers first reach d with d columns
-    x = points((1, 2, 3, 5), (0, 1, 4, 2), (0, 3, 1, 1), (1, -1, 2, 7), (2, 1, 1, 3))
-    seen = []
-    column = SchemeEvaluator.column
-    monkeypatch.setattr(SchemeEvaluator, "column",
-                        lambda self, mon: seen.append(mon) or column(self, mon))
-    for k in (2, 6):
-        seen.clear()
-        assert SchemeEvaluator(x).phi(k) == 5
-        assert len(seen) == 5
-        assert seen[:4] == [tuple(k * (i == j) for i in range(4)) for j in range(4)]
+def _monomial_rank(x, k):
+    """Reference phi: the rank of the full d x C(N+k, N) evaluation
+    matrix, one column per degree-k monomial, from germ.evaluate_form."""
+    rows = [[] for _ in range(x.degree)]
+    for mon in monomials_of_degree(x.ambient + 1, k):
+        col = [v for g in x.germs for v in g.evaluate_form({mon: 1})]
+        for row, v in zip(rows, col):
+            row.append(v)
+    return Matrix(rows, field=x.field).rank()
+
+
+def _rand_chart_scheme(rng, field):
+    """Up to four germs of total length <= 8 in P^2 or P^3, each in a
+    random chart, with jet tails over denominators 1..5 that differ from
+    germ to germ."""
+    n = rng.choice([2, 3])
+    while True:
+        germs, budget = [], 8
+        for _ in range(rng.randint(2, 4)):
+            coords = [rng.randint(-3, 3) for _ in range(n + 1)]
+            if not any(coords) or budget == 0:
+                continue
+            chart = rng.choice([i for i, c in enumerate(coords) if c])
+            length = rng.randint(1, min(3, budget))
+            den = rng.randint(1, 5)
+            jets = []
+            for i in range(n + 1):
+                if i != chart:
+                    tail = [Fraction(rng.randint(-4, 4), den) for _ in range(length - 1)]
+                    jets.append([field(coords[i]) / field(coords[chart])] + tail)
+            if length >= 2 and all(j[1] == 0 for j in jets):
+                jets[0][1] = field(Fraction(1, den))
+            germs.append(make_germ(coords, chart, jets, field))
+            budget -= length
+        try:
+            return FiniteScheme(germs, field)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers())
+def test_operator_phi_matches_the_monomial_matrix(field, seed):
+    # every degree from 0 to d, past saturation included, against the
+    # rank of the full monomial matrix; the germs sit in different charts
+    # with different jet denominators, so the integer operators must
+    # share one scale
+    x = _rand_chart_scheme(random.Random(seed), field)
+    ev = SchemeEvaluator(x)
+    for k in range(x.degree + 1):
+        assert ev.phi(k) == _monomial_rank(x, k)
+
+
+def test_operator_phi_with_charts_and_denominators_that_differ():
+    # the operators of one germ must share one scale: clearing each jet
+    # by its own denominator, or leaving the chart coordinate at 1 while
+    # the jets are scaled (per germ or by one common denominator), moves
+    # these points onto a line and drops phi to 2
+    three_points = FiniteScheme([
+        make_germ((1, 1, 3), 1, [(1,), (3,)]),
+        make_germ((3, -1, -1), 0, [(Fraction(-1, 3),), (Fraction(-1, 3),)]),
+        make_germ((1, -3, -1), 1, [(Fraction(-1, 3),), (Fraction(1, 3),)]),
+    ])
+    point_and_tangent = FiniteScheme([
+        make_germ((2, 0, -1), 0, [(0,), (Fraction(-1, 2),)]),
+        make_germ((-1, 0, 1), 2, [(-1, 0), (0, Fraction(-1, 4))]),
+    ])
+    for x in (three_points, point_and_tangent):
+        assert hilbert_function_values(x, 3) == [1, 3, 3, 3]
+        assert [_monomial_rank(x, k) for k in range(4)] == [1, 3, 3, 3]
 
 
 def _rand_germ_scheme(rng, field):

@@ -136,15 +136,13 @@ def test_cached_germ_evaluation_matches_uncached_reference(field):
         for _ in range(6):
             g = _rand_germ(rng, field, length)
             nvars = g.ambient + 1
-            # several degrees on the same germ, so later forms reuse the cache
+            # several degrees, in no order, on the same germ
             for k in (3, 0, 5, 1, 3):
                 mons = monomials_of_degree(nvars, k)
                 form = {m: Fraction(rng.randint(-4, 4), rng.randint(1, 2))
                         for m in rng.sample(mons, min(len(mons), 4))}
                 form = {m: c for m, c in form.items() if c}
                 assert g.evaluate_form(form) == _uncached_composition(g, form)
-                for m in mons[:3]:
-                    assert g.monomial_series(m) == _uncached_composition(g, {m: 1})
 
 
 def test_invariant_t_general_position():
