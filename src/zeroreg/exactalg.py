@@ -9,19 +9,19 @@ supported:
 * prime fields F_p for a caller-chosen odd prime (opt-in fast mode,
   useful for cross-checks with a large random prime).
 
-Each field has one elimination loop, `ColumnSpace.add`, an incremental
-reducer on plain Python ints: vectors are fed one at a time and reduced
-against the pivots kept so far, sorted by lead.  Over Q a vector is
-cleared to coprime integers and reduced by cross-multiplication, then
-divided by its content, so entries stay integral without Bareiss
-divisions; over F_p it is reduced on the residues mod p and scaled to
-lead with 1, inverting with ``pow(x, -1, p)``.  `Matrix.rank` and
-`Matrix.kernel_basis` feed the rows into one such reducer; kernels are
-back-substituted on its pivots, over Q in integers over one running
-common denominator, so a Fraction (or a field element) is built only
-for each returned entry.  A kernel basis is the unique one with one
-vector per non-pivot column set to 1, so results are reproducible bit
-for bit.
+Each field has one elimination loop, `ColumnSpace.reduce`, in an
+incremental reducer on plain Python ints: vectors are fed one at a time
+(`ColumnSpace.add`) and reduced against the pivots kept so far, sorted
+by lead.  Over Q a vector is cleared to coprime integers and reduced by
+cross-multiplication, then divided by its content, so entries stay
+integral without Bareiss divisions; over F_p it is reduced on the
+residues mod p and scaled to lead with 1, inverting with
+``pow(x, -1, p)``.  `Matrix.rank` and `Matrix.kernel_basis` feed the
+rows into one such reducer; kernels are back-substituted on its
+pivots, over Q in integers over one running common denominator, so a
+Fraction (or a field element) is built only for each returned entry.
+A kernel basis is the unique one with one vector per non-pivot column
+set to 1, so results are reproducible bit for bit.
 
 Scalars never cross fields silently: comparing an F_p element with a
 Fraction or with an element of another prime field raises TypeError.
@@ -199,12 +199,17 @@ def scalar_str(x) -> str:
 def _clear_row(row):
     """Scale a row of Fractions or ints to coprime integers
     (rank/kernel preserving)."""
-    mult = lcm(*(f.denominator for f in row))
-    if mult == 1:
-        ints = [f.numerator for f in row]
-    else:
-        ints = [f.numerator * (mult // f.denominator) for f in row]
-    g = gcd(*ints)
+    try:
+        # plain ints, the hot case: math.gcd rejects a Fraction
+        g = gcd(*row)
+        ints = list(row)
+    except TypeError:
+        mult = lcm(*(f.denominator for f in row))
+        if mult == 1:
+            ints = [f.numerator for f in row]
+        else:
+            ints = [f.numerator * (mult // f.denominator) for f in row]
+        g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -346,8 +351,16 @@ class ColumnSpace:
     def rank(self):
         return len(self.pivots)
 
-    def add(self, vec) -> bool:
-        """Reduce vec against the current basis; returns True if rank grew."""
+    def copy(self) -> "ColumnSpace":
+        """A reducer with the same pivots; adding to either leaves the
+        other as it was (the pivot vectors are never mutated)."""
+        other = ColumnSpace(self.field)
+        other.pivots = self.pivots.copy()
+        return other
+
+    def reduce(self, vec):
+        """vec reduced against the current pivots, as plain ints: all zero
+        exactly when vec lies in the span.  The reducer is unchanged."""
         field = self.field
         if field is QQ:
             v = _clear_row(vec)
@@ -368,10 +381,16 @@ class ColumnSpace:
                 head = v[idx]
                 if head:
                     v = [(a - head * b) % p for a, b in zip(v, piv)]
+        return v
+
+    def add(self, vec) -> bool:
+        """Reduce vec against the current basis; returns True if rank grew."""
+        v = self.reduce(vec)
         lead = next((i for i, a in enumerate(v) if a != 0), None)
         if lead is None:
             return False
-        if field is not QQ:
+        if self.field is not QQ:
+            p = self.field.modulus
             inv = pow(v[lead], -1, p)
             v = [a * inv % p for a in v]
         insort(self.pivots, (lead, v))

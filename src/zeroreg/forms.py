@@ -189,6 +189,9 @@ def poly_monic(a):
     if not a:
         return a
     lead = a[-1]
+    if isinstance(lead, int):
+        # int / int is a float
+        lead = Fraction(lead)
     return tuple(x / lead for x in a)
 
 

@@ -21,14 +21,26 @@ the independence level `invariant_t` (a subscheme's rows are prefixes of
 its germs' blocks), the contact with a subspace (the leading rows that
 all cutting forms kill) and the collinearity search (a germ's tangent
 line is spanned by its first two rows).
+
+The searches run on `CurvilinearGerm.int_rows`, the block computed once
+as plain ints (coprime integer rows over Q, residues over F_p), fed to
+the `ColumnSpace` reducer of `exactalg`.  `invariant_t` is a depth-first
+search, germ by germ and one row at a time: a branch extends a copy of
+its parent's reducer, so subschemes sharing a prefix share its
+elimination; it ends at its first dependent row and is cut once it
+cannot beat the least dependent degree found.  `max_collinear_length`
+keys each candidate line by its normalised Pluecker vector, scores each
+distinct line once by reducing the germs' leading rows against the
+line's two pivots, and builds a `LinearSubspace` only for the winner.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from math import gcd
 
-from zeroreg.exactalg import Matrix, QQ
+from zeroreg.exactalg import ColumnSpace, Matrix, QQ, _clear_row
 from zeroreg.forms import series_div, series_mul, series_of_constant
 
 DEFAULT_ENUM_CAP = 12
@@ -77,7 +89,7 @@ class CurvilinearGerm:
     tuple of coordinate i in the chart `chart` (and `jets[chart]` is
     None: that coordinate is identically 1)."""
 
-    __slots__ = ("support", "chart", "length", "jets", "field")
+    __slots__ = ("support", "chart", "length", "jets", "field", "_int_rows")
 
     def __init__(self, support: ProjPoint, chart: int, jets, field=QQ):
         if not support.coords[chart]:
@@ -109,6 +121,7 @@ class CurvilinearGerm:
         self.length = length
         self.jets = tuple(norm)
         self.field = field
+        self._int_rows = None
 
     @property
     def ambient(self) -> int:
@@ -132,6 +145,18 @@ class CurvilinearGerm:
         coefficients of the N + 1 coordinates along the arc."""
         cols = [self.hom_series(i) for i in range(self.ambient + 1)]
         return [[c[k] for c in cols] for k in range(self.length)]
+
+    def int_rows(self):
+        """`linear_rows` as plain ints, computed once: over Q each row
+        cleared to coprime integers (a row scale changes no span and no
+        membership), over F_p the residues."""
+        if self._int_rows is None:
+            rows = self.linear_rows()
+            if self.field is QQ:
+                self._int_rows = [_clear_row(r) for r in rows]
+            else:
+                self._int_rows = [[c.value for c in r] for r in rows]
+        return self._int_rows
 
     def evaluate_form(self, form):
         """Compose a form (exponent-tuple -> coefficient dict) with the
@@ -235,7 +260,8 @@ class FiniteScheme:
 
 def span_dim(scheme: FiniteScheme) -> int:
     """Projective dimension of the linear span."""
-    return Matrix(scheme.linear_rows(), field=scheme.field).rank() - 1
+    rows = [r for g in scheme.germs for r in g.int_rows()]
+    return Matrix(rows, field=scheme.field).rank() - 1
 
 
 class LinearSubspace:
@@ -289,49 +315,73 @@ def contact_length(scheme, subspace: LinearSubspace) -> int:
     return total
 
 
+def _line_key(a, b, field):
+    """The Pluecker vector of the line spanned by the int rows a and b,
+    made unique: over Q primitive with a positive lead, over F_p scaled
+    to lead with 1.  Two pairs span one line exactly when keys agree."""
+    key = [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2)]
+    if field is QQ:
+        g = gcd(*key)
+        if next(v for v in key if v) < 0:
+            g = -g
+        return tuple(v // g for v in key)
+    p = field.modulus
+    key = [v % p for v in key]
+    inv = pow(next(v for v in key if v), -1, p)
+    return tuple(v * inv % p for v in key)
+
+
 def max_collinear_length(scheme: FiniteScheme):
     """Largest degree of a subscheme contained in one line, with a line
     achieving it; (degree, None) when no candidate line exists (a single
     reduced point, or an ambient line where every germ is collinear).
     The candidates are the lines through two support points and the
-    tangent lines, spanned by a germ's first two rows."""
+    tangent lines, spanned by a germ's first two rows; each distinct
+    line is scored once, by the contact of every germ with it, and only
+    the first best one is built as a subspace."""
     if scheme.ambient <= 1:
         return scheme.degree, None
-    n, field = scheme.ambient, scheme.field
-    supports = [g.support for g in scheme.germs]
-    candidates = [
-        subspace_from_rows([a.coords, b.coords], n, field)
-        for a, b in itertools.combinations(supports, 2)
-    ]
-    candidates += [
-        subspace_from_rows(g.linear_rows()[:2], n, field)
-        for g in scheme.germs
-        if g.length >= 2
-    ]
-    best, best_line = 0, None
+    field = scheme.field
+    blocks = [g.int_rows() for g in scheme.germs]
+    candidates = [(a[0], b[0]) for a, b in itertools.combinations(blocks, 2)]
+    candidates += [block[:2] for block in blocks if len(block) >= 2]
+    best, best_rows = 0, None
     scored = set()
-    for line in candidates:
-        # the kernel basis is unique, so equal lines have equal forms
-        if line.cutting_forms in scored:
+    for a, b in candidates:
+        key = _line_key(a, b, field)
+        if key in scored:
             continue
-        scored.add(line.cutting_forms)
-        c = contact_length(scheme, line)
+        scored.add(key)
+        line = ColumnSpace(field)
+        line.add(a)
+        line.add(b)
+        # per germ, the leading rows that lie on the line
+        c = 0
+        for block in blocks:
+            for row in block:
+                if any(line.reduce(row)):
+                    break
+                c += 1
         if c > best:
-            best, best_line = c, line
-    if best_line is None:
+            best, best_rows = c, (a, b)
+    if best_rows is None:
         # no candidate lines: the scheme is a single reduced point
         return scheme.degree, None
-    return best, best_line
+    return best, subspace_from_rows(best_rows, scheme.ambient, field)
 
 
-def enumerate_subschemes(scheme: FiniteScheme, length: int):
-    """Yield every selector of per-germ truncation lengths summing to
-    `length`.  Guarded by the enumeration cap on the scheme degree."""
+def _check_cap(scheme: FiniteScheme):
     cap = enumeration_cap()
     if scheme.degree > cap:
         raise EnumerationCapExceeded(
             "scheme degree %d exceeds the enumeration cap %d" % (scheme.degree, cap)
         )
+
+
+def enumerate_subschemes(scheme: FiniteScheme, length: int):
+    """Yield every selector of per-germ truncation lengths summing to
+    `length`.  Guarded by the enumeration cap on the scheme degree."""
+    _check_cap(scheme)
     bounds = [g.length for g in scheme.germs]
 
     def rec(i, remaining, prefix):
@@ -353,18 +403,40 @@ def enumerate_subschemes(scheme: FiniteScheme, length: int):
 def invariant_t(scheme: FiniteScheme) -> int:
     """The largest k such that every subscheme of degree at most k + 1
     spans a linear space of projective dimension exactly one less than
-    its degree.  A single point yields 1 by convention."""
+    its degree.  A single point yields 1 by convention.
+
+    A subscheme's rows are prefixes of its germs' blocks, and one that
+    contains a dependent subscheme is dependent, so k is (the least
+    degree of a dependent subscheme) - 2, or d - 1 when none is.  The
+    search is depth-first, germ by germ and one row at a time, on one
+    reducer per branch: subschemes sharing a prefix share its
+    elimination, a branch ends at its first dependent row, and branches
+    that cannot beat the least dependent degree found are cut.
+    Guarded by the enumeration cap on the scheme degree."""
     d = scheme.degree
     if d == 1:
         return 1
-    blocks = [g.linear_rows() for g in scheme.germs]
-    top = min(d, scheme.ambient + 2)
-    for s in range(2, top + 1):
-        for sel in enumerate_subschemes(scheme, s):
-            rows = [r for block, l in zip(blocks, sel) for r in block[:l]]
-            if Matrix(rows, field=scheme.field).rank() < s:
-                return s - 2
-    return d - 1
+    _check_cap(scheme)
+    blocks = [g.int_rows() for g in scheme.germs]
+    least = d + 1
+
+    def walk(start, space):
+        # space: the independent rows chosen from the germs before start
+        nonlocal least
+        for i in range(start, len(blocks)):
+            if space.rank + 1 >= least:
+                return
+            branch = space.copy()
+            for row in blocks[i]:
+                if branch.rank + 1 >= least:
+                    break
+                if not branch.add(row):
+                    least = branch.rank + 1
+                    break
+                walk(i + 1, branch)
+
+    walk(0, ColumnSpace(scheme.field))
+    return least - 2
 
 
 def apply_matrix(scheme: FiniteScheme, matrix: Matrix) -> FiniteScheme:

@@ -159,6 +159,16 @@ def test_invariant_t_output(tmp_path, capsys):
     assert json.loads(out) == {"degree": 4, "max_collinear": 2, "span": 2, "t": 2}
 
 
+def test_invariant_t_over_the_enumeration_cap_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REGLAB_CAP", raising=False)
+    path = tmp_path / "conic13.json"
+    pts = [reduced_germ(ProjPoint((1, i, i * i))) for i in range(13)]
+    path.write_text(scheme_dumps(FiniteScheme(pts)))
+    code, out, err = run_cli(["invariant-t", "--scheme", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "scheme degree 13 exceeds the enumeration cap 12" in err
+
+
 def test_secant_dichotomy_exits(tmp_path, capsys):
     collinear = _collinear5(tmp_path / "pts.json")
     code, out, _ = run_cli(["secant", "--scheme", collinear], capsys)

@@ -117,6 +117,14 @@ def test_poly_gcd_against_sympy():
         assert got == tuple(c / want[-1] for c in want)
 
 
+def test_gcd_of_int_coefficients_is_exact():
+    # an int lead must not turn the monic gcd into floats
+    got = poly_gcd((2, 1), (4, 2))
+    assert got == (2, 1) and all(type(c) is Fraction for c in got)
+    got = binary_gcd((0, 0, 0, 1), (0, 0, 1, 0))
+    assert got == (0, 0, 1) and all(type(c) is Fraction for c in got)
+
+
 def test_taylor_shift():
     # p(x) = x^3 - 2x + 5 at x + 2: evaluate both ways
     p = (Fraction(5), Fraction(-2), Fraction(0), Fraction(1))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from zeroreg.exactalg import QQ, Matrix, prime_field
 from zeroreg.forms import monomials_of_degree, series_mul, series_of_constant
 from zeroreg.scheme import (
+    DEFAULT_ENUM_CAP,
     CurvilinearGerm,
     EnumerationCapExceeded,
     FiniteScheme,
@@ -188,21 +189,23 @@ def test_max_collinear_reduced():
 
 
 def test_max_collinear_scores_each_distinct_line_once(monkeypatch):
-    # five aligned points and one off them: 15 pair lines, 6 distinct
+    # five aligned points and one off them: 15 pair lines, 6 distinct;
+    # lines are scored on their rows and only the winner becomes a subspace
     from zeroreg import scheme
 
     calls = []
-    original = scheme.contact_length
+    original = scheme.subspace_from_rows
 
-    def counted(x, line):
-        calls.append(line)
-        return original(x, line)
+    def counted(rows, ambient, field=QQ):
+        calls.append(rows)
+        return original(rows, ambient, field)
 
-    monkeypatch.setattr(scheme, "contact_length", counted)
+    monkeypatch.setattr(scheme, "subspace_from_rows", counted)
     pts = [(1, k, 0) for k in range(5)] + [(0, 0, 1)]
     n, line = max_collinear_length(scheme_of_points(pts))
     assert n == 5 and all(line.contains_point(ProjPoint(p)) for p in pts[:5])
-    assert len(calls) == 6
+    assert not line.contains_point(ProjPoint(pts[5]))
+    assert len(calls) == 1
 
 
 def test_max_collinear_tangent_direction():
@@ -264,10 +267,15 @@ def test_enumerate_subschemes_counts():
 def test_enumeration_cap(monkeypatch):
     pts = [(1, i, i * i) for i in range(13)]
     x = scheme_of_points(pts)
+    monkeypatch.delenv("REGLAB_CAP", raising=False)
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_subschemes(x, 2))
+    with pytest.raises(EnumerationCapExceeded, match="degree 13 exceeds the enumeration cap 12"):
+        invariant_t(x)
     monkeypatch.setenv("REGLAB_CAP", "20")
     assert len(list(enumerate_subschemes(x, 1))) == 13
+    # points of a conic: no three collinear, every four dependent
+    assert invariant_t(x) == 2
 
 
 def test_prime_field_scheme():
@@ -337,39 +345,43 @@ def test_truncate_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# the row view against the compositions it replaced: truncated schemes for
-# invariant_t, series of linear forms along the arc for contact_length, and
-# support/velocity lines for max_collinear_length
+# the row view and the searches on it against what they replaced: every
+# truncated scheme ranked afresh for invariant_t, series of linear forms
+# along the arc for contact_length, and every candidate line built as a
+# subspace and scored by contact_length for max_collinear_length
 
 
-def _random_scheme(rng, field, n, max_degree=10):
-    """Up to four germs of lengths 1-4 at small coordinates, some of them
-    straight, so collinear and dependent configurations come up often."""
-    germs, seen = [], set()
-    for _ in range(rng.randint(1, 4)):
-        length = rng.randint(1, 4)
-        if sum(g.length for g in germs) + length > max_degree:
-            break
-        coords = [rng.randint(-1, 1) for _ in range(n + 1)]
-        if not any(coords):
-            continue
-        p = ProjPoint(coords, field)
-        if p in seen:
-            continue
-        seen.add(p)
-        chart = next(i for i, c in enumerate(p.coords) if c != 0)
-        # a third of the germs are straight: no jet term past t^1
-        straight = rng.random() < 0.3
-        jets = [
-            [p.coords[i]]
-            + [field(0 if straight and k > 1 else rng.choice((0, 0, 1, -1, 2)))
-               for k in range(1, length)]
-            for i in range(n + 1)
-            if i != chart
-        ]
-        if length >= 2 and all(j[1] == 0 for j in jets):
-            jets[rng.randrange(n)][1] = field(1)
-        germs.append(make_germ(p, chart, jets, field))
+def _random_scheme(rng, field, n, max_degree=DEFAULT_ENUM_CAP):
+    """Up to five germs of lengths 1-4 at small coordinates, some of them
+    straight, so collinear and dependent configurations come up often.
+    A draw that keeps no germ (zero or repeated coordinates) is redrawn."""
+    germs = []
+    while not germs:
+        seen = set()
+        for _ in range(rng.randint(1, 5)):
+            length = rng.randint(1, 4)
+            if sum(g.length for g in germs) + length > max_degree:
+                break
+            coords = [rng.randint(-1, 1) for _ in range(n + 1)]
+            if not any(coords):
+                continue
+            p = ProjPoint(coords, field)
+            if p in seen:
+                continue
+            seen.add(p)
+            chart = next(i for i, c in enumerate(p.coords) if c != 0)
+            # a third of the germs are straight: no jet term past t^1
+            straight = rng.random() < 0.3
+            jets = [
+                [p.coords[i]]
+                + [field(0 if straight and k > 1 else rng.choice((0, 0, 1, -1, 2)))
+                   for k in range(1, length)]
+                for i in range(n + 1)
+                if i != chart
+            ]
+            if length >= 2 and all(j[1] == 0 for j in jets):
+                jets[rng.randrange(n)][1] = field(1)
+            germs.append(make_germ(p, chart, jets, field))
     return FiniteScheme(germs, field)
 
 
@@ -391,6 +403,7 @@ def _random_subspace(rng, x):
 
 
 def _invariant_t_reference(x):
+    """Every selector of every degree, level by level, ranked afresh."""
     d = x.degree
     if d == 1:
         return 1
@@ -416,41 +429,67 @@ def _contact_reference(x, sub):
 
 
 def _max_collinear_reference(x):
+    """Every candidate line built as a subspace (support pairs, then
+    tangent lines; the first of equal lines kept) and scored by
+    contact_length; the first best line wins."""
+    if x.ambient <= 1:
+        return x.degree, None
     n, field = x.ambient, x.field
     lines = [
         subspace_from_rows([a.support.coords, b.support.coords], n, field)
         for a, b in itertools.combinations(x.germs, 2)
     ]
-    for g in x.germs:
-        if g.length >= 2:
-            velocity = [field(0) if j is None else j[1] for j in g.jets]
-            lines.append(subspace_from_rows([g.support.coords, velocity], n, field))
-    if not lines:
-        return x.degree
-    return max(_contact_reference(x, line) for line in lines)
+    lines += [subspace_from_rows(g.linear_rows()[:2], n, field) for g in x.germs if g.length >= 2]
+    best, best_line, scored = 0, None, set()
+    for line in lines:
+        if line.cutting_forms in scored:
+            continue
+        scored.add(line.cutting_forms)
+        c = contact_length(x, line)
+        if c > best:
+            best, best_line = c, line
+    if best_line is None:
+        return x.degree, None
+    return best, best_line
 
 
-@pytest.mark.parametrize("field", [QQ, prime_field(7)])
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_row_view_matches_the_old_compositions(field, n):
-    rng = random.Random(1000 * n + (0 if field is QQ else 7))
-    levels = set()
+    rng = random.Random(1000 * n + (0 if field is QQ else field.modulus % 1000))
+    levels, degrees = set(), set()
     for _ in range(12):
         x = _random_scheme(rng, field, n)
+        degrees.add(x.degree)
         t = invariant_t(x)
         assert t == _invariant_t_reference(x)
         levels.add(t)
+        assert span_dim(x) + 1 == Matrix(x.linear_rows(), field=field).rank()
         for _ in range(4):
             sub = _random_subspace(rng, x)
             assert contact_length(x, sub) == _contact_reference(x, sub)
             for g in x.germs:
                 assert contact_length(g, sub) == _contact_reference(FiniteScheme([g]), sub)
         longest, line = max_collinear_length(x)
-        assert longest == _max_collinear_reference(x)
-        if line is not None:
+        want, want_line = _max_collinear_reference(x)
+        assert longest == want
+        if line is None:
+            assert want_line is None
+        else:
+            assert line.cutting_forms == want_line.cutting_forms
             assert line.dim == 1 and contact_length(x, line) == longest
     # the cases reach dependent subschemes, not only general position
     assert min(levels) == 1
+    assert max(degrees) > 8
+
+
+def test_germ_int_rows_are_the_rows_cleared():
+    g = make_germ((2, 1, 7), 1, [(2, Fraction(1, 2), 4), (7, Fraction(-1, 3), 1)])
+    assert g.int_rows() == [[2, 1, 7], [3, 0, -2], [4, 0, 1]]
+    assert g.int_rows() is g.int_rows()
+    F = prime_field(7)
+    h = make_germ((2, 1, 7), 1, [(2, -1, 4), (7, 0, 1)], F)
+    assert h.int_rows() == [[2, 1, 0], [6, 0, 0], [4, 0, 1]]
 
 
 def test_germ_rows_are_the_coordinate_coefficients():
