@@ -17,11 +17,15 @@ cross-multiplication, then divided by its content, so entries stay
 integral without Bareiss divisions; over F_p it is reduced on the
 residues mod p and scaled to lead with 1, inverting with
 ``pow(x, -1, p)``.  `Matrix.rank` and `Matrix.kernel_basis` feed the
-rows into one such reducer; kernels are back-substituted on its
-pivots, over Q in integers over one running common denominator, so a
-Fraction (or a field element) is built only for each returned entry.
-A kernel basis is the unique one with one vector per non-pivot column
-set to 1, so results are reproducible bit for bit.
+rows into one such reducer.  Kernels are back-substituted on its
+pivots (`ColumnSpace.kernel`) and are int-valued inside: over Q integer
+numerators over one running common denominator, over F_p residues.
+One back-substitution per field; `Matrix.kernel_basis` builds a
+Fraction (or a field element) only for each returned entry, and a
+caller reading `ColumnSpace.kernel` builds scalars only for the vectors
+it keeps.  A kernel basis is the unique one with one vector per
+non-pivot column set to 1, so results are reproducible bit for bit and
+do not depend on the order the rows of the span were fed in.
 
 Scalars never cross fields silently: comparing an F_p element with a
 Fraction or with an element of another prime field raises TypeError.
@@ -218,14 +222,13 @@ def _clear_row(row):
 def _integer_kernel(pivots, width):
     """Kernel basis of echelon integer rows, given as (lead, row) pairs
     sorted by lead, one vector per free column with that column set to
-    1, as tuples of Fractions.
+    1, yielded lazily as (numerators, denominator) pairs of plain ints.
 
     Back-substitution runs in integers: the vector is kept as integer
     numerators over one running common denominator, and each pivot step
     rescales the numerators set so far instead of dividing.
     """
     pivot_set = {c for c, _ in pivots}
-    basis = []
     for f in range(width):
         if f in pivot_set:
             continue
@@ -247,17 +250,14 @@ def _integer_kernel(pivots, width):
                         x[j] *= scale
                 den *= scale
             x[c] = -(s // g)
-        basis.append(tuple(Fraction(v, den) for v in x))
-    return basis
+        yield x, den
 
 
-def _field_kernel(pivots, width, field):
+def _field_kernel(pivots, width, p):
     """Kernel basis of echelon residue rows mod p that lead with 1, given
     as (lead, row) pairs sorted by lead, one vector per free column with
-    that column set to 1, as tuples of field elements."""
-    p = field.modulus
+    that column set to 1, yielded lazily as lists of residues."""
     pivot_set = {c for c, _ in pivots}
-    basis = []
     for f in range(width):
         if f in pivot_set:
             continue
@@ -269,8 +269,7 @@ def _field_kernel(pivots, width, field):
                 if x[j]:
                     s += row[j] * x[j]
             x[c] = -s % p
-        basis.append(tuple(field(v) for v in x))
-    return basis
+        yield x
 
 
 class Matrix:
@@ -317,10 +316,10 @@ class Matrix:
         sorted by lead and zero before it, so they are an echelon form;
         the basis does not depend on which echelon form it is read from.
         """
-        pivots = self._row_space().pivots
+        kernel = self._row_space().kernel(self.ncols)
         if self.field is QQ:
-            return _integer_kernel(pivots, self.ncols)
-        return _field_kernel(pivots, self.ncols, self.field)
+            return [tuple(Fraction(v, den) for v in x) for x, den in kernel]
+        return [tuple(self.field(v) for v in x) for x, _ in kernel]
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
@@ -395,3 +394,13 @@ class ColumnSpace:
             v = [a * inv % p for a in v]
         insort(self.pivots, (lead, v))
         return True
+
+    def kernel(self, width):
+        """The kernel basis of `Matrix.kernel_basis` for the span in
+        K^width, yielded lazily as plain ints: (numerators, common
+        denominator) pairs over Q, (residues, 1) pairs over F_p.  A
+        caller that needs only some of the vectors builds no scalars for
+        the others."""
+        if self.field is QQ:
+            return _integer_kernel(self.pivots, width)
+        return ((x, 1) for x in _field_kernel(self.pivots, width, self.field.modulus))

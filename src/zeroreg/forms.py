@@ -38,39 +38,74 @@ def monomials_of_degree(nvars: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def evaluate_form(f, point, field=QQ):
-    """Value of the form f at the given point, as an element of `field`.
+def _power_tables(coords, top, p=None):
+    """[x^0, .., x^top] for each int x in coords, reduced mod p if given."""
+    tables = []
+    for x in coords:
+        table = [1]
+        for _ in range(top):
+            table.append(table[-1] * x if p is None else table[-1] * x % p)
+        tables.append(table)
+    return tables
 
-    Over Q the point and the coefficients are cleared to integers once:
-    with D the common denominator of the point, n = D * point, E the
-    common denominator of the coefficients and K the largest total
-    degree, the value is sum_m (E a_m) n^m D^(K - |m|) / (E D^K), summed
-    in Python ints and reduced to a Fraction once.  Forms need not be
-    homogeneous.  Over F_p powers are taken with `**`.
+
+def form_values(forms, points, field=QQ):
+    """Values of each form at each point: row i holds forms[i] at every
+    point, as elements of `field`.  Forms need not be homogeneous.
+
+    Over Q each form's coefficients are cleared to integers once (E_f
+    their common denominator) and each point once (D its common
+    denominator, n = D * point), with one power table per point.  With
+    K_f the largest total degree of f, f(point) is
+    sum_m (E_f a_m) n^m D^(K_f - |m|) / (E_f D^K_f), summed in Python
+    ints and reduced to a Fraction once.  Over F_p the same sums run on
+    residues, each scalar mapped into the field first.
     """
+    top = max((sum(mon) for f in forms for mon in f), default=0)
     if field is not QQ:
-        total = field(0)
-        for mon, coeff in f.items():
-            v = coeff
-            for x, e in zip(point, mon):
-                if e:
-                    v = v * x ** e
-            total = total + v
-        return total
-    if not f:
-        return Fraction(0)
-    point_den = lcm(*(x.denominator for x in point))
-    nums = [x.numerator * (point_den // x.denominator) for x in point]
-    coeff_den = lcm(*(c.denominator for c in f.values()))
-    top = max(sum(mon) for mon in f)
-    total = 0
-    for mon, coeff in f.items():
-        v = coeff.numerator * (coeff_den // coeff.denominator)
-        for x, e in zip(nums, mon):
-            if e:
-                v *= x ** e
-        total += v * point_den ** (top - sum(mon))
-    return Fraction(total, coeff_den * point_den ** top)
+        p = field.modulus
+        cleared = [[(field(c).value, [(i, e) for i, e in enumerate(mon) if e])
+                    for mon, c in f.items()] for f in forms]
+        rows = [[] for _ in forms]
+        for point in points:
+            tables = _power_tables([field(x).value for x in point], top, p)
+            for row, terms in zip(rows, cleared):
+                total = 0
+                for v, exps in terms:
+                    for i, e in exps:
+                        v = v * tables[i][e] % p
+                    total += v
+                row.append(field(total))
+        return rows
+    cleared = []
+    for f in forms:
+        den = lcm(*(c.denominator for c in f.values()))
+        deg = max((sum(mon) for mon in f), default=0)
+        terms = [(c.numerator * (den // c.denominator), deg - sum(mon),
+                  [(i, e) for i, e in enumerate(mon) if e]) for mon, c in f.items()]
+        cleared.append((den, deg, terms))
+    rows = [[] for _ in forms]
+    zero = Fraction(0)
+    for point in points:
+        point_den = lcm(*(x.denominator for x in point))
+        nums = [x.numerator * (point_den // x.denominator) for x in point]
+        *tables, den_powers = _power_tables(nums + [point_den], top)
+        for row, (den, deg, terms) in zip(rows, cleared):
+            total = 0
+            for v, gap, exps in terms:
+                if gap:
+                    v *= den_powers[gap]
+                for i, e in exps:
+                    v *= tables[i][e]
+                total += v
+            row.append(Fraction(total, den * den_powers[deg]) if total else zero)
+    return rows
+
+
+def evaluate_form(f, point, field=QQ):
+    """Value of the form f at the given point, as an element of `field`:
+    the one-form, one-point case of `form_values`."""
+    return form_values([f], [point], field)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from math import comb
 from .exactalg import Matrix, QQ, prime_field
 from .forms import (
     binary_linear_combination,
-    evaluate_form,
+    form_values,
     poly_add,
     poly_degree,
     poly_derivative,
@@ -701,8 +701,9 @@ def _trial_lemma26(rng, field, index):
         raise GenerationExhausted("no admissible separator configuration")
     allowed = set(separator_monomial_basis(n))
     confined = all(set(f) <= allowed for f in forms)
-    pts = config.points
-    rows = [[evaluate_form(f, p.coords, field) for f in forms] for p in pts]
+    # the values come from forms.form_values, not from the solver's own
+    # monomial tables, so the check stays independent of it
+    rows = form_values(forms, [p.coords for p in config.points], field)
     diagonal = all((i == j) != (value == 0)
                    for i, row in enumerate(rows) for j, value in enumerate(row))
     rank = Matrix(rows, field=field).rank()

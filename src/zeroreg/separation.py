@@ -16,12 +16,21 @@ For plane configurations of n + 3 points with n + 1 (or n) of them on
 a line through (1:0:0) avoiding the two coordinate vertices, a family
 of n + 4 monomials of degree n suffices; `separator_forms` produces one
 certified separator per point inside that family, or reports the
-configuration as degenerate.
+configuration as degenerate.  The separators of a point are the kernel
+of the other points' evaluation rows.  Those n + 3 leave-one-out
+systems share their eliminations: the reducers are built by divide and
+conquer, copying a reducer and adding one half of a range before
+recursing into the other half, about (n + 3) log2(n + 3) row additions
+in all instead of (n + 3)(n + 2).  A kernel basis with one vector per
+free column set to 1 is unique for its row space, so the separators do
+not depend on the order in which the rows were eliminated.
 """
 
 from __future__ import annotations
 
-from zeroreg.exactalg import ColumnSpace, Matrix, QQ, _clear_row
+from fractions import Fraction
+
+from zeroreg.exactalg import ColumnSpace, QQ, _clear_row
 from zeroreg.forms import monomials_of_degree
 from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint
 
@@ -210,54 +219,87 @@ class SeparatorConfig:
 
 
 def _monomial_values(coords, mons, degree, field):
-    """Values of the monomials at the point, from one power table per
-    coordinate.  Over Q the point is first scaled to its primitive
-    integer representative: that multiplies every value of the row by
-    the same positive constant, which changes no kernel and no zero
-    pattern of the separator systems."""
+    """Values of the monomials at the point as plain ints, from one power
+    table per coordinate: residues over F_p.  Over Q the point is first
+    scaled to its primitive integer representative: that multiplies
+    every value of the row by the same positive constant, which changes
+    no kernel and no zero pattern of the separator systems."""
     if field is QQ:
-        coords, one = _clear_row(coords), 1
+        coords, p = _clear_row(coords), None
     else:
-        one = field(1)
+        p = field.modulus
+        coords = [field(x).value for x in coords]
     powers = []
     for x in coords:
-        table = [one]
+        table = [1]
         for _ in range(degree):
-            table.append(table[-1] * x)
+            table.append(table[-1] * x if p is None else table[-1] * x % p)
         powers.append(table)
     out = []
     for m in mons:
         v = powers[0][m[0]]
         for table, e in zip(powers[1:], m[1:]):
-            v = v * table[e]
-        out.append(v)
+            v *= table[e]
+        out.append(v if p is None else v % p)
     return out
+
+
+def _leave_one_out(space, rows, lo, hi):
+    """Yield, for each j in [lo, hi) in order, a reducer holding `space`
+    and every row of rows[lo:hi] except rows[j].
+
+    Divide and conquer: a copy of `space` takes the right half and
+    serves the left half, then `space` itself takes the left half and
+    serves the right half, so each row is added once per level, about
+    len(rows) * log2(len(rows)) adds in all.  `space` is consumed; a
+    yielded reducer is not changed afterwards."""
+    if hi - lo == 1:
+        yield space
+        return
+    mid = (lo + hi) // 2
+    left = space.copy()
+    for row in rows[mid:hi]:
+        left.add(row)
+    yield from _leave_one_out(left, rows, lo, mid)
+    for row in rows[lo:mid]:
+        space.add(row)
+    yield from _leave_one_out(space, rows, mid, hi)
 
 
 def separator_forms(config: SeparatorConfig):
     """One degree-n separator per configuration point, each a linear
     combination of the n + 4 family monomials vanishing at every other
-    point and not at its own; DegenerateConfiguration if some point
-    admits none."""
+    point and not at its own; DegenerateConfiguration, naming the first
+    such point, if some point admits none.
+
+    The separators of point j are the kernel of the evaluation rows of
+    the other points.  The leave-one-out reducers share their
+    eliminations (`_leave_one_out`), and each point's kernel is read off
+    its reducer's pivots.  The kernel basis with one vector per free
+    column set to 1 depends only on the row space, so it is the basis
+    `Matrix(other rows).kernel_basis()` returns; the separator is its
+    first vector that does not vanish at the point.  Candidates are
+    tested as int dot products; scalars are built for the chosen vector
+    only."""
+    field = config.field
     mons = separator_monomial_basis(config.n)
-    pts = config.points
-    values = [_monomial_values(p.coords, mons, config.n, config.field) for p in pts]
+    values = [_monomial_values(p.coords, mons, config.n, field) for p in config.points]
     out = []
-    for j in range(len(pts)):
-        candidates = Matrix(
-            [values[i] for i in range(len(pts)) if i != j],
-            field=config.field,
-            ncols=len(mons),
-        ).kernel_basis()
-        chosen = None
-        for v in candidates:
-            val = sum((x * y for x, y in zip(values[j], v)), config.field(0))
-            if val != 0:
-                chosen = v
+    spaces = _leave_one_out(ColumnSpace(field), values, 0, len(values))
+    for j, space in enumerate(spaces):
+        own = values[j]
+        for x, den in space.kernel(len(mons)):
+            val = sum(a * b for a, b in zip(own, x))
+            if field is not QQ:
+                val %= field.modulus
+            if val:
                 break
-        if chosen is None:
+        else:
             raise DegenerateConfiguration(
                 "no separator for point %d inside the monomial family" % j
             )
-        out.append({m: c for m, c in zip(mons, chosen) if c != 0})
+        if field is QQ:
+            out.append({m: Fraction(v, den) for m, v in zip(mons, x) if v})
+        else:
+            out.append({m: field(v) for m, v in zip(mons, x) if v})
     return out

@@ -250,6 +250,18 @@ def test_lemma26_rejects_point_on_line(capsys):
     assert "line" in err
 
 
+def test_lemma26_rejects_n_over_the_limit(capsys):
+    # 42 aligned points and two off the line: n = 41
+    assert cli.LEMMA26_MAX_N == 40
+    aligned = ",".join(str(u) for u in range(1, 43))
+    code, out, err = run_cli(
+        ["lemma26", "--aligned", aligned, "--a", "1", "--b", "2",
+         "--off", "1:2:3", "--off", "1:5:-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "n <= 40" in err and "n = 41" in err
+
+
 # stdout digests recorded with the earlier all-Fraction separator solver;
 # the integer paths must reproduce them byte for byte
 LEMMA26_PINNED = [

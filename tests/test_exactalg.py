@@ -270,6 +270,26 @@ def test_prime_field_kernels_match_gauss_jordan_reference(p):
     assert all(count > 30 for count in shapes.values()), shapes
 
 
+@pytest.mark.parametrize("p", [0, 7, 2**31 - 1])
+def test_column_space_kernel_does_not_depend_on_the_row_order(p):
+    # separator_forms reads kernels off reducers fed in another order
+    # than Matrix.kernel_basis feeds them; the plain-int vectors must
+    # still be the basis kernel_basis returns
+    field = QQ if p == 0 else prime_field(p)
+    rng = random.Random(300 + p)
+    for _ in range(200):
+        rows, ncols = _random_rational_matrix(rng)
+        want = Matrix(rows, field=field, ncols=ncols).kernel_basis()
+        rng.shuffle(rows)
+        space = ColumnSpace(field)
+        for row in rows:
+            space.add(row)
+        got = [tuple(Fraction(v, den) if p == 0 else field(v) for v in x)
+               for x, den in space.kernel(ncols)]
+        assert got == want
+        assert all(type(v) is int for x, den in space.kernel(ncols) for v in x + [den])
+
+
 def test_prime_field_equality_refuses_other_fields():
     F, G = prime_field(7), prime_field(11)
     assert F(3) == F(10) and F(3) == 10 and F(3) != 4

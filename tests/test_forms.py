@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroreg.exactalg import prime_field
+from zeroreg.exactalg import QQ, prime_field
 from zeroreg.forms import (
     binary_degree,
     binary_eval,
@@ -15,6 +15,7 @@ from zeroreg.forms import (
     binary_gcd_many,
     evaluate_form,
     factor_int,
+    form_values,
     monomials_of_degree,
     poly_degree,
     poly_derivative,
@@ -288,26 +289,51 @@ def _random_scalar(rng):
     return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
 
 
-def test_evaluate_form_matches_naive_over_q():
+def _random_form(rng, nvars, top, homogeneous, scalar):
+    f = {}
+    for _ in range(rng.randint(0, 6)):
+        k = top if homogeneous else rng.randint(0, top)
+        mon = rng.choice(monomials_of_degree(nvars, k))
+        c = scalar(rng)
+        if c:
+            f[mon] = c
+    return f
+
+
+def _assert_matches_naive(forms, points, field):
+    """form_values against the naive evaluator entry by entry, and
+    evaluate_form as its one-form, one-point case."""
+    got = form_values(forms, points, field)
+    assert len(got) == len(forms)
+    for f, row in zip(forms, got):
+        assert len(row) == len(points)
+        for point, value in zip(points, row):
+            want = _naive_evaluate(f, point, field)
+            assert value == want
+            assert evaluate_form(f, point, field) == want
+            if field is QQ:
+                assert isinstance(value, Fraction)
+            else:
+                assert type(value) is field
+
+
+def test_form_values_match_naive_over_q():
+    # fractional and int points, int and fractional coefficients,
+    # homogeneous or not, empty forms included
     rng = random.Random(2024)
-    for _ in range(1500):
+    for _ in range(300):
         nvars = rng.randint(1, 4)
         top = rng.randint(0, 6)
-        homogeneous = rng.random() < 0.5
-        f = {}
-        for _ in range(rng.randint(0, 6)):
-            k = top if homogeneous else rng.randint(0, top)
-            mon = rng.choice(monomials_of_degree(nvars, k))
-            c = _random_scalar(rng)
-            if c:
-                f[mon] = c
-        point = tuple(_random_scalar(rng) for _ in range(nvars))
-        got = evaluate_form(f, point)
-        assert isinstance(got, Fraction)
-        assert got == _naive_evaluate(f, point, Fraction)
+        forms = [_random_form(rng, nvars, top, rng.random() < 0.5, _random_scalar)
+                 for _ in range(rng.randint(0, 4))]
+        points = [tuple(_random_scalar(rng) for _ in range(nvars))
+                  for _ in range(rng.randint(0, 4))]
+        _assert_matches_naive(forms, points, QQ)
 
 
-def test_evaluate_form_edge_inputs_over_q():
+def test_form_values_edge_inputs_over_q():
+    assert form_values([], [(1, 2)]) == []
+    assert form_values([{(1, 0): 1}], []) == [[]]
     assert evaluate_form({}, (Fraction(1, 2), 3)) == 0
     assert isinstance(evaluate_form({}, (1, 2)), Fraction)
     # ints throughout, and a constant term beside higher degrees
@@ -315,17 +341,25 @@ def test_evaluate_form_edge_inputs_over_q():
     assert evaluate_form(f, (2, -1)) == 5 - 4 - 12
     g = {(0, 0): Fraction(1, 3), (3, 0): Fraction(-2, 5)}
     pt = (Fraction(3, 2), Fraction(7))
-    assert evaluate_form(g, pt) == _naive_evaluate(g, pt, Fraction)
     # a zero coordinate with a zero exponent contributes 1, not 0
-    assert evaluate_form({(0, 2): Fraction(1, 4)}, (0, Fraction(2, 3))) == Fraction(1, 9)
+    h = {(0, 2): Fraction(1, 4)}
+    zero_pt = (0, Fraction(2, 3))
+    assert evaluate_form(h, zero_pt) == Fraction(1, 9)
+    _assert_matches_naive([{}, f, g, h], [(2, -1), pt, zero_pt, (0, 0)], QQ)
 
 
-def test_evaluate_form_matches_naive_over_fp():
+def test_form_values_match_naive_over_fp():
     F = prime_field(7)
     rng = random.Random(7)
-    for _ in range(300):
-        f = {mon: F(rng.randint(1, 6))
-             for mon in rng.sample(monomials_of_degree(3, 4), 4)}
-        point = tuple(F(rng.randint(0, 6)) for _ in range(3))
-        assert evaluate_form(f, point, F) == _naive_evaluate(f, point, F)
+    for _ in range(100):
+        forms = [{mon: F(rng.randint(1, 6))
+                  for mon in rng.sample(monomials_of_degree(3, 4), 4)}
+                 for _ in range(rng.randint(1, 3))]
+        # forms of mixed degrees, with int and Fraction coefficients that
+        # map into F_7, and the empty form
+        forms.append({(0, 0, 0): 3, (2, 1, 0): Fraction(1, 2)})
+        forms.append({})
+        points = [tuple(F(rng.randint(0, 6)) for _ in range(3))
+                  for _ in range(rng.randint(1, 3))]
+        _assert_matches_naive(forms, points, F)
     assert evaluate_form({}, (F(1), F(2)), F) == F(0)

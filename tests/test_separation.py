@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
+from zeroreg.exactalg import QQ, Matrix, prime_field
 from zeroreg.forms import evaluate_form
 from zeroreg.normality import is_k_normal
-from zeroreg.scheme import FiniteScheme, ProjPoint, reduced_germ
+from zeroreg.scheme import FiniteScheme, ProjPoint, germ_on_line, reduced_germ
 from zeroreg.separation import (
     DegenerateConfiguration,
     FormSpaceRecipe,
@@ -227,3 +228,181 @@ def test_random_lemma_configurations_separate(seed):
         # permitted outcome for special positions; must be reproducible
         with pytest.raises(DegenerateConfiguration):
             separator_forms(cfg)
+
+
+F7 = prime_field(7)
+F31 = prime_field(2**31 - 1)
+
+
+def _separator_forms_reference(config):
+    """The per-point solver the shared leave-one-out eliminations
+    replaced: for each point j, the kernel basis of the other points'
+    evaluation rows from scratch, and its first vector that does not
+    vanish at j.  Values are taken in the field, unscaled."""
+    field = config.field
+    mons = separator_monomial_basis(config.n)
+    values = []
+    for p in config.points:
+        row = []
+        for mon in mons:
+            v = field(1)
+            for x, e in zip(p.coords, mon):
+                v = v * x ** e
+            row.append(v)
+        values.append(row)
+    out = []
+    for j in range(len(values)):
+        candidates = Matrix([values[i] for i in range(len(values)) if i != j],
+                            field=field, ncols=len(mons)).kernel_basis()
+        chosen = None
+        for v in candidates:
+            if sum((x * y for x, y in zip(values[j], v)), field(0)) != 0:
+                chosen = v
+                break
+        if chosen is None:
+            raise DegenerateConfiguration(
+                "no separator for point %d inside the monomial family" % j)
+        out.append({m: c for m, c in zip(mons, chosen) if c != 0})
+    return out
+
+
+def _outcome(solver, config):
+    try:
+        forms = solver(config)
+    except DegenerateConfiguration as err:
+        return "degenerate", str(err)
+    return "forms", forms, repr(forms)
+
+
+@st.composite
+def separator_inputs(draw):
+    """A field, n = 2..6, a case, and the points of a configuration; over
+    Q the line parameters, the aligned points and the off-line points may
+    be fractional.  Off-line points at U = 0 (and (0:0:1)) are drawn
+    often: they make configurations without a separator."""
+    field = draw(st.sampled_from((QQ, F7, F31)))
+    case = draw(st.sampled_from((1, 2)))
+    # the n + 2 - case aligned points need distinct nonzero residues, and
+    # F_7 has six of them
+    n = draw(st.integers(2, 4 + case if field is F7 else 6))
+    if field is QQ:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        nonzero = scalar.filter(bool)
+        us = draw(st.lists(nonzero, min_size=n + 2 - case, max_size=n + 2 - case,
+                           unique=True))
+    else:
+        # representatives of distinct nonzero residues
+        pool = [-3, -2, -1, 1, 2, 3] if field is F7 else [x for x in range(-9, 10) if x]
+        scalar = st.integers(-9, 9)
+        nonzero = st.sampled_from(pool)
+        us = draw(st.permutations(pool))[:n + 2 - case]
+    a, b = draw(nonzero), draw(nonzero)
+    offs = draw(st.lists(st.tuples(st.one_of(st.just(0), scalar), scalar, scalar),
+                         min_size=case + 1, max_size=case + 1))
+    return field, us, a, b, offs
+
+
+@settings(max_examples=200, deadline=None)
+@given(separator_inputs())
+# the two degenerate configurations of the tests above
+@example((QQ, [1, 2, 3, -1], 1, 2, [(1, 1, 1), (0, 1, 0)]))
+@example((QQ, [1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (0, 0, 1)]))
+@example((F7, [1, 2, 3, 4], 1, 1, [(0, 1, 0), (0, 0, 1)]))
+@example((F31, [Fraction(1, 2), 3, 5], 2, 3, [(1, 0, 1), (1, 1, 0), (0, 0, 1)]))
+def test_separator_forms_match_the_per_point_solver(inputs):
+    field, us, a, b, offs = inputs
+    try:
+        cfg = SeparatorConfig(us, a, b, offs, field)
+    except ValueError:
+        reject()
+    got = _outcome(separator_forms, cfg)
+    event("%s over %s" % (got[0], "Q" if field is QQ else "F_%d" % field.modulus))
+    assert got == _outcome(_separator_forms_reference, cfg)
+
+
+# ---------------------------------------------------------------------------
+# field discipline: a Fraction maps into F_p as num * den^-1, wherever it
+# enters
+
+
+def _image(x, p):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _fractions_over(p):
+    """Fractions whose denominators p does not divide."""
+    den = st.integers(1, 12).filter(lambda d: d % p)
+    return st.builds(Fraction, st.integers(-20, 20), den)
+
+
+@st.composite
+def fractional_recipe_cases(draw):
+    F = draw(st.sampled_from((F7, F31)))
+    p = F.modulus
+    frac = _fractions_over(p)
+    germs, supports = [], set()
+    for _ in range(draw(st.integers(1, 4))):
+        point = draw(st.tuples(*[st.integers(-5, 5)] * 3))
+        direction = draw(st.tuples(*[st.integers(-5, 5)] * 3))
+        length = draw(st.integers(1, 2))
+        try:
+            g = germ_on_line(point, direction, length, F)
+        except (ValueError, StopIteration, ZeroDivisionError):
+            continue
+        if g.support not in supports:
+            supports.add(g.support)
+            germs.append(g)
+    standard = draw(st.booleans())
+    levels = range(3, 5) if standard else range(0, 5)
+    spaces = {}
+    for j in levels:
+        forms = []
+        for _ in range(draw(st.integers(0, 2))):
+            mons = draw(st.lists(st.integers(0, j), min_size=1, max_size=3, unique=True))
+            forms.append({(j - e, e): draw(frac) for e in mons})
+        if forms:
+            spaces[j] = forms
+    k = draw(st.integers(0, 5))
+    return F, germs, spaces, standard, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(fractional_recipe_cases())
+def test_fractional_recipe_coefficients_map_into_fp(case):
+    F, germs, spaces, standard, k = case
+    if not germs:
+        reject()
+    p = F.modulus
+    scheme = FiniteScheme(germs, F)
+    fractional = FormSpaceRecipe(2, spaces, standard=standard)
+    mapped = FormSpaceRecipe(
+        2, {j: [{m: _image(c, p) for m, c in f.items()} for f in forms]
+            for j, forms in spaces.items()},
+        standard=standard)
+    want = family_rank(scheme, recipe_space(mapped, k, 2))
+    assert family_rank(scheme, recipe_space(fractional, k, 2)) == want
+    assert recipe_separates(scheme, fractional, k) == recipe_separates(scheme, mapped, k)
+    assert recipe_separates(scheme, fractional, k) == (want == scheme.degree)
+
+
+def _config_outcome(us, a, b, offs, field):
+    try:
+        cfg = SeparatorConfig(us, a, b, offs, field)
+    except ValueError as err:
+        return "invalid", str(err)
+    return _outcome(separator_forms, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((F7, F31)), st.integers(2, 5), st.sampled_from((1, 2)), st.data())
+def test_separator_config_from_fractions_matches_their_images(F, n, case, data):
+    p = F.modulus
+    frac = _fractions_over(p)
+    us = data.draw(st.lists(frac, min_size=n + 2 - case, max_size=n + 2 - case))
+    a, b = data.draw(frac), data.draw(frac)
+    offs = data.draw(st.lists(st.tuples(frac, frac, frac),
+                              min_size=case + 1, max_size=case + 1))
+    images = ([_image(u, p) for u in us], _image(a, p), _image(b, p),
+              [tuple(_image(c, p) for c in q) for q in offs])
+    assert _config_outcome(us, a, b, offs, F) == _config_outcome(*images, F)
