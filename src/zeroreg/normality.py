@@ -24,38 +24,55 @@ from itertools import count
 from math import lcm
 
 from zeroreg.exactalg import QQ, ColumnSpace
-from zeroreg.forms import series_mul
 from zeroreg.scheme import FiniteScheme, invariant_t, max_collinear_length, span_dim
 
 
 def _operators(scheme: FiniteScheme):
-    """ops[i][g]: the series of x_i on germ g as ints: residues over F_p;
-    over Q times one common denominator of all series of all germs (one
-    scalar keeps every phi(k); scales that differ between the series of
-    a germ, such as each jet cleared by its own denominator, do not)."""
+    """ops[i]: the operator M_i as flat rows.  Row r lists the (column,
+    coefficient) pairs with a nonzero coefficient; each germ's block is
+    lower-triangular Toeplitz in the series of x_i on that germ, whose
+    coefficients are ints: residues over F_p, over Q times one common
+    denominator of all series of all germs (one scalar keeps every
+    phi(k); scales that differ between the series of a germ, such as
+    each jet cleared by its own denominator, do not)."""
     series = [[g.hom_series(i) for g in scheme.germs] for i in range(scheme.ambient + 1)]
-    if scheme.field is not QQ:
-        return [[tuple(c.value for c in s) for s in row] for row in series]
-    den = lcm(*(c.denominator for row in series for s in row for c in s))
-    return [[tuple(c.numerator * (den // c.denominator) for c in s) for s in row]
-            for row in series]
+    if scheme.field is QQ:
+        den = lcm(*(c.denominator for row in series for s in row for c in s))
+        series = [[[c.numerator * (den // c.denominator) for c in s] for s in row]
+                  for row in series]
+    else:
+        series = [[[c.value for c in s] for s in row] for row in series]
+    ops = []
+    for row in series:
+        op, start = [], 0
+        for s in row:
+            for r in range(len(s)):
+                op.append([(start + j, s[r - j]) for j in range(r + 1) if s[r - j]])
+            start += len(s)
+        ops.append(op)
+    return ops
 
 
 def _times(op, vec):
-    """M_i vec, germ block by germ block (op = ops[i])."""
-    out, start = [], 0
-    for series in op:
-        out.extend(series_mul(vec[start:start + len(series)], series))
-        start += len(series)
+    """M_i vec (op = ops[i]): one sum per row, the same ints as the
+    truncated series product of each germ block."""
+    out = []
+    for row in op:
+        acc = 0
+        for j, c in row:
+            acc += c * vec[j]
+        out.append(acc)
     return out
 
 
 class SchemeEvaluator:
     """The Hilbert function of one scheme, by the operator recurrence.
 
-    The pivots that `ColumnSpace` keeps for degree k (coprime ints over
-    Q, residues over F_p) are the vectors the operators map to degree
-    k + 1; `phi` keeps every value, and ranks no further once it is d.
+    The operators are built once, as the flat rows of `_operators`.  The
+    pivots that `ColumnSpace` keeps for degree k (coprime ints over Q,
+    residues over F_p) are the vectors they map to degree k + 1, one
+    `_times` per pivot and operator; `phi` keeps every value, and ranks
+    no further once it is d.
     `column(mon)`, one monomial's evaluation, is not used by `phi`; the
     benchmark's tracer (`perfbench/tracer.py`) wraps it by name."""
 

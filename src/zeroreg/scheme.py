@@ -29,9 +29,11 @@ search, germ by germ and one row at a time: a branch extends a copy of
 its parent's reducer, so subschemes sharing a prefix share its
 elimination; it ends at its first dependent row and is cut once it
 cannot beat the least dependent degree found.  `max_collinear_length`
-keys each candidate line by its normalised Pluecker vector, scores each
-distinct line once by reducing the germs' leading rows against the
-line's two pivots, and builds a `LinearSubspace` only for the winner.
+keys each candidate line by its normalised Pluecker vector and groups
+the supports by line from the keys of their pairs; a line's score is
+then a sum over its supports (1, or the germ's contact with its own
+tangent when that is the line), so no row is reduced per line, and a
+`LinearSubspace` is built only for the first best line.
 """
 
 from __future__ import annotations
@@ -335,35 +337,60 @@ def max_collinear_length(scheme: FiniteScheme):
     """Largest degree of a subscheme contained in one line, with a line
     achieving it; (degree, None) when no candidate line exists (a single
     reduced point, or an ambient line where every germ is collinear).
-    The candidates are the lines through two support points and the
-    tangent lines, spanned by a germ's first two rows; each distinct
-    line is scored once, by the contact of every germ with it, and only
-    the first best one is built as a subspace."""
+
+    The candidates are the lines through two support points, then the
+    tangent lines, spanned by a germ's first two rows; the first line of
+    the best score wins, and only it is built as a subspace.  A line's
+    score is the contact of every germ with it, read off a grouping of
+    the supports by line instead of a reduction per line.  Row 0 of a
+    germ is its support, so only germs supported on L meet L; support i
+    lies on the line through supports j and k exactly when the key of
+    (i, j) is that line's key, so the pair keys collect every support on
+    every line.  Rows 0 and 1 of an immersed germ span its tangent line,
+    so a germ supported on L contributes 1 when its tangent is not L,
+    and otherwise 2 plus its further leading rows on L: those are
+    reduced once per germ, against the pivots of its own tangent."""
     if scheme.ambient <= 1:
         return scheme.degree, None
     field = scheme.field
     blocks = [g.int_rows() for g in scheme.germs]
-    candidates = [(a[0], b[0]) for a, b in itertools.combinations(blocks, 2)]
-    candidates += [block[:2] for block in blocks if len(block) >= 2]
+    # on_line[key]: the germs supported on the line; a germ's support is
+    # on its tangent, which no other support need share
+    candidates, on_line = [], {}
+    for i, j in itertools.combinations(range(len(blocks)), 2):
+        rows = (blocks[i][0], blocks[j][0])
+        key = _line_key(*rows, field)
+        candidates.append((rows, key))
+        on_line.setdefault(key, set()).update((i, j))
+    tangents = {}
+    for i, block in enumerate(blocks):
+        if len(block) < 2:
+            continue
+        key = _line_key(block[0], block[1], field)
+        contact = 2
+        if len(block) > 2:
+            line = ColumnSpace(field)
+            line.add(block[0])
+            line.add(block[1])
+            for row in block[2:]:
+                if any(line.reduce(row)):
+                    break
+                contact += 1
+        tangents[i] = (key, contact)
+        on_line.setdefault(key, set()).add(i)
+        candidates.append((block[:2], key))
     best, best_rows = 0, None
     scored = set()
-    for a, b in candidates:
-        key = _line_key(a, b, field)
+    for rows, key in candidates:
         if key in scored:
             continue
         scored.add(key)
-        line = ColumnSpace(field)
-        line.add(a)
-        line.add(b)
-        # per germ, the leading rows that lie on the line
         c = 0
-        for block in blocks:
-            for row in block:
-                if any(line.reduce(row)):
-                    break
-                c += 1
+        for i in on_line[key]:
+            tangent = tangents.get(i)
+            c += tangent[1] if tangent and tangent[0] == key else 1
         if c > best:
-            best, best_rows = c, (a, b)
+            best, best_rows = c, rows
     if best_rows is None:
         # no candidate lines: the scheme is a single reduced point
         return scheme.degree, None

@@ -156,6 +156,39 @@ def _rand_chart_scheme(rng, field):
             continue
 
 
+def _rand_sparse_scheme(rng, field):
+    """Germs of length up to 6 whose series have zero coefficients, in
+    random charts of P^2 or P^3: some straight (no term past t^1), the
+    others with tails drawn from 0, small values and multiples of 7
+    (zero over F_7), so the operators' rows have gaps."""
+    n = rng.choice([2, 3])
+    while True:
+        germs, budget = [], 8
+        for _ in range(rng.randint(1, 3)):
+            coords = [rng.randint(-3, 3) for _ in range(n + 1)]
+            if not any(coords) or budget == 0:
+                continue
+            chart = rng.choice([i for i, c in enumerate(coords) if c])
+            length = rng.randint(1, min(6, budget))
+            straight = rng.random() < 0.4
+            jets = []
+            for i in range(n + 1):
+                if i != chart:
+                    tail = [0 if straight and k > 1
+                            else rng.choice((0, 0, 7, -14, Fraction(7, 2), 1, -2))
+                            for k in range(1, length)]
+                    jets.append([field(coords[i]) / field(coords[chart])]
+                                + [field(c) for c in tail])
+            if length >= 2 and all(j[1] == 0 for j in jets):
+                jets[rng.randrange(n)][1] = field(1)
+            germs.append(make_germ(coords, chart, jets, field))
+            budget -= length
+        try:
+            return FiniteScheme(germs, field)
+        except ValueError:
+            continue
+
+
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers())
@@ -163,11 +196,13 @@ def test_operator_phi_matches_the_monomial_matrix(field, seed):
     # every degree from 0 to d, past saturation included, against the
     # rank of the full monomial matrix; the germs sit in different charts
     # with different jet denominators, so the integer operators must
-    # share one scale
-    x = _rand_chart_scheme(random.Random(seed), field)
-    ev = SchemeEvaluator(x)
-    for k in range(x.degree + 1):
-        assert ev.phi(k) == _monomial_rank(x, k)
+    # share one scale, and long germs with zero series coefficients
+    # leave gaps in the operators' flat rows
+    rng = random.Random(seed)
+    for x in (_rand_chart_scheme(rng, field), _rand_sparse_scheme(rng, field)):
+        ev = SchemeEvaluator(x)
+        for k in range(x.degree + 1):
+            assert ev.phi(k) == _monomial_rank(x, k)
 
 
 def test_operator_phi_with_charts_and_denominators_that_differ():

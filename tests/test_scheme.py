@@ -7,8 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroreg.exactalg import QQ, Matrix, prime_field
+from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
 from zeroreg.forms import monomials_of_degree, series_mul, series_of_constant
+from zeroreg.harness import GenerationExhausted, GeneratorSpec, gen_scheme
 from zeroreg.scheme import (
     DEFAULT_ENUM_CAP,
     CurvilinearGerm,
@@ -225,6 +226,76 @@ def test_max_collinear_tangent_direction():
     n, line = max_collinear_length(x)
     assert n == 3
     assert line.contains_point(ProjPoint(q))
+
+
+def test_max_collinear_length_three_germ_tangent_to_a_secant():
+    # a length-3 germ at r, tangent to the line through the supports p and
+    # q: a straight germ lies on the line to order 3, a curved one to 2
+    p, q, r = (1, 0, 0), (1, 2, 0), (1, 1, 0)
+
+    def longest(jets, field=QQ):
+        x = FiniteScheme([reduced_germ(p, field), reduced_germ(q, field),
+                          make_germ(r, 0, jets, field)], field)
+        n, line = max_collinear_length(x)
+        assert all(line.contains_point(ProjPoint(c, field)) for c in (p, q, r))
+        assert contact_length(x, line) == n
+        return n
+
+    assert longest([(1, 1, 0), (0, 0, 0)]) == 2 + 3
+    assert longest([(1, 1, 0), (0, 0, 1)]) == 2 + 2
+    assert longest([(1, 1, 5), (0, 0, 1)]) == 2 + 2
+    # over F_7 a t^2 coefficient of 7 vanishes: the germ is straight
+    F = prime_field(7)
+    assert longest([(1, 1, 0), (0, 0, 7)], F) == 2 + 3
+    assert longest([(1, 1, 0), (0, 0, 8)], F) == 2 + 2
+    # tangent off the secant: the germ meets it in its support only, and
+    # its own tangent line (two) does not beat the secant (three)
+    x = FiniteScheme([reduced_germ(p), reduced_germ(q), make_germ(r, 0, [(1, 0, 0), (0, 1, 0)])])
+    n, line = max_collinear_length(x)
+    assert n == 3 and line.contains_point(ProjPoint(q))
+
+
+def test_max_collinear_on_reduced_points_reduces_no_rows(monkeypatch):
+    # 80 points in P^3, 12 of them on one line: the search groups the
+    # supports by the keys of their pairs and reduces no row; only the
+    # winning line is built (and ranked) as a subspace
+    from zeroreg import scheme
+
+    counts = {"add": 0, "reduce": 0}
+    building = []
+
+    def counted(name):
+        original = getattr(ColumnSpace, name)
+
+        def wrapper(self, vec):
+            if not building:
+                counts[name] += 1
+            return original(self, vec)
+
+        monkeypatch.setattr(ColumnSpace, name, wrapper)
+
+    counted("add")
+    counted("reduce")
+    original_subspace = scheme.subspace_from_rows
+
+    def subspace(rows, ambient, field=QQ):
+        building.append(rows)
+        try:
+            return original_subspace(rows, ambient, field)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(scheme, "subspace_from_rows", subspace)
+    rng = random.Random(4)
+    aligned = [(1, k, 2 * k, 3) for k in range(12)]
+    pts = set(aligned)
+    while len(pts) < 80:
+        pts.add(tuple(rng.randint(-20, 20) for _ in range(4)))
+    x = scheme_of_points(aligned + sorted(pts - set(aligned)))
+    n, line = max_collinear_length(x)
+    assert n == 12
+    assert all(line.contains_point(ProjPoint(p)) for p in aligned)
+    assert counts == {"add": 0, "reduce": 0}
 
 
 def test_contact_length_hyperplane():
@@ -481,6 +552,32 @@ def test_row_view_matches_the_old_compositions(field, n):
     # the cases reach dependent subschemes, not only general position
     assert min(levels) == 1
     assert max(degrees) > 8
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
+def test_collinear_search_matches_the_reference_on_planted_lines(field):
+    # harness schemes with a planted line-subscheme: straight germs of
+    # length <= 3 on the line, curved ones off it, with and without a
+    # nonreduced germ routed along the line
+    rng = random.Random(9 + (0 if field is QQ else field.modulus % 1000))
+    compared = 0
+    for n in (2, 3, 4, 5):
+        for secant in (False, True):
+            for _ in range(5):
+                d = rng.randint(3, 12)
+                spec = GeneratorSpec(n, degree=d, max_germ_length=3,
+                                     collinear=rng.randint(2, d), secant=secant,
+                                     box=(-8, 8), field=field, seed=rng.getrandbits(63))
+                try:
+                    x = gen_scheme(spec)
+                except GenerationExhausted:
+                    continue
+                longest, line = max_collinear_length(x)
+                want, want_line = _max_collinear_reference(x)
+                assert longest == want == spec.collinear
+                assert line.cutting_forms == want_line.cutting_forms
+                compared += 1
+    assert compared >= 30
 
 
 def test_germ_int_rows_are_the_rows_cleared():
