@@ -23,7 +23,7 @@ from zeroreg.scheme import invariant_t, max_collinear_length, span_dim
 def describe(tag, x):
     phi = hilbert_function_values(x, min_normal_degree(x))
     print("%-28s d=%d  span=%d  t=%d  max collinear=%d" % (
-        tag, x.degree, span_dim(x), invariant_t(x), max_collinear_length(x)[0]))
+        tag, x.degree, span_dim(x), invariant_t(x), max_collinear_length(x)))
     print("    phi = %s -> regularity %d" % (phi, finite_scheme_regularity(x)))
 
 

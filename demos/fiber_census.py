@@ -50,7 +50,7 @@ def main():
         separated = recipe_separates(x, recipe, k)
         all_ok &= exact and separated and profile.case == label
         print("%-14s   %d     %d    %d   %-11s|    %d       %s%s" % (
-            profile.case, x.degree, span_dim(x), max_collinear_length(x)[0],
+            profile.case, x.degree, span_dim(x), max_collinear_length(x),
             lengths, profile.predicted_normality, recipe_summary(recipe, k),
             "" if exact and separated else "  MISMATCH"))
     print("-" * 78)

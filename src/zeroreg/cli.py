@@ -116,7 +116,7 @@ def _cmd_invariant_t(args) -> int:
     except EnumerationCapExceeded as err:
         raise _UsageError(str(err)) from None
     _emit({"degree": x.degree, "span": span_dim(x), "t": t,
-           "max_collinear": max_collinear_length(x)[0]})
+           "max_collinear": max_collinear_length(x)})
     return 0
 
 

@@ -285,7 +285,7 @@ def _build_scheme(spec: GeneratorSpec, rng) -> FiniteScheme:
 
 def _features_ok(spec: GeneratorSpec, x: FiniteScheme) -> bool:
     if spec.collinear is not None:
-        if max_collinear_length(x)[0] != spec.collinear:
+        if max_collinear_length(x) != spec.collinear:
             return False
         if spec.secant and all(g.length == 1 for g in x.germs):
             return False
@@ -461,7 +461,7 @@ def _spread_scheme(rng, field, box, lengths, want_phi2=None, max_col=3):
             x = FiniteScheme(germs, field)
         except (_Retry, ValueError):
             continue
-        if span_dim(x) != 2 or max_collinear_length(x)[0] > max_col:
+        if span_dim(x) != 2 or max_collinear_length(x) > max_col:
             continue
         if want_phi2 is not None and hilbert_function(x, 2) != want_phi2:
             continue
@@ -625,25 +625,17 @@ def _trial_cor13a(rng, field, index):
     d = rng.randint(ambient + 3, 10)
     maxlen = rng.choice((1, 1, 2, 3))
     for _ in range(200):
-        if planted:
-            spec = GeneratorSpec(ambient, degree=d, max_germ_length=maxlen,
-                                 collinear=d - ambient + 1, box=(-8, 8),
-                                 field=field, seed=rng.getrandbits(63))
-        else:
-            spec = GeneratorSpec(ambient, degree=d, max_germ_length=maxlen,
-                                 box=(-8, 8), field=field,
-                                 seed=rng.getrandbits(63))
+        spec = GeneratorSpec(ambient, degree=d, max_germ_length=maxlen,
+                             collinear=d - ambient + 1 if planted else None,
+                             box=(-8, 8), field=field, seed=rng.getrandbits(63))
         x = gen_scheme(spec, log)
-        if span_dim(x) != ambient:
-            log.bump()
-            continue
-        if not planted and max_collinear_length(x)[0] >= d - ambient + 1:
-            log.bump()
-            continue
-        break
+        # d >= ambient + 3 > span + 2, so the verdict always applies
+        v = secant_normality_verdict(x)
+        if v.span == ambient and (planted or not v.has_long_secant):
+            break
+        log.bump()
     else:
         raise GenerationExhausted("no nondegenerate scheme in the secant regime")
-    v = secant_normality_verdict(x)
     sig = (d, ambient, v.normal_at_d_minus_n, v.normal_at_d_minus_n_1,
            v.has_long_secant)
     ok = v.equivalence_holds and v.has_long_secant == planted
@@ -888,8 +880,7 @@ def _trial_invariance(rng, field, index):
     y = apply_matrix(x, g)
     mx, my = min_normal_degree(x), min_normal_degree(y)
     tx, ty = invariant_t(x), invariant_t(y)
-    cx = max_collinear_length(x)[0]
-    cy = max_collinear_length(y)[0]
+    cx, cy = max_collinear_length(x), max_collinear_length(y)
     phi_x = [hilbert_function(x, k) for k in range(1, mx + 1)]
     phi_y = [hilbert_function(y, k) for k in range(1, mx + 1)]
     sig = (d, mx, tx, cx)

@@ -63,10 +63,6 @@ def field_from_jsonable(tag):
     raise DocumentFormatError("field must be \"Q\" or {\"Fp\": p}, got %r" % (tag,))
 
 
-def _scalar_out(x):
-    return scalar_str(x)
-
-
 def _scalar_in(raw, field):
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise DocumentFormatError("scalar must be an integer or string, got %r" % (raw,))
@@ -77,13 +73,13 @@ def _scalar_in(raw, field):
 
 
 def germ_to_jsonable(germ: CurvilinearGerm):
-    doc = {"point": [_scalar_out(c) for c in germ.support.coords]}
+    doc = {"point": [scalar_str(c) for c in germ.support.coords]}
     default_chart = next(i for i, c in enumerate(germ.support.coords) if c != 0)
     if germ.chart != default_chart:
         doc["chart"] = germ.chart
     if germ.length > 1:
         doc["chart"] = germ.chart
-        doc["jet"] = [None if j is None else [_scalar_out(c) for c in j]
+        doc["jet"] = [None if j is None else [scalar_str(c) for c in j]
                       for j in germ.jets]
     return doc
 
@@ -164,7 +160,7 @@ def scheme_loads(text: str) -> FiniteScheme:
 
 def curve_to_jsonable(curve: RationalCurve):
     return {"field": field_to_jsonable(curve.field),
-            "forms": [[_scalar_out(c) for c in f] for f in curve.forms]}
+            "forms": [[scalar_str(c) for c in f] for f in curve.forms]}
 
 
 def curve_from_jsonable(doc) -> RationalCurve:
@@ -185,7 +181,7 @@ def curve_loads(text: str) -> RationalCurve:
 def subspace_to_jsonable(sub: LinearSubspace):
     return {"field": field_to_jsonable(sub.field),
             "ambient": sub.ambient,
-            "cutting_forms": [[_scalar_out(c) for c in f]
+            "cutting_forms": [[scalar_str(c) for c in f]
                               for f in sub.cutting_forms]}
 
 
@@ -213,7 +209,7 @@ def subspace_loads(text: str) -> LinearSubspace:
 def form_to_jsonable(form):
     """A form dict {exponents: coefficient} as a sorted list of
     [exponent-list, coefficient-string] pairs."""
-    return [[list(mon), _scalar_out(c)]
+    return [[list(mon), scalar_str(c)]
             for mon, c in sorted(form.items(), key=lambda kv: kv[0])]
 
 

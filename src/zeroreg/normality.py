@@ -202,5 +202,4 @@ def secant_normality_verdict(scheme: FiniteScheme) -> SecantNormalityVerdict:
         raise ValueError("the dichotomy needs degree >= span + 2")
     at_k = is_k_normal(scheme, d - n)
     at_k_minus_1 = (d - n - 1 >= 0) and is_k_normal(scheme, d - n - 1)
-    collinear, _ = max_collinear_length(scheme)
-    return SecantNormalityVerdict(d, n, at_k, at_k_minus_1, collinear)
+    return SecantNormalityVerdict(d, n, at_k, at_k_minus_1, max_collinear_length(scheme))

@@ -208,7 +208,7 @@ def classify_fiber(fiber: FiniteScheme, n: int) -> FiberProfile:
     reduced = all(l == 1 for l in lengths)
     mather = sum(2 * l - 1 for l in lengths)
     span = span_dim(fiber)
-    col, _ = max_collinear_length(fiber)
+    col = max_collinear_length(fiber)
     base = dict(
         n=n,
         degree=d,

@@ -32,8 +32,8 @@ cannot beat the least dependent degree found.  `max_collinear_length`
 keys each candidate line by its normalised Pluecker vector and groups
 the supports by line from the keys of their pairs; a line's score is
 then a sum over its supports (1, or the germ's contact with its own
-tangent when that is the line), so no row is reduced per line, and a
-`LinearSubspace` is built only for the first best line.
+tangent when that is the line), so no row is reduced per line and
+the best score is the length.
 """
 
 from __future__ import annotations
@@ -198,22 +198,28 @@ def make_germ(coords, chart, non_chart_jets, field=QQ) -> CurvilinearGerm:
     return CurvilinearGerm(p, chart, jets, field)
 
 
+def _germ_from_series(series, field) -> CurvilinearGerm:
+    """The germ of homogeneous coordinate series of one length: the chart
+    is the first coordinate with a nonzero constant term, every other
+    series is divided by the chart's, and the constant terms are the
+    support."""
+    chart = next((i for i, s in enumerate(series) if s[0] != 0), None)
+    if chart is None:
+        raise ValueError("the coordinate series all vanish at the support")
+    unit = series[chart]
+    jets = [None if i == chart else series_div(s, unit, len(unit))
+            for i, s in enumerate(series)]
+    support = ProjPoint([s[0] for s in series], field)
+    return CurvilinearGerm(support, chart, jets, field)
+
+
 def germ_on_line(point, direction, length, field=QQ) -> CurvilinearGerm:
     """The length-L germ t -> point + t * direction, so its full contact
     with the line spanned by the two vectors is at least L."""
     p = point if isinstance(point, ProjPoint) else ProjPoint(point, field)
-    v = tuple(field(c) for c in direction)
-    chart = next(i for i, c in enumerate(p.coords) if c != 0)
-    unit = (p.coords[chart],) + (v[chart],) + (field(0),) * max(0, length - 2)
-    unit = unit[:length]
-    jets = []
-    for i in range(len(p.coords)):
-        if i == chart:
-            jets.append(None)
-            continue
-        series = (p.coords[i], v[i]) + (field(0),) * max(0, length - 2)
-        jets.append(series_div(series[:length], unit, length))
-    return CurvilinearGerm(p, chart, jets, field)
+    pad = (field(0),) * max(0, length - 2)
+    series = [((c, field(v)) + pad)[:length] for c, v in zip(p.coords, direction)]
+    return _germ_from_series(series, field)
 
 
 class FiniteScheme:
@@ -333,35 +339,33 @@ def _line_key(a, b, field):
     return tuple(v * inv % p for v in key)
 
 
-def max_collinear_length(scheme: FiniteScheme):
-    """Largest degree of a subscheme contained in one line, with a line
-    achieving it; (degree, None) when no candidate line exists (a single
-    reduced point, or an ambient line where every germ is collinear).
+def max_collinear_length(scheme: FiniteScheme) -> int:
+    """Largest degree of a subscheme contained in one line; the degree
+    itself when no two rows span a line (a single reduced point) or the
+    ambient space is a line.
 
-    The candidates are the lines through two support points, then the
-    tangent lines, spanned by a germ's first two rows; the first line of
-    the best score wins, and only it is built as a subspace.  A line's
-    score is the contact of every germ with it, read off a grouping of
-    the supports by line instead of a reduction per line.  Row 0 of a
-    germ is its support, so only germs supported on L meet L; support i
-    lies on the line through supports j and k exactly when the key of
-    (i, j) is that line's key, so the pair keys collect every support on
-    every line.  Rows 0 and 1 of an immersed germ span its tangent line,
-    so a germ supported on L contributes 1 when its tangent is not L,
-    and otherwise 2 plus its further leading rows on L: those are
-    reduced once per germ, against the pivots of its own tangent."""
+    The candidates are the lines through two support points and the
+    tangent lines, spanned by a germ's first two rows.  A line's score is
+    the contact of every germ with it, read off a grouping of the
+    supports by line instead of a reduction per line.  Row 0 of a germ is
+    its support, so only germs supported on L meet L; support i lies on
+    the line through supports j and k exactly when the key of (i, j) is
+    that line's key, so the pair keys collect every support on every
+    line.  Rows 0 and 1 of an immersed germ span its tangent line, so a
+    germ supported on L contributes 1 when its tangent is not L, and
+    otherwise 2 plus its further leading rows on L: those are reduced
+    once per germ, against the pivots of its own tangent."""
     if scheme.ambient <= 1:
-        return scheme.degree, None
+        return scheme.degree
     field = scheme.field
     blocks = [g.int_rows() for g in scheme.germs]
     # on_line[key]: the germs supported on the line; a germ's support is
     # on its tangent, which no other support need share
-    candidates, on_line = [], {}
+    on_line = {}
     for i, j in itertools.combinations(range(len(blocks)), 2):
-        rows = (blocks[i][0], blocks[j][0])
-        key = _line_key(*rows, field)
-        candidates.append((rows, key))
+        key = _line_key(blocks[i][0], blocks[j][0], field)
         on_line.setdefault(key, set()).update((i, j))
+    # tangents[i, key]: germ i's contact with its tangent line `key`
     tangents = {}
     for i, block in enumerate(blocks):
         if len(block) < 2:
@@ -376,25 +380,12 @@ def max_collinear_length(scheme: FiniteScheme):
                 if any(line.reduce(row)):
                     break
                 contact += 1
-        tangents[i] = (key, contact)
+        tangents[i, key] = contact
         on_line.setdefault(key, set()).add(i)
-        candidates.append((block[:2], key))
-    best, best_rows = 0, None
-    scored = set()
-    for rows, key in candidates:
-        if key in scored:
-            continue
-        scored.add(key)
-        c = 0
-        for i in on_line[key]:
-            tangent = tangents.get(i)
-            c += tangent[1] if tangent and tangent[0] == key else 1
-        if c > best:
-            best, best_rows = c, rows
-    if best_rows is None:
-        # no candidate lines: the scheme is a single reduced point
-        return scheme.degree, None
-    return best, subspace_from_rows(best_rows, scheme.ambient, field)
+    if not on_line:
+        return scheme.degree
+    return max(sum(tangents.get((i, key), 1) for i in germs)
+               for key, germs in on_line.items())
 
 
 def _check_cap(scheme: FiniteScheme):
@@ -485,14 +476,5 @@ def apply_matrix(scheme: FiniteScheme, matrix: Matrix) -> FiniteScheme:
                 for k, v in enumerate(old[c]):
                     acc[k] = acc[k] + coeff * v
             new.append(tuple(acc))
-        chart = next((i for i, s in enumerate(new) if s[0] != 0), None)
-        if chart is None:
-            raise ValueError("matrix is singular at a support point")
-        unit = new[chart]
-        jets = [
-            None if i == chart else series_div(s, unit, g.length)
-            for i, s in enumerate(new)
-        ]
-        support = ProjPoint([s[0] for s in new], scheme.field)
-        new_germs.append(CurvilinearGerm(support, chart, jets, scheme.field))
+        new_germs.append(_germ_from_series(new, scheme.field))
     return FiniteScheme(new_germs, scheme.field)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from zeroreg.exactalg import ColumnSpace, QQ, _clear_row
-from zeroreg.forms import monomials_of_degree
+from zeroreg.forms import _power_tables, monomials_of_degree
 from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint
 
 
@@ -229,12 +229,7 @@ def _monomial_values(coords, mons, degree, field):
     else:
         p = field.modulus
         coords = [field(x).value for x in coords]
-    powers = []
-    for x in coords:
-        table = [1]
-        for _ in range(degree):
-            table.append(table[-1] * x if p is None else table[-1] * x % p)
-        powers.append(table)
+    powers = _power_tables(coords, degree, p)
     out = []
     for m in mons:
         v = powers[0][m[0]]

@@ -107,9 +107,7 @@ def test_spec_lengths_fix_the_degree():
 def test_planted_collinear_is_exact():
     x = gen_scheme(GeneratorSpec(3, degree=6, collinear=4, seed=11))
     assert x.degree == 6
-    length, line = max_collinear_length(x)
-    assert length == 4
-    assert line is not None
+    assert max_collinear_length(x) == 4
 
 
 def test_general_position_reaches_the_top_level():
@@ -122,7 +120,7 @@ def test_planted_secant_routes_a_germ_along_the_line():
         GeneratorSpec(3, degree=7, collinear=4, secant=True, max_germ_length=2,
                       seed=23)
     )
-    assert max_collinear_length(x)[0] == 4
+    assert max_collinear_length(x) == 4
     assert any(g.length >= 2 for g in x.germs)
 
 
@@ -137,7 +135,7 @@ def test_gen_scheme_over_a_prime_field():
     x = gen_scheme(GeneratorSpec(2, degree=5, collinear=3, field=prime_field(10007),
                                  seed=8))
     assert x.degree == 5
-    assert max_collinear_length(x)[0] == 3
+    assert max_collinear_length(x) == 3
 
 
 def test_gen_scheme_reports_exhaustion():
@@ -153,7 +151,7 @@ def test_gen_scheme_reports_exhaustion():
 def test_random_plants_always_verify(seed):
     x = gen_scheme(GeneratorSpec(3, degree=6, collinear=3, max_germ_length=2,
                                  seed=seed))
-    assert max_collinear_length(x)[0] == 3
+    assert max_collinear_length(x) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +311,38 @@ def test_mather_reports_unchanged_where_the_first_curve_suffices():
     report = run_suite("mather_consistency", 150, 99)
     digest = hashlib.sha256(canonical_json(report.to_jsonable()).encode()).hexdigest()
     assert digest == "d34263b5ea15a85442c4546a347b00a443e16e6537d25369af0b2f5cbb6cdde5"
+
+
+def test_cor1_3a_asks_each_oracle_once_per_trial(monkeypatch):
+    # a kept scheme gets its span and its collinear search from the
+    # secant verdict alone; the generator's own feature checks (inside
+    # gen_scheme) are not counted
+    from zeroreg import harness, normality
+
+    counts = {"span_dim": 0, "max_collinear_length": 0}
+    generating = []
+
+    def counted(name, original):
+        def wrapper(x):
+            if not generating:
+                counts[name] += 1
+            return original(x)
+
+        return wrapper
+
+    for module in (harness, normality):
+        for name in counts:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    original_gen = harness.gen_scheme
+
+    def gen(spec, log=None):
+        generating.append(spec)
+        try:
+            return original_gen(spec, log)
+        finally:
+            generating.pop()
+
+    monkeypatch.setattr(harness, "gen_scheme", gen)
+    report = run_suite("cor1_3a", 8, 5)
+    assert report.passed, report.failures
+    assert counts == {"span_dim": 8, "max_collinear_length": 8}
