@@ -56,6 +56,12 @@ from .separation import (
 # 2-core Xeon VM, n = 80 well over a minute.
 LEMMA26_MAX_N = 40
 
+# The largest `separate --degree` and `hilbert --max-degree`.  `separate`
+# expands U^(k-j) one factor at a time, so its time grows linearly in k
+# (k = 10,000 takes about 0.5 s in a fresh process on a 2-core Xeon VM),
+# and `hilbert` prints k + 1 entries.
+MAX_DEGREE = 10000
+
 
 class _UsageError(Exception):
     pass
@@ -88,6 +94,8 @@ def _point_out(point):
 def _cmd_hilbert(args) -> int:
     if args.max_degree < 0:
         raise _UsageError("--max-degree must be nonnegative")
+    if args.max_degree > MAX_DEGREE:
+        raise _UsageError("--max-degree must be <= %d, got %d" % (MAX_DEGREE, args.max_degree))
     x = _load_scheme(args.scheme)
     _emit({"phi": hilbert_function_values(x, args.max_degree)})
     return 0
@@ -133,6 +141,8 @@ def _cmd_secant(args) -> int:
 def _cmd_separate(args) -> int:
     if args.degree < 0:
         raise _UsageError("--degree must be nonnegative")
+    if args.degree > MAX_DEGREE:
+        raise _UsageError("--degree must be <= %d, got %d" % (MAX_DEGREE, args.degree))
     x = _load_scheme(args.scheme)
     recipe = recipe_loads(_read(args.recipe)) if args.recipe else standard_recipe()
     try:

@@ -16,11 +16,11 @@ Representations are deliberately plain:
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import lcm
 
-from zeroreg.exactalg import QQ
+from zeroreg.exactalg import QQ, is_probable_prime
 
 # ---------------------------------------------------------------------------
 # monomials and homogeneous forms
@@ -291,98 +291,52 @@ def squarefree_decomposition(p):
 
 
 # ---------------------------------------------------------------------------
-# integer factorization (for exact rational root extraction)
+# rational roots by p-adic lifting (Loos 1983; von zur Gathen-Gerhard,
+# Modern Computer Algebra, ch. 15)
+#
+# A squarefree primitive f in Z[x] of degree n with lead c gives the monic
+# g(y) = c^(n-1) f(y/c), whose rational roots are the integers R = c x,
+# |R| <= B = 1 + max|g_i|.  At a prime p where every root of g mod p is
+# simple (only primes dividing the discriminant of g can fail), each R is
+# the unique Newton lift of R mod p; lifted to a modulus above 2B, its
+# symmetric residue is R itself.
 
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (n != 0) as {prime: exponent}."""
-    from zeroreg.exactalg import is_probable_prime
-
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
+def _integer_roots(g) -> list[int]:
+    """Integer roots of a monic squarefree g in Z[y], given by its
+    ascending int coefficients."""
+    bound = 1 + max(abs(c) for c in g)
+    dg = poly_derivative(g)
+    for p in count(2):
+        if not is_probable_prime(p):
             continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factor_int(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
+        gp = [c % p for c in g]
+        residues = [r for r in range(p) if poly_eval(gp, r) % p == 0]
+        if all(poly_eval(dg, r) % p for r in residues):
+            break
+    roots = []
+    for r in residues:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - poly_eval(g, r) * pow(poly_eval(dg, r), -1, m)) % m
+        if 2 * r > m:
+            r -= m
+        if poly_eval(g, r) == 0:
+            roots.append(r)
+    return roots
 
 
 def rational_roots(p) -> list[tuple[Fraction, int]]:
     """All rational roots of p (over Q) with multiplicities, sorted."""
-    p = poly_normalize(p)
-    if poly_degree(p) < 1:
-        return []
     roots = []
-    # strip x^v
-    v = 0
-    while p[v] == 0:
-        v += 1
-    if v:
-        roots.append((Fraction(0), v))
-        p = p[v:]
-    if poly_degree(p) >= 1:
-        mult = lcm(*(Fraction(c).denominator for c in p))
-        ints = [int(Fraction(c) * mult) for c in p]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        ints = [c // g for c in ints]
-        seen = set()
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                if gcd(num, den) != 1:
-                    continue
-                for r in (Fraction(num, den), Fraction(-num, den)):
-                    if r in seen:
-                        continue
-                    seen.add(r)
-                    if poly_eval(p, r) == 0:
-                        m = 0
-                        q = p
-                        while True:
-                            quo, rem = poly_divmod(q, (-r, Fraction(1)))
-                            if rem:
-                                break
-                            m += 1
-                            q = quo
-                        roots.append((r, m))
+    for f, mult in squarefree_decomposition(poly_normalize(p)):
+        # f is monic, so clearing its denominators leaves it primitive
+        den = lcm(*(c.denominator for c in f))
+        ints = [c.numerator * (den // c.denominator) for c in f]
+        n, c = len(ints) - 1, ints[-1]
+        g = [a * c ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+        roots += [(Fraction(r, c), mult) for r in _integer_roots(g)]
     return sorted(roots)
 
 
@@ -413,17 +367,12 @@ def binary_is_zero(f) -> bool:
     return all(c == 0 for c in f)
 
 
-def binary_from_poly(p, degree, field=QQ):
-    """Homogenize an ascending-coefficient polynomial to the given degree."""
-    if poly_degree(p) > degree:
-        raise ValueError("degree too small")
-    return tuple(field(p[i]) if i < len(p) else field(0) for i in range(degree + 1))
-
-
 def binary_linear_combination(forms, coeffs, field=QQ):
     d = binary_degree(forms[0])
     out = [field(0)] * (d + 1)
     for f, c in zip(forms, coeffs):
+        if c == 0:
+            continue
         for i, x in enumerate(f):
             out[i] = out[i] + field(c) * x
     return tuple(out)

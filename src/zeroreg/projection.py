@@ -27,6 +27,7 @@ from zeroreg.forms import (
     binary_gcd,
     binary_gcd_many,
     binary_is_zero,
+    binary_linear_combination,
     poly_degree,
     poly_divmod,
     poly_normalize,
@@ -405,17 +406,6 @@ class CurveFiber:
         )
 
 
-def _compose_linear(curve: RationalCurve, coeffs):
-    width = curve.degree + 1
-    out = [curve.field(0)] * width
-    for c, f in zip(coeffs, curve.forms):
-        if c == 0:
-            continue
-        for i, v in enumerate(f):
-            out[i] = out[i] + c * v
-    return tuple(out)
-
-
 def _fiber_from_binary_form(curve: RationalCurve, image, form) -> CurveFiber:
     """Decompose the divisor of a nonzero binary form into germs on the
     curve (rational roots) and clusters (irrational ones)."""
@@ -454,8 +444,8 @@ def curve_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     N - 2; always of total length equal to the curve's degree."""
     if center.ambient != curve.ambient or len(center.cutting_forms) != 2:
         raise ValueError("center must be cut by exactly two forms in the curve's space")
-    a = _compose_linear(curve, center.cutting_forms[0])
-    b = _compose_linear(curve, center.cutting_forms[1])
+    a, b = (binary_linear_combination(curve.forms, f, curve.field)
+            for f in center.cutting_forms)
     if binary_degree(binary_gcd(a, b)) != 0:
         raise CenterMeetsCurve("center intersects the curve")
     y0, y1 = (curve.field(c) for c in y)
@@ -470,7 +460,8 @@ def plane_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     N - 3; total length 0 when y is not on the image curve."""
     if center.ambient != curve.ambient or len(center.cutting_forms) != 3:
         raise ValueError("center must be cut by exactly three forms in the curve's space")
-    composed = [_compose_linear(curve, f) for f in center.cutting_forms]
+    composed = [binary_linear_combination(curve.forms, f, curve.field)
+                for f in center.cutting_forms]
     if binary_degree(binary_gcd_many(composed)) != 0:
         raise CenterMeetsCurve("center intersects the curve")
     ys = [curve.field(c) for c in y]
@@ -497,7 +488,8 @@ def curve_linear_section_length(curve: RationalCurve, subspace: LinearSubspace) 
     curve with a linear subspace."""
     if subspace.ambient != curve.ambient:
         raise ValueError("subspace lives in the wrong ambient space")
-    composed = [_compose_linear(curve, f) for f in subspace.cutting_forms]
+    composed = [binary_linear_combination(curve.forms, f, curve.field)
+                for f in subspace.cutting_forms]
     nonzero = [f for f in composed if not binary_is_zero(f)]
     if not nonzero:
         raise CurveContainedInSubspace("every cutting form vanishes on the curve")

@@ -101,16 +101,6 @@ def standard_recipe(t_count: int = 2, extra=None) -> FormSpaceRecipe:
     return FormSpaceRecipe(t_count, extra or {}, standard=True)
 
 
-def full_recipe(t_count: int, max_level: int) -> FormSpaceRecipe:
-    """Every monomial space up to max_level; at degree k = max_level the
-    spawned family is the complete degree-k monomial basis."""
-    spaces = {
-        j: [t_monomial(t_count, mon) for mon in monomials_of_degree(t_count, j)]
-        for j in range(3, max_level + 1)
-    }
-    return FormSpaceRecipe(t_count, spaces, standard=True)
-
-
 def recipe_space(recipe: FormSpaceRecipe, k: int, ambient: int, u_index: int = 0, t_indices=None):
     """The degree-k forms U^(k-j) * v, as form dicts over the ambient
     coordinates; levels above k are skipped."""

@@ -204,7 +204,7 @@ def test_separate_standard_and_recipe(tmp_path, capsys):
 
 def test_separate_at_a_high_degree_off_the_chart(tmp_path, capsys):
     # x0 vanishes at (0:1:2), so the standard family's U^(k-j) is expanded
-    # in a non-chart coordinate; its powers are cached without recursion
+    # in a non-chart coordinate, one factor of U at a time
     scheme = tmp_path / "pts.json"
     scheme.write_text('{"field":"Q","ambient":2,'
                       '"germs":[{"point":["0","1","2"]},{"point":["1","1","1"]}]}')
@@ -213,6 +213,19 @@ def test_separate_at_a_high_degree_off_the_chart(tmp_path, capsys):
     assert time.perf_counter() - started < 20
     assert code == 1
     assert '"family_rank":1' in out and '"separates":false' in out
+
+
+def test_degree_flags_over_the_limit_exit_two(tmp_path, capsys):
+    scheme = _collinear5(tmp_path / "pts.json")
+    limit = cli.MAX_DEGREE
+    for argv in (["separate", "--scheme", scheme, "--degree"],
+                 ["hilbert", "--scheme", scheme, "--max-degree"]):
+        code, out, err = run_cli(argv + [str(limit + 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "<= %d" % limit in err and str(limit + 1) in err
+    code, out, _ = run_cli(["hilbert", "--scheme", scheme, "--max-degree", str(limit)], capsys)
+    assert code == 0 and len(json.loads(out)["phi"]) == limit + 1
 
 
 def test_separate_maps_fractional_recipe_coefficients_into_fp(tmp_path, capsys):
@@ -341,6 +354,23 @@ def test_curve_fiber_golden(tmp_path, capsys):
     assert doc["germ_lengths"] == [1]
     assert doc["clusters"] == [[2, 1]]
     assert doc["parameters"] == [[["1", "1"], 1]]
+
+
+def test_curve_fiber_over_a_44_digit_point(tmp_path, capsys):
+    # the fiber of the conic (s^2 : t^2 : st) from (0:0:1) over (1 : N) is
+    # N s^2 - t^2; N is a product of two 22-digit primes, which the root
+    # search must not factor
+    curve = tmp_path / "conic.json"
+    curve.write_text('{"field":"Q","forms":[["1","0","0"],["0","0","1"],["0","1","0"]]}')
+    center = _subspace(tmp_path / "center.json", 2, [(1, 0, 0), (0, 1, 0)])
+    n = 10000000000000000001179000000000000000001053
+    for y in ("1:6", "1:%d" % n):
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            ["curve-fiber", "--curve", str(curve), "--center", center, "--y", y], capsys)
+        assert time.perf_counter() - started < 5
+        assert code == 0
+        assert '"clusters":[[2,1]]' in out and '"total":2' in out
 
 
 def test_curve_section_golden(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import pytest
 import sympy
@@ -10,11 +11,9 @@ from zeroreg.exactalg import QQ, prime_field
 from zeroreg.forms import (
     binary_degree,
     binary_eval,
-    binary_from_poly,
     binary_gcd,
     binary_gcd_many,
     evaluate_form,
-    factor_int,
     form_values,
     monomials_of_degree,
     poly_degree,
@@ -155,16 +154,6 @@ def test_squarefree_decomposition():
         assert poly_degree(g) == 0
 
 
-def test_factor_int():
-    assert factor_int(360) == {2: 3, 3: 2, 5: 1}
-    assert factor_int(-97) == {97: 1}
-    assert factor_int(1) == {}
-    n = 1000003 * 1000033
-    assert factor_int(n) == {1000003: 1, 1000033: 1}
-    with pytest.raises(ValueError):
-        factor_int(0)
-
-
 def test_rational_roots_known():
     # 6x^3 - 5x^2 - 2x + 1 = (x-1)(3x-1)(2x+1)
     p = (Fraction(1), Fraction(-2), Fraction(-5), Fraction(6))
@@ -181,6 +170,73 @@ def test_rational_roots_large_coefficients():
     r1 = Fraction(1000003, 7)
     r2 = Fraction(-999983, 2)
     p = poly_mul((-r1.numerator, Fraction(r1.denominator)), (-r2.numerator, Fraction(r2.denominator)))
+    assert rational_roots(p) == [(r2, 1), (r1, 1)]
+
+
+def _divisors_reference(n):
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _rational_roots_reference(p):
+    """Rational roots by the rational root theorem: candidates +-a/b with a
+    dividing the constant and b the leading coefficient of the primitive
+    integer part (divisors by trial division), multiplicities by repeated
+    division by x - r."""
+    p = poly_normalize(p)
+    roots = []
+    v = 0
+    while v < len(p) and p[v] == 0:
+        v += 1
+    if v and len(p) > 1:
+        roots.append((Fraction(0), v))
+    p = p[v:]
+    if poly_degree(p) < 1:
+        return roots
+    den = lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(Fraction(c) * den) for c in p]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    candidates = {Fraction(sign * a, b) for a in _divisors_reference(ints[0])
+                  for b in _divisors_reference(ints[-1]) for sign in (1, -1)}
+    for r in candidates:
+        m, q = 0, p
+        while True:
+            quo, rem = poly_divmod(q, (-r, Fraction(1)))
+            if rem:
+                break
+            m, q = m + 1, quo
+        if m:
+            roots.append((r, m))
+    return sorted(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3)), max_size=3),
+    st.sampled_from([None, (1, 0, 1), (2, 0, 1), (1, 1, 1), (-3, 0, 2)]),
+)
+def test_rational_roots_match_the_divisor_reference(lead, roots, quadratic):
+    # root 0 comes from a zero numerator; the quadratics have no rational root
+    p = (Fraction(lead),)
+    for num, den, mult in roots:
+        for _ in range(mult):
+            p = poly_mul(p, (Fraction(-num, den), Fraction(1)))
+    if quadratic is not None:
+        p = poly_mul(p, tuple(Fraction(c) for c in quadratic))
+    assert rational_roots(p) == _rational_roots_reference(p)
+
+
+def test_rational_roots_with_a_44_digit_irrational_factor():
+    # the divisor search would factor these end coefficients; the lifting
+    # never does
+    n = 10000000000000000001179000000000000000001053
+    r1 = Fraction(1000000000000000000000007, 30000000000000000000000067)
+    r2 = Fraction(-700000000000000000000000039, 20000000000000000000000000131)
+    p = poly_mul((-r1, Fraction(1)), (-r2, Fraction(1)))
+    p = poly_mul(p, (Fraction(n), Fraction(0), Fraction(1)))
     assert rational_roots(p) == [(r2, 1), (r1, 1)]
 
 
@@ -240,11 +296,10 @@ def test_binary_gcd_pads_with_the_field_zero():
 
 
 def test_binary_gcd_many_and_eval():
-    p = binary_from_poly((Fraction(-1), Fraction(1)), 1)  # t - s... careful: coeffs ascend in t
-    # p = -s + t, vanishes at (1 : 1)
+    p = (Fraction(-1), Fraction(1))  # -s + t, vanishes at (1 : 1)
     assert binary_eval(p, Fraction(1), Fraction(1)) == 0
-    f = binary_mul_oracle(p, binary_from_poly((Fraction(2), Fraction(1)), 1))
-    g = binary_mul_oracle(p, binary_from_poly((Fraction(5), Fraction(3)), 1))
+    f = binary_mul_oracle(p, (Fraction(2), Fraction(1)))
+    g = binary_mul_oracle(p, (Fraction(5), Fraction(3)))
     h = binary_gcd_many([f, g])
     assert binary_degree(h) == 1
     assert binary_eval(h, Fraction(1), Fraction(1)) == 0

@@ -6,7 +6,7 @@ from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from zeroreg.exactalg import QQ, Matrix, prime_field
-from zeroreg.forms import evaluate_form
+from zeroreg.forms import evaluate_form, monomials_of_degree
 from zeroreg.normality import is_k_normal
 from zeroreg.scheme import FiniteScheme, ProjPoint, germ_on_line, reduced_germ
 from zeroreg.separation import (
@@ -14,7 +14,6 @@ from zeroreg.separation import (
     FormSpaceRecipe,
     SeparatorConfig,
     family_rank,
-    full_recipe,
     line_power_recipe,
     recipe_separates,
     recipe_space,
@@ -81,6 +80,14 @@ def test_line_powers_separate_aligned_points():
     assert not recipe_separates(x, line_power_recipe(4), 5)
 
 
+def _full_recipe(max_level):
+    """Every monomial space in T1, T2 up to max_level: at k = max_level the
+    spawned family is the complete degree-k monomial basis."""
+    spaces = {j: [t_monomial(2, mon) for mon in monomials_of_degree(2, j)]
+              for j in range(3, max_level + 1)}
+    return FormSpaceRecipe(2, spaces, standard=True)
+
+
 def test_full_recipe_matches_k_normality():
     rng = random.Random(9)
     for _ in range(25):
@@ -91,7 +98,7 @@ def test_full_recipe_matches_k_normality():
                 pts.add(ProjPoint(cand))
         x = FiniteScheme([reduced_germ(p) for p in pts])
         for k in (2, 3):
-            assert recipe_separates(x, full_recipe(2, k), k) == is_k_normal(x, k)
+            assert recipe_separates(x, _full_recipe(k), k) == is_k_normal(x, k)
 
 
 def test_family_rank_partial():
