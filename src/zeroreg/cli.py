@@ -2,8 +2,9 @@
 
 Exit codes follow one convention everywhere: 0 when the computation
 succeeds and any asserted property holds, 1 when a checked property is
-violated (the offending evidence is still printed as JSON), 2 for
-malformed input or usage errors (message on standard error).
+violated (the offending evidence is still printed as JSON), 2 when a
+`ValueError` reaches `main`: malformed or non-generic input, or a usage
+error (message on standard error, nothing on standard output).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .bounds import BoundQuery, known_regularity_bound, bel_bound, eisenbud_goto
 from .exactalg import QQ, prime_field, scalar_str
 from .harness import SUITE_NAMES, run_suite
 from .jsonio import (
-    DocumentFormatError,
     canonical_json,
     curve_loads,
     form_to_jsonable,
@@ -39,7 +39,7 @@ from .projection import (
     recipe_for_fiber,
     yk_counts,
 )
-from .scheme import EnumerationCapExceeded, invariant_t, max_collinear_length, span_dim
+from .scheme import invariant_t, max_collinear_length, span_dim
 from .separation import (
     DegenerateConfiguration,
     SeparatorConfig,
@@ -63,16 +63,12 @@ LEMMA26_MAX_N = 40
 MAX_DEGREE = 10000
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as err:
-        raise _UsageError("cannot read %s: %s" % (path, err)) from None
+        raise ValueError("cannot read %s: %s" % (path, err)) from None
 
 
 def _load_scheme(path: str):
@@ -93,9 +89,9 @@ def _point_out(point):
 
 def _cmd_hilbert(args) -> int:
     if args.max_degree < 0:
-        raise _UsageError("--max-degree must be nonnegative")
+        raise ValueError("--max-degree must be nonnegative")
     if args.max_degree > MAX_DEGREE:
-        raise _UsageError("--max-degree must be <= %d, got %d" % (MAX_DEGREE, args.max_degree))
+        raise ValueError("--max-degree must be <= %d, got %d" % (MAX_DEGREE, args.max_degree))
     x = _load_scheme(args.scheme)
     _emit({"phi": hilbert_function_values(x, args.max_degree)})
     return 0
@@ -103,7 +99,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_normality(args) -> int:
     if args.degree < 0:
-        raise _UsageError("--degree must be nonnegative")
+        raise ValueError("--degree must be nonnegative")
     x = _load_scheme(args.scheme)
     normal = is_k_normal(x, args.degree)
     _emit({"degree": x.degree, "k": args.degree, "normal": normal})
@@ -119,10 +115,7 @@ def _cmd_regularity(args) -> int:
 
 def _cmd_invariant_t(args) -> int:
     x = _load_scheme(args.scheme)
-    try:
-        t = invariant_t(x)
-    except EnumerationCapExceeded as err:
-        raise _UsageError(str(err)) from None
+    t = invariant_t(x)
     _emit({"degree": x.degree, "span": span_dim(x), "t": t,
            "max_collinear": max_collinear_length(x)})
     return 0
@@ -130,25 +123,19 @@ def _cmd_invariant_t(args) -> int:
 
 def _cmd_secant(args) -> int:
     x = _load_scheme(args.scheme)
-    try:
-        verdict = secant_normality_verdict(x)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    verdict = secant_normality_verdict(x)
     _emit(verdict.to_jsonable())
     return 0 if verdict.equivalence_holds else 1
 
 
 def _cmd_separate(args) -> int:
     if args.degree < 0:
-        raise _UsageError("--degree must be nonnegative")
+        raise ValueError("--degree must be nonnegative")
     if args.degree > MAX_DEGREE:
-        raise _UsageError("--degree must be <= %d, got %d" % (MAX_DEGREE, args.degree))
+        raise ValueError("--degree must be <= %d, got %d" % (MAX_DEGREE, args.degree))
     x = _load_scheme(args.scheme)
     recipe = recipe_loads(_read(args.recipe)) if args.recipe else standard_recipe()
-    try:
-        forms = recipe_space(recipe, args.degree, x.ambient)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    forms = recipe_space(recipe, args.degree, x.ambient)
     rank = family_rank(x, forms)
     separates = rank == x.degree
     _emit({"degree": x.degree, "k": args.degree, "family_rank": rank,
@@ -158,18 +145,15 @@ def _cmd_separate(args) -> int:
 
 def _cmd_lemma26(args) -> int:
     field = args.field
-    try:
-        config = SeparatorConfig(
-            [_parse_scalar_arg(u, field) for u in args.aligned.split(",")],
-            _parse_scalar_arg(args.a, field),
-            _parse_scalar_arg(args.b, field),
-            [_parse_point_arg(p, field) for p in args.off],
-            field,
-        )
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    config = SeparatorConfig(
+        [_parse_scalar_arg(u, field) for u in args.aligned.split(",")],
+        _parse_scalar_arg(args.a, field),
+        _parse_scalar_arg(args.b, field),
+        [_parse_point_arg(p, field) for p in args.off],
+        field,
+    )
     if config.n > LEMMA26_MAX_N:
-        raise _UsageError("lemma26 takes n <= %d, got n = %d" % (LEMMA26_MAX_N, config.n))
+        raise ValueError("lemma26 takes n <= %d, got n = %d" % (LEMMA26_MAX_N, config.n))
     try:
         forms = separator_forms(config)
     except DegenerateConfiguration as err:
@@ -184,10 +168,7 @@ def _cmd_lemma26(args) -> int:
 def _cmd_project(args) -> int:
     x = _load_scheme(args.scheme)
     center = subspace_loads(_read(args.center))
-    try:
-        fibers = project_scheme(x, center)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    fibers = project_scheme(x, center)
     out = []
     for image, selector in fibers:
         piece = x.truncated(selector)
@@ -200,10 +181,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_classify_fiber(args) -> int:
     x = _load_scheme(args.scheme)
-    try:
-        profile = classify_fiber(x, args.n)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    profile = classify_fiber(x, args.n)
     doc = profile.to_jsonable()
     pair = recipe_for_fiber(profile)
     if pair is None:
@@ -220,10 +198,7 @@ def _cmd_curve_fiber(args) -> int:
     curve = curve_loads(_read(args.curve))
     center = subspace_loads(_read(args.center))
     y = _parse_coords_arg(args.y, curve.field)
-    try:
-        fiber = curve_fiber(curve, center, y)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    fiber = curve_fiber(curve, center, y)
     _emit({
         "image": [scalar_str(c) for c in fiber.image],
         "total": fiber.total,
@@ -238,10 +213,7 @@ def _cmd_curve_fiber(args) -> int:
 def _cmd_curve_section(args) -> int:
     curve = curve_loads(_read(args.curve))
     sub = subspace_loads(_read(args.subspace))
-    try:
-        length = curve_linear_section_length(curve, sub)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    length = curve_linear_section_length(curve, sub)
     bound = curve.degree - (curve.ambient - 1 - sub.dim)
     nondeg = curve.is_nondegenerate()
     within = length <= bound
@@ -251,14 +223,11 @@ def _cmd_curve_section(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        q = BoundQuery(args.dim, args.degree, args.codim,
-                       smooth=not args.not_smooth,
-                       contained_in_quadric=args.on_quadric,
-                       integral=not args.not_integral)
-        best = known_regularity_bound(q, quadric_generators=args.quadric_generators)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    q = BoundQuery(args.dim, args.degree, args.codim,
+                   smooth=not args.not_smooth,
+                   contained_in_quadric=args.on_quadric,
+                   integral=not args.not_integral)
+    best = known_regularity_bound(q, quadric_generators=args.quadric_generators)
     _emit({
         "eisenbud_goto": eisenbud_goto_bound(args.degree, args.codim),
         "best_known": best.value,
@@ -268,11 +237,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = run_suite(args.suite, args.trials, args.seed,
-                           prime=args.field, jobs=args.jobs)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    report = run_suite(args.suite, args.trials, args.seed,
+                       prime=args.field, jobs=args.jobs)
     _emit(report.to_jsonable())
     return 0 if report.passed else 1
 
@@ -308,7 +274,7 @@ def _parse_scalar_arg(text, field):
     try:
         return parse_scalar(str(text).strip(), field)
     except (ValueError, ZeroDivisionError) as err:
-        raise _UsageError("bad scalar %r: %s" % (text, err)) from None
+        raise ValueError("bad scalar %r: %s" % (text, err)) from None
 
 
 def _parse_coords_arg(text, field):
@@ -322,7 +288,7 @@ def _parse_point_arg(text, field):
     try:
         return ProjPoint(coords, field)
     except ValueError as err:
-        raise _UsageError("bad point %r: %s" % (text, err)) from None
+        raise ValueError("bad point %r: %s" % (text, err)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,7 +401,7 @@ def main(argv=None) -> int:
         args.on_quadric = _QUADRIC[args.on_quadric]
     try:
         return args.fn(args)
-    except (_UsageError, DocumentFormatError) as err:
+    except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

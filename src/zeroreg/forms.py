@@ -327,17 +327,21 @@ def _integer_roots(g) -> list[int]:
     return roots
 
 
+def squarefree_rational_roots(f) -> list[Fraction]:
+    """The rational roots of a monic squarefree f over Q, such as a
+    factor of `squarefree_decomposition`, in no particular order."""
+    # f is monic, so clearing its denominators leaves it primitive
+    den = lcm(*(c.denominator for c in f))
+    ints = [c.numerator * (den // c.denominator) for c in f]
+    n, c = len(ints) - 1, ints[-1]
+    g = [a * c ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    return [Fraction(r, c) for r in _integer_roots(g)]
+
+
 def rational_roots(p) -> list[tuple[Fraction, int]]:
     """All rational roots of p (over Q) with multiplicities, sorted."""
-    roots = []
-    for f, mult in squarefree_decomposition(poly_normalize(p)):
-        # f is monic, so clearing its denominators leaves it primitive
-        den = lcm(*(c.denominator for c in f))
-        ints = [c.numerator * (den // c.denominator) for c in f]
-        n, c = len(ints) - 1, ints[-1]
-        g = [a * c ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
-        roots += [(Fraction(r, c), mult) for r in _integer_roots(g)]
-    return sorted(roots)
+    return sorted((r, mult) for f, mult in squarefree_decomposition(poly_normalize(p))
+                  for r in squarefree_rational_roots(f))
 
 
 # ---------------------------------------------------------------------------
@@ -379,25 +383,19 @@ def binary_linear_combination(forms, coeffs, field=QQ):
 
 
 def binary_gcd(f, g):
-    """gcd of two binary forms, returned as a binary form (monic-ish)."""
+    """gcd of two binary forms, returned as a binary form (monic-ish).
+
+    The monic gcd in t of the two polynomials f(1, t), g(1, t) already
+    carries the common power of t; the common power of s is the drop in
+    t-degree, padded back on as trailing zeros."""
     if binary_is_zero(f):
         return g
     if binary_is_zero(g):
         return f
-    # common powers of t (leading zero coefficients) and s (trailing zeros)
-    tf = next(i for i, c in enumerate(f) if c != 0)
-    tg = next(i for i, c in enumerate(g) if c != 0)
     sf = next(i for i, c in enumerate(reversed(f)) if c != 0)
     sg = next(i for i, c in enumerate(reversed(g)) if c != 0)
-    t_common, s_common = min(tf, tg), min(sf, sg)
-    pf = poly_normalize(f[tf:])
-    pg = poly_normalize(g[tg:])
-    core = poly_gcd(pf, pg)
-    deg = poly_degree(core) + t_common + s_common
-    out = [core[-1] * 0] * (deg + 1)
-    for i, c in enumerate(core):
-        out[t_common + i] = c
-    return tuple(out)
+    core = poly_gcd(poly_normalize(f), poly_normalize(g))
+    return core + (core[-1] * 0,) * min(sf, sg)
 
 
 def binary_gcd_many(forms):

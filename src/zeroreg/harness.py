@@ -23,13 +23,13 @@ from math import comb
 
 from .exactalg import Matrix, QQ, prime_field
 from .forms import (
+    binary_degree,
+    binary_gcd_many,
     binary_linear_combination,
     form_values,
     poly_add,
-    poly_degree,
     poly_derivative,
     poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_scale,
 )
@@ -105,8 +105,8 @@ class _Redraws:
 
 
 class GeneratorSpec:
-    """What to generate: ambient space, degree budget or explicit germ
-    lengths, planted features, coordinate box, field and seed.
+    """What to generate: ambient space, degree, planted features,
+    coordinate box, field and seed.
 
     `collinear` plants a maximal line-subscheme of exactly that degree;
     `secant` additionally routes a nonreduced germ along the planted
@@ -115,31 +115,20 @@ class GeneratorSpec:
     rejected here rather than failing mysteriously later.
     """
 
-    __slots__ = ("ambient", "degree", "lengths", "max_germ_length", "collinear",
+    __slots__ = ("ambient", "degree", "max_germ_length", "collinear",
                  "secant", "general_position", "box", "field", "seed")
 
-    def __init__(self, ambient: int, degree=None, lengths=None,
-                 max_germ_length: int = 1, collinear=None, secant: bool = False,
+    def __init__(self, ambient: int, degree: int, max_germ_length: int = 1,
+                 collinear=None, secant: bool = False,
                  general_position: bool = False, box=(-10, 10), field=QQ,
                  seed: int = 0):
         if ambient < 1:
             raise ValueError("ambient must be at least 1")
-        if (degree is None) == (lengths is None):
-            raise ValueError("give exactly one of degree or lengths")
-        if lengths is not None:
-            lengths = tuple(int(l) for l in lengths)
-            if not lengths or any(l < 1 for l in lengths):
-                raise ValueError("lengths must be positive")
-            degree = sum(lengths)
-            max_germ_length = max(max_germ_length, max(lengths))
         if degree < 1:
             raise ValueError("degree must be positive")
         if max_germ_length < 1:
             raise ValueError("max_germ_length must be at least 1")
         if collinear is not None:
-            if lengths is not None:
-                raise ValueError("explicit lengths and a planted collinear "
-                                 "subset cannot be combined")
             if not 2 <= collinear <= degree:
                 raise ValueError("collinear size must lie in [2, degree]")
             if general_position and collinear >= 3 and ambient >= 2:
@@ -156,7 +145,6 @@ class GeneratorSpec:
             raise ValueError("empty coordinate box")
         self.ambient = ambient
         self.degree = degree
-        self.lengths = lengths
         self.max_germ_length = max_germ_length
         self.collinear = collinear
         self.secant = bool(secant)
@@ -215,9 +203,9 @@ def _draw_germ(rng, point, length, box, field):
     return make_germ(point, chart, jets, field)
 
 
-def _random_invertible(rng, size, field, box=(-4, 4)):
+def _random_invertible(rng, size, field):
     for _ in range(80):
-        rows = [[field(rng.randint(box[0], box[1])) for _ in range(size)]
+        rows = [[field(rng.randint(-4, 4)) for _ in range(size)]
                 for _ in range(size)]
         m = Matrix(rows, field=field)
         if m.rank() == size:
@@ -271,9 +259,7 @@ def _build_scheme(spec: GeneratorSpec, rng) -> FiniteScheme:
             used.add(p)
             germs.append(_draw_germ(rng, p, length, spec.box, field))
     else:
-        lengths = (list(spec.lengths) if spec.lengths is not None
-                   else _random_partition(rng, spec.degree, spec.max_germ_length))
-        for length in lengths:
+        for length in _random_partition(rng, spec.degree, spec.max_germ_length):
             p = _draw_point(rng, spec.ambient, spec.box, field, avoid=used)
             used.add(p)
             germs.append(_draw_germ(rng, p, length, spec.box, field))
@@ -448,9 +434,10 @@ def _conic_scheme(rng, field, with_germ):
     raise _Retry
 
 
-def _spread_scheme(rng, field, box, lengths, want_phi2=None, max_col=3):
-    """Span-2 scheme with no long collinear subscheme; `want_phi2` pins
-    the quadric rank (6 keeps the scheme off every conic)."""
+def _spread_scheme(rng, field, box, lengths, want_phi2=None):
+    """Span-2 scheme with no collinear subscheme of length above 3;
+    `want_phi2` pins the quadric rank (6 keeps the scheme off every
+    conic)."""
     for _ in range(80):
         germs, used = [], set()
         try:
@@ -461,7 +448,7 @@ def _spread_scheme(rng, field, box, lengths, want_phi2=None, max_col=3):
             x = FiniteScheme(germs, field)
         except (_Retry, ValueError):
             continue
-        if span_dim(x) != 2 or max_collinear_length(x) > max_col:
+        if span_dim(x) != 2 or max_collinear_length(x) > 3:
             continue
         if want_phi2 is not None and hilbert_function(x, 2) != want_phi2:
             continue
@@ -572,14 +559,7 @@ def _center_meets_tangent_line(curve, center) -> bool:
             )
             if m:
                 minors.append(m)
-    if not minors:
-        return True
-    g = minors[0]
-    for m in minors[1:]:
-        g = poly_gcd(g, m)
-        if poly_degree(g) < 1:
-            break
-    return poly_degree(g) >= 1
+    return not minors or binary_degree(binary_gcd_many(minors)) >= 1
 
 
 # ---------------------------------------------------------------------------

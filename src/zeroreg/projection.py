@@ -29,12 +29,11 @@ from zeroreg.forms import (
     binary_is_zero,
     binary_linear_combination,
     poly_degree,
-    poly_divmod,
     poly_normalize,
     poly_taylor_shift,
-    rational_roots,
     series_div,
     squarefree_decomposition,
+    squarefree_rational_roots,
 )
 from zeroreg.normality import hilbert_function
 from zeroreg.scheme import (
@@ -48,23 +47,23 @@ from zeroreg.scheme import (
 from zeroreg.separation import line_power_recipe, standard_recipe, t_monomial
 
 
-class CenterMeetsScheme(Exception):
+class CenterMeetsScheme(ValueError):
     """A support point of the scheme lies in the projection center."""
 
 
-class CenterMeetsCurve(Exception):
+class CenterMeetsCurve(ValueError):
     """The projection center intersects the curve."""
 
 
-class CurveContainedInSubspace(Exception):
+class CurveContainedInSubspace(ValueError):
     """The curve lies inside the subspace being intersected."""
 
 
-class DuplicateFiberSupport(Exception):
+class DuplicateFiberSupport(ValueError):
     """Two fiber parameters map to the same curve point (a node)."""
 
 
-class NonCurvilinearFiber(Exception):
+class NonCurvilinearFiber(ValueError):
     """A multiple fiber point sits where the parameterization is not an
     immersion, so the fiber is not curvilinear."""
 
@@ -270,8 +269,8 @@ def classify_fiber(fiber: FiniteScheme, n: int) -> FiberProfile:
 def recipe_for_fiber(profile: FiberProfile):
     """The separating family prescribed for the fiber's case, as a
     (recipe, degree) pair, or None when no case family applies.  The
-    recipe binds U to the coordinate not vanishing on the fiber and
-    T1 to the line of any aligned subscheme."""
+    recipe's variables are not bound per fiber: `recipe_space` always
+    takes U = x_0 and T_i = x_i."""
     case = profile.case
     k = profile.predicted_normality
     if case in ("1.i", "2.i", "5.line"):
@@ -408,29 +407,26 @@ class CurveFiber:
 
 def _fiber_from_binary_form(curve: RationalCurve, image, form) -> CurveFiber:
     """Decompose the divisor of a nonzero binary form into germs on the
-    curve (rational roots) and clusters (irrational ones)."""
+    curve (rational roots) and clusters (irrational ones).
+
+    One squarefree decomposition serves both: a factor of multiplicity m
+    gives each of its rational roots multiplicity m, and its remaining
+    degree, if any, one (degree, m) cluster."""
     total = binary_degree(form)
     g = poly_normalize(form)
     inf_mult = total - poly_degree(g)
-    germs, parameters = [], []
-    if inf_mult:
-        parameters.append(((0, 1), inf_mult))
-    remaining = g
-    for r, m in rational_roots(g):
-        parameters.append(((1, r), m))
-        for _ in range(m):
-            remaining = poly_divmod(remaining, (-r, Fraction(1)))[0]
-    clusters = []
-    if poly_degree(remaining) >= 1:
-        clusters = [
-            (poly_degree(fac), mult)
-            for fac, mult in squarefree_decomposition(remaining)
-        ]
+    parameters = [((0, 1), inf_mult)] if inf_mult else []
+    finite, clusters = [], []
+    for fac, mult in squarefree_decomposition(g):
+        roots = squarefree_rational_roots(fac)
+        finite += [((1, r), mult) for r in roots]
+        if poly_degree(fac) > len(roots):
+            clusters.append((poly_degree(fac) - len(roots), mult))
+    parameters += sorted(finite)
     accounted = sum(m for _, m in parameters) + sum(d * m for d, m in clusters)
     if accounted != total:
         raise AssertionError("fiber decomposition lost multiplicity")
-    for (s0, t0), m in parameters:
-        germs.append(_germ_at_parameter(curve, s0, t0, m))
+    germs = [_germ_at_parameter(curve, s0, t0, m) for (s0, t0), m in parameters]
     supports = [g_.support for g_ in germs]
     if len(set(supports)) != len(supports):
         raise DuplicateFiberSupport(
@@ -448,6 +444,8 @@ def curve_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
             for f in center.cutting_forms)
     if binary_degree(binary_gcd(a, b)) != 0:
         raise CenterMeetsCurve("center intersects the curve")
+    if len(y) != 2:
+        raise ValueError("a point of the target line has two coordinates, got %d" % len(y))
     y0, y1 = (curve.field(c) for c in y)
     if y0 == 0 and y1 == 0:
         raise ValueError("(0 : 0) is not a point of the target line")

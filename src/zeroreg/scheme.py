@@ -48,7 +48,7 @@ from zeroreg.forms import series_div, series_mul, series_of_constant
 DEFAULT_ENUM_CAP = 12
 
 
-class EnumerationCapExceeded(Exception):
+class EnumerationCapExceeded(ValueError):
     """Raised when subscheme enumeration would be too large; raise the
     cap through the REGLAB_CAP environment variable if it is intended."""
 

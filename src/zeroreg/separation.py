@@ -101,28 +101,16 @@ def standard_recipe(t_count: int = 2, extra=None) -> FormSpaceRecipe:
     return FormSpaceRecipe(t_count, extra or {}, standard=True)
 
 
-def recipe_space(recipe: FormSpaceRecipe, k: int, ambient: int, u_index: int = 0, t_indices=None):
+def recipe_space(recipe: FormSpaceRecipe, k: int, ambient: int):
     """The degree-k forms U^(k-j) * v, as form dicts over the ambient
-    coordinates; levels above k are skipped."""
-    if t_indices is None:
-        t_indices = tuple(range(1, recipe.t_count + 1))
-    used = (u_index,) + tuple(t_indices)
-    if len(set(used)) != len(used) or any(not 0 <= i <= ambient for i in used):
-        raise ValueError("coordinate bindings must be distinct and in range")
-    out = []
-    for j in recipe.levels():
-        if j > k:
-            continue
-        for v in recipe.space(j):
-            form = {}
-            for mon, coeff in v.items():
-                exps = [0] * (ambient + 1)
-                exps[u_index] = k - j
-                for idx, e in zip(t_indices, mon):
-                    exps[idx] = e
-                form[tuple(exps)] = coeff
-            out.append(form)
-    return out
+    coordinates, with U = x_0 and T_i = x_i; levels above k are
+    skipped."""
+    if recipe.t_count > ambient:
+        raise ValueError("the recipe has %d tangent variables, but only x_1 .. x_%d "
+                         "follow U = x_0" % (recipe.t_count, ambient))
+    pad = (0,) * (ambient - recipe.t_count)
+    return [{(k - j,) + mon + pad: coeff for mon, coeff in v.items()}
+            for j in recipe.levels() if j <= k for v in recipe.space(j)]
 
 
 def family_rank(scheme: FiniteScheme, forms) -> int:
@@ -138,9 +126,8 @@ def family_rank(scheme: FiniteScheme, forms) -> int:
     return space.rank
 
 
-def recipe_separates(scheme: FiniteScheme, recipe: FormSpaceRecipe, k: int,
-                     u_index: int = 0, t_indices=None) -> bool:
-    forms = recipe_space(recipe, k, scheme.ambient, u_index, t_indices)
+def recipe_separates(scheme: FiniteScheme, recipe: FormSpaceRecipe, k: int) -> bool:
+    forms = recipe_space(recipe, k, scheme.ambient)
     return family_rank(scheme, forms) == scheme.degree
 
 
@@ -173,6 +160,8 @@ class SeparatorConfig:
         if len(set(us)) != len(us):
             raise ValueError("aligned points must be distinct")
         off = [p if isinstance(p, ProjPoint) else ProjPoint(p, field) for p in off_points]
+        if any(len(p.coords) != 3 for p in off):
+            raise ValueError("off-line points must be points of P^2 (three coordinates)")
         if len(off) == 2:
             case = 1
         elif len(off) == 3:

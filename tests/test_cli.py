@@ -451,6 +451,94 @@ def test_argparse_rejections(capsys):
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "formats"
 
+
+def _curve(path, forms):
+    path.write_text(canonical_json(curve_to_jsonable(RationalCurve(forms))))
+    return str(path)
+
+
+def _pencil_from_100(path):
+    return _subspace(path, 2, [(0, 1, 0), (0, 0, 1)])
+
+
+def _coordinate_points(path):
+    pts = [reduced_germ(ProjPoint(c)) for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    path.write_text(scheme_dumps(FiniteScheme(pts)))
+    return str(path)
+
+
+def _conic13(path):
+    path.write_text(scheme_dumps(FiniteScheme(
+        [reduced_germ(ProjPoint((1, i, i * i))) for i in range(13)])))
+    return str(path)
+
+
+def _three_variable_recipe(path):
+    path.write_text('{"levels":{},"standard":true,"t_count":3}')
+    return str(path)
+
+
+_LEMMA26_LINE = ["lemma26", "--aligned", "1,2,3,4", "--a", "1", "--b", "2"]
+
+# Non-generic or malformed input, each as (argv from a scratch directory,
+# a fragment of the message): every one must exit 2 with one "error:"
+# line on stderr and nothing on stdout
+INPUT_ERRORS = {
+    "center-meets-curve": (lambda d: [
+        "curve-fiber", "--curve", _twisted_cubic(d / "c.json"),
+        "--center", _subspace(d / "z.json", 3, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+        "--y", "1:1"], "center intersects the curve"),
+    # the nodal cubic (s(t^2 - s^2), t(t^2 - s^2), s^3): t = s and t = -s
+    # both map to (0:0:1)
+    "duplicate-fiber-support": (lambda d: [
+        "curve-fiber", "--curve", _curve(d / "c.json", [(-1, 0, 1, 0), (0, -1, 0, 1),
+                                                        (1, 0, 0, 0)]),
+        "--center", _pencil_from_100(d / "z.json"), "--y", "0:1"], "distinct parameters"),
+    # the cuspidal cubic (s t^2, t^3, s^3): the fiber t^3 sits at the cusp
+    "non-curvilinear-fiber": (lambda d: [
+        "curve-fiber", "--curve", _curve(d / "c.json", [(0, 0, 1, 0), (0, 0, 0, 1),
+                                                        (1, 0, 0, 0)]),
+        "--center", _pencil_from_100(d / "z.json"), "--y", "0:1"], "not an immersion"),
+    "center-meets-scheme": (lambda d: [
+        "project", "--scheme", _coordinate_points(d / "x.json"),
+        "--center", _pencil_from_100(d / "z.json")], "projection center"),
+    "curve-in-subspace": (lambda d: [
+        "curve-section", "--curve", str(GOLDEN_DIR / "curve.json"),
+        "--subspace", _subspace(d / "z.json", 3, [])], "vanishes on the curve"),
+    "lemma26-off-points-in-p1": (lambda d: _LEMMA26_LINE + [
+        "--off", "1:2", "--off", "3:4"], "three coordinates"),
+    "lemma26-off-points-in-p3": (lambda d: _LEMMA26_LINE + [
+        "--off", "1:2:3:4", "--off", "3:4:5:6"], "three coordinates"),
+    "curve-fiber-y-in-p2": (lambda d: [
+        "curve-fiber", "--curve", str(GOLDEN_DIR / "curve.json"),
+        "--center", str(GOLDEN_DIR / "subspace.json"), "--y", "1:2:3"],
+        "two coordinates, got 3"),
+    "invariant-t-over-the-cap": (lambda d: [
+        "invariant-t", "--scheme", _conic13(d / "x.json")], "enumeration cap 12"),
+    "separate-recipe-wider-than-the-space": (lambda d: [
+        "separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "2",
+        "--recipe", _three_variable_recipe(d / "r.json")], "3 tangent variables"),
+}
+
+
+@pytest.mark.parametrize("name, via_module",
+                         [(name, False) for name in sorted(INPUT_ERRORS)]
+                         + [("non-curvilinear-fiber", True)])
+def test_input_errors_exit_two(name, via_module, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REGLAB_CAP", raising=False)
+    build, fragment = INPUT_ERRORS[name]
+    argv = build(tmp_path)
+    if via_module:
+        proc = subprocess.run([sys.executable, "-m", "zeroreg"] + argv,
+                              capture_output=True, text=True)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err and "Traceback" not in err
+
+
 GOLDEN_COMMANDS = {
     "hilbert.json": ["hilbert", "--scheme", str(GOLDEN_DIR / "scheme.json"),
                      "--max-degree", "4"],

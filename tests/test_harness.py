@@ -64,13 +64,6 @@ def test_trial_seeds_distinct_along_a_run():
 # generator spec validation
 
 
-def test_spec_needs_degree_or_lengths():
-    with pytest.raises(ValueError):
-        GeneratorSpec(3)
-    with pytest.raises(ValueError):
-        GeneratorSpec(3, degree=5, lengths=(2, 3))
-
-
 def test_spec_rejects_inconsistent_features():
     with pytest.raises(ValueError):
         GeneratorSpec(3, degree=6, collinear=1)
@@ -83,7 +76,7 @@ def test_spec_rejects_inconsistent_features():
     with pytest.raises(ValueError):
         GeneratorSpec(3, degree=6, collinear=3, secant=True, max_germ_length=1)
     with pytest.raises(ValueError):
-        GeneratorSpec(3, degree=6, lengths=(3, 3), collinear=3)
+        GeneratorSpec(3, degree=0)
     with pytest.raises(ValueError):
         GeneratorSpec(3, degree=6, box=(4, 4))
 
@@ -91,13 +84,6 @@ def test_spec_rejects_inconsistent_features():
 def test_spec_rejects_general_position_above_enumeration_cap():
     with pytest.raises(ValueError):
         GeneratorSpec(3, degree=50, general_position=True)
-
-
-def test_spec_lengths_fix_the_degree():
-    spec = GeneratorSpec(4, lengths=(3, 1, 1), seed=5)
-    x = gen_scheme(spec)
-    assert x.degree == 5
-    assert sorted(g.length for g in x.germs) == [1, 1, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,13 @@ def test_recipe_validation():
 
 
 def test_recipe_coordinate_bindings():
-    r = standard_recipe()
-    with pytest.raises(ValueError, match="distinct"):
-        recipe_space(r, 2, ambient=2, u_index=1, t_indices=(1, 2))
-    forms = recipe_space(r, 2, ambient=3, u_index=3, t_indices=(0, 2))
-    assert {(0, 0, 0, 2): Fraction(1)} in [dict(f) for f in forms]
+    # U is x0 and T_i is x_i; the coordinates after x_m are left out
+    forms = [dict(f) for f in recipe_space(standard_recipe(), 2, ambient=3)]
+    assert {(2, 0, 0, 0): Fraction(1)} in forms
+    assert {(0, 1, 1, 0): Fraction(1)} in forms
+    assert all(mon[3] == 0 for f in forms for mon in f)
+    with pytest.raises(ValueError, match="3 tangent variables"):
+        recipe_space(standard_recipe(t_count=3), 2, ambient=2)
 
 
 def test_line_powers_separate_aligned_points():
