@@ -9,23 +9,25 @@ supported:
 * prime fields F_p for a caller-chosen odd prime (opt-in fast mode,
   useful for cross-checks with a large random prime).
 
+Each field tag owns the boundary between its scalars and plain ints, so
+no caller converts scalars by field: `cleared(row)` is (ints, den) with
+row = ints / den (residues and 1 over F_p), `ints(row)` the same span as
+ints (coprime integers over Q, residues over F_p), `scalar(num, den)`
+the element num / den, and `modulus` p, or None for Q.
+
 Each field has one elimination loop, `ColumnSpace.reduce`, in an
-incremental reducer on plain Python ints: vectors are fed one at a time
-(`ColumnSpace.add`) and reduced against the pivots kept so far, sorted
-by lead.  Over Q a vector is cleared to coprime integers and reduced by
-cross-multiplication, then divided by its content, so entries stay
-integral without Bareiss divisions; over F_p it is reduced on the
-residues mod p and scaled to lead with 1, inverting with
-``pow(x, -1, p)``.  `Matrix.rank` and `Matrix.kernel_basis` feed the
-rows into one such reducer.  Kernels are back-substituted on its
-pivots (`ColumnSpace.kernel`) and are int-valued inside: over Q integer
-numerators over one running common denominator, over F_p residues.
-One back-substitution per field; `Matrix.kernel_basis` builds a
-Fraction (or a field element) only for each returned entry, and a
-caller reading `ColumnSpace.kernel` builds scalars only for the vectors
-it keeps.  A kernel basis is the unique one with one vector per
-non-pivot column set to 1, so results are reproducible bit for bit and
-do not depend on the order the rows of the span were fed in.
+incremental reducer on plain ints: vectors are fed one at a time
+(`ColumnSpace.add`), taken through `field.ints` and reduced against the
+pivots kept so far, sorted by lead.  Over Q by cross-multiplication,
+then division by the content, so entries stay integral without Bareiss
+divisions; over F_p on residues, each pivot scaled to lead with 1.
+`Matrix.rank` and `Matrix.kernel_basis` feed the rows into one reducer.
+One back-substitution, `_kernel`, reads a kernel off its pivots
+(`ColumnSpace.kernel`) as integer numerators over one common
+denominator, residues over 1 for F_p; scalars are built only for the
+entries a caller keeps.  A kernel basis is the unique one with one
+vector per non-pivot column set to 1, so results are reproducible bit
+for bit and do not depend on the order the rows were fed in.
 
 Scalars never cross fields silently: comparing an F_p element with a
 Fraction or with an element of another prime field raises TypeError.
@@ -39,15 +41,42 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def _clear_row(row):
+    """Scale a row of Fractions or ints to coprime integers
+    (rank/kernel preserving)."""
+    try:
+        # plain ints, the hot case: math.gcd rejects a Fraction
+        g = gcd(*row)
+        ints = list(row)
+    except TypeError:
+        mult = lcm(*(f.denominator for f in row))
+        if mult == 1:
+            ints = [f.numerator for f in row]
+        else:
+            ints = [f.numerator * (mult // f.denominator) for f in row]
+        g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
 class RationalField:
     """Marker/constructor object for the field of rational numbers."""
 
     characteristic = 0
+    modulus = None
+    ints = staticmethod(_clear_row)
+    scalar = Fraction
 
     def __call__(self, value=0):
         if isinstance(value, Fraction):
             return value
         return Fraction(value)
+
+    @staticmethod
+    def cleared(row):
+        den = lcm(*(x.denominator for x in row))
+        return [x.numerator * (den // x.denominator) for x in row], den
 
     def __repr__(self):
         return "QQ"
@@ -124,6 +153,19 @@ def prime_field(p: int):
             else:
                 self.value = int(value) % p
 
+        @staticmethod
+        def ints(row):
+            return [x % p if type(x) is int else x.value if type(x) is FpElement
+                    else FpElement(x).value for x in row]
+
+        @staticmethod
+        def cleared(row):
+            return FpElement.ints(row), 1
+
+        @staticmethod
+        def scalar(num, den=1):
+            return FpElement(num if den == 1 else _ratio_mod(num, den, p))
+
         def __add__(self, other):
             return FpElement(self.value + FpElement(other).value)
 
@@ -190,8 +232,6 @@ def field_of(x):
 
 def parse_scalar(text, field=QQ):
     """Parse a canonical scalar string ("5", "-3/4") into the given field."""
-    if field is QQ:
-        return Fraction(text)
     return field(text)
 
 
@@ -200,33 +240,16 @@ def scalar_str(x) -> str:
     return str(x)
 
 
-def _clear_row(row):
-    """Scale a row of Fractions or ints to coprime integers
-    (rank/kernel preserving)."""
-    try:
-        # plain ints, the hot case: math.gcd rejects a Fraction
-        g = gcd(*row)
-        ints = list(row)
-    except TypeError:
-        mult = lcm(*(f.denominator for f in row))
-        if mult == 1:
-            ints = [f.numerator for f in row]
-        else:
-            ints = [f.numerator * (mult // f.denominator) for f in row]
-        g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _integer_kernel(pivots, width):
-    """Kernel basis of echelon integer rows, given as (lead, row) pairs
+def _kernel(pivots, width, p):
+    """Kernel basis of echelon int rows, given as (lead, row) pairs
     sorted by lead, one vector per free column with that column set to
     1, yielded lazily as (numerators, denominator) pairs of plain ints.
 
-    Back-substitution runs in integers: the vector is kept as integer
-    numerators over one running common denominator, and each pivot step
-    rescales the numerators set so far instead of dividing.
+    Over Q (p None) the vector is kept as integer numerators over one
+    running common denominator, and each pivot step rescales the
+    numerators set so far instead of dividing.  Over F_p the pivots
+    lead with 1, so the scale is 1, each step is a residue and the
+    denominator stays 1.
     """
     pivot_set = {c for c, _ in pivots}
     for f in range(width):
@@ -241,35 +264,16 @@ def _integer_kernel(pivots, width):
                     s += row[j] * x[j]
             if not s:
                 continue
-            p = row[c]
-            g = gcd(s, p)
-            scale = p // g
+            lead = row[c]
+            g = gcd(s, lead)
+            scale = lead // g
             if scale != 1:
                 for j in range(c + 1, width):
                     if x[j]:
                         x[j] *= scale
                 den *= scale
-            x[c] = -(s // g)
+            x[c] = -(s // g) if p is None else -s % p
         yield x, den
-
-
-def _field_kernel(pivots, width, p):
-    """Kernel basis of echelon residue rows mod p that lead with 1, given
-    as (lead, row) pairs sorted by lead, one vector per free column with
-    that column set to 1, yielded lazily as lists of residues."""
-    pivot_set = {c for c, _ in pivots}
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        x = [0] * width
-        x[f] = 1
-        for c, row in reversed(pivots):
-            s = 0
-            for j in range(c + 1, width):
-                if x[j]:
-                    s += row[j] * x[j]
-            x[c] = -s % p
-        yield x
 
 
 class Matrix:
@@ -316,10 +320,9 @@ class Matrix:
         sorted by lead and zero before it, so they are an echelon form;
         the basis does not depend on which echelon form it is read from.
         """
-        kernel = self._row_space().kernel(self.ncols)
-        if self.field is QQ:
-            return [tuple(Fraction(v, den) for v in x) for x, den in kernel]
-        return [tuple(self.field(v) for v in x) for x, _ in kernel]
+        scalar = self.field.scalar
+        return [tuple(scalar(v, den) for v in x)
+                for x, den in self._row_space().kernel(self.ncols)]
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
@@ -360,9 +363,9 @@ class ColumnSpace:
     def reduce(self, vec):
         """vec reduced against the current pivots, as plain ints: all zero
         exactly when vec lies in the span.  The reducer is unchanged."""
-        field = self.field
-        if field is QQ:
-            v = _clear_row(vec)
+        v = self.field.ints(vec)
+        p = self.field.modulus
+        if p is None:
             for idx, piv in self.pivots:
                 head = v[idx]
                 if head == 0:
@@ -373,9 +376,6 @@ class ColumnSpace:
                 if g > 1:
                     v = [a // g for a in v]
         else:
-            p = field.modulus
-            v = [x % p if type(x) is int else x.value if type(x) is field
-                 else field(x).value for x in vec]
             for idx, piv in self.pivots:
                 head = v[idx]
                 if head:
@@ -388,8 +388,8 @@ class ColumnSpace:
         lead = next((i for i, a in enumerate(v) if a != 0), None)
         if lead is None:
             return False
-        if self.field is not QQ:
-            p = self.field.modulus
+        p = self.field.modulus
+        if p is not None:
             inv = pow(v[lead], -1, p)
             v = [a * inv % p for a in v]
         insort(self.pivots, (lead, v))
@@ -401,6 +401,4 @@ class ColumnSpace:
         denominator) pairs over Q, (residues, 1) pairs over F_p.  A
         caller that needs only some of the vectors builds no scalars for
         the others."""
-        if self.field is QQ:
-            return _integer_kernel(self.pivots, width)
-        return ((x, 1) for x in _field_kernel(self.pivots, width, self.field.modulus))
+        return _kernel(self.pivots, width, self.field.modulus)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import lcm
 
 from zeroreg.exactalg import QQ, is_probable_prime
 
@@ -53,43 +52,28 @@ def form_values(forms, points, field=QQ):
     """Values of each form at each point: row i holds forms[i] at every
     point, as elements of `field`.  Forms need not be homogeneous.
 
-    Over Q each form's coefficients are cleared to integers once (E_f
-    their common denominator) and each point once (D its common
+    Each form's coefficients are cleared to ints once (`field.cleared`,
+    E_f their common denominator) and each point once (D its common
     denominator, n = D * point), with one power table per point.  With
     K_f the largest total degree of f, f(point) is
     sum_m (E_f a_m) n^m D^(K_f - |m|) / (E_f D^K_f), summed in Python
-    ints and reduced to a Fraction once.  Over F_p the same sums run on
-    residues, each scalar mapped into the field first.
+    ints and made a scalar once (`field.scalar`).  Over F_p, E_f = D = 1
+    and the power tables hold residues.
     """
-    top = max((sum(mon) for f in forms for mon in f), default=0)
-    if field is not QQ:
-        p = field.modulus
-        cleared = [[(field(c).value, [(i, e) for i, e in enumerate(mon) if e])
-                    for mon, c in f.items()] for f in forms]
-        rows = [[] for _ in forms]
-        for point in points:
-            tables = _power_tables([field(x).value for x in point], top, p)
-            for row, terms in zip(rows, cleared):
-                total = 0
-                for v, exps in terms:
-                    for i, e in exps:
-                        v = v * tables[i][e] % p
-                    total += v
-                row.append(field(total))
-        return rows
+    p = field.modulus
     cleared = []
     for f in forms:
-        den = lcm(*(c.denominator for c in f.values()))
+        nums, den = field.cleared(list(f.values()))
         deg = max((sum(mon) for mon in f), default=0)
-        terms = [(c.numerator * (den // c.denominator), deg - sum(mon),
-                  [(i, e) for i, e in enumerate(mon) if e]) for mon, c in f.items()]
+        terms = [(v, deg - sum(mon), [(i, e) for i, e in enumerate(mon) if e])
+                 for v, mon in zip(nums, f)]
         cleared.append((den, deg, terms))
+    top = max((deg for _, deg, _ in cleared), default=0)
     rows = [[] for _ in forms]
-    zero = Fraction(0)
+    zero = field(0)
     for point in points:
-        point_den = lcm(*(x.denominator for x in point))
-        nums = [x.numerator * (point_den // x.denominator) for x in point]
-        *tables, den_powers = _power_tables(nums + [point_den], top)
+        nums, point_den = field.cleared(point)
+        *tables, den_powers = _power_tables(nums + [point_den], top, p)
         for row, (den, deg, terms) in zip(rows, cleared):
             total = 0
             for v, gap, exps in terms:
@@ -98,7 +82,7 @@ def form_values(forms, points, field=QQ):
                 for i, e in exps:
                     v *= tables[i][e]
                 total += v
-            row.append(Fraction(total, den * den_powers[deg]) if total else zero)
+            row.append(field.scalar(total, den * den_powers[deg]) if total else zero)
     return rows
 
 
@@ -331,8 +315,7 @@ def squarefree_rational_roots(f) -> list[Fraction]:
     """The rational roots of a monic squarefree f over Q, such as a
     factor of `squarefree_decomposition`, in no particular order."""
     # f is monic, so clearing its denominators leaves it primitive
-    den = lcm(*(c.denominator for c in f))
-    ints = [c.numerator * (den // c.denominator) for c in f]
+    ints, _ = QQ.cleared(f)
     n, c = len(ints) - 1, ints[-1]
     g = [a * c ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
     return [Fraction(r, c) for r in _integer_roots(g)]

@@ -42,6 +42,7 @@ from .normality import (
 )
 from .projection import (
     CenterMeetsCurve,
+    CenterMeetsScheme,
     DuplicateFiberSupport,
     NonCurvilinearFiber,
     RationalCurve,
@@ -50,6 +51,7 @@ from .projection import (
     curve_linear_section_length,
     mather_inequality,
     plane_fiber,
+    project_point,
     recipe_for_fiber,
 )
 from .scheme import (
@@ -269,37 +271,41 @@ def _build_scheme(spec: GeneratorSpec, rng) -> FiniteScheme:
         raise _Retry from None
 
 
-def _features_ok(spec: GeneratorSpec, x: FiniteScheme) -> bool:
+def _missed_feature(spec: GeneratorSpec, x: FiniteScheme):
+    """The name of the first planted feature that x misses, or None."""
     if spec.collinear is not None:
         if max_collinear_length(x) != spec.collinear:
-            return False
+            return "collinear length"
         if spec.secant and all(g.length == 1 for g in x.germs):
-            return False
+            return "secant"
     if spec.general_position:
         if invariant_t(x) != min(x.ambient, x.degree - 1):
-            return False
-    return True
+            return "general position"
+    return None
 
 
 def gen_scheme(spec: GeneratorSpec, log: _Redraws = None) -> FiniteScheme:
     """Draw a scheme with the requested features; degenerate attempts
     are redrawn (counted in `log`) and exhaustion raises instead of
-    looping."""
+    looping, naming how many draws missed each feature."""
     rng = random.Random(spec.seed)
+    misses = {}
     for _ in range(200):
         try:
             x = _build_scheme(spec, rng)
         except _Retry:
-            if log:
-                log.bump()
-            continue
-        if _features_ok(spec, x):
-            return x
+            miss = "degenerate draw"
+        else:
+            miss = _missed_feature(spec, x)
+            if miss is None:
+                return x
+        misses[miss] = misses.get(miss, 0) + 1
         if log:
             log.bump()
     raise GenerationExhausted("could not realize the planted features "
-                              "(ambient %d, degree %d, collinear %r)"
-                              % (spec.ambient, spec.degree, spec.collinear))
+                              "(ambient %d, degree %d, collinear %r); misses: %s"
+                              % (spec.ambient, spec.degree, spec.collinear,
+                                 ", ".join("%s %d" % m for m in misses.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -527,17 +533,6 @@ def _draw_curve(rng, log):
             continue
         return curve
     raise GenerationExhausted("no base-point-free nondegenerate curve found")
-
-
-def _curve_image_point(curve, center, s, t):
-    p = curve.point(s, t)
-    coords = tuple(
-        sum((c * x for c, x in zip(f, p.coords)), curve.field(0))
-        for f in center.cutting_forms
-    )
-    if all(c == 0 for c in coords):
-        raise _Retry
-    return coords
 
 
 def _center_meets_tangent_line(curve, center) -> bool:
@@ -814,9 +809,9 @@ def _mather_on_curve(rng, curve, log):
             log.bump()
             continue
         try:
-            y_star = _curve_image_point(curve, center, 1, t1)
+            y_star = project_point(curve.point(1, t1), center).coords
             planted = plane_fiber(curve, center, y_star)
-        except (_Retry, CenterMeetsCurve, DuplicateFiberSupport,
+        except (CenterMeetsScheme, CenterMeetsCurve, DuplicateFiberSupport,
                 NonCurvilinearFiber):
             log.bump()
             continue
@@ -827,9 +822,9 @@ def _mather_on_curve(rng, curve, log):
         try:
             others = []
             for tau in rng.sample(range(-9, 10), 3):
-                y = _curve_image_point(curve, center, 1, tau)
+                y = project_point(curve.point(1, tau), center).coords
                 others.append(plane_fiber(curve, center, y))
-        except (_Retry, CenterMeetsCurve, DuplicateFiberSupport,
+        except (CenterMeetsScheme, CenterMeetsCurve, DuplicateFiberSupport,
                 NonCurvilinearFiber):
             log.bump()
             continue

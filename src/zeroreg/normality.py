@@ -21,9 +21,8 @@ nonzero multiple of the identity, so V_(k+1) = K^d again.  phi(d - 1)
 from __future__ import annotations
 
 from itertools import count
-from math import lcm
 
-from zeroreg.exactalg import QQ, ColumnSpace
+from zeroreg.exactalg import ColumnSpace
 from zeroreg.scheme import FiniteScheme, invariant_t, max_collinear_length, span_dim
 
 
@@ -31,24 +30,21 @@ def _operators(scheme: FiniteScheme):
     """ops[i]: the operator M_i as flat rows.  Row r lists the (column,
     coefficient) pairs with a nonzero coefficient; each germ's block is
     lower-triangular Toeplitz in the series of x_i on that germ, whose
-    coefficients are ints: residues over F_p, over Q times one common
-    denominator of all series of all germs (one scalar keeps every
-    phi(k); scales that differ between the series of a germ, such as
-    each jet cleared by its own denominator, do not)."""
-    series = [[g.hom_series(i) for g in scheme.germs] for i in range(scheme.ambient + 1)]
-    if scheme.field is QQ:
-        den = lcm(*(c.denominator for row in series for s in row for c in s))
-        series = [[[c.numerator * (den // c.denominator) for c in s] for s in row]
-                  for row in series]
-    else:
-        series = [[[c.value for c in s] for s in row] for row in series]
-    ops = []
-    for row in series:
-        op, start = [], 0
-        for s in row:
-            for r in range(len(s)):
+    coefficients are ints from one `field.cleared` of all series of all
+    germs: residues over F_p, over Q times one common denominator (one
+    scalar keeps every phi(k); scales that differ between the series of
+    a germ, such as each jet cleared by its own denominator, do not)."""
+    germs = scheme.germs
+    coeffs, _ = scheme.field.cleared(
+        [c for i in range(scheme.ambient + 1) for g in germs for c in g.hom_series(i)])
+    ops, pos = [], 0
+    for _ in range(scheme.ambient + 1):
+        op = []
+        for g in germs:
+            s, start = coeffs[pos:pos + g.length], len(op)
+            for r in range(g.length):
                 op.append([(start + j, s[r - j]) for j in range(r + 1) if s[r - j]])
-            start += len(s)
+            pos += g.length
         ops.append(op)
     return ops
 

@@ -462,6 +462,8 @@ def plane_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
                 for f in center.cutting_forms]
     if binary_degree(binary_gcd_many(composed)) != 0:
         raise CenterMeetsCurve("center intersects the curve")
+    if len(y) != 3:
+        raise ValueError("a point of the target plane has three coordinates, got %d" % len(y))
     ys = [curve.field(c) for c in y]
     if all(v == 0 for v in ys):
         raise ValueError("(0 : 0 : 0) is not a point of the target plane")

@@ -42,7 +42,7 @@ import itertools
 import os
 from math import gcd
 
-from zeroreg.exactalg import ColumnSpace, Matrix, QQ, _clear_row
+from zeroreg.exactalg import ColumnSpace, Matrix, QQ
 from zeroreg.forms import series_div, series_mul, series_of_constant
 
 DEFAULT_ENUM_CAP = 12
@@ -149,15 +149,11 @@ class CurvilinearGerm:
         return [[c[k] for c in cols] for k in range(self.length)]
 
     def int_rows(self):
-        """`linear_rows` as plain ints, computed once: over Q each row
-        cleared to coprime integers (a row scale changes no span and no
-        membership), over F_p the residues."""
+        """`linear_rows` as plain ints (`field.ints`), computed once: over
+        Q each row cleared to coprime integers (a row scale changes no
+        span and no membership), over F_p the residues."""
         if self._int_rows is None:
-            rows = self.linear_rows()
-            if self.field is QQ:
-                self._int_rows = [_clear_row(r) for r in rows]
-            else:
-                self._int_rows = [[c.value for c in r] for r in rows]
+            self._int_rows = [self.field.ints(r) for r in self.linear_rows()]
         return self._int_rows
 
     def evaluate_form(self, form):

@@ -28,9 +28,7 @@ not depend on the order in which the rows were eliminated.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from zeroreg.exactalg import ColumnSpace, QQ, _clear_row
+from zeroreg.exactalg import ColumnSpace, QQ
 from zeroreg.forms import _power_tables, monomials_of_degree
 from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint
 
@@ -199,16 +197,13 @@ class SeparatorConfig:
 
 def _monomial_values(coords, mons, degree, field):
     """Values of the monomials at the point as plain ints, from one power
-    table per coordinate: residues over F_p.  Over Q the point is first
-    scaled to its primitive integer representative: that multiplies
-    every value of the row by the same positive constant, which changes
-    no kernel and no zero pattern of the separator systems."""
-    if field is QQ:
-        coords, p = _clear_row(coords), None
-    else:
-        p = field.modulus
-        coords = [field(x).value for x in coords]
-    powers = _power_tables(coords, degree, p)
+    table per coordinate of `field.ints(coords)`: residues over F_p.
+    Over Q that is the point's primitive integer representative: it
+    multiplies every value of the row by the same positive constant,
+    which changes no kernel and no zero pattern of the separator
+    systems."""
+    p = field.modulus
+    powers = _power_tables(field.ints(coords), degree, p)
     out = []
     for m in mons:
         v = powers[0][m[0]]
@@ -256,24 +251,22 @@ def separator_forms(config: SeparatorConfig):
     tested as int dot products; scalars are built for the chosen vector
     only."""
     field = config.field
+    p = field.modulus
     mons = separator_monomial_basis(config.n)
-    values = [_monomial_values(p.coords, mons, config.n, field) for p in config.points]
+    values = [_monomial_values(pt.coords, mons, config.n, field) for pt in config.points]
     out = []
     spaces = _leave_one_out(ColumnSpace(field), values, 0, len(values))
     for j, space in enumerate(spaces):
         own = values[j]
         for x, den in space.kernel(len(mons)):
             val = sum(a * b for a, b in zip(own, x))
-            if field is not QQ:
-                val %= field.modulus
+            if p is not None:
+                val %= p
             if val:
                 break
         else:
             raise DegenerateConfiguration(
                 "no separator for point %d inside the monomial family" % j
             )
-        if field is QQ:
-            out.append({m: Fraction(v, den) for m, v in zip(mons, x) if v})
-        else:
-            out.append({m: field(v) for m, v in zip(mons, x) if v})
+        out.append({m: field.scalar(v, den) for m, v in zip(mons, x) if v})
     return out

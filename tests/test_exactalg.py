@@ -378,3 +378,50 @@ def test_prime_field_rank_and_kernel_match_sympy(p, rows):
         inv = pow(next(x for c, x in enumerate(v) if x and c not in pivots), -1, p)
         want.append([x * inv % p for x in v])
     assert [[x.value for x in v] for v in m.kernel_basis()] == want
+
+
+_BOUNDARY_SCALARS = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_BOUNDARY_SCALARS, max_size=6))
+def test_rational_boundary_is_exact_and_primitive(row):
+    ints, den = QQ.cleared(row)
+    assert all(type(v) is int for v in ints) and type(den) is int and den >= 1
+    assert [Fraction(v, den) for v in ints] == row
+    scaled = QQ.ints(row)
+    assert all(type(v) is int for v in scaled) and len(scaled) == len(row)
+    if not any(row):
+        assert not any(scaled)
+        return
+    assert gcd(*scaled) == 1
+    lead = next(i for i, x in enumerate(row) if x)
+    ratio = Fraction(scaled[lead]) / row[lead]
+    assert ratio > 0 and all(s == ratio * x for s, x in zip(scaled, row))
+    assert QQ.scalar(ints[lead], den) == row[lead] and QQ.scalar(5) == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([7, 2**31 - 1]),
+    st.lists(st.tuples(_BOUNDARY_SCALARS, st.booleans()), max_size=6),
+    st.integers(-10**20, 10**20),
+    st.integers(-10**20, 10**20),
+)
+def test_prime_field_boundary_is_the_residues(p, tagged, num, den):
+    # a Fraction's denominator is at most 6, so it has an image mod 7
+    F = prime_field(p)
+    row = [F(x) if as_element else x for x, as_element in tagged]
+    want = [F(x).value for x in row]
+    assert F.ints(row) == want
+    assert F.cleared(row) == (want, 1)
+    assert F.modulus == p and QQ.modulus is None
+    if den % p:
+        assert F.scalar(num, den) == F(num) / F(den)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.scalar(num, den)
+    assert F.scalar(num) == F(num)

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -26,7 +26,6 @@ from zeroreg.scheme import (
     invariant_t,
     max_collinear_length,
     reduced_germ,
-    span_dim,
 )
 from zeroreg.separation import recipe_separates, standard_recipe, t_monomial
 
@@ -127,9 +126,18 @@ def test_gen_scheme_over_a_prime_field():
 def test_gen_scheme_reports_exhaustion():
     # a projective line over F_3 has four points; five distinct collinear
     # supports can never be realized
-    with pytest.raises(GenerationExhausted):
+    with pytest.raises(GenerationExhausted, match="misses: degenerate draw 200$"):
         gen_scheme(GeneratorSpec(2, degree=5, collinear=5,
                                  field=prime_field(3), seed=1))
+
+
+def test_exhaustion_names_the_missed_feature():
+    # over F_7 the independence level of a degree-8 scheme in P^4 never
+    # reaches 4, so every one of the 200 draws misses general position
+    (failure,) = run_suite("cor1_3b", 1, 12345, prime=7).failures
+    assert failure["message"] == (
+        "generator exhausted: could not realize the planted features (ambient 4, "
+        "degree 8, collinear None); misses: general position 200")
 
 
 @given(st.integers(0, 2**32))

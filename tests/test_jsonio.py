@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from zeroreg.exactalg import QQ, prime_field
+from zeroreg.exactalg import prime_field
 from zeroreg.jsonio import (
     DocumentFormatError,
     canonical_json,

@@ -508,6 +508,15 @@ def test_plane_fiber_off_the_curve_is_empty():
     assert fib.germs == ()
 
 
+@pytest.mark.parametrize("y", [(1, 1), (1, 1, 0, 5)])
+def test_plane_fiber_needs_three_target_coordinates(y):
+    # (1, 1) used to raise IndexError, and (1, 1, 0, 5) dropped its last
+    # coordinate and gave the fiber over (1 : 1 : 0)
+    center = LinearSubspace(3, [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)])
+    with pytest.raises(ValueError, match="three coordinates, got %d" % len(y)):
+        plane_fiber(TWISTED_CUBIC, center, y)
+
+
 def test_plane_fiber_center_on_curve_is_rejected():
     center = LinearSubspace(3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
     with pytest.raises(CenterMeetsCurve):

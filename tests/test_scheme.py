@@ -12,7 +12,6 @@ from zeroreg.forms import monomials_of_degree, series_mul, series_of_constant
 from zeroreg.harness import GenerationExhausted, GeneratorSpec, gen_scheme
 from zeroreg.scheme import (
     DEFAULT_ENUM_CAP,
-    CurvilinearGerm,
     EnumerationCapExceeded,
     FiniteScheme,
     LinearSubspace,
