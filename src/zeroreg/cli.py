@@ -5,6 +5,10 @@ succeeds and any asserted property holds, 1 when a checked property is
 violated (the offending evidence is still printed as JSON), 2 when a
 `ValueError` reaches `main`: malformed or non-generic input, or a usage
 error (message on standard error, nothing on standard output).
+
+Each call is a fresh process, so a command imports only what it needs:
+`verify` alone loads the harness, inside its handler, and the harness
+loads its process pool only for `--jobs` above 1.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import sys
 
 from .bounds import BoundQuery, known_regularity_bound, bel_bound, eisenbud_goto_bound
 from .exactalg import QQ, prime_field, scalar_str
-from .harness import SUITE_NAMES, run_suite
 from .jsonio import (
     canonical_json,
     curve_loads,
@@ -39,7 +42,7 @@ from .projection import (
     recipe_for_fiber,
     yk_counts,
 )
-from .scheme import invariant_t, max_collinear_length, span_dim
+from .scheme import ProjPoint, invariant_t, max_collinear_length, span_dim
 from .separation import (
     DegenerateConfiguration,
     SeparatorConfig,
@@ -61,6 +64,14 @@ LEMMA26_MAX_N = 40
 # (k = 10,000 takes about 0.5 s in a fresh process on a 2-core Xeon VM),
 # and `hilbert` prints k + 1 entries.
 MAX_DEGREE = 10000
+
+# The `verify --suite` choices.  `harness.SUITE_NAMES` is the authority
+# and a test keeps the two equal; spelling them out here spares every
+# other command the import of the harness.
+SUITE_NAMES = (
+    "cor1_3a", "cor1_3b", "fiber_cases", "flatness", "hilbert_shape",
+    "invariance", "lemma2_6", "lemma3_1", "mather_consistency", "prop1_2",
+)
 
 
 def _read(path: str) -> str:
@@ -222,10 +233,13 @@ def _cmd_curve_section(args) -> int:
     return 0 if within or not nondeg else 1
 
 
+_QUADRIC = {"yes": True, "no": False, "unknown": None}
+
+
 def _cmd_bounds(args) -> int:
     q = BoundQuery(args.dim, args.degree, args.codim,
                    smooth=not args.not_smooth,
-                   contained_in_quadric=args.on_quadric,
+                   contained_in_quadric=_QUADRIC[args.on_quadric],
                    integral=not args.not_integral)
     best = known_regularity_bound(q, quadric_generators=args.quadric_generators)
     _emit({
@@ -237,6 +251,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import run_suite
+
     report = run_suite(args.suite, args.trials, args.seed,
                        prime=args.field, jobs=args.jobs)
     _emit(report.to_jsonable())
@@ -269,10 +285,8 @@ def _parse_prime_arg(text: str) -> int:
 
 
 def _parse_scalar_arg(text, field):
-    from .exactalg import parse_scalar
-
     try:
-        return parse_scalar(str(text).strip(), field)
+        return field(str(text).strip())
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError("bad scalar %r: %s" % (text, err)) from None
 
@@ -282,8 +296,6 @@ def _parse_coords_arg(text, field):
 
 
 def _parse_point_arg(text, field):
-    from .scheme import ProjPoint
-
     coords = _parse_coords_arg(text, field)
     try:
         return ProjPoint(coords, field)
@@ -391,14 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_QUADRIC = {"yes": True, "no": False, "unknown": None}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "on_quadric", None) is not None:
-        args.on_quadric = _QUADRIC[args.on_quadric]
     try:
         return args.fn(args)
     except ValueError as err:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 from .exactalg import Matrix, QQ, prime_field
@@ -988,6 +987,8 @@ def run_suite(name: str, trials: int, seed: int, prime=None,
     started = time.monotonic()
     args = [(name, int(seed), i, prime) for i in range(trials)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, trials // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_trial, args, chunksize=chunk))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from zeroreg.exactalg import ColumnSpace, QQ
 from zeroreg.forms import _power_tables, monomials_of_degree
-from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint
+from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint, reduced_germ
 
 
 class DegenerateConfiguration(Exception):
@@ -190,8 +190,6 @@ class SeparatorConfig:
         return LinearSubspace(2, [(self.field(0), self.b, -self.a)], self.field)
 
     def scheme(self) -> FiniteScheme:
-        from zeroreg.scheme import reduced_germ
-
         return FiniteScheme([reduced_germ(p, self.field) for p in self.points], self.field)
 
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from zeroreg import cli, normality
+from zeroreg import cli, harness, normality
 from zeroreg.cli import main
 from zeroreg.jsonio import (
     canonical_json,
@@ -96,12 +96,12 @@ def test_bounds_golden(capsys):
 
 
 def test_bounds_quadric_branch(capsys):
-    code, out, _ = run_cli(
-        ["bounds", "--dim", "6", "--degree", "9", "--codim", "3", "--on-quadric", "no"],
-        capsys,
-    )
-    assert code == 0
-    assert json.loads(out)["best_known"] == 9
+    # "unknown" takes the larger of the on- and off-quadric bounds
+    for on_quadric, best in (("yes", 17), ("no", 9), ("unknown", 17)):
+        code, out, _ = run_cli(["bounds", "--dim", "6", "--degree", "9", "--codim", "3",
+                                "--on-quadric", on_quadric], capsys)
+        assert code == 0
+        assert out == '{"bel":22,"best_known":%d,"eisenbud_goto":7}\n' % best
 
 
 def test_normality_exit_codes(tmp_path, capsys):
@@ -569,6 +569,38 @@ def test_golden_inputs_parse():
     assert sub.dim == 1
     recipe = recipe_loads((GOLDEN_DIR / "recipe.json").read_text())
     assert recipe.levels() == [0, 1, 2, 3, 4]
+
+
+def test_cli_suite_choices_are_the_harness_suites():
+    assert cli.SUITE_NAMES == harness.SUITE_NAMES == tuple(sorted(harness._TRIALS))
+
+
+# stdout digests recorded while `cli` still imported the harness at
+# module level; argparse wraps help text to COLUMNS
+HELP_PINNED = [
+    (["--help"], "b781fa7797dbc697c638da47c805a9e4af7e6840e68a0d33de1a580d046219d3"),
+    (["verify", "--help"], "6daa396bfc1ba4e4662d902bd3627148c34e30e53ba59ba782d9fefc79073dfb"),
+]
+
+
+@pytest.mark.parametrize("argv, want_digest", HELP_PINNED, ids=["main", "verify"])
+def test_help_stdout_pinned(argv, want_digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("zeroreg.cli", ("zeroreg.harness", "concurrent.futures", "multiprocessing")),
+    ("zeroreg.harness", ("concurrent.futures", "multiprocessing")),
+], ids=["cli", "harness"])
+def test_a_fresh_import_leaves_out_what_only_verify_needs(module, absent):
+    probe = "import sys, %s; print([m for m in %r if m in sys.modules])" % (module, absent)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_module_invocation_subprocess(tmp_path):
