@@ -13,7 +13,11 @@ Each field tag owns the boundary between its scalars and plain ints, so
 no caller converts scalars by field: `cleared(row)` is (ints, den) with
 row = ints / den (residues and 1 over F_p), `ints(row)` the same span as
 ints (coprime integers over Q, residues over F_p), `scalar(num, den)`
-the element num / den, and `modulus` p, or None for Q.
+the element num / den, `normal_form(vec, lead)` the one int vector of
+vec's projective class (primitive with entry `lead` positive over Q,
+residues with entry `lead` 1 over F_p; `lead` defaults to the first
+nonzero entry, and a zero entry there gives None), and `modulus` p, or
+None for Q.
 
 Each field has one elimination loop, `ColumnSpace.reduce`, in an
 incremental reducer on plain ints: vectors are fed one at a time
@@ -77,6 +81,14 @@ class RationalField:
     def cleared(row):
         den = lcm(*(x.denominator for x in row))
         return [x.numerator * (den // x.denominator) for x in row], den
+
+    @staticmethod
+    def normal_form(vec, lead=None):
+        x = next((v for v in vec if v), 0) if lead is None else vec[lead]
+        if not x:
+            return None
+        g = gcd(*vec)
+        return tuple(v // g for v in vec) if x > 0 else tuple(-v // g for v in vec)
 
     def __repr__(self):
         return "QQ"
@@ -165,6 +177,14 @@ def prime_field(p: int):
         @staticmethod
         def scalar(num, den=1):
             return FpElement(num if den == 1 else _ratio_mod(num, den, p))
+
+        @staticmethod
+        def normal_form(vec, lead=None):
+            x = next((r for r in (v % p for v in vec) if r), 0) if lead is None else vec[lead] % p
+            if not x:
+                return None
+            inv = pow(x, -1, p)
+            return tuple(v * inv % p for v in vec)
 
         def __add__(self, other):
             return FpElement(self.value + FpElement(other).value)

@@ -113,31 +113,6 @@ def series_mul(a, b, length=None):
     return tuple(out)
 
 
-def series_inverse(a, length=None):
-    """Multiplicative inverse mod t^length; a[0] must be a unit."""
-    if length is None:
-        length = len(a)
-    if a[0] == 0:
-        raise ZeroDivisionError("series with zero constant term is not invertible")
-    if isinstance(a[0], (int, Fraction)):
-        inv0 = Fraction(1) / a[0]
-    else:
-        inv0 = a[0] ** 0 / a[0]
-    out = [inv0]
-    for n in range(1, length):
-        s = a[0] * 0
-        for i in range(1, min(n, len(a) - 1) + 1):
-            s = s + a[i] * out[n - i]
-        out.append(-inv0 * s)
-    return tuple(out)
-
-
-def series_div(a, b, length=None):
-    if length is None:
-        length = min(len(a), len(b))
-    return series_mul(a, series_inverse(b, length), length)
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials
 

@@ -54,6 +54,7 @@ from .projection import (
     recipe_for_fiber,
 )
 from .scheme import (
+    CurvilinearGerm,
     FiniteScheme,
     LinearSubspace,
     ProjPoint,
@@ -61,7 +62,6 @@ from .scheme import (
     enumeration_cap,
     germ_on_line,
     invariant_t,
-    make_germ,
     max_collinear_length,
     reduced_germ,
     span_dim,
@@ -174,34 +174,38 @@ def _draw_point(rng, ambient, box, field, avoid=()):
 
 
 def _draw_direction(rng, point, box, field):
-    """A direction independent of the support, so the arc is immersed."""
-    n1 = len(point.coords)
+    """A direction, as ints, independent of the support, so the arc is
+    immersed."""
     for _ in range(80):
-        v = tuple(field(c) for c in _draw_coords(rng, n1, box))
-        rows = Matrix([list(point.coords), list(v)], field=field)
-        if rows.rank() == 2:
+        v = _draw_coords(rng, len(point.vec), box)
+        if Matrix([list(point.vec), list(v)], field=field).rank() == 2:
             return v
     raise _Retry
 
 
 def _draw_germ(rng, point, length, box, field):
-    """A curvilinear germ at `point` with random jet coefficients."""
+    """A curvilinear germ at `point` with random jet coefficients, drawn
+    as ints: with lead the chart coordinate of the point's int vector,
+    the jet (vec_i / lead, v_i, ..) is the series (vec_i, lead * v_i, ..)
+    over the chart series (lead, 0, ..)."""
     if length == 1:
         return reduced_germ(point, field)
-    chart = next(i for i, c in enumerate(point.coords) if c != 0)
+    chart = next(i for i, c in enumerate(point.vec) if c)
     for _ in range(80):
-        v = tuple(field(c) for c in _draw_coords(rng, len(point.coords), box))
-        if any(v[i] != 0 for i in range(len(v)) if i != chart):
+        v = _draw_coords(rng, len(point.vec), box)
+        if any(c for i, c in enumerate(field.ints(v)) if i != chart):
             break
     else:
         raise _Retry
-    jets = []
-    for i in range(len(point.coords)):
+    lead = point.vec[chart]
+    series = []
+    for i, c in enumerate(point.vec):
         if i == chart:
+            series.append((lead,) + (0,) * (length - 1))
             continue
-        tail = tuple(field(rng.randint(box[0], box[1])) for _ in range(length - 2))
-        jets.append((point.coords[i], v[i]) + tail)
-    return make_germ(point, chart, jets, field)
+        tail = tuple(lead * rng.randint(box[0], box[1]) for _ in range(length - 2))
+        series.append((c, lead * v[i]) + tail)
+    return CurvilinearGerm(point, chart, series, field)
 
 
 def _random_invertible(rng, size, field):
@@ -232,7 +236,7 @@ def _build_scheme(spec: GeneratorSpec, rng) -> FiniteScheme:
     if spec.collinear is not None:
         base = _draw_point(rng, spec.ambient, spec.box, field)
         direction = _draw_direction(rng, base, spec.box, field)
-        line = subspace_from_rows([base.coords, direction], spec.ambient, field)
+        line = subspace_from_rows([base.vec, direction], spec.ambient, field)
         on_line = _random_partition(rng, spec.collinear, spec.max_germ_length)
         if spec.secant and max(on_line) < 2:
             on_line[0] = 2
@@ -242,11 +246,13 @@ def _build_scheme(spec: GeneratorSpec, rng) -> FiniteScheme:
         if len(choices) < len(on_line):
             raise _Retry
         params = rng.sample(choices, len(on_line))
+        # base.coords + t * direction, scaled by the lead of base.vec
+        lead = next(c for c in base.vec if c)
         for length, t in zip(on_line, params):
-            coords = tuple(b + field(t) * v for b, v in zip(base.coords, direction))
-            if all(c == 0 for c in coords):
-                raise _Retry
-            p = ProjPoint(coords, field)
+            try:
+                p = ProjPoint([b + t * lead * v for b, v in zip(base.vec, direction)], field)
+            except ValueError:
+                raise _Retry from None
             if p in used:
                 raise _Retry
             used.add(p)
@@ -339,7 +345,7 @@ def _off_point(rng, box, field, avoid, on_lines=()):
             p = ProjPoint(_draw_coords(rng, 3, box), field)
         except ValueError:
             continue
-        if p.coords[0] == 0 or p in avoid:
+        if not p.vec[0] or p in avoid:
             continue
         if any(line.contains_point(p) for line in on_lines):
             continue

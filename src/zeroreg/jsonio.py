@@ -23,7 +23,7 @@ import json
 
 from .exactalg import QQ, parse_scalar, prime_field, scalar_str
 from .projection import RationalCurve
-from .scheme import CurvilinearGerm, FiniteScheme, LinearSubspace, ProjPoint
+from .scheme import CurvilinearGerm, FiniteScheme, LinearSubspace, ProjPoint, make_germ, reduced_germ
 
 
 class DocumentFormatError(ValueError):
@@ -96,15 +96,13 @@ def germ_from_jsonable(doc, field) -> CurvilinearGerm:
     except ValueError as err:
         raise DocumentFormatError(str(err)) from None
     chart = doc.get("chart")
-    if chart is None:
-        chart = next(i for i, c in enumerate(point.coords) if c != 0)
-    elif not isinstance(chart, int) or not 0 <= chart <= point.ambient:
+    if chart is not None and (isinstance(chart, bool) or not isinstance(chart, int)
+                              or not 0 <= chart <= point.ambient):
         raise DocumentFormatError("chart must be a coordinate index")
     raw_jet = doc.get("jet")
-    if raw_jet is None:
-        jets = [None if i == chart else (point.coords[i] / point.coords[chart],)
-                for i in range(point.ambient + 1)]
-    else:
+    if raw_jet is not None:
+        if chart is None:
+            chart = next(i for i, c in enumerate(point.vec) if c)
         if len(raw_jet) != point.ambient + 1:
             raise DocumentFormatError("jet must list one series per coordinate")
         jets = []
@@ -112,13 +110,14 @@ def germ_from_jsonable(doc, field) -> CurvilinearGerm:
             if i == chart:
                 if series is not None:
                     raise DocumentFormatError("the chart slot of a jet must be null")
-                jets.append(None)
             elif not isinstance(series, list) or not series:
                 raise DocumentFormatError("jet series must be nonempty lists")
             else:
                 jets.append(tuple(_scalar_in(c, field) for c in series))
     try:
-        return CurvilinearGerm(point, chart, jets, field)
+        if raw_jet is None:
+            return reduced_germ(point, field, chart)
+        return make_germ(point, chart, jets, field)
     except ValueError as err:
         raise DocumentFormatError(str(err)) from None
 

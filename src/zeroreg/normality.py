@@ -29,22 +29,18 @@ from zeroreg.scheme import FiniteScheme, invariant_t, max_collinear_length, span
 def _operators(scheme: FiniteScheme):
     """ops[i]: the operator M_i as flat rows.  Row r lists the (column,
     coefficient) pairs with a nonzero coefficient; each germ's block is
-    lower-triangular Toeplitz in the series of x_i on that germ, whose
-    coefficients are ints from one `field.cleared` of all series of all
-    germs: residues over F_p, over Q times one common denominator (one
-    scalar keeps every phi(k); scales that differ between the series of
-    a germ, such as each jet cleared by its own denominator, do not)."""
-    germs = scheme.germs
-    coeffs, _ = scheme.field.cleared(
-        [c for i in range(scheme.ambient + 1) for g in germs for c in g.hom_series(i)])
-    ops, pos = [], 0
-    for _ in range(scheme.ambient + 1):
+    lower-triangular Toeplitz in the germ's int series of x_i: residues
+    over F_p, over Q the series times the germ's denominator.  One scale
+    per germ keeps every phi(k), since it scales each M_i's block alike
+    and so commutes with them; scales that differ between the series of
+    a germ, such as each jet cleared by its own denominator, do not."""
+    ops = []
+    for i in range(scheme.ambient + 1):
         op = []
-        for g in germs:
-            s, start = coeffs[pos:pos + g.length], len(op)
+        for g in scheme.germs:
+            s, start = g.series[i], len(op)
             for r in range(g.length):
                 op.append([(start + j, s[r - j]) for j in range(r + 1) if s[r - j]])
-            pos += g.length
         ops.append(op)
     return ops
 

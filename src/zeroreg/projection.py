@@ -31,7 +31,6 @@ from zeroreg.forms import (
     poly_degree,
     poly_normalize,
     poly_taylor_shift,
-    series_div,
     squarefree_decomposition,
     squarefree_rational_roots,
 )
@@ -41,6 +40,7 @@ from zeroreg.scheme import (
     FiniteScheme,
     LinearSubspace,
     ProjPoint,
+    germ_from_series,
     max_collinear_length,
     span_dim,
 )
@@ -364,20 +364,16 @@ class RationalCurve:
 
 
 def _germ_at_parameter(curve: RationalCurve, s0, t0, length: int) -> CurvilinearGerm:
+    """The length-L germ of the curve at (s0 : t0).  The arc is immersed
+    there exactly when rows 0 and 1 of the homogeneous jet are
+    independent; that is checked first, so a cusp is reported as
+    NonCurvilinearFiber."""
     jet = curve.jet(s0, t0, length)
-    chart = next((i for i, s in enumerate(jet) if s[0] != 0), None)
-    if chart is None:
-        raise ValueError("parameterization vanishes at the parameter")
-    unit = jet[chart]
-    jets = [
-        None if i == chart else series_div(s, unit, length) for i, s in enumerate(jet)
-    ]
-    if length >= 2 and all(j[1] == 0 for j in jets if j is not None):
+    if length >= 2 and Matrix([[s[k] for s in jet] for k in (0, 1)], field=curve.field).rank() < 2:
         raise NonCurvilinearFiber(
             "parameterization is not an immersion at a multiple fiber point"
         )
-    support = ProjPoint([s[0] for s in jet], curve.field)
-    return CurvilinearGerm(support, chart, jets, curve.field)
+    return germ_from_series(jet, curve.field)
 
 
 class CurveFiber:

@@ -8,6 +8,13 @@ simultaneously (the arc is immersed).  A finite scheme is a disjoint
 union of germs at pairwise distinct points; its degree is the sum of
 the germ lengths.
 
+Points and germs hold plain ints; `Fraction` and `FpElement` appear only
+at the boundary.  A `ProjPoint` is its field's normal form of an int
+vector (`field.normal_form`), and a germ is N + 1 homogeneous int
+series over one denominator, the chart's series being (den, 0, ..).
+Their scalar views (`coords`, `jets`, `linear_rows`) are built on first
+use, for output and for the scalar-level callers.
+
 Each germ of length L carries L linear functionals on forms: the
 coefficients of t^0 .. t^{L-1} of the form composed with the arc.  All
 rank computations on schemes reduce to exact linear algebra on these
@@ -22,8 +29,8 @@ its germs' blocks), the contact with a subspace (the leading rows that
 all cutting forms kill) and the collinearity search (a germ's tangent
 line is spanned by its first two rows).
 
-The searches run on `CurvilinearGerm.int_rows`, the block computed once
-as plain ints (coprime integer rows over Q, residues over F_p), fed to
+The searches run on `CurvilinearGerm.int_rows`, the block read once off
+the series (coprime integer rows over Q, residues over F_p), fed to
 the `ColumnSpace` reducer of `exactalg`.  `invariant_t` is a depth-first
 search, germ by germ and one row at a time: a branch extends a copy of
 its parent's reducer, so subschemes sharing a prefix share its
@@ -40,10 +47,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from math import gcd
 
 from zeroreg.exactalg import ColumnSpace, Matrix, QQ
-from zeroreg.forms import series_div, series_mul, series_of_constant
+from zeroreg.forms import series_mul, series_of_constant
 
 DEFAULT_ENUM_CAP = 12
 
@@ -59,75 +65,88 @@ def enumeration_cap() -> int:
 
 
 class ProjPoint:
-    """A point of projective N-space, stored in the normalized form whose
-    first nonzero coordinate is 1 (so equality and hashing are exact)."""
+    """A point of projective N-space, kept as its field's normal form of
+    an int vector (`vec`): over Q the primitive vector with a positive
+    lead, over F_p the residues leading with 1, so equality and hashing
+    are exact.  `coords`, the lead-1 scalars, is built on first use."""
 
-    __slots__ = ("coords", "field")
+    __slots__ = ("vec", "field", "_coords")
 
     def __init__(self, coords, field=QQ):
-        coords = tuple(field(c) for c in coords)
-        lead = next((c for c in coords if c != 0), None)
-        if lead is None:
+        self.vec = field.normal_form(field.ints(coords))
+        if self.vec is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        self.coords = tuple(c / lead for c in coords)
         self.field = field
+        self._coords = None
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            lead = next(v for v in self.vec if v)
+            self._coords = tuple(self.field.scalar(v, lead) for v in self.vec)
+        return self._coords
 
     @property
     def ambient(self) -> int:
-        return len(self.coords) - 1
+        return len(self.vec) - 1
 
     def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.coords == other.coords
+        if not isinstance(other, ProjPoint):
+            return False
+        if other.field is not self.field:
+            raise TypeError("cannot compare points over %r and %r" % (self.field, other.field))
+        return self.vec == other.vec
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self.vec)
 
     def __repr__(self):
         return "ProjPoint(%s)" % (":".join(str(c) for c in self.coords))
 
 
 class CurvilinearGerm:
-    """A length-L truncated arc.  `jets[i]` is the length-L coefficient
-    tuple of coordinate i in the chart `chart` (and `jets[chart]` is
-    None: that coordinate is identically 1)."""
+    """A length-L truncated arc, kept as N + 1 homogeneous int series
+    (`series`) over one denominator: the chart series is (den, 0, ..),
+    and coordinate i is series[i] / den in the chart.  Over Q the block
+    is primitive with den > 0, over F_p residues with den = 1.  The
+    scalar views `jets` (None in the chart slot) and `hom_series` are
+    built on first use.
 
-    __slots__ = ("support", "chart", "length", "jets", "field", "_int_rows")
+    The series are validated on ints: the support's chart coordinate is
+    nonzero, the constant terms are the support, and for L >= 2 the
+    linear terms do not all vanish (the arc is immersed).  `chart` and
+    the chart series being constant are the caller's to get right."""
 
-    def __init__(self, support: ProjPoint, chart: int, jets, field=QQ):
-        if not support.coords[chart]:
+    __slots__ = ("support", "chart", "length", "series", "field", "_jets", "_int_rows")
+
+    def __init__(self, support: ProjPoint, chart: int, series, field=QQ):
+        if not support.vec[chart]:
             raise ValueError("chart coordinate vanishes at the support point")
-        lengths = {len(j) for j in jets if j is not None}
-        if len(lengths) != 1:
-            raise ValueError("all jet series must have one common length")
-        (length,) = lengths
-        if length < 1:
-            raise ValueError("germ length must be >= 1")
-        norm = []
-        for i, j in enumerate(jets):
-            if i == chart:
-                if j is not None:
-                    raise ValueError("chart coordinate must not carry a jet")
-                norm.append(None)
-            else:
-                norm.append(tuple(field(c) for c in j))
-        if len(norm) != len(support.coords):
-            raise ValueError("jet count does not match the ambient dimension")
-        scale = support.coords[chart]
-        for i, j in enumerate(norm):
-            if j is not None and j[0] != support.coords[i] / scale:
-                raise ValueError("jet constant term disagrees with the support point")
-        if length >= 2 and all(j[1] == 0 for j in norm if j is not None):
+        length = len(series[chart])
+        flat = field.normal_form([c for s in series for c in s], chart * length)
+        if flat is None or field.normal_form(flat[::length]) != support.vec:
+            raise ValueError("jet constant term disagrees with the support point")
+        series = tuple(flat[k:k + length] for k in range(0, len(flat), length))
+        if length >= 2 and not any(s[1] for s in series):
             raise ValueError("degenerate arc: all linear jet coefficients vanish")
         self.support = support
         self.chart = chart
         self.length = length
-        self.jets = tuple(norm)
+        self.series = series
         self.field = field
-        self._int_rows = None
+        self._jets = self._int_rows = None
 
     @property
     def ambient(self) -> int:
-        return len(self.jets) - 1
+        return len(self.series) - 1
+
+    @property
+    def jets(self):
+        if self._jets is None:
+            scalar, den = self.field.scalar, self.series[self.chart][0]
+            self._jets = tuple(None if i == self.chart else tuple(scalar(v, den) for v in s)
+                               for i, s in enumerate(self.series))
+        return self._jets
 
     def hom_series(self, i: int):
         if i == self.chart:
@@ -139,8 +158,8 @@ class CurvilinearGerm:
             raise ValueError("truncation length out of range")
         if new_length == self.length:
             return self
-        jets = tuple(None if j is None else j[:new_length] for j in self.jets)
-        return CurvilinearGerm(self.support, self.chart, jets, self.field)
+        return CurvilinearGerm(self.support, self.chart,
+                               [s[:new_length] for s in self.series], self.field)
 
     def linear_rows(self):
         """The germ's functionals on linear forms: row k holds the t^k
@@ -149,11 +168,13 @@ class CurvilinearGerm:
         return [[c[k] for c in cols] for k in range(self.length)]
 
     def int_rows(self):
-        """`linear_rows` as plain ints (`field.ints`), computed once: over
-        Q each row cleared to coprime integers (a row scale changes no
-        span and no membership), over F_p the residues."""
+        """`linear_rows` as plain ints, read off the series once and taken
+        through `field.ints`: over Q each row cleared to coprime integers
+        (a row scale changes no span and no membership), over F_p the
+        residues."""
         if self._int_rows is None:
-            self._int_rows = [self.field.ints(r) for r in self.linear_rows()]
+            self._int_rows = [self.field.ints([s[k] for s in self.series])
+                              for k in range(self.length)]
         return self._int_rows
 
     def evaluate_form(self, form):
@@ -174,11 +195,13 @@ class CurvilinearGerm:
         return "CurvilinearGerm(len=%d at %r)" % (self.length, self.support)
 
 
-def reduced_germ(coords, field=QQ) -> CurvilinearGerm:
+def reduced_germ(coords, field=QQ, chart=None) -> CurvilinearGerm:
+    """The length-1 germ at a point, in the chart of its first nonzero
+    coordinate unless `chart` names another."""
     p = coords if isinstance(coords, ProjPoint) else ProjPoint(coords, field)
-    chart = next(i for i, c in enumerate(p.coords) if c != 0)
-    jets = [None if i == chart else (c,) for i, c in enumerate(p.coords)]
-    return CurvilinearGerm(p, chart, jets, field)
+    if chart is None:
+        chart = next(i for i, c in enumerate(p.vec) if c)
+    return CurvilinearGerm(p, chart, [(c,) for c in p.vec], field)
 
 
 def make_germ(coords, chart, non_chart_jets, field=QQ) -> CurvilinearGerm:
@@ -187,35 +210,52 @@ def make_germ(coords, chart, non_chart_jets, field=QQ) -> CurvilinearGerm:
     p = coords if isinstance(coords, ProjPoint) else ProjPoint(coords, field)
     if len(non_chart_jets) != p.ambient:
         raise ValueError("expected one jet per non-chart coordinate")
-    jets = []
-    it = iter(non_chart_jets)
-    for i in range(p.ambient + 1):
-        jets.append(None if i == chart else tuple(next(it)))
-    return CurvilinearGerm(p, chart, jets, field)
+    lengths = {len(j) for j in non_chart_jets}
+    if len(lengths) != 1:
+        raise ValueError("all jet series must have one common length")
+    (length,) = lengths
+    if length < 1:
+        raise ValueError("germ length must be >= 1")
+    ints, den = field.cleared([field(c) for j in non_chart_jets for c in j])
+    series = [ints[k:k + length] for k in range(0, len(ints), length)]
+    series.insert(chart, (den,) + (0,) * (length - 1))
+    return CurvilinearGerm(p, chart, series, field)
 
 
-def _germ_from_series(series, field) -> CurvilinearGerm:
-    """The germ of homogeneous coordinate series of one length: the chart
-    is the first coordinate with a nonzero constant term, every other
-    series is divided by the chart's, and the constant terms are the
-    support."""
-    chart = next((i for i, s in enumerate(series) if s[0] != 0), None)
+def germ_from_series(series, field) -> CurvilinearGerm:
+    """The germ of homogeneous coordinate series of one length L, scalars
+    or ints: the chart is the first coordinate with a nonzero constant
+    term, and the constant terms are the support.  The series are taken
+    to ints (`field.ints`) and multiplied by V = u0^L / u mod t^L, u the
+    chart's series, so the chart's becomes (u0^L, 0, ..); V is integral,
+    V_k = A_k u0^(L-1-k) with A_0 = 1 and
+    A_k = -sum_(j=1..k) u_j A_(k-j) u0^(j-1)."""
+    length = len(series[0])
+    flat = field.ints([c for s in series for c in s])
+    series = [flat[k:k + length] for k in range(0, len(flat), length)]
+    chart = next((i for i, s in enumerate(series) if s[0]), None)
     if chart is None:
         raise ValueError("the coordinate series all vanish at the support")
-    unit = series[chart]
-    jets = [None if i == chart else series_div(s, unit, len(unit))
-            for i, s in enumerate(series)]
+    u = series[chart]
+    inv = [1]
+    for k in range(1, length):
+        inv.append(-sum(u[j] * inv[k - j] * u[0] ** (j - 1) for j in range(1, k + 1)))
+    inv = [a * u[0] ** (length - 1 - k) for k, a in enumerate(inv)]
     support = ProjPoint([s[0] for s in series], field)
-    return CurvilinearGerm(support, chart, jets, field)
+    return CurvilinearGerm(support, chart, [series_mul(s, inv) for s in series], field)
 
 
 def germ_on_line(point, direction, length, field=QQ) -> CurvilinearGerm:
     """The length-L germ t -> point + t * direction, so its full contact
-    with the line spanned by the two vectors is at least L."""
+    with the line spanned by the two vectors is at least L.  On ints:
+    with point = vec / lead and direction = d / den, the series
+    vec * den + t * lead * d is the arc scaled by lead * den."""
     p = point if isinstance(point, ProjPoint) else ProjPoint(point, field)
-    pad = (field(0),) * max(0, length - 2)
-    series = [((c, field(v)) + pad)[:length] for c, v in zip(p.coords, direction)]
-    return _germ_from_series(series, field)
+    d, den = field.cleared(direction)
+    lead = next(c for c in p.vec if c)
+    pad = (0,) * max(0, length - 2)
+    series = [((c * den, lead * v) + pad)[:length] for c, v in zip(p.vec, d)]
+    return germ_from_series(series, field)
 
 
 class FiniteScheme:
@@ -271,7 +311,7 @@ def span_dim(scheme: FiniteScheme) -> int:
 class LinearSubspace:
     """A linear subspace of P^N cut out by independent linear forms."""
 
-    __slots__ = ("ambient", "cutting_forms", "field")
+    __slots__ = ("ambient", "cutting_forms", "field", "_int_forms")
 
     def __init__(self, ambient: int, cutting_forms, field=QQ):
         forms = tuple(tuple(field(c) for c in f) for f in cutting_forms)
@@ -283,17 +323,18 @@ class LinearSubspace:
         self.ambient = ambient
         self.cutting_forms = forms
         self.field = field
+        self._int_forms = [field.ints(f) for f in forms]
 
     @property
     def dim(self) -> int:
         return self.ambient - len(self.cutting_forms)
 
     def contains_point(self, point) -> bool:
-        coords = point.coords if isinstance(point, ProjPoint) else point
-        return all(
-            sum((c * x for c, x in zip(f, coords)), self.field(0)) == 0
-            for f in self.cutting_forms
-        )
+        """Whether every cutting form vanishes at the point, tested on the
+        point's int vector against the forms as ints."""
+        vec = point.vec if isinstance(point, ProjPoint) else self.field.ints(point)
+        return not any(self.field.ints([sum(c * x for c, x in zip(f, vec))
+                                        for f in self._int_forms]))
 
     def __repr__(self):
         return "LinearSubspace(dim=%d in P^%d)" % (self.dim, self.ambient)
@@ -320,19 +361,11 @@ def contact_length(scheme, subspace: LinearSubspace) -> int:
 
 
 def _line_key(a, b, field):
-    """The Pluecker vector of the line spanned by the int rows a and b,
-    made unique: over Q primitive with a positive lead, over F_p scaled
-    to lead with 1.  Two pairs span one line exactly when keys agree."""
-    key = [a[i] * b[j] - a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2)]
-    if field is QQ:
-        g = gcd(*key)
-        if next(v for v in key if v) < 0:
-            g = -g
-        return tuple(v // g for v in key)
-    p = field.modulus
-    key = [v % p for v in key]
-    inv = pow(next(v for v in key if v), -1, p)
-    return tuple(v * inv % p for v in key)
+    """The Pluecker vector of the line spanned by the int rows a and b in
+    its field's normal form.  Two pairs span one line exactly when keys
+    agree."""
+    return field.normal_form([a[i] * b[j] - a[j] * b[i]
+                              for i, j in itertools.combinations(range(len(a)), 2)])
 
 
 def max_collinear_length(scheme: FiniteScheme) -> int:
@@ -455,22 +488,17 @@ def invariant_t(scheme: FiniteScheme) -> int:
 
 def apply_matrix(scheme: FiniteScheme, matrix: Matrix) -> FiniteScheme:
     """Image of the scheme under an invertible change of homogeneous
-    coordinates."""
+    coordinates, applied on ints: the matrix cleared to ints by one
+    `field.cleared` (a scale of the whole matrix moves no germ) acts on
+    each germ's int series."""
     n = scheme.ambient
     if matrix.nrows != n + 1 or matrix.ncols != n + 1:
         raise ValueError("matrix size does not match the ambient space")
+    flat, _ = scheme.field.cleared([c for row in matrix.data for c in row])
+    rows = [flat[r:r + n + 1] for r in range(0, len(flat), n + 1)]
     new_germs = []
     for g in scheme.germs:
-        old = [g.hom_series(i) for i in range(n + 1)]
-        new = []
-        for r in range(n + 1):
-            acc = [scheme.field(0)] * g.length
-            for c in range(n + 1):
-                coeff = matrix.data[r][c]
-                if coeff == 0:
-                    continue
-                for k, v in enumerate(old[c]):
-                    acc[k] = acc[k] + coeff * v
-            new.append(tuple(acc))
-        new_germs.append(_germ_from_series(new, scheme.field))
+        new = [[sum(a * s[k] for a, s in zip(row, g.series) if a) for k in range(g.length)]
+               for row in rows]
+        new_germs.append(germ_from_series(new, scheme.field))
     return FiniteScheme(new_germs, scheme.field)

@@ -193,15 +193,14 @@ class SeparatorConfig:
         return FiniteScheme([reduced_germ(p, self.field) for p in self.points], self.field)
 
 
-def _monomial_values(coords, mons, degree, field):
-    """Values of the monomials at the point as plain ints, from one power
-    table per coordinate of `field.ints(coords)`: residues over F_p.
-    Over Q that is the point's primitive integer representative: it
-    multiplies every value of the row by the same positive constant,
-    which changes no kernel and no zero pattern of the separator
-    systems."""
-    p = field.modulus
-    powers = _power_tables(field.ints(coords), degree, p)
+def _monomial_values(vec, mons, degree, p):
+    """Values of the monomials at a point's int vector (`ProjPoint.vec`)
+    as plain ints, from one power table per coordinate: residues over
+    F_p (p the modulus).  Over Q that is the primitive integer
+    representative: it multiplies every value of the row by the same
+    positive constant, which changes no kernel and no zero pattern of
+    the separator systems."""
+    powers = _power_tables(vec, degree, p)
     out = []
     for m in mons:
         v = powers[0][m[0]]
@@ -251,7 +250,7 @@ def separator_forms(config: SeparatorConfig):
     field = config.field
     p = field.modulus
     mons = separator_monomial_basis(config.n)
-    values = [_monomial_values(pt.coords, mons, config.n, field) for pt in config.points]
+    values = [_monomial_values(pt.vec, mons, config.n, p) for pt in config.points]
     out = []
     spaces = _leave_one_out(ColumnSpace(field), values, 0, len(values))
     for j, space in enumerate(spaces):

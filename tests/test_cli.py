@@ -478,6 +478,13 @@ def _three_variable_recipe(path):
     return str(path)
 
 
+def _plane_germs(path, field, first):
+    """A P^2 scheme document: the germ `first` and the point (1:0:0)."""
+    path.write_text(json.dumps({"field": field, "ambient": 2,
+                                "germs": [first, {"point": ["1", "0", "0"]}]}))
+    return ["hilbert", "--scheme", str(path), "--max-degree", "2"]
+
+
 _LEMMA26_LINE = ["lemma26", "--aligned", "1,2,3,4", "--a", "1", "--b", "2"]
 
 # Non-generic or malformed input, each as (argv from a scratch directory,
@@ -515,6 +522,18 @@ INPUT_ERRORS = {
         "two coordinates, got 3"),
     "invariant-t-over-the-cap": (lambda d: [
         "invariant-t", "--scheme", _conic13(d / "x.json")], "enumeration cap 12"),
+    # a reduced germ whose explicit chart is a zero coordinate of its point
+    "reduced-germ-chart-on-a-zero-coordinate": (lambda d: _plane_germs(
+        d / "x.json", "Q", {"point": ["0", "1", "2"], "chart": 0}), "chart coordinate vanishes"),
+    "reduced-germ-chart-on-a-zero-coordinate-fp": (lambda d: _plane_germs(
+        d / "x.json", {"Fp": 7}, {"point": ["0", "1", "2"], "chart": 0}),
+        "chart coordinate vanishes"),
+    # a JSON boolean is not a coordinate index, though bool subclasses int
+    "chart-true": (lambda d: _plane_germs(
+        d / "x.json", "Q", {"point": ["0", "1", "2"], "chart": True}), "coordinate index"),
+    "chart-true-with-a-jet": (lambda d: _plane_germs(
+        d / "x.json", "Q", {"point": ["0", "1", "2"], "chart": True,
+                            "jet": [["0", "1"], None, ["2", "0"]]}), "coordinate index"),
     "separate-recipe-wider-than-the-space": (lambda d: [
         "separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "2",
         "--recipe", _three_variable_recipe(d / "r.json")], "3 tangent variables"),

@@ -24,8 +24,6 @@ from zeroreg.forms import (
     poly_normalize,
     poly_taylor_shift,
     rational_roots,
-    series_div,
-    series_inverse,
     series_mul,
     squarefree_decomposition,
 )
@@ -69,20 +67,13 @@ def test_form_evaluate_matches_substitution():
     assert evaluate_form(f, pt) == 39
 
 
-def test_series_inverse_and_div():
+def test_series_mul_truncates_the_product():
     a = (Fraction(2), Fraction(1), Fraction(0), Fraction(3))
-    inv = series_inverse(a)
-    assert series_mul(a, inv) == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    b = (Fraction(1), Fraction(5), Fraction(-2), Fraction(1))
-    q = series_div(b, a)
-    assert series_mul(q, a) == b
-
-
-def test_series_inverse_prime_field():
+    b = (Fraction(1), Fraction(5), Fraction(-2))
+    assert series_mul(a, b) == (Fraction(2), Fraction(11), Fraction(1))
+    assert series_mul(a, b, 2) == (2, 11)
     F = prime_field(13)
-    a = (F(3), F(1), F(7))
-    inv = series_inverse(a)
-    assert series_mul(a, inv) == (F(1), F(0), F(0))
+    assert series_mul((F(3), F(1), F(7)), (F(9), F(0), F(4))) == (F(1), F(9), F(10))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,8 @@
 """Tests for the seeded generators and verification suites."""
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from zeroreg.harness import (
     GeneratorSpec,
     SuiteReport,
     SUITE_NAMES,
+    _build_scheme,
+    _Retry,
     conic_frame_certificate,
     gen_scheme,
     run_suite,
@@ -340,3 +344,28 @@ def test_cor1_3a_asks_each_oracle_once_per_trial(monkeypatch):
     report = run_suite("cor1_3a", 8, 5)
     assert report.passed, report.failures
     assert counts == {"span_dim": 8, "max_collinear_length": 8}
+
+
+@pytest.mark.parametrize("max_germ_length", [1, 3])
+def test_build_scheme_off_a_line_constructs_no_fraction(max_germ_length, monkeypatch):
+    # points and germs are drawn, normalised and checked as plain ints;
+    # Fractions appear only when a caller asks for scalars
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    spec = GeneratorSpec(4, degree=9, max_germ_length=max_germ_length, field=QQ)
+    built = 0
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for seed in range(30):
+        try:
+            x = _build_scheme(spec, random.Random(seed))
+        except _Retry:
+            continue
+        built += 1
+        assert x.degree == 9
+    monkeypatch.undo()
+    assert built >= 25 and made == []

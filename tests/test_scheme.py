@@ -65,6 +65,121 @@ def test_proj_point_normalization():
         ProjPoint((0, 0, 0))
 
 
+FIELDS = [QQ, prime_field(7), prime_field(2**31 - 1)]
+
+
+def _lead_one(coords, field):
+    """Reference: the scalars of a point scaled so the first nonzero
+    coordinate is 1, as points were stored before they kept ints."""
+    coords = [field(c) for c in coords]
+    lead = next((c for c in coords if c != 0), None)
+    return None if lead is None else tuple(c / lead for c in coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS),
+       st.lists(st.integers(-6, 6), min_size=2, max_size=5),
+       st.lists(st.integers(-6, 6), min_size=2, max_size=5),
+       st.integers(-4, 4), st.integers(1, 3))
+def test_proj_point_matches_the_lead_one_normalisation(field, a, b, num, den):
+    b = (b + a)[:len(a)]
+    ref_a, ref_b = _lead_one(a, field), _lead_one(b, field)
+    if ref_a is None:
+        with pytest.raises(ValueError, match="nonzero coordinate"):
+            ProjPoint(a, field)
+        return
+    p = ProjPoint(a, field)
+    assert p.coords == ref_a and p.ambient == len(a) - 1
+    assert p.vec == field.normal_form(field.ints(a))
+    # any nonzero multiple, as ints or as scalars, is the same point
+    if field(num) != 0:
+        scaled = ProjPoint([Fraction(num, den) * c for c in a], field)
+        assert scaled == p and hash(scaled) == hash(p) and scaled.coords == ref_a
+    if ref_b is not None:
+        q = ProjPoint(b, field)
+        assert (p == q) == (ref_a == ref_b)
+        if p == q:
+            assert hash(p) == hash(q)
+
+
+def test_points_and_scalars_of_two_fields_do_not_compare():
+    F = prime_field(7)
+    with pytest.raises(TypeError):
+        ProjPoint((1, 2), QQ) == ProjPoint((1, 2), F)
+    with pytest.raises(TypeError):
+        ProjPoint((1, 2), F) == ProjPoint((1, 2), prime_field(11))
+    with pytest.raises(TypeError):
+        ProjPoint((1, 2), F).coords[1] == Fraction(2)
+
+
+def _series_quotient(a, b):
+    """Reference: the truncated power series a / b over scalars, b[0] a
+    unit, by the recursion the Fraction series division used."""
+    inv0 = b[0] ** 0 / b[0]
+    out = []
+    for n in range(len(a)):
+        s = a[n] - sum((b[i] * out[n - i] for i in range(1, n + 1)), a[0] * 0)
+        out.append(inv0 * s)
+    return tuple(out)
+
+
+def _scalar_views(support, chart, jets, field):
+    """Reference: jets, hom_series, linear_rows and int_rows of a germ
+    built from scalar jets in the chart, as germs were stored before
+    they kept int series."""
+    length = len(next(j for j in jets if j is not None))
+    hom = [series_of_constant(1, length, field) if i == chart else tuple(jets[i])
+           for i in range(len(jets))]
+    rows = [[s[k] for s in hom] for k in range(length)]
+    return tuple(jets), hom, rows, [field.ints(r) for r in rows]
+
+
+def _assert_views(g, want):
+    jets, hom, rows, int_rows = want
+    assert g.jets == jets
+    assert [g.hom_series(i) for i in range(g.ambient + 1)] == hom
+    assert g.linear_rows() == rows and g.int_rows() == int_rows
+    den = g.series[g.chart][0]
+    assert g.series[g.chart] == (den,) + (0,) * (g.length - 1)
+    assert den > 0 if g.field is QQ else den == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(0, 2**32))
+def test_germ_views_match_the_scalar_construction(field, length, seed):
+    rng = random.Random(seed)
+    n = rng.choice([2, 3])
+    coords = [rng.randint(-4, 4) for _ in range(n + 1)]
+    chart = rng.randrange(n + 1)
+    if field(coords[chart]) == 0:
+        coords[chart] = 1
+    lead = field(coords[chart])
+    jets = [None if i == chart else
+            (field(c) / lead,) + tuple(field(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                                       for _ in range(length - 1))
+            for i, c in enumerate(coords)]
+    if length >= 2 and all(j[1] == 0 for j in jets if j is not None):
+        jets[(chart + 1) % (n + 1)] = jets[(chart + 1) % (n + 1)][:1] + (field(1),) * (length - 1)
+    g = make_germ(coords, chart, [j for j in jets if j is not None], field)
+    _assert_views(g, _scalar_views(ProjPoint(coords, field), chart, jets, field))
+    for k in range(1, length + 1):
+        short = [None if j is None else j[:k] for j in jets]
+        _assert_views(g.truncate(k), _scalar_views(g.support, chart, short, field))
+    # the arc point + t * direction, divided by its first unit series
+    direction = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in coords]
+    base = ProjPoint(coords, field).coords
+    series = [((c, field(v)) + (field(0),) * length)[:length] for c, v in zip(base, direction)]
+    unit = next(i for i, s in enumerate(series) if s[0] != 0)
+    ref = [None if i == unit else _series_quotient(s, series[unit]) for i, s in enumerate(series)]
+    if length >= 2 and all(j[1] == 0 for j in ref if j is not None):
+        with pytest.raises(ValueError, match="degenerate arc"):
+            germ_on_line(coords, direction, length, field)
+        return
+    g = germ_on_line(coords, direction, length, field)
+    assert (g.chart, g.support) == (unit, ProjPoint(coords, field))
+    _assert_views(g, _scalar_views(g.support, unit, ref, field))
+
+
 def test_reduced_germ_and_span():
     x = scheme_of_points(P2_GENERAL_5)
     assert x.degree == 5
