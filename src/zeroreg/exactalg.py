@@ -19,13 +19,16 @@ residues with entry `lead` 1 over F_p; `lead` defaults to the first
 nonzero entry, and a zero entry there gives None), and `modulus` p, or
 None for Q.
 
-Each field has one elimination loop, `ColumnSpace.reduce`, in an
-incremental reducer on plain ints: vectors are fed one at a time
-(`ColumnSpace.add`), taken through `field.ints` and reduced against the
-pivots kept so far, sorted by lead.  Over Q by cross-multiplication,
+Elimination is one single-pivot step, `_eliminate`, in an incremental
+reducer on plain ints, `ColumnSpace`: over Q by cross-multiplication,
 then division by the content, so entries stay integral without Bareiss
 divisions; over F_p on residues, each pivot scaled to lead with 1.
-`Matrix.rank` and `Matrix.kernel_basis` feed the rows into one reducer.
+`ColumnSpace.reduce` takes a vector through `field.ints` and steps it
+against the pivots kept so far, sorted by lead; `ColumnSpace.push`
+keeps a reduced vector as a new pivot and steps each row a caller
+carries against that one pivot, so the rows stay reduced as the space
+grows; `ColumnSpace.add` is the two in turn.  `Matrix.rank` and
+`Matrix.kernel_basis` feed the rows into one reducer.
 One back-substitution, `_kernel`, reads a kernel off its pivots
 (`ColumnSpace.kernel`) as integer numerators over one common
 denominator, residues over 1 for F_p; scalars are built only for the
@@ -348,9 +351,24 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
+def _eliminate(v, idx, piv, p):
+    """The one elimination step: v with its entry at idx cleared by the
+    pivot piv leading there.  Over Q (p None) by cross-multiplication,
+    then division by the content, so entries stay integral and small;
+    over F_p on residues, piv leading with 1.  The caller tests v[idx]
+    first, so no step is taken on a zero head."""
+    head = v[idx]
+    if p is None:
+        scale = piv[idx]
+        v = [scale * a - head * b for a, b in zip(v, piv)]
+        g = gcd(*v)
+        return [a // g for a in v] if g > 1 else v
+    return [(a - head * b) % p for a, b in zip(v, piv)]
+
+
 class ColumnSpace:
-    """Incremental rank of a stream of vectors in K^d: the one
-    elimination loop of each field.
+    """Incremental rank of a stream of vectors in K^d, by the one
+    elimination step `_eliminate`.
 
     Vectors (matrix rows, separating-family evaluations, or the
     operator images of one degree of a Hilbert function) are fed one at
@@ -385,27 +403,19 @@ class ColumnSpace:
         exactly when vec lies in the span.  The reducer is unchanged."""
         v = self.field.ints(vec)
         p = self.field.modulus
-        if p is None:
-            for idx, piv in self.pivots:
-                head = v[idx]
-                if head == 0:
-                    continue
-                scale = piv[idx]
-                v = [scale * a - head * b for a, b in zip(v, piv)]
-                g = gcd(*v)
-                if g > 1:
-                    v = [a // g for a in v]
-        else:
-            for idx, piv in self.pivots:
-                head = v[idx]
-                if head:
-                    v = [(a - head * b) % p for a, b in zip(v, piv)]
+        for idx, piv in self.pivots:
+            if v[idx]:
+                v = _eliminate(v, idx, piv, p)
         return v
 
-    def add(self, vec) -> bool:
-        """Reduce vec against the current basis; returns True if rank grew."""
-        v = self.reduce(vec)
-        lead = next((i for i, a in enumerate(v) if a != 0), None)
+    def push(self, v, pending=()) -> bool:
+        """Take v, already reduced against the current pivots, as a new
+        pivot unless it is zero (over F_p scaled to lead with 1), then
+        eliminate its lead from each row of `pending` in place.  Rows
+        reduced against the old pivots stay reduced against the new ones,
+        since v is zero at every earlier lead.  Returns True if the rank
+        grew."""
+        lead = next((i for i, a in enumerate(v) if a), None)
         if lead is None:
             return False
         p = self.field.modulus
@@ -413,7 +423,14 @@ class ColumnSpace:
             inv = pow(v[lead], -1, p)
             v = [a * inv % p for a in v]
         insort(self.pivots, (lead, v))
+        for k, w in enumerate(pending):
+            if w[lead]:
+                pending[k] = _eliminate(w, lead, v, p)
         return True
+
+    def add(self, vec) -> bool:
+        """Reduce vec against the current basis; returns True if rank grew."""
+        return self.push(self.reduce(vec))
 
     def kernel(self, width):
         """The kernel basis of `Matrix.kernel_basis` for the span in

@@ -141,13 +141,13 @@ def normality_threshold_bound(scheme: FiniteScheme) -> int:
     k >= k0, in terms of the degree, the span and the independence
     level: k0 = max(1, ceil((d - n - 1) / t) + 1) with n the dimension
     of the linear span and t the largest level at which all subschemes
-    are in general position."""
+    are in general position.  When d <= n + 1 the bound is 1 whatever
+    t is, so t is not computed."""
     d = scheme.degree
     n = span_dim(scheme)
-    t = invariant_t(scheme)
     if d <= n + 1:
         return 1
-    return max(1, -(-(d - n - 1) // t) + 1)
+    return max(1, -(-(d - n - 1) // invariant_t(scheme)) + 1)
 
 
 class SecantNormalityVerdict:

@@ -34,8 +34,11 @@ the series (coprime integer rows over Q, residues over F_p), fed to
 the `ColumnSpace` reducer of `exactalg`.  `invariant_t` is a depth-first
 search, germ by germ and one row at a time: a branch extends a copy of
 its parent's reducer, so subschemes sharing a prefix share its
-elimination; it ends at its first dependent row and is cut once it
-cannot beat the least dependent degree found.  `max_collinear_length`
+elimination, and it carries each later germ's first row reduced against
+the branch, so a node's pivot is taken out of those rows once
+(`ColumnSpace.push`) and a child tests its first row for zero without
+reducing it.  A branch ends at its first dependent row and is cut once
+it cannot beat the least dependent degree found.  `max_collinear_length`
 keys each candidate line by its normalised Pluecker vector and groups
 the supports by line from the keys of their pairs; a line's score is
 then a sum over its supports (1, or the germ's contact with its own
@@ -458,7 +461,11 @@ def invariant_t(scheme: FiniteScheme) -> int:
     search is depth-first, germ by germ and one row at a time, on one
     reducer per branch: subschemes sharing a prefix share its
     elimination, a branch ends at its first dependent row, and branches
-    that cannot beat the least dependent degree found are cut.
+    that cannot beat the least dependent degree found are cut.  Row 0 of
+    every later germ is carried down the path reduced against the
+    branch: a node that adds a pivot steps those rows against it alone,
+    so a child's first row is dependent exactly when its carried row is
+    zero; a germ's deeper rows are reduced against the branch in full.
     Guarded by the enumeration cap on the scheme degree."""
     d = scheme.degree
     if d == 1:
@@ -467,22 +474,29 @@ def invariant_t(scheme: FiniteScheme) -> int:
     blocks = [g.int_rows() for g in scheme.germs]
     least = d + 1
 
-    def walk(start, space):
-        # space: the independent rows chosen from the germs before start
+    def walk(start, space, heads):
+        # space: the independent rows chosen from the germs before start;
+        # heads[j]: row 0 of germ start + j reduced against space
         nonlocal least
-        for i in range(start, len(blocks)):
+        for j, head in enumerate(heads):
             if space.rank + 1 >= least:
                 return
-            branch = space.copy()
-            for row in blocks[i]:
+            branch = space
+            for k, row in enumerate(blocks[start + j]):
                 if branch.rank + 1 >= least:
                     break
-                if not branch.add(row):
+                v = branch.reduce(row) if k else head
+                if not any(v):
                     least = branch.rank + 1
                     break
-                walk(i + 1, branch)
+                if branch.rank + 2 >= least:
+                    break  # a longer branch could not beat least
+                if not k:
+                    branch, pending = space.copy(), heads[j + 1:]
+                branch.push(v, pending)
+                walk(start + j + 1, branch, pending)
 
-    walk(0, ColumnSpace(scheme.field))
+    walk(0, ColumnSpace(scheme.field), [block[0] for block in blocks])
     return least - 2
 
 

@@ -350,6 +350,43 @@ def test_column_space_pivots_are_an_echelon_form(p):
     assert inserted_before_a_lead > 20
 
 
+@pytest.mark.parametrize("p", [0, 7, 2**31 - 1])
+def test_push_keeps_the_carried_rows_reduced(p):
+    # rows carried through every push stay reduced against the grown
+    # space: zero at every lead, and zero exactly when reducing the row
+    # afresh gives zero (over F_p the very same residues)
+    field = QQ if p == 0 else prime_field(p)
+    rng = random.Random(300 + p)
+    vanished = kept = 0
+    for _ in range(150):
+        ncols = rng.randint(1, 7)
+        stream = [[rng.randint(-20, 20) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                  for _ in range(rng.randint(1, 7))]
+        probes = [[rng.randint(-20, 20) for _ in range(ncols)] for _ in range(3)]
+        # combinations of a prefix of the stream vanish part way down
+        for _ in range(3):
+            used = stream[:rng.randint(1, len(stream))]
+            coeffs = [rng.randint(-3, 3) for _ in used]
+            probes.append([sum(c * row[j] for c, row in zip(coeffs, used))
+                           for j in range(ncols)])
+        space = ColumnSpace(field)
+        carried = [field.ints(row) for row in probes]
+        for row in stream:
+            v = space.reduce(row)
+            rank = space.rank
+            assert space.push(v, carried) == any(v) == (space.rank == rank + 1)
+            leads = [lead for lead, _ in space.pivots]
+            for probe, w in zip(probes, carried):
+                fresh = space.reduce(probe)
+                assert not any(w[lead] for lead in leads)
+                assert any(w) == any(fresh)
+                if field is not QQ:
+                    assert w == fresh
+        vanished += sum(not any(w) for w in carried)
+        kept += sum(any(w) for w in carried)
+    assert vanished > 100 and kept > 100
+
+
 _SMALL_FRACTIONS = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),

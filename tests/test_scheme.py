@@ -504,18 +504,30 @@ def test_truncate_roundtrip():
 # subspace and scored by contact_length for max_collinear_length
 
 
-def _random_scheme(rng, field, n, max_degree=DEFAULT_ENUM_CAP):
+def _random_scheme(rng, field, n, max_degree=DEFAULT_ENUM_CAP, box=1):
     """Up to five germs of lengths 1-4 at small coordinates, some of them
     straight, so collinear and dependent configurations come up often.
-    A draw that keeps no germ (zero or repeated coordinates) is redrawn."""
+    With box > 1, one to three germs of lengths 2-4 come first, then
+    reduced points, all with coordinates and jet terms in [-box, box]:
+    the search then reduces the germs' deeper rows with large entries
+    and carries the points' rows down every path.  A draw that keeps no
+    germ (zero or repeated coordinates) is redrawn."""
+    if box == 1:
+        term = lambda: rng.choice((0, 0, 1, -1, 2))
+    else:
+        term = lambda: rng.randint(-box, box)
     germs = []
     while not germs:
         seen = set()
-        for _ in range(rng.randint(1, 5)):
-            length = rng.randint(1, 4)
+        if box == 1:
+            lengths = (rng.randint(1, 4) for _ in range(rng.randint(1, 5)))
+        else:
+            lengths = [rng.randint(2, 4) for _ in range(rng.randint(1, 3))]
+            lengths += [1] * rng.randint(1, 8)
+        for length in lengths:
             if sum(g.length for g in germs) + length > max_degree:
                 break
-            coords = [rng.randint(-1, 1) for _ in range(n + 1)]
+            coords = [rng.randint(-box, box) for _ in range(n + 1)]
             if not any(coords):
                 continue
             p = ProjPoint(coords, field)
@@ -527,8 +539,7 @@ def _random_scheme(rng, field, n, max_degree=DEFAULT_ENUM_CAP):
             straight = rng.random() < 0.3
             jets = [
                 [p.coords[i]]
-                + [field(0 if straight and k > 1 else rng.choice((0, 0, 1, -1, 2)))
-                   for k in range(1, length)]
+                + [field(0 if straight and k > 1 else term()) for k in range(1, length)]
                 for i in range(n + 1)
                 if i != chart
             ]
@@ -595,13 +606,15 @@ def _max_collinear_reference(x):
     return max((contact_length(x, line) for line in lines), default=x.degree)
 
 
+@pytest.mark.parametrize("box", [1, 20])
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_row_view_matches_the_old_compositions(field, n):
-    rng = random.Random(1000 * n + (0 if field is QQ else field.modulus % 1000))
+def test_row_view_matches_the_old_compositions(field, n, box):
+    rng = random.Random(1000 * n + (0 if field is QQ else field.modulus % 1000)
+                        + 10**6 * (box - 1))
     levels, degrees = set(), set()
     for _ in range(12):
-        x = _random_scheme(rng, field, n)
+        x = _random_scheme(rng, field, n, box=box)
         degrees.add(x.degree)
         t = invariant_t(x)
         assert t == _invariant_t_reference(x)
