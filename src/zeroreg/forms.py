@@ -48,11 +48,22 @@ def _power_tables(coords, top, p=None):
     return tables
 
 
+def cleared_form(f, field=QQ):
+    """The form f on ints: (E, K, terms) with E the common denominator of
+    its coefficients (1 over F_p), K its largest total degree, and per
+    monomial m the triple (E a_m, K - |m|, [(i, m_i) for m_i > 0])."""
+    nums, den = field.cleared(list(f.values()))
+    deg = max((sum(mon) for mon in f), default=0)
+    terms = [(v, deg - sum(mon), [(i, e) for i, e in enumerate(mon) if e])
+             for v, mon in zip(nums, f)]
+    return den, deg, terms
+
+
 def form_values(forms, points, field=QQ):
     """Values of each form at each point: row i holds forms[i] at every
     point, as elements of `field`.  Forms need not be homogeneous.
 
-    Each form's coefficients are cleared to ints once (`field.cleared`,
+    Each form's coefficients are cleared to ints once (`cleared_form`,
     E_f their common denominator) and each point once (D its common
     denominator, n = D * point), with one power table per point.  With
     K_f the largest total degree of f, f(point) is
@@ -61,13 +72,7 @@ def form_values(forms, points, field=QQ):
     and the power tables hold residues.
     """
     p = field.modulus
-    cleared = []
-    for f in forms:
-        nums, den = field.cleared(list(f.values()))
-        deg = max((sum(mon) for mon in f), default=0)
-        terms = [(v, deg - sum(mon), [(i, e) for i, e in enumerate(mon) if e])
-                 for v, mon in zip(nums, f)]
-        cleared.append((den, deg, terms))
+    cleared = [cleared_form(f, field) for f in forms]
     top = max((deg for _, deg, _ in cleared), default=0)
     rows = [[] for _ in forms]
     zero = field(0)
@@ -94,10 +99,6 @@ def evaluate_form(f, point, field=QQ):
 
 # ---------------------------------------------------------------------------
 # truncated power series
-
-
-def series_of_constant(c, length, field=QQ):
-    return (field(c),) + tuple(field(0) for _ in range(length - 1))
 
 
 def series_mul(a, b, length=None):

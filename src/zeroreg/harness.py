@@ -210,7 +210,7 @@ def _draw_germ(rng, point, length, box, field):
 
 def _random_invertible(rng, size, field):
     for _ in range(80):
-        rows = [[field(rng.randint(-4, 4)) for _ in range(size)]
+        rows = [[rng.randint(-4, 4) for _ in range(size)]
                 for _ in range(size)]
         m = Matrix(rows, field=field)
         if m.rank() == size:
@@ -318,21 +318,20 @@ def gen_scheme(spec: GeneratorSpec, log: _Redraws = None) -> FiniteScheme:
 
 
 def _line_basis(rng, box, field):
-    """Two independent plane points whose line is in general position
+    """Two independent int plane points whose line is in general position
     for the separator frame: it meets {x0 = 0} away from {x1 = 0}."""
     for _ in range(80):
         b0 = _draw_coords(rng, 3, box)
         b1 = _draw_coords(rng, 3, box)
-        c2 = field(b0[0]) * b1[1] - field(b0[1]) * b1[0]
-        if c2 != 0:
-            return (tuple(field(c) for c in b0), tuple(field(c) for c in b1))
+        if any(field.ints([b0[0] * b1[1] - b0[1] * b1[0]])):
+            return b0, b1
     raise _Retry
 
 
 def _line_point(basis, s, t, field):
     b0, b1 = basis
-    coords = tuple(field(s) * x + field(t) * y for x, y in zip(b0, b1))
-    if all(c == 0 for c in coords):
+    coords = [s * x + t * y for x, y in zip(b0, b1)]
+    if not any(field.ints(coords)):
         raise _Retry
     return ProjPoint(coords, field)
 
@@ -383,12 +382,12 @@ def _conic_rows(rng, field):
     return [tuple(m.data[i]) for i in range(3)]
 
 
-def _conic_eval(row, tau, field):
-    return row[0] + row[1] * field(tau) + row[2] * field(tau) ** 2
+def _conic_eval(row, tau):
+    return row[0] + row[1] * tau + row[2] * tau ** 2
 
 
-def _conic_tangent(row, tau, field):
-    return row[1] + 2 * row[2] * field(tau)
+def _conic_tangent(row, tau):
+    return row[1] + 2 * row[2] * tau
 
 
 def conic_frame_certificate(rows, parameters, field=QQ) -> bool:
@@ -429,7 +428,7 @@ def _conic_scheme(rng, field, with_germ):
         germs, used = [], set()
         try:
             for tau, mult in parameters:
-                coords = tuple(_conic_eval(r, tau, field) for r in rows)
+                coords = tuple(_conic_eval(r, tau) for r in rows)
                 p = ProjPoint(coords, field)
                 if p in used:
                     raise _Retry
@@ -437,7 +436,7 @@ def _conic_scheme(rng, field, with_germ):
                 if mult == 1:
                     germs.append(reduced_germ(p, field))
                 else:
-                    tangent = tuple(_conic_tangent(r, tau, field) for r in rows)
+                    tangent = tuple(_conic_tangent(r, tau) for r in rows)
                     germs.append(germ_on_line(p, tangent, 2, field))
             return FiniteScheme(germs, field)
         except (ValueError, _Retry):

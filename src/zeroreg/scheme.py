@@ -12,8 +12,8 @@ Points and germs hold plain ints; `Fraction` and `FpElement` appear only
 at the boundary.  A `ProjPoint` is its field's normal form of an int
 vector (`field.normal_form`), and a germ is N + 1 homogeneous int
 series over one denominator, the chart's series being (den, 0, ..).
-Their scalar views (`coords`, `jets`, `linear_rows`) are built on first
-use, for output and for the scalar-level callers.
+Forms are composed with a germ on its int series; the scalar views
+`coords` and `jets` are built on first use, `jets` for output only.
 
 Each germ of length L carries L linear functionals on forms: the
 coefficients of t^0 .. t^{L-1} of the form composed with the arc.  All
@@ -52,7 +52,7 @@ import itertools
 import os
 
 from zeroreg.exactalg import ColumnSpace, Matrix, QQ
-from zeroreg.forms import series_mul, series_of_constant
+from zeroreg.forms import cleared_form, series_mul
 
 DEFAULT_ENUM_CAP = 12
 
@@ -112,8 +112,8 @@ class CurvilinearGerm:
     (`series`) over one denominator: the chart series is (den, 0, ..),
     and coordinate i is series[i] / den in the chart.  Over Q the block
     is primitive with den > 0, over F_p residues with den = 1.  The
-    scalar views `jets` (None in the chart slot) and `hom_series` are
-    built on first use.
+    scalar view `jets` (None in the chart slot), for output, is built
+    on first use.
 
     The series are validated on ints: the support's chart coordinate is
     nonzero, the constant terms are the support, and for L >= 2 the
@@ -151,11 +151,6 @@ class CurvilinearGerm:
                                for i, s in enumerate(self.series))
         return self._jets
 
-    def hom_series(self, i: int):
-        if i == self.chart:
-            return series_of_constant(1, self.length, self.field)
-        return self.jets[i]
-
     def truncate(self, new_length: int) -> "CurvilinearGerm":
         if not 1 <= new_length <= self.length:
             raise ValueError("truncation length out of range")
@@ -167,8 +162,8 @@ class CurvilinearGerm:
     def linear_rows(self):
         """The germ's functionals on linear forms: row k holds the t^k
         coefficients of the N + 1 coordinates along the arc."""
-        cols = [self.hom_series(i) for i in range(self.ambient + 1)]
-        return [[c[k] for c in cols] for k in range(self.length)]
+        scalar, den = self.field.scalar, self.series[self.chart][0]
+        return [[scalar(s[k], den) for s in self.series] for k in range(self.length)]
 
     def int_rows(self):
         """`linear_rows` as plain ints, read off the series once and taken
@@ -182,17 +177,25 @@ class CurvilinearGerm:
 
     def evaluate_form(self, form):
         """Compose a form (exponent-tuple -> coefficient dict) with the
-        arc; returns the length-L coefficient series.  Each monomial is
-        multiplied out from the coordinate series, the chart coordinate
-        being 1."""
-        out = series_of_constant(0, self.length, self.field)
-        for mon, coeff in form.items():
-            term = series_of_constant(coeff, self.length, self.field)
-            for i, e in enumerate(mon):
-                for _ in range(0 if i == self.chart else e):
-                    term = series_mul(term, self.jets[i])
-            out = [a + b for a, b in zip(out, term)]
-        return tuple(out)
+        arc; returns the length-L coefficient series.  As in `form_values`,
+        on ints: a monomial m of the form cleared by `cleared_form` (E, K)
+        is the `series_mul` product of the non-chart series (residues over
+        F_p) times den^(K - |m| + m_chart), the chart's series being
+        (den, 0, ..); each coefficient is made a scalar over E den^K."""
+        field, chart, den = self.field, self.chart, self.series[self.chart][0]
+        p = field.modulus
+        scale, top, terms = cleared_form(form, field)
+        total = [0] * self.length
+        for v, gap, exps in terms:
+            term = (v,) + (0,) * (self.length - 1)
+            for i, e in exps:
+                for _ in range(0 if i == chart else e):
+                    term = series_mul(term, self.series[i])
+                    if p is not None:
+                        term = [c % p for c in term]
+            power = den ** (gap + dict(exps).get(chart, 0))
+            total = [a + b * power for a, b in zip(total, term)]
+        return tuple(field.scalar(v, scale * den ** top) for v in total)
 
     def __repr__(self):
         return "CurvilinearGerm(len=%d at %r)" % (self.length, self.support)
@@ -296,10 +299,6 @@ class FiniteScheme:
             raise ValueError("selector length does not match the germ count")
         kept = [g.truncate(l) for g, l in zip(self.germs, selector) if l]
         return FiniteScheme(kept, self.field)
-
-    def linear_rows(self):
-        """The germs' row blocks, concatenated: one row per functional."""
-        return [row for g in self.germs for row in g.linear_rows()]
 
     def __repr__(self):
         return "FiniteScheme(degree=%d in P^%d)" % (self.degree, self.ambient)

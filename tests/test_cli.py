@@ -242,6 +242,21 @@ def test_separate_maps_fractional_recipe_coefficients_into_fp(tmp_path, capsys):
     assert json.loads(out)["family_rank"] == 2
 
 
+def test_separate_rejects_a_recipe_coefficient_with_no_image_in_fp(tmp_path, capsys):
+    # 1/7 has no image in F_7: an input error, not a traceback
+    scheme = tmp_path / "pts.json"
+    scheme.write_text('{"ambient":2,"field":{"Fp":7},'
+                      '"germs":[{"point":["1","0","0"]},{"point":["1","2","0"]}]}')
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text('{"levels":{"0":[[[[0,0],"1"]]],"1":[[[[1,0],"1/7"]]]},'
+                      '"standard":false,"t_count":2}')
+    code, out, err = run_cli(
+        ["separate", "--scheme", str(scheme), "--degree", "1", "--recipe", str(recipe)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "1/7" in err
+
+
 def test_lemma26_output_stays_in_family(capsys):
     code, out, _ = run_cli(
         ["lemma26", "--aligned", "1,2,3,4", "--a", "1", "--b", "1",

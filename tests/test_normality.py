@@ -81,7 +81,8 @@ def sympy_phi(scheme, k):
     for g in scheme.germs:
         coords = []
         for i in range(g.ambient + 1):
-            coords.append(sum(sympy.Rational(c) * t**j for j, c in enumerate(g.hom_series(i))))
+            jet = (1,) if i == g.chart else g.jets[i]
+            coords.append(sum(sympy.Rational(c) * t**j for j, c in enumerate(jet)))
         for j in range(g.length):
             row = []
             for mon in itertools.product(*[range(k + 1)] * (g.ambient + 1)):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
-from zeroreg.forms import monomials_of_degree, series_mul, series_of_constant
+from zeroreg.forms import monomials_of_degree, series_mul
 from zeroreg.harness import GenerationExhausted, GeneratorSpec, gen_scheme
 from zeroreg.scheme import (
     DEFAULT_ENUM_CAP,
@@ -123,22 +123,39 @@ def _series_quotient(a, b):
     return tuple(out)
 
 
+def _constant_series(c, length, field):
+    return (field(c),) + (field(0),) * (length - 1)
+
+
+def _hom_series(g, i):
+    """Reference: coordinate i along the arc as scalars, from the jets,
+    the chart coordinate being 1."""
+    return _constant_series(1, g.length, g.field) if i == g.chart else g.jets[i]
+
+
+def _scalar_rows(x):
+    """Reference: the scheme's functionals on linear forms, one row per
+    germ and t^k, read off the scalar coordinate series."""
+    return [[_hom_series(g, i)[k] for i in range(x.ambient + 1)]
+            for g in x.germs for k in range(g.length)]
+
+
 def _scalar_views(support, chart, jets, field):
-    """Reference: jets, hom_series, linear_rows and int_rows of a germ
-    built from scalar jets in the chart, as germs were stored before
-    they kept int series."""
+    """Reference: jets, linear_rows and int_rows of a germ built from
+    scalar jets in the chart, as germs were stored before they kept int
+    series."""
     length = len(next(j for j in jets if j is not None))
-    hom = [series_of_constant(1, length, field) if i == chart else tuple(jets[i])
+    hom = [_constant_series(1, length, field) if i == chart else tuple(jets[i])
            for i in range(len(jets))]
     rows = [[s[k] for s in hom] for k in range(length)]
-    return tuple(jets), hom, rows, [field.ints(r) for r in rows]
+    return tuple(jets), rows, [field.ints(r) for r in rows]
 
 
 def _assert_views(g, want):
-    jets, hom, rows, int_rows = want
+    jets, rows, int_rows = want
     assert g.jets == jets
-    assert [g.hom_series(i) for i in range(g.ambient + 1)] == hom
     assert g.linear_rows() == rows and g.int_rows() == int_rows
+    assert all(type(v) is type(g.field(0)) for row in g.linear_rows() for v in row)
     den = g.series[g.chart][0]
     assert g.series[g.chart] == (den,) + (0,) * (g.length - 1)
     assert den > 0 if g.field is QQ else den == 1
@@ -215,14 +232,14 @@ def test_evaluate_form_against_sympy_series():
 
 
 def _uncached_composition(g, form):
-    """Reference: every monomial rebuilt from the coordinate series of the
-    arc by repeated multiplication, chart coordinate included."""
-    out = series_of_constant(0, g.length, g.field)
+    """Reference: every monomial rebuilt from the scalar coordinate series
+    of the arc by repeated multiplication, chart coordinate included."""
+    out = _constant_series(0, g.length, g.field)
     for mon, coeff in form.items():
-        term = series_of_constant(coeff, g.length, g.field)
+        term = _constant_series(coeff, g.length, g.field)
         for i, e in enumerate(mon):
             for _ in range(e):
-                term = series_mul(term, g.hom_series(i), g.length)
+                term = series_mul(term, _hom_series(g, i), g.length)
         out = tuple(a + b for a, b in zip(out, term))
     return out
 
@@ -245,20 +262,32 @@ def _rand_germ(rng, field, length):
     return make_germ(coords, chart, jets, field)
 
 
-@pytest.mark.parametrize("field", [QQ, prime_field(7)])
+def _assert_same_scalars(got, want):
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
 def test_cached_germ_evaluation_matches_uncached_reference(field):
     rng = random.Random(19)
-    for length in range(1, 5):
+    for length in range(1, 6):
         for _ in range(6):
             g = _rand_germ(rng, field, length)
             nvars = g.ambient + 1
-            # several degrees, in no order, on the same germ
-            for k in (3, 0, 5, 1, 3):
-                mons = monomials_of_degree(nvars, k)
+            # several degrees, in no order, on the same germ; the last two
+            # forms are not homogeneous
+            for degrees in ((3,), (0,), (5,), (1,), (3,), (0, 2, 5), (1, 4)):
+                mons = [m for k in degrees for m in monomials_of_degree(nvars, k)]
                 form = {m: Fraction(rng.randint(-4, 4), rng.randint(1, 2))
                         for m in rng.sample(mons, min(len(mons), 4))}
                 form = {m: c for m, c in form.items() if c}
-                assert g.evaluate_form(form) == _uncached_composition(g, form)
+                _assert_same_scalars(g.evaluate_form(form), _uncached_composition(g, form))
+    # chart 2, its coordinate raised to the powers 4 and 3, next to a
+    # constant term
+    g = make_germ((2, 3, 1), 2, [(2, Fraction(1, 3), -1, 4), (3, 2, 0, Fraction(-5, 2))], field)
+    form = {(0, 0, 4): Fraction(1, 2), (1, 1, 3): Fraction(-3), (2, 0, 1): Fraction(5, 4),
+            (0, 0, 0): Fraction(1)}
+    _assert_same_scalars(g.evaluate_form(form), _uncached_composition(g, form))
 
 
 def test_invariant_t_general_position():
@@ -573,7 +602,7 @@ def _invariant_t_reference(x):
         return 1
     for s in range(2, min(d, x.ambient + 2) + 1):
         for sel in enumerate_subschemes(x, s):
-            if Matrix(x.truncated(sel).linear_rows(), field=x.field).rank() < s:
+            if Matrix(_scalar_rows(x.truncated(sel)), field=x.field).rank() < s:
                 return s - 2
     return d - 1
 
@@ -616,7 +645,7 @@ def _check_row_view(field, n, box):
         t = invariant_t(x)
         assert t == _invariant_t_reference(x)
         levels.add(t)
-        assert span_dim(x) + 1 == Matrix(x.linear_rows(), field=field).rank()
+        assert span_dim(x) + 1 == Matrix(_scalar_rows(x), field=field).rank()
         for _ in range(4):
             sub = _random_subspace(rng, x)
             assert contact_length(x, sub) == _contact_reference(x, sub)
@@ -678,6 +707,6 @@ def test_germ_rows_are_the_coordinate_coefficients():
     g = make_germ((2, 1, 7), 1, [(2, -1, 4), (7, 0, 1)])
     assert g.linear_rows() == [[2, 1, 7], [-1, 0, 0], [4, 0, 1]]
     x = FiniteScheme([g, reduced_germ((1, 0, 0))])
-    assert x.linear_rows() == g.linear_rows() + [[1, 0, 0]]
+    assert _scalar_rows(x) == g.linear_rows() + [[1, 0, 0]]
     for k in range(1, 4):
         assert g.truncate(k).linear_rows() == g.linear_rows()[:k]

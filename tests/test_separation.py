@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from zeroreg.exactalg import QQ, Matrix, prime_field
 from zeroreg.forms import evaluate_form, monomials_of_degree
 from zeroreg.normality import is_k_normal
-from zeroreg.scheme import FiniteScheme, ProjPoint, germ_on_line, reduced_germ
+from zeroreg.scheme import FiniteScheme, ProjPoint, germ_on_line, make_germ, reduced_germ
 from zeroreg.separation import (
     DegenerateConfiguration,
     FormSpaceRecipe,
@@ -107,6 +107,28 @@ def test_family_rank_partial():
     x = points((1, 0, 0), (1, 1, 0), (1, 2, 0))
     # constants alone have rank 1
     assert family_rank(x, [{(0, 0, 0): Fraction(1)}]) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
+def test_family_rank_of_mixed_degrees_is_the_rank_of_the_evaluations(field):
+    # forms of degrees 0 .. 4, some not homogeneous, on germs in charts 1
+    # and 2 and a point: the rank of the evaluate_form columns
+    x = FiniteScheme([make_germ((0, 1, 2), 1, [(0, 3, 1), (2, -1, 5)], field),
+                      make_germ((2, 3, 1), 2, [(2, Fraction(1, 3), 4), (3, 2, -5)], field),
+                      reduced_germ((1, 1, 1), field)], field)
+    rng = random.Random(26)
+    ranks = set()
+    for _ in range(12):
+        forms = []
+        for _ in range(rng.randint(1, 6)):
+            mons = [m for k in rng.sample(range(5), 2) for m in monomials_of_degree(3, k)]
+            forms.append({m: Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                          for m in rng.sample(mons, 2)})
+        cols = [[v for g in x.germs for v in g.evaluate_form(f)] for f in forms]
+        want = Matrix([[c[i] for c in cols] for i in range(x.degree)], field=field).rank()
+        assert family_rank(x, forms) == want
+        ranks.add(want)
+    assert len(ranks) > 2
 
 
 def make_case2_config():
