@@ -61,9 +61,27 @@ LEMMA26_MAX_N = 40
 
 # The largest `separate --degree` and `hilbert --max-degree`.  `separate`
 # multiplies U^(k-j) out on int series one factor at a time: k = 10,000
-# takes about 0.2 s for two points and 1 s for two length-3 germs in a
+# takes about 0.15 s for two points and 0.5 s for two length-3 germs in a
 # fresh process on a 2-core Xeon VM; `hilbert` prints k + 1 entries.
 MAX_DEGREE = 10000
+
+# The largest `separate` work: --degree k times the sum of L^2 over the
+# germs' lengths L, since each factor of U^(k-j) is one product of
+# length-L series.  At the budget, k = 10,000 on one length-15 germ takes
+# about 1.9 s, on 250 points 1.3 s, and k = 1,000 on a length-49 germ
+# 1.8 s in a fresh process on a 2-core Xeon VM; a length-40 germ at
+# k = 10,000 (six times the budget) takes 11.5 s.
+SEPARATE_BUDGET = 2500000
+
+# The largest curve degree `curve-fiber` and `curve-section` take.  The
+# gcds under them (the base-point test, the center test, and the
+# squarefree part of the fiber) are primitive PRS in Z[t], whose
+# coefficients grow with the degree: `curve-fiber` on a random curve in
+# P^3 with coefficients in [-9, 9] takes about 0.1 s at degree 40,
+# 0.2 s at 80, 1.1 s at 160, 2.3 s at 200 and 15 s at 320 in a fresh
+# process on a 2-core Xeon VM (`curve-section` 0.3 s at 160), and
+# longer for longer coefficients.
+CURVE_MAX_DEGREE = 160
 
 # The `verify --suite` choices.  `harness.SUITE_NAMES` is the authority
 # and a test keeps the two equal; spelling them out here spares every
@@ -84,6 +102,10 @@ def _read(path: str) -> str:
 
 def _load_scheme(path: str):
     return scheme_loads(_read(path))
+
+
+def _load_curve(path: str):
+    return curve_loads(_read(path), CURVE_MAX_DEGREE)
 
 
 def _emit(doc) -> None:
@@ -145,6 +167,10 @@ def _cmd_separate(args) -> int:
     if args.degree > MAX_DEGREE:
         raise ValueError("--degree must be <= %d, got %d" % (MAX_DEGREE, args.degree))
     x = _load_scheme(args.scheme)
+    work = args.degree * sum(g.length ** 2 for g in x.germs)
+    if work > SEPARATE_BUDGET:
+        raise ValueError("--degree times the sum of the squared germ lengths must be "
+                         "<= %d, got %d" % (SEPARATE_BUDGET, work))
     recipe = recipe_loads(_read(args.recipe)) if args.recipe else standard_recipe()
     forms = [{m: _parse_scalar_arg(str(c), x.field) for m, c in f.items()}
              for f in recipe_space(recipe, args.degree, x.ambient)]
@@ -207,7 +233,7 @@ def _cmd_classify_fiber(args) -> int:
 
 
 def _cmd_curve_fiber(args) -> int:
-    curve = curve_loads(_read(args.curve))
+    curve = _load_curve(args.curve)
     center = subspace_loads(_read(args.center))
     y = _parse_coords_arg(args.y, curve.field)
     fiber = curve_fiber(curve, center, y)
@@ -223,7 +249,7 @@ def _cmd_curve_fiber(args) -> int:
 
 
 def _cmd_curve_section(args) -> int:
-    curve = curve_loads(_read(args.curve))
+    curve = _load_curve(args.curve)
     sub = subspace_loads(_read(args.subspace))
     length = curve_linear_section_length(curve, sub)
     bound = curve.degree - (curve.ambient - 1 - sub.dim)

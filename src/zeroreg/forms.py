@@ -6,12 +6,21 @@ Representations are deliberately plain:
 * a monomial is an exponent tuple;
 * a form is a dict mapping exponent tuples to scalars (zero coefficients
   are never stored);
-* a truncated power series of length L is a tuple of L scalars
+* a truncated power series of length L is a tuple of L scalars or ints
   (coefficients of t^0 .. t^{L-1});
-* a univariate polynomial is a tuple of scalars, ascending, with no
-  trailing zeros (the zero polynomial is the empty tuple);
+* a univariate polynomial is a tuple of coefficients, ascending, with
+  no trailing zeros (the zero polynomial is the empty tuple);
 * a binary form of degree D is a tuple (c_0, .., c_D) standing for
   sum_i c_i s^(D-i) t^i.
+
+Polynomials and binary forms are ints inside.  `poly_pseudo_rem`,
+`poly_exact_div`, `squarefree_decomposition` (primitive int factors)
+and `binary_gcd_many` (a primitive int form) work in Z[x]; the gcd
+under them is the primitive PRS over Q and Euclid on residues over
+F_p, and it takes scalar inputs to ints first.  Scalars are built only
+for results returned as such: the rational roots (Fractions) of
+`squarefree_rational_roots` and `rational_roots`, and the monic gcds
+of `poly_gcd` and `binary_gcd`, in the field of their inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 
-from zeroreg.exactalg import QQ, is_probable_prime
+from zeroreg.exactalg import QQ, field_of, is_probable_prime
 
 # ---------------------------------------------------------------------------
 # monomials and homogeneous forms
@@ -116,6 +125,13 @@ def series_mul(a, b, length=None):
 
 # ---------------------------------------------------------------------------
 # univariate polynomials
+#
+# The gcd and the squarefree decomposition run on int polynomials.  Over Q
+# a polynomial is taken to its primitive part with a positive lead, which
+# has the same roots and the same divisors; over F_p to its monic residues
+# (`_normal`).  Pseudo-division keeps a remainder integral without
+# fractions, and a primitive divisor of an int polynomial over Q divides
+# it in Z[x] (Gauss's lemma), so exact quotients stay integral too.
 
 
 def poly_normalize(coeffs):
@@ -129,20 +145,10 @@ def poly_degree(p) -> int:
     return len(p) - 1
 
 
-def poly_add(a, b):
+def poly_sub(a, b):
     n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x + y)
-    return poly_normalize(out)
-
-
-def poly_scale(a, c):
-    if c == 0:
-        return ()
-    return tuple(c * x for x in a)
+    return poly_normalize([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                           for i in range(n)])
 
 
 def poly_mul(a, b):
@@ -157,44 +163,76 @@ def poly_mul(a, b):
     return poly_normalize(out)
 
 
-def poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return (), ()
-    if isinstance(b[-1], int):
-        b = tuple(Fraction(x) for x in b)
-    if isinstance(a[0], int):
-        a = [Fraction(x) for x in a]
-    else:
-        a = list(a)
-    zero = a[0] * 0
-    q = [zero] * max(0, len(a) - len(b) + 1)
+def poly_pseudo_rem(a, b):
+    """The remainder of lc(b)^e a by b for int polynomials, b nonzero and
+    e = max(deg a - deg b + 1, 0): integral, since each step scales the
+    running remainder by lc(b) before cancelling its top term (Knuth,
+    TAOCP 2, 4.6.1, Algorithm R)."""
+    r = list(a)
+    n = len(b) - 1
     lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / lead
-        if c != 0:
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        if lead != 1:
+            r = [x * lead for x in r]
+        if c:
+            for j in range(n):
+                r[top - n + j] -= c * b[j]
+    return poly_normalize(r)
+
+
+def poly_exact_div(a, b):
+    """a / b for int polynomials where b divides a in Z[x], as a primitive
+    b that divides a over Q does."""
+    r = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    q = [0] * max(len(a) - n, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + n] // lead
+        if c:
             q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = a[i + j] - c * y
-    return poly_normalize(q), poly_normalize(a[: len(b) - 1])
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    return tuple(q)
 
 
-def poly_monic(a):
-    if not a:
-        return a
-    lead = a[-1]
-    if isinstance(lead, int):
-        # int / int is a float
-        lead = Fraction(lead)
-    return tuple(x / lead for x in a)
+def _normal(a, field):
+    """The int normal form of a polynomial over `field` (scalars or ints):
+    primitive with a positive lead over Q, monic residues over F_p; ()
+    for zero."""
+    a = poly_normalize(field.ints(a))
+    return field.normal_form(a, len(a) - 1) if a else ()
+
+
+def _gcd(a, b, field):
+    """The gcd of two polynomials over `field` in its int normal form
+    (`_normal`): over Q by the primitive PRS (Collins 1967, J. ACM 14;
+    Brown-Traub 1971, J. ACM 18), pseudo-remainders taken to their
+    primitive parts; over F_p by Euclid on residues."""
+    a, b = _normal(a, field), _normal(b, field)
+    while b:
+        a, b = b, _normal(poly_pseudo_rem(a, b), field)
+    return a
+
+
+def _field_of(*polys):
+    """The field of the first nonzero coefficient; Q when all vanish."""
+    return field_of(next((c for p in polys for c in p if c), 0))
+
+
+def _monic(g, field):
+    """The int polynomial or binary form g as scalars over `field`,
+    divided by its last nonzero coefficient."""
+    lead = next((c for c in reversed(g) if c), 1)
+    return tuple(field.scalar(c, lead) for c in g)
 
 
 def poly_gcd(a, b):
-    """Monic gcd over a field."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
+    """Monic gcd over the coefficients' field (Q for ints and Fractions),
+    as scalars; taken on ints (`_gcd`)."""
+    field = _field_of(a, b)
+    return _monic(_gcd(a, b, field), field)
 
 
 def poly_derivative(a):
@@ -227,25 +265,27 @@ def poly_taylor_shift(a, r, length=None):
 
 
 def squarefree_decomposition(p):
-    """Yun decomposition over Q: list of (squarefree factor, multiplicity)
-    with p = lead * prod factor^mult and the factors pairwise coprime."""
+    """Yun decomposition over Q of a polynomial of ints or Fractions:
+    list of (squarefree factor, multiplicity) with p = c * prod
+    factor^mult for a rational c, the factors pairwise coprime primitive
+    int polynomials with a positive lead.  Every step stays in Z[x]: the
+    gcds are primitive (`_gcd`) and each quotient is exact
+    (`poly_exact_div`)."""
+    p = _normal(p, QQ)
     if poly_degree(p) < 1:
         return []
-    p = poly_monic(p)
     dp = poly_derivative(p)
-    a = poly_gcd(p, dp)
-    b = poly_divmod(p, a)[0]
-    c = poly_divmod(dp, a)[0]
-    d = poly_add(c, poly_scale(poly_derivative(b), -1))
+    a = _gcd(p, dp, QQ)
+    b = poly_exact_div(p, a)
+    d = poly_sub(poly_exact_div(dp, a), poly_derivative(b))
     out = []
     i = 1
     while poly_degree(b) > 0:
-        a = poly_gcd(b, d)
+        a = _gcd(b, d, QQ)
         if poly_degree(a) > 0:
             out.append((a, i))
-        b = poly_divmod(b, a)[0]
-        c = poly_divmod(d, a)[0]
-        d = poly_add(c, poly_scale(poly_derivative(b), -1))
+        b = poly_exact_div(b, a)
+        d = poly_sub(poly_exact_div(d, a), poly_derivative(b))
         i += 1
     return out
 
@@ -288,10 +328,10 @@ def _integer_roots(g) -> list[int]:
 
 
 def squarefree_rational_roots(f) -> list[Fraction]:
-    """The rational roots of a monic squarefree f over Q, such as a
-    factor of `squarefree_decomposition`, in no particular order."""
-    # f is monic, so clearing its denominators leaves it primitive
-    ints, _ = QQ.cleared(f)
+    """The rational roots of a squarefree f over Q, ints or Fractions,
+    such as a factor of `squarefree_decomposition`, in no particular
+    order."""
+    ints = QQ.ints(f)
     n, c = len(ints) - 1, ints[-1]
     g = [a * c ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
     return [Fraction(r, c) for r in _integer_roots(g)]
@@ -299,7 +339,7 @@ def squarefree_rational_roots(f) -> list[Fraction]:
 
 def rational_roots(p) -> list[tuple[Fraction, int]]:
     """All rational roots of p (over Q) with multiplicities, sorted."""
-    return sorted((r, mult) for f, mult in squarefree_decomposition(poly_normalize(p))
+    return sorted((r, mult) for f, mult in squarefree_decomposition(p)
                   for r in squarefree_rational_roots(f))
 
 
@@ -312,17 +352,12 @@ def binary_degree(f) -> int:
 
 
 def binary_eval(f, s, t):
-    d = binary_degree(f)
+    """f(s, t) by Horner's rule in t, the powers of s folded in."""
     total = s * 0
-    for i, c in enumerate(f):
-        if c == 0:
-            continue
-        v = c
-        for _ in range(d - i):
-            v = v * s
-        for _ in range(i):
-            v = v * t
-        total = total + v
+    power = 1
+    for c in reversed(f):
+        total = total * t + c * power
+        power = power * s
     return total
 
 
@@ -330,37 +365,39 @@ def binary_is_zero(f) -> bool:
     return all(c == 0 for c in f)
 
 
-def binary_linear_combination(forms, coeffs, field=QQ):
-    d = binary_degree(forms[0])
-    out = [field(0)] * (d + 1)
-    for f, c in zip(forms, coeffs):
-        if c == 0:
-            continue
-        for i, x in enumerate(f):
-            out[i] = out[i] + field(c) * x
-    return tuple(out)
+def _binary_gcd(f, g, field):
+    """gcd of two binary forms over `field`, as an int binary form.
 
-
-def binary_gcd(f, g):
-    """gcd of two binary forms, returned as a binary form (monic-ish).
-
-    The monic gcd in t of the two polynomials f(1, t), g(1, t) already
+    The gcd in t of the two polynomials f(1, t), g(1, t) (`_gcd`) already
     carries the common power of t; the common power of s is the drop in
-    t-degree, padded back on as trailing zeros."""
+    t-degree, padded back on as trailing zeros.  A zero form gives the
+    other one back as it is."""
     if binary_is_zero(f):
         return g
     if binary_is_zero(g):
         return f
     sf = next(i for i, c in enumerate(reversed(f)) if c != 0)
     sg = next(i for i, c in enumerate(reversed(g)) if c != 0)
-    core = poly_gcd(poly_normalize(f), poly_normalize(g))
-    return core + (core[-1] * 0,) * min(sf, sg)
+    return _gcd(f, g, field) + (0,) * min(sf, sg)
+
+
+def binary_gcd(f, g):
+    """gcd of two binary forms over the coefficients' field, monic in t
+    as scalars (a zero form gives the other one back as it is)."""
+    if binary_is_zero(f):
+        return g
+    if binary_is_zero(g):
+        return f
+    field = _field_of(f, g)
+    return _monic(_binary_gcd(f, g, field), field)
 
 
 def binary_gcd_many(forms):
+    """gcd of binary forms over Q, ints or Fractions, as a primitive int
+    binary form (the first form as it is when it stands alone)."""
     out = forms[0]
     for f in forms[1:]:
-        out = binary_gcd(out, f)
+        out = _binary_gcd(out, f, QQ)
         if binary_degree(out) == 0 and not binary_is_zero(out):
             break
     return out

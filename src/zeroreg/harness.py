@@ -24,13 +24,11 @@ from .exactalg import Matrix, QQ, prime_field
 from .forms import (
     binary_degree,
     binary_gcd_many,
-    binary_linear_combination,
     form_values,
-    poly_add,
     poly_derivative,
-    poly_divmod,
     poly_mul,
-    poly_scale,
+    poly_pseudo_rem,
+    poly_sub,
 )
 from .jsonio import scheme_to_jsonable
 from .normality import (
@@ -398,20 +396,23 @@ def conic_frame_certificate(rows, parameters, field=QQ) -> bool:
     `parameters` lists (tau, multiplicity) pairs.  The rows must form an
     invertible matrix (a smooth conic); frames whose first row is not
     honestly quadratic are reported unseparated so callers redraw them.
+
+    Runs on ints (`field.ints`: coprime integers over Q, residues over
+    F_p) with pseudo-remainders, which scale a and b by powers of u's
+    lead, nonzero in the field, so the determinant keeps its zero test.
     """
-    u = tuple(field(c) for c in rows[0])
-    t1 = tuple(field(c) for c in rows[1])
+    u = field.ints(rows[0])
+    t1 = field.ints(rows[1])
     if len(u) != 3 or u[2] == 0:
         return False
-    pi = (field(1),)
+    pi = (1,)
     for tau, mult in parameters:
+        factor = tuple(field.ints([-tau, 1]))
         for _ in range(mult):
-            pi = poly_mul(pi, (-field(tau), field(1)))
-    a = poly_divmod(pi, u)[1]
-    b = poly_divmod(poly_mul(poly_mul(t1, t1), t1), u)[1]
-    a = tuple(a) + (field(0),) * (2 - len(a))
-    b = tuple(b) + (field(0),) * (2 - len(b))
-    return a[0] * b[1] - a[1] * b[0] != 0
+            pi = poly_mul(pi, factor)
+    a = poly_pseudo_rem(pi, u) + (0, 0)
+    b = poly_pseudo_rem(poly_mul(poly_mul(t1, t1), t1), u) + (0, 0)
+    return any(field.ints([a[0] * b[1] - a[1] * b[0]]))
 
 
 def _conic_scheme(rng, field, with_germ):
@@ -545,17 +546,12 @@ def _center_meets_tangent_line(curve, center) -> bool:
     the plane has a critical parameter, i.e. the Wronskian minors of the
     composed coordinates share a root (checked at the finite parameters,
     which is all the sampled fibers use)."""
-    composed = [
-        binary_linear_combination(curve.forms, f) for f in center.cutting_forms
-    ]
+    composed = curve.composed_forms(center)
     minors = []
     for i in range(3):
         for j in range(i + 1, 3):
             a, b = composed[i], composed[j]
-            m = poly_add(
-                poly_mul(a, poly_derivative(b)),
-                poly_scale(poly_mul(b, poly_derivative(a)), -1),
-            )
+            m = poly_sub(poly_mul(a, poly_derivative(b)), poly_mul(b, poly_derivative(a)))
             if m:
                 minors.append(m)
     return not minors or binary_degree(binary_gcd_many(minors)) >= 1

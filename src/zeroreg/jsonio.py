@@ -162,19 +162,24 @@ def curve_to_jsonable(curve: RationalCurve):
             "forms": [[scalar_str(c) for c in f] for f in curve.forms]}
 
 
-def curve_from_jsonable(doc) -> RationalCurve:
+def curve_from_jsonable(doc, max_degree=None) -> RationalCurve:
+    """The curve of a document; with `max_degree`, a curve of higher
+    degree is rejected before any polynomial work."""
     if not isinstance(doc, dict) or "forms" not in doc:
         raise DocumentFormatError("curve must be an object with a \"forms\" key")
     field = field_from_jsonable(doc.get("field", "Q"))
     forms = [[_scalar_in(c, field) for c in f] for f in doc["forms"]]
+    degree = max((len(f) for f in forms), default=1) - 1
+    if max_degree is not None and degree > max_degree:
+        raise DocumentFormatError("curve degree must be <= %d, got %d" % (max_degree, degree))
     try:
         return RationalCurve(forms, field)
     except ValueError as err:
         raise DocumentFormatError(str(err)) from None
 
 
-def curve_loads(text: str) -> RationalCurve:
-    return curve_from_jsonable(parse_document(text))
+def curve_loads(text: str, max_degree=None) -> RationalCurve:
+    return curve_from_jsonable(parse_document(text), max_degree)
 
 
 def subspace_to_jsonable(sub: LinearSubspace):

@@ -14,6 +14,17 @@ binary form (or a gcd of two).  Multiplicities come from exact
 square-free decomposition; rational parameters are expanded into
 curvilinear germs, irrational ones are reported as clusters by degree
 and multiplicity.
+
+The curve work runs on ints.  A curve keeps its forms cleared by one
+common denominator (`RationalCurve.int_forms`), and a center's cutting
+forms are cleared the same way before they are composed with them
+(`RationalCurve.composed_forms`); a common scale moves neither a
+projective curve nor the zeros of a pencil.  The fiber's binary form,
+its gcds and squarefree factors (`forms`), and the points and jets at
+its parameters are int polynomials and int vectors fed to `ProjPoint`
+and `germ_from_series`.  Scalars are built only for the output: a
+fiber's image and its rational parameters.  Projections of finite
+schemes (`project_point`) still compute on the points' scalars.
 """
 
 from __future__ import annotations
@@ -24,10 +35,8 @@ from zeroreg.exactalg import Matrix, QQ
 from zeroreg.forms import (
     binary_degree,
     binary_eval,
-    binary_gcd,
     binary_gcd_many,
     binary_is_zero,
-    binary_linear_combination,
     poly_degree,
     poly_normalize,
     poly_taylor_shift,
@@ -305,9 +314,13 @@ def recipe_for_fiber(profile: FiberProfile):
 
 class RationalCurve:
     """A base-point-free parameterization P^1 -> P^N by binary forms of
-    one common degree, with exact rational coefficients."""
+    one common degree, with exact rational coefficients.
 
-    __slots__ = ("forms", "field")
+    `forms` holds the scalar coefficients; `int_forms` the same forms
+    times one common denominator, which parameterizes the same curve
+    and is what points, jets and fibers are computed on."""
+
+    __slots__ = ("forms", "int_forms", "field")
 
     def __init__(self, forms, field=QQ):
         if field is not QQ:
@@ -318,14 +331,18 @@ class RationalCurve:
         widths = {len(f) for f in forms}
         if len(widths) != 1:
             raise ValueError("coordinate forms must share one degree")
-        if next(iter(widths)) < 2:
+        width = next(iter(widths))
+        if width < 2:
             raise ValueError("the parameterization must have degree >= 1")
-        nonzero = [f for f in forms if not binary_is_zero(f)]
+        flat, _ = field.cleared([c for f in forms for c in f])
+        int_forms = tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width))
+        nonzero = [f for f in int_forms if not binary_is_zero(f)]
         if not nonzero:
             raise ValueError("the zero tuple does not parameterize a curve")
         if binary_degree(binary_gcd_many(nonzero)) != 0:
             raise ValueError("coordinate forms share a zero (a base point)")
         self.forms = forms
+        self.int_forms = int_forms
         self.field = field
 
     @property
@@ -337,27 +354,55 @@ class RationalCurve:
         return binary_degree(self.forms[0])
 
     def point(self, s, t) -> ProjPoint:
-        s, t = self.field(s), self.field(t)
-        return ProjPoint([binary_eval(f, s, t) for f in self.forms], self.field)
+        """The image of (s : t), ints or Fractions."""
+        s, t = self.field.ints([s, t])
+        return ProjPoint([binary_eval(f, s, t) for f in self.int_forms], self.field)
 
     def jet(self, s0, t0, length: int):
         """Taylor expansions of the homogeneous coordinates in a local
-        parameter at (s0 : t0), as length-`length` series."""
-        s0, t0 = self.field(s0), self.field(t0)
-        if s0 != 0:
-            r = t0 / s0
-            return tuple(poly_taylor_shift(f, r, length) for f in self.forms)
-        if t0 == 0:
+        parameter u at (s0 : t0), as length-`length` int series on one
+        common scale.  With (s0 : t0) = (s : t) coprime ints and s > 0
+        they are f(s, t + s u) for f in `int_forms` (s^D times the
+        expansion of f(1, t/s + u)); at (0 : 1) they are f(u, 1)."""
+        st = self.field.normal_form(self.field.ints([s0, t0]))
+        if st is None:
             raise ValueError("(0 : 0) is not a parameter value")
+        s, t = st
+        if not s:
+            return tuple(poly_taylor_shift(f[::-1], 0, length) for f in self.int_forms)
+        d = self.degree
+        powers = [1]
+        for _ in range(max(d, length)):
+            powers.append(powers[-1] * s)
+        # f(s, t + s u) = F(t + s u) with F(x) = sum_i c_i s^(d-i) x^i
         return tuple(
-            poly_taylor_shift(tuple(reversed(f)), self.field(0), length)
-            for f in self.forms
-        )
+            tuple(c * powers[k] for k, c in enumerate(poly_taylor_shift(
+                [c * powers[d - i] for i, c in enumerate(f)], t, length)))
+            for f in self.int_forms)
+
+    def composed_forms(self, subspace):
+        """The cutting forms of `subspace` composed with the curve, as int
+        binary forms on one common scale: the cutting forms are cleared
+        by a single common denominator, so the ratios between the
+        composed forms are the true ones."""
+        if subspace.field is not self.field:
+            raise ValueError("the subspace and the curve lie over different fields")
+        flat, _ = self.field.cleared([c for f in subspace.cutting_forms for c in f])
+        width = self.ambient + 1
+        out = []
+        for k in range(0, len(flat), width):
+            form = [0] * (self.degree + 1)
+            for c, f in zip(flat[k:k + width], self.int_forms):
+                if c:
+                    for i, x in enumerate(f):
+                        form[i] += c * x
+            out.append(tuple(form))
+        return out
 
     def is_nondegenerate(self) -> bool:
         """True when the image spans the whole ambient space (possible
         only for degree >= ambient)."""
-        return Matrix([list(f) for f in self.forms], field=self.field).rank() == self.ambient + 1
+        return Matrix(self.int_forms, field=self.field).rank() == self.ambient + 1
 
     def __repr__(self):
         return "RationalCurve(degree=%d in P^%d)" % (self.degree, self.ambient)
@@ -436,16 +481,16 @@ def curve_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     N - 2; always of total length equal to the curve's degree."""
     if center.ambient != curve.ambient or len(center.cutting_forms) != 2:
         raise ValueError("center must be cut by exactly two forms in the curve's space")
-    a, b = (binary_linear_combination(curve.forms, f, curve.field)
-            for f in center.cutting_forms)
-    if binary_degree(binary_gcd(a, b)) != 0:
+    a, b = curve.composed_forms(center)
+    if binary_degree(binary_gcd_many([a, b])) != 0:
         raise CenterMeetsCurve("center intersects the curve")
     if len(y) != 2:
         raise ValueError("a point of the target line has two coordinates, got %d" % len(y))
     y0, y1 = (curve.field(c) for c in y)
     if y0 == 0 and y1 == 0:
         raise ValueError("(0 : 0) is not a point of the target line")
-    form = tuple(y1 * xa - y0 * xb for xa, xb in zip(a, b))
+    (u0, u1), _ = curve.field.cleared([y0, y1])
+    form = tuple(u1 * xa - u0 * xb for xa, xb in zip(a, b))
     return _fiber_from_binary_form(curve, (y0, y1), form)
 
 
@@ -454,29 +499,29 @@ def plane_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     N - 3; total length 0 when y is not on the image curve."""
     if center.ambient != curve.ambient or len(center.cutting_forms) != 3:
         raise ValueError("center must be cut by exactly three forms in the curve's space")
-    composed = [binary_linear_combination(curve.forms, f, curve.field)
-                for f in center.cutting_forms]
+    composed = curve.composed_forms(center)
     if binary_degree(binary_gcd_many(composed)) != 0:
         raise CenterMeetsCurve("center intersects the curve")
     if len(y) != 3:
         raise ValueError("a point of the target plane has three coordinates, got %d" % len(y))
-    ys = [curve.field(c) for c in y]
+    ys = tuple(curve.field(c) for c in y)
     if all(v == 0 for v in ys):
         raise ValueError("(0 : 0 : 0) is not a point of the target plane")
-    i0 = next(i for i, v in enumerate(ys) if v != 0)
+    us, _ = curve.field.cleared(ys)
+    i0 = next(i for i, v in enumerate(us) if v)
     minors = []
     for j in range(3):
         if j == i0:
             continue
         minors.append(
-            tuple(ys[i0] * xj - ys[j] * xi for xj, xi in zip(composed[j], composed[i0]))
+            tuple(us[i0] * xj - us[j] * xi for xj, xi in zip(composed[j], composed[i0]))
         )
     if all(binary_is_zero(m) for m in minors):
         raise AssertionError("projection collapses the curve despite a disjoint center")
     h = binary_gcd_many([m for m in minors if not binary_is_zero(m)])
     if binary_degree(h) == 0:
-        return CurveFiber(tuple(ys), (), (), (), 0)
-    return _fiber_from_binary_form(curve, tuple(ys), h)
+        return CurveFiber(ys, (), (), (), 0)
+    return _fiber_from_binary_form(curve, ys, h)
 
 
 def curve_linear_section_length(curve: RationalCurve, subspace: LinearSubspace) -> int:
@@ -484,9 +529,7 @@ def curve_linear_section_length(curve: RationalCurve, subspace: LinearSubspace) 
     curve with a linear subspace."""
     if subspace.ambient != curve.ambient:
         raise ValueError("subspace lives in the wrong ambient space")
-    composed = [binary_linear_combination(curve.forms, f, curve.field)
-                for f in subspace.cutting_forms]
-    nonzero = [f for f in composed if not binary_is_zero(f)]
+    nonzero = [f for f in curve.composed_forms(subspace) if not binary_is_zero(f)]
     if not nonzero:
         raise CurveContainedInSubspace("every cutting form vanishes on the curve")
     return binary_degree(binary_gcd_many(nonzero))

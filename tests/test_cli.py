@@ -20,7 +20,7 @@ from zeroreg.jsonio import (
     subspace_to_jsonable,
 )
 from zeroreg.projection import RationalCurve
-from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint, reduced_germ
+from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint, make_germ, reduced_germ
 
 
 def _collinear5(path):
@@ -226,6 +226,40 @@ def test_degree_flags_over_the_limit_exit_two(tmp_path, capsys):
         assert "<= %d" % limit in err and str(limit + 1) in err
     code, out, _ = run_cli(["hilbert", "--scheme", scheme, "--max-degree", str(limit)], capsys)
     assert code == 0 and len(json.loads(out)["phi"]) == limit + 1
+
+
+def _long_germ(path, length):
+    """A length-L germ at (1:1:2) in chart 1, so U = x_0 is expanded one
+    factor at a time, and the point (1:0:0): sum of squared lengths
+    L^2 + 1."""
+    jets = [[1] + [1] * (length - 1), [2] + [-1] * (length - 1)]
+    germs = [make_germ((1, 1, 2), 1, jets), reduced_germ(ProjPoint((1, 0, 0)))]
+    path.write_text(scheme_dumps(FiniteScheme(germs)))
+    return str(path)
+
+
+def test_separate_work_budget_is_degree_times_squared_lengths(tmp_path, capsys, monkeypatch):
+    scheme = _long_germ(tmp_path / "x.json", 3)
+    monkeypatch.setattr(cli, "SEPARATE_BUDGET", 40)
+    code, out, _ = run_cli(["separate", "--scheme", scheme, "--degree", "4"], capsys)
+    assert code in (0, 1) and json.loads(out)["k"] == 4
+    code, out, err = run_cli(["separate", "--scheme", scheme, "--degree", "5"], capsys)
+    assert code == 2 and out == ""
+    assert "must be <= 40, got 50" in err
+
+
+def test_curve_degree_cap_is_inclusive(tmp_path, capsys):
+    # (s^d : t^d) meets the hyperplane x_0 = x_1 in the d-th roots of unity
+    cap = cli.CURVE_MAX_DEGREE
+    sub = _subspace(tmp_path / "h.json", 1, [(1, -1)])
+    for d, code_want in ((cap, 0), (cap + 1, 2)):
+        curve = _curve(tmp_path / "c.json", [(1,) + (0,) * d, (0,) * d + (1,)])
+        code, out, err = run_cli(["curve-section", "--curve", curve, "--subspace", sub], capsys)
+        assert code == code_want
+        if code == 0:
+            assert json.loads(out)["length"] == cap
+        else:
+            assert out == "" and "curve degree must be <= %d, got %d" % (cap, d) in err
 
 
 def test_separate_maps_fractional_recipe_coefficients_into_fp(tmp_path, capsys):
@@ -472,6 +506,12 @@ def _curve(path, forms):
     return str(path)
 
 
+def _subspace_over_f7(path):
+    path.write_text('{"ambient":3,"cutting_forms":[["1","0","0","6"],["0","1","1","6"]],'
+                    '"field":{"Fp":7}}')
+    return str(path)
+
+
 def _pencil_from_100(path):
     return _subspace(path, 2, [(0, 1, 0), (0, 0, 1)])
 
@@ -549,6 +589,17 @@ INPUT_ERRORS = {
     "chart-true-with-a-jet": (lambda d: _plane_germs(
         d / "x.json", "Q", {"point": ["0", "1", "2"], "chart": True,
                             "jet": [["0", "1"], None, ["2", "0"]]}), "coordinate index"),
+    "curve-fiber-center-over-fp": (lambda d: [
+        "curve-fiber", "--curve", _twisted_cubic(d / "c.json"),
+        "--center", _subspace_over_f7(d / "z.json"), "--y", "1:1"], "different fields"),
+    "separate-over-the-work-budget": (lambda d: [
+        "separate", "--scheme", _long_germ(d / "x.json", 16), "--degree", "10000"],
+        "<= %d, got 2570000" % cli.SEPARATE_BUDGET),
+    "curve-fiber-over-the-degree-cap": (lambda d: [
+        "curve-fiber", "--curve", _curve(d / "c.json", [
+            (1,) + (0,) * (cli.CURVE_MAX_DEGREE + 1), (0,) * (cli.CURVE_MAX_DEGREE + 1) + (1,)]),
+        "--center", _subspace(d / "z.json", 1, [(1, 0), (0, 1)]), "--y", "1:1"],
+        "curve degree must be <= %d" % cli.CURVE_MAX_DEGREE),
     "separate-recipe-wider-than-the-space": (lambda d: [
         "separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "2",
         "--recipe", _three_variable_recipe(d / "r.json")], "3 tangent variables"),

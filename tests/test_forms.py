@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeroreg.exactalg import QQ, prime_field
@@ -17,11 +17,12 @@ from zeroreg.forms import (
     monomials_of_degree,
     poly_degree,
     poly_derivative,
-    poly_divmod,
     poly_eval,
+    poly_exact_div,
     poly_gcd,
     poly_mul,
     poly_normalize,
+    poly_pseudo_rem,
     poly_taylor_shift,
     rational_roots,
     series_mul,
@@ -76,19 +77,150 @@ def test_series_mul_truncates_the_product():
     assert series_mul((F(3), F(1), F(7)), (F(9), F(0), F(4))) == (F(1), F(9), F(10))
 
 
+def _divmod_reference(a, b):
+    """Long division over Q in Fractions: (q, r) with a = q b + r."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] / b[-1]
+        q[i] = c
+        for j, y in enumerate(b):
+            a[i + j] -= c * y
+    return poly_normalize(q), poly_normalize(a[: len(b) - 1])
+
+
+def _monic_reference(a):
+    return tuple(Fraction(c) / a[-1] for c in a)
+
+
+def _gcd_reference(a, b):
+    """Monic gcd over Q by Euclid on Fractions."""
+    a, b = poly_normalize(a), poly_normalize(b)
+    while b:
+        a, b = b, _divmod_reference(a, b)[1]
+    return _monic_reference(a) if a else ()
+
+
+def _squarefree_reference(p):
+    """Yun's decomposition over Q on Fractions, monic factors."""
+    p = _monic_reference(poly_normalize(p))
+    if poly_degree(p) < 1:
+        return []
+    dp = poly_derivative(p)
+    a = _gcd_reference(p, dp)
+    b = _divmod_reference(p, a)[0]
+    d = _sub_reference(_divmod_reference(dp, a)[0], poly_derivative(b))
+    out, i = [], 1
+    while poly_degree(b) > 0:
+        a = _gcd_reference(b, d)
+        if poly_degree(a) > 0:
+            out.append((a, i))
+        b = _divmod_reference(b, a)[0]
+        d = _sub_reference(_divmod_reference(d, a)[0], poly_derivative(b))
+        i += 1
+    return out
+
+
+def _sub_reference(a, b):
+    n = max(len(a), len(b))
+    return poly_normalize([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                           for i in range(n)])
+
+
+def _int_poly(rng, deg, box=9):
+    """A random int polynomial of exact degree deg."""
+    return tuple(rng.randint(-box, box) for _ in range(deg)) + (rng.choice(
+        [c for c in range(-box, box + 1) if c]),)
+
+
+def _planted(rng, roots, mult, quadratics):
+    """A product of linear factors (den x - num), each to a power up to
+    mult, times irreducible quadratics x^2 + c (c > 0), each squared or
+    not: repeated roots, rational and irrational."""
+    p = (rng.choice([1, -2, 3]),)
+    for _ in range(roots):
+        factor = (-rng.randint(-6, 6), rng.randint(1, 4))
+        for _ in range(rng.randint(1, mult)):
+            p = poly_mul(p, factor)
+    for _ in range(quadratics):
+        factor = (rng.randint(1, 5), 0, 1)
+        for _ in range(rng.randint(1, 2)):
+            p = poly_mul(p, factor)
+    return p
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5), st.integers())
 def test_poly_divmod_identity(da, db, seed):
+    # pseudo-division: lc(b)^e a = q b + r with deg r < deg b
     rng = random.Random(seed)
-    a = rand_poly(rng, da)
-    b = rand_poly(rng, db)
-    if not b:
-        b = (Fraction(1),)
-    q, r = poly_divmod(a, b)
-    lhs = to_sympy(a).as_expr()
-    rhs = to_sympy(poly_mul(q, b)).as_expr() + to_sympy(r).as_expr()
-    assert sympy.expand(lhs - rhs) == 0
+    a = poly_normalize(_int_poly(rng, da))
+    b = _int_poly(rng, db)
+    r = poly_pseudo_rem(a, b)
+    scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+    lhs = to_sympy(tuple(scale * c for c in a)).as_expr() - to_sympy(r).as_expr()
+    assert sympy.rem(lhs, to_sympy(b).as_expr(), x) == 0
     assert poly_degree(r) < poly_degree(b) or r == ()
+    assert all(type(c) is int for c in r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 30), st.integers())
+@example(60, 30, 1)
+@example(60, 1, 2)
+def test_int_divmod_matches_the_fraction_reference(da, db, seed):
+    rng = random.Random(seed)
+    a = _int_poly(rng, da)
+    b = _int_poly(rng, db)
+    q_ref, r_ref = _divmod_reference(a, b)
+    scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+    assert poly_pseudo_rem(a, b) == tuple(scale * c for c in r_ref)
+    # a primitive divisor divides exactly in Z[x]
+    g = gcd(*b)
+    b = tuple(c // g for c in b)
+    got = poly_exact_div(poly_mul(a, b), b)
+    assert got == a and all(type(c) is int for c in got)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20), st.integers(1, 3),
+       st.integers())
+@example(20, 20, 20, 3, 1)
+@example(0, 20, 20, 1, 2)
+def test_int_gcd_matches_the_fraction_reference(dc, da, db, mult, seed):
+    # a planted common factor with repeated roots, up to degree 60
+    rng = random.Random(seed)
+    common = poly_mul(_int_poly(rng, dc), _planted(rng, rng.randint(0, 3), mult, 0))
+    a = poly_mul(_int_poly(rng, da), common)
+    b = poly_mul(_int_poly(rng, db), common)
+    got = poly_gcd(a, b)
+    assert got == _gcd_reference(a, b)
+    assert all(type(c) is Fraction for c in got)
+    assert poly_degree(got) >= poly_degree(common)
+    # binary_gcd_many: the primitive int gcd, with the pad for s
+    h = binary_gcd_many([a + (0,), b + (0, 0)])
+    assert h[:-1] == tuple(c * h[-2] for c in got) and h[-1] == 0
+    assert h[-2] > 0 and gcd(*h) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 4), st.integers(0, 2), st.integers(0, 12),
+       st.integers())
+@example(6, 4, 2, 12, 1)
+def test_int_squarefree_decomposition_matches_the_fraction_reference(
+        roots, mult, quadratics, extra, seed):
+    rng = random.Random(seed)
+    p = poly_mul(_planted(rng, roots, mult, quadratics), _int_poly(rng, extra))
+    got = squarefree_decomposition(p)
+    assert [(_monic_reference(f), m) for f, m in got] == _squarefree_reference(p)
+    recon = (1,)
+    for f, m in got:
+        assert f[-1] > 0 and gcd(*f) == 1 and all(type(c) is int for c in f)
+        for _ in range(m):
+            recon = poly_mul(recon, f)
+    # p is a rational multiple of the product
+    assert poly_degree(recon) == poly_degree(p)
+    assert all(c * p[-1] == d * recon[-1] for c, d in zip(recon, p))
 
 
 def test_poly_gcd_against_sympy():
@@ -193,7 +325,7 @@ def _rational_roots_reference(p):
     for r in candidates:
         m, q = 0, p
         while True:
-            quo, rem = poly_divmod(q, (-r, Fraction(1)))
+            quo, rem = _divmod_reference(q, (-r, Fraction(1)))
             if rem:
                 break
             m, q = m + 1, quo

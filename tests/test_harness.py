@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeroreg.exactalg import QQ, prime_field
+from zeroreg.exactalg import QQ, Matrix, prime_field
 from zeroreg.harness import (
     GenerationExhausted,
     GeneratorSpec,
@@ -183,6 +183,29 @@ def test_certificate_matches_the_rank_oracle_on_a_generic_frame():
         oracle = recipe_separates(_conic_points(rows, taus), _CONIC_RECIPE, 3)
         assert cert == oracle
         assert cert
+
+
+def test_certificate_is_the_rank_oracle_on_quadratic_frames():
+    # in both directions; on the first two frames the pseudo-remainders
+    # satisfy a0 b1 = -a1 b0 != 0, so the determinant's sign matters
+    cases = [([(-1, 0, 1), (0, -1, 1), (3, 3, -3)], [-1, -4, 2, 4, -2, -6]),
+             ([(3, 0, -3), (1, 1, 0), (2, -1, 1)], [0, 1, -2, -5, 6, -6])]
+    rng = random.Random(18)
+    while len(cases) < 80:
+        rows = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
+        if rows[0][2] and Matrix(rows, field=QQ).rank() == 3:
+            cases.append((rows, rng.sample(range(-6, 7), 6)))
+    checked = 0
+    for rows, taus in cases:
+        try:
+            x = _conic_points(rows, taus)
+        except ValueError:
+            continue
+        if x.degree == 6:
+            cert = conic_frame_certificate(rows, [(t, 1) for t in taus])
+            assert cert == recipe_separates(x, _CONIC_RECIPE, 3)
+            checked += 1
+    assert checked > 40
 
 
 def test_certificate_requires_a_quadratic_first_coordinate():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -26,12 +27,13 @@ from zeroreg.projection import (
     tangency_locus_codim,
     yk_counts,
 )
-from zeroreg.exactalg import Matrix
+from zeroreg.exactalg import QQ, Matrix
 from zeroreg.scheme import (
     FiniteScheme,
     LinearSubspace,
     ProjPoint,
     apply_matrix,
+    germ_from_series,
     germ_on_line,
     make_germ,
     reduced_germ,
@@ -399,6 +401,28 @@ def test_curve_jet_matches_symbolic_expansion():
     assert at_infinity == ((0, 0), (0, 0), (0, 1), (1, 0))
 
 
+def test_curve_jet_at_a_fractional_parameter_is_a_scaled_expansion():
+    # at (s : t) = (2 : -1) the int jet is s^D times the expansion of the
+    # coordinates in u at t/s = -1/2, and gives the germ the scalar
+    # expansion gives
+    curve = RationalCurve([(1, 0, 0, 0, 0), (0, Fraction(1, 2), 0, 0, 0), (0, 0, 0, 1, 0),
+                           (0, 0, Fraction(1, 3), 0, 1)])
+    u = sympy.symbols("u")
+    scalar_jet = []
+    for f in curve.forms:
+        expr = sympy.expand(sum(sympy.Rational(c) * (sympy.Rational(-1, 2) + u) ** i
+                                for i, c in enumerate(f)))
+        coeffs = sympy.Poly(expr, u).all_coeffs()[::-1] + [0] * 4
+        scalar_jet.append(tuple(Fraction(int(sympy.fraction(c)[0]), int(sympy.fraction(c)[1]))
+                                for c in coeffs[:3]))
+    jet = curve.jet(2, -1, 3)
+    assert jet == curve.jet(Fraction(-4), Fraction(2), 3)
+    scale = jet[0][0] / scalar_jet[0][0]
+    assert scale == 2 ** 4 * 6
+    assert jet == tuple(tuple(scale * c for c in s) for s in scalar_jet)
+    assert germ_from_series(jet, QQ).series == germ_from_series(scalar_jet, QQ).series
+
+
 def test_conic_fiber_with_two_reduced_points():
     center = LinearSubspace(2, [(1, 0, 0), (0, 0, 1)])  # the point (0:1:0)
     fib = curve_fiber(CONIC, center, (1, 1))
@@ -465,6 +489,23 @@ def test_fiber_images_are_consistent():
     for g in fib.germs:
         image = project_point(g.support, center)
         assert image == ProjPoint((2, 3))
+
+
+def test_fibers_of_centers_with_fractional_forms_lie_over_their_image():
+    # cutting forms with different denominators: the composed forms must
+    # keep their true ratio, which project_point checks independently
+    curve = RationalCurve([(1, 0, 0, 0), (0, Fraction(1, 2), 0, 0), (0, 0, 1, 0),
+                           (0, Fraction(-1, 3), 0, 1)])
+    pencil = LinearSubspace(3, [(Fraction(1, 2), 0, 1, 0), (0, Fraction(2, 3), 0, Fraction(1, 5))])
+    plane = LinearSubspace(3, [(Fraction(1, 2), 0, 0, 0), (0, Fraction(1, 3), 0, 0),
+                               (0, 0, Fraction(1, 7), -1)])
+    for center, fiber in ((pencil, curve_fiber), (plane, plane_fiber)):
+        for t in (-1, 2, Fraction(1, 2)):
+            y = project_point(curve.point(1, t), center).coords
+            fib = fiber(curve, center, y)
+            assert fib.germs
+            for g in fib.germs:
+                assert project_point(g.support, center) == ProjPoint(y)
 
 
 def test_nodal_curve_fiber_reports_duplicate_support():
@@ -547,6 +588,43 @@ def test_curve_contained_in_subspace():
     hyper = LinearSubspace(3, [(0, 0, 0, 1)])
     with pytest.raises(CurveContainedInSubspace):
         curve_linear_section_length(flat, hyper)
+
+
+def _count_fractions(monkeypatch):
+    """A counter of Fraction constructions, arithmetic results included."""
+    made = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_curve_fibers_build_fractions_only_for_their_output(monkeypatch):
+    # (s^4 : s^3 t / 2 : s t^3 : t^4 + s^2 t^2 / 3): the fiber over (1 : 0)
+    # of the pencil x_0, x_3 is a double point at (1 : 0) and a conjugate
+    # pair; the plane center (1 : 0 : 0 : 1) lies on the chord of the
+    # twisted cubic through (1 : 0) and (0 : 1)
+    curve = RationalCurve([(1, 0, 0, 0, 0), (0, Fraction(1, 2), 0, 0, 0), (0, 0, 0, 1, 0),
+                           (0, 0, Fraction(1, 3), 0, 1)])
+    pencil = LinearSubspace(3, [(1, 0, 0, 0), (0, 0, 0, 1)])
+    plane = LinearSubspace(3, [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)])
+    made = _count_fractions(monkeypatch)
+    fibers = [curve_fiber(curve, pencil, y) for y in [(1, 0), (3, 1), (0, 1)]]
+    fibers += [plane_fiber(TWISTED_CUBIC, plane, y) for y in [(0, 0, 1), (1, 1, 0), (1, 1, 1)]]
+    outputs = sum(len(f.image) + len(f.parameters) for f in fibers)
+    assert made[0] <= outputs
+    assert [f.total for f in fibers] == [4, 4, 4, 2, 1, 0]
+    assert (fibers[0].parameters, fibers[0].clusters) == ((((1, 0), 2),), ((2, 1),))
+    # points and jets are ints throughout
+    third, minus_half = Fraction(1, 3), Fraction(-1, 2)
+    made[0] = 0
+    assert curve.point(2, third) == ProjPoint((1296, 108, 6, 13))
+    assert all(type(c) is int for s in curve.jet(1, minus_half, 3) for c in s)
+    assert made[0] == 0
 
 
 @settings(max_examples=60, deadline=None)
