@@ -73,16 +73,6 @@ MAX_DEGREE = 10000
 # k = 10,000 (six times the budget) takes 11.5 s.
 SEPARATE_BUDGET = 2500000
 
-# The largest curve degree `curve-fiber` and `curve-section` take.  The
-# gcds under them (the base-point test, the center test, and the
-# squarefree part of the fiber) are primitive PRS in Z[t], whose
-# coefficients grow with the degree: `curve-fiber` on a random curve in
-# P^3 with coefficients in [-9, 9] takes about 0.1 s at degree 40,
-# 0.2 s at 80, 1.1 s at 160, 2.3 s at 200 and 15 s at 320 in a fresh
-# process on a 2-core Xeon VM (`curve-section` 0.3 s at 160), and
-# longer for longer coefficients.
-CURVE_MAX_DEGREE = 160
-
 # The `verify --suite` choices.  `harness.SUITE_NAMES` is the authority
 # and a test keeps the two equal; spelling them out here spares every
 # other command the import of the harness.
@@ -105,7 +95,7 @@ def _load_scheme(path: str):
 
 
 def _load_curve(path: str):
-    return curve_loads(_read(path), CURVE_MAX_DEGREE)
+    return curve_loads(_read(path))
 
 
 def _emit(doc) -> None:

@@ -208,12 +208,13 @@ def _normal(a, field):
 def _gcd(a, b, field):
     """The gcd of two polynomials over `field` in its int normal form
     (`_normal`): over Q by the primitive PRS (Collins 1967, J. ACM 14;
-    Brown-Traub 1971, J. ACM 18), pseudo-remainders taken to their
-    primitive parts; over F_p by Euclid on residues."""
-    a, b = _normal(a, field), _normal(b, field)
+    Brown-Traub 1971, J. ACM 18), over F_p by Euclid on residues.  Each
+    pseudo-remainder takes one `field.ints` pass (its primitive part, or
+    its residues); only the gcd is put in normal form."""
+    a, b = poly_normalize(field.ints(a)), poly_normalize(field.ints(b))
     while b:
-        a, b = b, _normal(poly_pseudo_rem(a, b), field)
-    return a
+        a, b = b, poly_normalize(field.ints(poly_pseudo_rem(a, b)))
+    return field.normal_form(a, len(a) - 1) if a else ()
 
 
 def _field_of(*polys):

@@ -26,6 +26,17 @@ from .projection import RationalCurve
 from .scheme import CurvilinearGerm, FiniteScheme, LinearSubspace, ProjPoint, make_germ, reduced_germ
 
 
+# The largest curve degree a curve document may have.  The gcds under
+# `curve-fiber` and `curve-section` (the base-point test, the center
+# test, and the squarefree part of the fiber) are primitive PRS in Z[t],
+# whose coefficients grow with the degree: `curve-fiber` on a random
+# curve in P^3 with coefficients in [-9, 9] takes about 0.1 s at degree
+# 40, 0.13 s at 80, 0.65 s at 160, 1.4 s at 200 and 10 s at 320 in a
+# fresh process on a 2-core Xeon VM (`curve-section` 0.18 s at 160), and
+# longer for longer coefficients.
+CURVE_MAX_DEGREE = 160
+
+
 class DocumentFormatError(ValueError):
     """A JSON document does not follow the expected layout."""
 
@@ -162,24 +173,25 @@ def curve_to_jsonable(curve: RationalCurve):
             "forms": [[scalar_str(c) for c in f] for f in curve.forms]}
 
 
-def curve_from_jsonable(doc, max_degree=None) -> RationalCurve:
-    """The curve of a document; with `max_degree`, a curve of higher
-    degree is rejected before any polynomial work."""
+def curve_from_jsonable(doc) -> RationalCurve:
+    """The curve of a document; one of degree above `CURVE_MAX_DEGREE` is
+    rejected before any polynomial work."""
     if not isinstance(doc, dict) or "forms" not in doc:
         raise DocumentFormatError("curve must be an object with a \"forms\" key")
     field = field_from_jsonable(doc.get("field", "Q"))
     forms = [[_scalar_in(c, field) for c in f] for f in doc["forms"]]
     degree = max((len(f) for f in forms), default=1) - 1
-    if max_degree is not None and degree > max_degree:
-        raise DocumentFormatError("curve degree must be <= %d, got %d" % (max_degree, degree))
+    if degree > CURVE_MAX_DEGREE:
+        raise DocumentFormatError(
+            "curve degree must be <= %d, got %d" % (CURVE_MAX_DEGREE, degree))
     try:
         return RationalCurve(forms, field)
     except ValueError as err:
         raise DocumentFormatError(str(err)) from None
 
 
-def curve_loads(text: str, max_degree=None) -> RationalCurve:
-    return curve_from_jsonable(parse_document(text), max_degree)
+def curve_loads(text: str) -> RationalCurve:
+    return curve_from_jsonable(parse_document(text))
 
 
 def subspace_to_jsonable(sub: LinearSubspace):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from zeroreg import cli, harness, normality
+from zeroreg import cli, harness, jsonio, normality
 from zeroreg.cli import main
 from zeroreg.jsonio import (
     canonical_json,
@@ -250,7 +250,7 @@ def test_separate_work_budget_is_degree_times_squared_lengths(tmp_path, capsys, 
 
 def test_curve_degree_cap_is_inclusive(tmp_path, capsys):
     # (s^d : t^d) meets the hyperplane x_0 = x_1 in the d-th roots of unity
-    cap = cli.CURVE_MAX_DEGREE
+    cap = jsonio.CURVE_MAX_DEGREE
     sub = _subspace(tmp_path / "h.json", 1, [(1, -1)])
     for d, code_want in ((cap, 0), (cap + 1, 2)):
         curve = _curve(tmp_path / "c.json", [(1,) + (0,) * d, (0,) * d + (1,)])
@@ -597,9 +597,9 @@ INPUT_ERRORS = {
         "<= %d, got 2570000" % cli.SEPARATE_BUDGET),
     "curve-fiber-over-the-degree-cap": (lambda d: [
         "curve-fiber", "--curve", _curve(d / "c.json", [
-            (1,) + (0,) * (cli.CURVE_MAX_DEGREE + 1), (0,) * (cli.CURVE_MAX_DEGREE + 1) + (1,)]),
+            (1,) + (0,) * (jsonio.CURVE_MAX_DEGREE + 1), (0,) * (jsonio.CURVE_MAX_DEGREE + 1) + (1,)]),
         "--center", _subspace(d / "z.json", 1, [(1, 0), (0, 1)]), "--y", "1:1"],
-        "curve degree must be <= %d" % cli.CURVE_MAX_DEGREE),
+        "curve degree must be <= %d" % jsonio.CURVE_MAX_DEGREE),
     "separate-recipe-wider-than-the-space": (lambda d: [
         "separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "2",
         "--recipe", _three_variable_recipe(d / "r.json")], "3 tangent variables"),

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from zeroreg.exactalg import prime_field
 from zeroreg.jsonio import (
+    CURVE_MAX_DEGREE,
     DocumentFormatError,
     canonical_json,
     curve_from_jsonable,
@@ -141,6 +142,13 @@ def test_curve_round_trip():
 def test_curve_document_rejects_base_points():
     with pytest.raises(DocumentFormatError):
         curve_from_jsonable({"field": "Q", "forms": [[1, 0, 0], [2, 0, 0]]})
+
+
+def test_curve_document_over_the_degree_cap_is_rejected():
+    cap = CURVE_MAX_DEGREE
+    assert curve_from_jsonable({"forms": [[1] + [0] * cap, [0] * cap + [1]]}).degree == cap
+    with pytest.raises(DocumentFormatError, match="must be <= %d, got %d" % (cap, cap + 1)):
+        curve_loads(canonical_json({"forms": [["1"] + ["0"] * (cap + 1), ["0"] * (cap + 1) + ["1"]]}))
 
 
 def test_subspace_round_trip():
