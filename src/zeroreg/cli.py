@@ -68,9 +68,10 @@ MAX_DEGREE = 10000
 # The largest `separate` work: --degree k times the sum of L^2 over the
 # germs' lengths L, since each factor of U^(k-j) is one product of
 # length-L series.  At the budget, k = 10,000 on one length-15 germ takes
-# about 1.9 s, on 250 points 1.3 s, and k = 1,000 on a length-49 germ
-# 1.8 s in a fresh process on a 2-core Xeon VM; a length-40 germ at
-# k = 10,000 (six times the budget) takes 11.5 s.
+# about 1.9 s and k = 1,000 on a length-49 germ 1.8 s in a fresh process
+# on a 2-core Xeon VM; a length-40 germ at k = 10,000 (six times the
+# budget) takes 11.5 s.  Reduced points stay below it: the 80 that
+# `jsonio.SCHEME_MAX_DEGREE` allows take 0.5 s at k = 10,000.
 SEPARATE_BUDGET = 2500000
 
 # The `verify --suite` choices.  `harness.SUITE_NAMES` is the authority

@@ -7,12 +7,34 @@ the arc).  X is k-normal when phi(k) = d, and
 
     reg(X) = 1 + min { k >= 0 : phi(k) = d }.
 
-phi comes from multiplication operators, not monomials (Marinari-
-Moeller-Mora 1993; Kehrein-Kreuzer-Robbiano 2005).  Let V_k in K^d be
-the span of the evaluations of degree-k forms and M_i multiply each
-germ's block by the series of x_i in that germ's chart, mod t^L.  Then
-V_(k+1) = M_0 V_k + ... + M_N V_k, so phi(k + 1) ranks at most
-(N + 1) phi(k) vectors, whatever C(N + k, N) is.  Once phi(k) = d the
+phi comes from multiplication operators on standard monomials, not
+from a matrix of all monomials (Buchberger-Moeller 1982; Marinari-
+Moeller-Mora 1993).  M_i multiplies each germ's block by the series of
+x_i in that germ's chart, mod t^L, so it sends the values of a form f to
+those of x_i f.  Order the monomials of one degree lex by exponent
+tuple, and call m standard when its values are independent of those of
+all smaller monomials.  The values of the standard monomials B_k are
+then a basis of the span V_k of the degree-k values, so |B_k| = phi(k),
+and B_k is an order ideal: a nonstandard m leads a form vanishing on X,
+and since lex is a term order x_i times that form is led by x_i m.  So
+a standard monomial of degree k + 1, divided by its last variable x_i,
+leaves a standard m with last(m) <= i, and a step feeds one reducer the
+candidates x_i m, m in B_k and i >= last(m), each monomial once, in
+ascending lex order.  A candidate grows the rank exactly when it is
+standard, as every smaller monomial left out is nonstandard and its
+values are a combination of those of smaller standard ones.  That is
+sum (N + 1 - last(m)) images per step, about half of (N + 1) phi(k),
+whatever C(N + k, N) is.  The order needs no sort: written as their
+sorted variable indices, monomials in ascending lex order are in
+descending order of these sequences, so m running up B_k and i down
+from N to last(m) is ascending lex again.
+
+Each standard monomial carries the pivot its image became in the
+reducer, not the raw image.  The pivot is a nonzero multiple of the
+image minus the values of smaller monomials, and M_i keeps that shape
+one degree up (lex is a term order), so the argument above holds; the
+reducer's content division keeps the entries small, which raw images,
+multiplied degree after degree, are not.  Once phi(k) = d the
 recurrence stops: a germ's chart coordinate acts on its block as a
 nonzero multiple of the identity, so V_(k+1) = K^d again.  phi(d - 1)
 = d always, so there are at most d - 1 steps.
@@ -58,13 +80,17 @@ def _times(op, vec):
 
 
 class SchemeEvaluator:
-    """The Hilbert function of one scheme, by the operator recurrence.
+    """The Hilbert function of one scheme, by the standard-monomial
+    recurrence of the module docstring.
 
-    The operators are built once, as the flat rows of `_operators`.  The
-    pivots that `ColumnSpace` keeps for degree k (coprime ints over Q,
-    residues over F_p) are the vectors they map to degree k + 1, one
-    `_times` per pivot and operator; `phi` keeps every value, and ranks
-    no further once it is d.
+    The operators are built once, as the flat rows of `_operators`.  For
+    the last degree reached it keeps the standard monomials, in
+    ascending lex order, as (last variable, vector) pairs, the vector
+    being the pivot that `ColumnSpace.add` kept for the monomial's image
+    (coprime ints over Q, residues over F_p).  A step maps each of them
+    by the operators of its last variable and the ones above it, one
+    `_times` per candidate; `phi` keeps every value, and ranks no
+    further once it is d.
     `column(mon)`, one monomial's evaluation, is not used by `phi`; the
     benchmark's tracer (`perfbench/tracer.py`) wraps it by name."""
 
@@ -72,20 +98,31 @@ class SchemeEvaluator:
         self.scheme = scheme
         self._ops = _operators(scheme)
         self._values = [1]
-        self._basis = [[int(k == 0) for g in scheme.germs for k in range(g.length)]]
+        one = [int(k == 0) for g in scheme.germs for k in range(g.length)]
+        self._standard = [(0, one)]
 
     def column(self, mon):
         """The d functional values of the monomial, germ by germ."""
         return [v for g in self.scheme.germs for v in g.evaluate_form({mon: 1})]
 
     def _step(self):
-        d = self.scheme.degree
+        d, top = self.scheme.degree, len(self._ops) - 1
+        # B_k runs up in lex order and i down, so the candidates come in
+        # ascending lex order (module docstring)
+        candidates = ((i, vec) for last, vec in self._standard
+                      for i in range(top, last - 1, -1))
         space = ColumnSpace(self.scheme.field)
-        for image in (_times(op, v) for v in self._basis for op in self._ops):
-            space.add(image)
+        standard, leads = [], set()
+        for i, vec in candidates:
+            if not space.add(_times(self._ops[i], vec)):
+                continue
+            # the one pivot whose lead is new is the reduced image
+            lead, pivot = next(pv for pv in space.pivots if pv[0] not in leads)
+            leads.add(lead)
+            standard.append((i, pivot))
             if space.rank == d:
                 break
-        self._basis = [v for _, v in space.pivots]
+        self._standard = standard
         self._values.append(space.rank)
 
     def phi(self, k: int) -> int:

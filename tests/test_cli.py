@@ -522,9 +522,9 @@ def _coordinate_points(path):
     return str(path)
 
 
-def _conic13(path):
+def _conic_points(path, count):
     path.write_text(scheme_dumps(FiniteScheme(
-        [reduced_germ(ProjPoint((1, i, i * i))) for i in range(13)])))
+        [reduced_germ(ProjPoint((1, i, i * i))) for i in range(count)])))
     return str(path)
 
 
@@ -576,7 +576,7 @@ INPUT_ERRORS = {
         "--center", str(GOLDEN_DIR / "subspace.json"), "--y", "1:2:3"],
         "two coordinates, got 3"),
     "invariant-t-over-the-cap": (lambda d: [
-        "invariant-t", "--scheme", _conic13(d / "x.json")], "enumeration cap 12"),
+        "invariant-t", "--scheme", _conic_points(d / "x.json", 13)], "enumeration cap 12"),
     # a reduced germ whose explicit chart is a zero coordinate of its point
     "reduced-germ-chart-on-a-zero-coordinate": (lambda d: _plane_germs(
         d / "x.json", "Q", {"point": ["0", "1", "2"], "chart": 0}), "chart coordinate vanishes"),
@@ -600,6 +600,10 @@ INPUT_ERRORS = {
             (1,) + (0,) * (jsonio.CURVE_MAX_DEGREE + 1), (0,) * (jsonio.CURVE_MAX_DEGREE + 1) + (1,)]),
         "--center", _subspace(d / "z.json", 1, [(1, 0), (0, 1)]), "--y", "1:1"],
         "curve degree must be <= %d" % jsonio.CURVE_MAX_DEGREE),
+    "scheme-over-the-degree-cap": (lambda d: [
+        "regularity", "--scheme", _conic_points(d / "x.json", jsonio.SCHEME_MAX_DEGREE + 1)],
+        "scheme degree must be <= %d, got %d" % (jsonio.SCHEME_MAX_DEGREE,
+                                                 jsonio.SCHEME_MAX_DEGREE + 1)),
     "separate-recipe-wider-than-the-space": (lambda d: [
         "separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "2",
         "--recipe", _three_variable_recipe(d / "r.json")], "3 tangent variables"),

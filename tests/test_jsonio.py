@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from zeroreg.exactalg import prime_field
 from zeroreg.jsonio import (
     CURVE_MAX_DEGREE,
+    SCHEME_MAX_DEGREE,
     DocumentFormatError,
     canonical_json,
     curve_from_jsonable,
@@ -149,6 +150,19 @@ def test_curve_document_over_the_degree_cap_is_rejected():
     assert curve_from_jsonable({"forms": [[1] + [0] * cap, [0] * cap + [1]]}).degree == cap
     with pytest.raises(DocumentFormatError, match="must be <= %d, got %d" % (cap, cap + 1)):
         curve_loads(canonical_json({"forms": [["1"] + ["0"] * (cap + 1), ["0"] * (cap + 1) + ["1"]]}))
+
+
+def test_scheme_document_over_the_degree_cap_is_rejected():
+    # the degree is the sum of the germ lengths, not the number of germs
+    cap = SCHEME_MAX_DEGREE
+    conic = [{"point": ["1", str(i), str(i * i)]} for i in range(cap)]
+    assert scheme_from_jsonable({"field": "Q", "ambient": 2, "germs": conic}).degree == cap
+    tangent = {"point": ["0", "0", "1"], "jet": [["0", "1"], ["0", "0"], None]}
+    with pytest.raises(DocumentFormatError, match="must be <= %d, got %d" % (cap, cap + 1)):
+        scheme_loads(canonical_json({"field": "Q", "ambient": 2, "germs": conic[1:] + [tangent]}))
+    with pytest.raises(DocumentFormatError, match="must be <= %d, got %d" % (cap, cap + 1)):
+        scheme_loads(canonical_json({"field": "Q", "ambient": 2,
+                                     "germs": conic + [{"point": ["0", "0", "1"]}]}))
 
 
 def test_subspace_round_trip():

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeroreg import normality
 from zeroreg.exactalg import QQ, Matrix, prime_field
 from zeroreg.forms import monomials_of_degree
 from zeroreg.normality import (
@@ -265,6 +266,33 @@ def test_phi_over_prime_field():
     F = prime_field(101)
     x = points((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0), field=F)
     assert hilbert_function_values(x, 4) == [1, 2, 3, 4, 5]
+
+
+# the 8 points of the line x2 = 0 over F_7 and (0:0:1): every line of
+# P^2 meets x2 = 0, so every linear form vanishes somewhere on the
+# support and no chart in a linear form avoids it
+F7_LINE_AND_POINT = points(*[(1, a, 0) for a in range(7)], (0, 1, 0), (0, 0, 1),
+                           field=prime_field(7))
+
+
+def test_phi_where_no_linear_form_avoids_the_support():
+    x = F7_LINE_AND_POINT
+    values = [1, 3, 4, 5, 6, 7, 8, 9, 9, 9]
+    assert hilbert_function_values(x, 9) == values
+    assert [_monomial_rank(x, k) for k in range(10)] == values
+
+
+@pytest.mark.parametrize("x, images", [(GENERAL_5, 9), (F7_LINE_AND_POINT, 69)],
+                         ids=["general-5", "f7-line-and-point"])
+def test_one_operator_image_per_candidate_monomial(x, images, monkeypatch):
+    # a step maps each standard monomial m by x_i for i >= last(m) only:
+    # mapping every pivot by every operator would take 12 and 102 images
+    calls = []
+    times = normality._times
+    monkeypatch.setattr(normality, "_times", lambda op, vec: calls.append(1) or times(op, vec))
+    ev = SchemeEvaluator(x)
+    assert ev.phi(x.degree) == x.degree
+    assert len(calls) == images
 
 
 def test_normality_threshold_bound_examples():
