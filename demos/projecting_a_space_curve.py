@@ -21,6 +21,7 @@ from zeroreg.projection import (
     curve_linear_section_length,
     mather_inequality,
     plane_fiber,
+    project_point,
     yk_counts,
 )
 from zeroreg.scheme import LinearSubspace, subspace_from_rows
@@ -51,14 +52,6 @@ def random_center(rng, curve, codim):
         return center
 
 
-def image_point(curve, center, s, t):
-    point = curve.point(s, t)
-    return tuple(
-        sum(c * x for c, x in zip(f, point.coords))
-        for f in center.cutting_forms
-    )
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--degree", type=int, default=5)
@@ -87,7 +80,7 @@ def main():
     print("  sampling fibers over images of rational parameters t:")
     lengths, budget = [], True
     for t in range(-5, 6):
-        y = image_point(curve, center, 1, Fraction(t))
+        y = project_point(curve.point(1, Fraction(t)), center).coords
         f = plane_fiber(curve, center, y)
         check = mather_inequality(f, 1)
         budget &= check.holds
@@ -107,7 +100,7 @@ def main():
             center = subspace_from_rows(rows, n)
             if center.dim != 2:
                 continue
-            f = plane_fiber(curve, center, image_point(curve, center, 1, 0))
+            f = plane_fiber(curve, center, project_point(curve.point(1, 0), center).coords)
         except ValueError:
             continue
         break

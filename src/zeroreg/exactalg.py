@@ -70,7 +70,6 @@ def _clear_row(row):
 class RationalField:
     """Marker/constructor object for the field of rational numbers."""
 
-    characteristic = 0
     modulus = None
     ints = staticmethod(_clear_row)
     scalar = Fraction
@@ -148,7 +147,6 @@ def prime_field(p: int):
     class FpElement:
         __slots__ = ("value",)
         modulus = p
-        characteristic = p
 
         def __init__(self, value=0):
             if isinstance(value, FpElement):

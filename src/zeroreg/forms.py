@@ -18,9 +18,8 @@ Polynomials and binary forms are ints inside.  `poly_pseudo_rem`,
 and `binary_gcd_many` (a primitive int form) work in Z[x]; the gcd
 under them is the primitive PRS over Q and Euclid on residues over
 F_p, and it takes scalar inputs to ints first.  Scalars are built only
-for results returned as such: the rational roots (Fractions) of
-`squarefree_rational_roots` and `rational_roots`, and the monic gcds
-of `poly_gcd` and `binary_gcd`, in the field of their inputs.
+for the rational roots (Fractions) of `squarefree_rational_roots` and
+`rational_roots`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 
-from zeroreg.exactalg import QQ, field_of, is_probable_prime
+from zeroreg.exactalg import QQ, is_probable_prime
 
 # ---------------------------------------------------------------------------
 # monomials and homogeneous forms
@@ -217,25 +216,6 @@ def _gcd(a, b, field):
     return field.normal_form(a, len(a) - 1) if a else ()
 
 
-def _field_of(*polys):
-    """The field of the first nonzero coefficient; Q when all vanish."""
-    return field_of(next((c for p in polys for c in p if c), 0))
-
-
-def _monic(g, field):
-    """The int polynomial or binary form g as scalars over `field`,
-    divided by its last nonzero coefficient."""
-    lead = next((c for c in reversed(g) if c), 1)
-    return tuple(field.scalar(c, lead) for c in g)
-
-
-def poly_gcd(a, b):
-    """Monic gcd over the coefficients' field (Q for ints and Fractions),
-    as scalars; taken on ints (`_gcd`)."""
-    field = _field_of(a, b)
-    return _monic(_gcd(a, b, field), field)
-
-
 def poly_derivative(a):
     return poly_normalize([a[i] * i for i in range(1, len(a))])
 
@@ -380,17 +360,6 @@ def _binary_gcd(f, g, field):
     sf = next(i for i, c in enumerate(reversed(f)) if c != 0)
     sg = next(i for i, c in enumerate(reversed(g)) if c != 0)
     return _gcd(f, g, field) + (0,) * min(sf, sg)
-
-
-def binary_gcd(f, g):
-    """gcd of two binary forms over the coefficients' field, monic in t
-    as scalars (a zero form gives the other one back as it is)."""
-    if binary_is_zero(f):
-        return g
-    if binary_is_zero(g):
-        return f
-    field = _field_of(f, g)
-    return _monic(_binary_gcd(f, g, field), field)
 
 
 def binary_gcd_many(forms):

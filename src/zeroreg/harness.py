@@ -654,7 +654,7 @@ def _trial_lemma26(rng, field, index):
             avoid = set()
             for _ in range(off_count):
                 p = _off_point(rng, (-9, 9), field, avoid)
-                if field(b) * p.coords[1] - field(a) * p.coords[2] == 0:
+                if not any(field.ints([b * p.vec[1] - a * p.vec[2]])):
                     raise _Retry
                 avoid.add(p)
                 offs.append(p)
@@ -759,7 +759,7 @@ def _trial_lemma31(rng, field, index):
         else:
             through = rng.randint(1, r + 1)
             taus = rng.sample(range(-9, 10), through)
-            rows = [curve.point(1, t).coords for t in taus]
+            rows = [curve.point(1, t).vec for t in taus]
             rows += [_draw_coords(rng, n + 1, (-5, 5)) for _ in range(r + 1 - through)]
         sub = subspace_from_rows(rows, n)
         if sub.dim != r:
@@ -796,7 +796,9 @@ def _mather_on_curve(rng, curve, log):
         p1 = curve.point(1, t1)
         p2 = curve.point(1, t2)
         lam = rng.choice([u for u in range(-5, 6) if u])
-        chord_pt = tuple(a + lam * b for a, b in zip(p1.coords, p2.coords))
+        # p1.coords + lam * p2.coords, scaled by the leads of the two vectors
+        l1, l2 = (next(c for c in p.vec if c) for p in (p1, p2))
+        chord_pt = tuple(l2 * a + lam * l1 * b for a, b in zip(p1.vec, p2.vec))
         if not any(chord_pt):
             log.bump()
             continue
@@ -810,7 +812,7 @@ def _mather_on_curve(rng, curve, log):
             log.bump()
             continue
         try:
-            y_star = project_point(curve.point(1, t1), center).coords
+            y_star = project_point(curve.point(1, t1), center).vec
             planted = plane_fiber(curve, center, y_star)
         except (CenterMeetsScheme, CenterMeetsCurve, DuplicateFiberSupport,
                 NonCurvilinearFiber):
@@ -823,7 +825,7 @@ def _mather_on_curve(rng, curve, log):
         try:
             others = []
             for tau in rng.sample(range(-9, 10), 3):
-                y = project_point(curve.point(1, tau), center).coords
+                y = project_point(curve.point(1, tau), center).vec
                 others.append(plane_fiber(curve, center, y))
         except (CenterMeetsScheme, CenterMeetsCurve, DuplicateFiberSupport,
                 NonCurvilinearFiber):

@@ -15,6 +15,10 @@ A scheme document looks like::
 and `jet` may be omitted for a reduced (length-1) point.  When present,
 `jet` lists one coefficient series per coordinate, with null in the
 chart slot (that coordinate is identically 1 on the arc).
+
+Every list of the format is a JSON array (a string is not read as a
+list of characters), and every count or index is a JSON integer that
+is not a boolean; anything else raises `DocumentFormatError`.
 """
 
 from __future__ import annotations
@@ -84,6 +88,20 @@ def field_from_jsonable(tag):
     raise DocumentFormatError("field must be \"Q\" or {\"Fp\": p}, got %r" % (tag,))
 
 
+def _array(raw, what):
+    """raw, a JSON array; a string or a number is not one."""
+    if not isinstance(raw, list):
+        raise DocumentFormatError("%s must be a JSON array" % what)
+    return raw
+
+
+def _positive_int(raw, what):
+    """raw, a positive JSON integer; a boolean is not one."""
+    if type(raw) is not int or raw < 1:
+        raise DocumentFormatError("%s must be a positive integer" % what)
+    return raw
+
+
 def _scalar_in(raw, field):
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise DocumentFormatError("scalar must be an integer or string, got %r" % (raw,))
@@ -111,7 +129,7 @@ def germ_from_jsonable(doc, field) -> CurvilinearGerm:
     extra = set(doc) - {"point", "chart", "jet"}
     if extra:
         raise DocumentFormatError("unknown germ keys %s" % sorted(extra))
-    coords = [_scalar_in(c, field) for c in doc["point"]]
+    coords = [_scalar_in(c, field) for c in _array(doc["point"], "point")]
     try:
         point = ProjPoint(coords, field)
     except ValueError as err:
@@ -124,7 +142,7 @@ def germ_from_jsonable(doc, field) -> CurvilinearGerm:
     if raw_jet is not None:
         if chart is None:
             chart = next(i for i, c in enumerate(point.vec) if c)
-        if len(raw_jet) != point.ambient + 1:
+        if len(_array(raw_jet, "jet")) != point.ambient + 1:
             raise DocumentFormatError("jet must list one series per coordinate")
         jets = []
         for i, series in enumerate(raw_jet):
@@ -158,10 +176,8 @@ def scheme_from_jsonable(doc) -> FiniteScheme:
     if missing:
         raise DocumentFormatError("scheme is missing keys %s" % sorted(missing))
     field = field_from_jsonable(doc["field"])
-    ambient = doc["ambient"]
-    if not isinstance(ambient, int) or ambient < 1:
-        raise DocumentFormatError("ambient must be a positive integer")
-    germs = [germ_from_jsonable(g, field) for g in doc["germs"]]
+    ambient = _positive_int(doc["ambient"], "ambient")
+    germs = [germ_from_jsonable(g, field) for g in _array(doc["germs"], "germs")]
     for g in germs:
         if g.ambient != ambient:
             raise DocumentFormatError(
@@ -195,7 +211,8 @@ def curve_from_jsonable(doc) -> RationalCurve:
     if not isinstance(doc, dict) or "forms" not in doc:
         raise DocumentFormatError("curve must be an object with a \"forms\" key")
     field = field_from_jsonable(doc.get("field", "Q"))
-    forms = [[_scalar_in(c, field) for c in f] for f in doc["forms"]]
+    forms = [[_scalar_in(c, field) for c in _array(f, "a form")]
+             for f in _array(doc["forms"], "forms")]
     degree = max((len(f) for f in forms), default=1) - 1
     if degree > CURVE_MAX_DEGREE:
         raise DocumentFormatError(
@@ -224,10 +241,9 @@ def subspace_from_jsonable(doc) -> LinearSubspace:
     if missing:
         raise DocumentFormatError("subspace is missing keys %s" % sorted(missing))
     field = field_from_jsonable(doc.get("field", "Q"))
-    ambient = doc["ambient"]
-    if not isinstance(ambient, int) or ambient < 1:
-        raise DocumentFormatError("ambient must be a positive integer")
-    forms = [[_scalar_in(c, field) for c in f] for f in doc["cutting_forms"]]
+    ambient = _positive_int(doc["ambient"], "ambient")
+    forms = [[_scalar_in(c, field) for c in _array(f, "a form")]
+             for f in _array(doc["cutting_forms"], "cutting_forms")]
     try:
         return LinearSubspace(ambient, forms, field)
     except ValueError as err:
@@ -262,7 +278,7 @@ def form_from_jsonable(doc):
             raise DocumentFormatError("a form term must be [exponents, scalar]")
         exps, raw = pair
         if not (isinstance(exps, list)
-                and all(isinstance(e, int) and e >= 0 for e in exps)):
+                and all(type(e) is int and e >= 0 for e in exps)):
             raise DocumentFormatError("exponents must be nonnegative integers")
         form[tuple(exps)] = _scalar_in(raw, QQ)
     return form
@@ -276,9 +292,7 @@ def recipe_from_jsonable(doc):
     missing = {"t_count", "levels"} - set(doc)
     if missing:
         raise DocumentFormatError("recipe is missing keys %s" % sorted(missing))
-    t_count = doc["t_count"]
-    if not isinstance(t_count, int) or t_count < 1:
-        raise DocumentFormatError("t_count must be a positive integer")
+    t_count = _positive_int(doc["t_count"], "t_count")
     levels = doc["levels"]
     if not isinstance(levels, dict):
         raise DocumentFormatError("levels must map degree strings to form lists")
@@ -288,7 +302,7 @@ def recipe_from_jsonable(doc):
             j = int(key)
         except ValueError:
             raise DocumentFormatError("level key %r is not an integer" % (key,)) from None
-        spaces[j] = [form_from_jsonable(f) for f in forms]
+        spaces[j] = [form_from_jsonable(f) for f in _array(forms, "level %s" % key)]
     standard = doc.get("standard", True)
     if not isinstance(standard, bool):
         raise DocumentFormatError("standard must be a boolean")

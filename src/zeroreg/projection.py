@@ -15,16 +15,16 @@ square-free decomposition; rational parameters are expanded into
 curvilinear germs, irrational ones are reported as clusters by degree
 and multiplicity.
 
-The curve work runs on ints.  A curve keeps its forms cleared by one
-common denominator (`RationalCurve.int_forms`), and a center's cutting
-forms are cleared the same way before they are composed with them
-(`RationalCurve.composed_forms`); a common scale moves neither a
-projective curve nor the zeros of a pencil.  The fiber's binary form,
-its gcds and squarefree factors (`forms`), and the points and jets at
-its parameters are int polynomials and int vectors fed to `ProjPoint`
-and `germ_from_series`.  Scalars are built only for the output: a
-fiber's image and its rational parameters.  Projections of finite
-schemes (`project_point`) still compute on the points' scalars.
+Projections run on ints.  A center's cutting forms are read off
+`LinearSubspace.int_forms`, cleared on one common scale: `project_point`
+takes them at a point's int vector, and `RationalCurve.composed_forms`
+composes them with a curve's forms, which the curve keeps cleared by one
+common denominator (`RationalCurve.int_forms`); a common scale moves
+neither a projective point nor the zeros of a pencil.  The fiber's
+binary form, its gcds and squarefree factors (`forms`), and the points
+and jets at its parameters are int polynomials and int vectors fed to
+`ProjPoint` and `germ_from_series`.  Scalars are built only for the
+output: a fiber's image and its rational parameters.
 """
 
 from __future__ import annotations
@@ -86,11 +86,11 @@ def _coord_key(point: ProjPoint):
 
 
 def project_point(point: ProjPoint, center: LinearSubspace) -> ProjPoint:
-    vals = [
-        sum((c * x for c, x in zip(f, point.coords)), point.field(0))
-        for f in center.cutting_forms
-    ]
-    if all(v == 0 for v in vals):
+    """The values of the cutting forms at the point, as a point: the
+    forms' `int_forms` at its int vector, one common scale away."""
+    vals = point.field.ints([sum(c * x for c, x in zip(f, point.vec))
+                             for f in center.int_forms])
+    if not any(vals):
         raise CenterMeetsScheme("point lies in the projection center")
     return ProjPoint(vals, point.field)
 
@@ -103,6 +103,8 @@ def project_scheme(scheme: FiniteScheme, center: LinearSubspace):
         raise ValueError("projection target needs at least two cutting forms")
     if center.ambient != scheme.ambient:
         raise ValueError("center and scheme live in different spaces")
+    if center.field is not scheme.field:
+        raise ValueError("center and scheme lie over different fields")
     buckets = {}
     for idx, g in enumerate(scheme.germs):
         image = project_point(g.support, center)
@@ -382,17 +384,15 @@ class RationalCurve:
 
     def composed_forms(self, subspace):
         """The cutting forms of `subspace` composed with the curve, as int
-        binary forms on one common scale: the cutting forms are cleared
-        by a single common denominator, so the ratios between the
-        composed forms are the true ones."""
+        binary forms on one common scale: they are read off
+        `subspace.int_forms`, so the ratios between the composed forms
+        are the true ones."""
         if subspace.field is not self.field:
             raise ValueError("the subspace and the curve lie over different fields")
-        flat, _ = self.field.cleared([c for f in subspace.cutting_forms for c in f])
-        width = self.ambient + 1
         out = []
-        for k in range(0, len(flat), width):
+        for g in subspace.int_forms:
             form = [0] * (self.degree + 1)
-            for c, f in zip(flat[k:k + width], self.int_forms):
+            for c, f in zip(g, self.int_forms):
                 if c:
                     for i, x in enumerate(f):
                         form[i] += c * x

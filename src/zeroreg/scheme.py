@@ -20,30 +20,31 @@ coefficients of t^0 .. t^{L-1} of the form composed with the arc.  All
 rank computations on schemes reduce to exact linear algebra on these
 functionals.
 
-On linear forms the functionals are rows: `CurvilinearGerm.linear_rows`
-gives row k = the t^k coefficients of the N + 1 coordinates along the
-arc, so a linear form f composed with the arc has coefficient f . row_k
-at t^k.  Every linear question here reads these row blocks: the span,
-the independence level `invariant_t` (a subscheme's rows are prefixes of
-its germs' blocks), the contact with a subspace (the leading rows that
-all cutting forms kill) and the collinearity search (a germ's tangent
-line is spanned by its first two rows).
+On linear forms the functionals are rows: `CurvilinearGerm.int_rows`
+gives row k = the t^k coefficients of the N + 1 coordinate series, read
+once off the series and taken through `field.ints` (coprime integer
+rows over Q, residues over F_p), so a linear form f composed with the
+arc has coefficient f . row_k at t^k up to a nonzero scale.  Every
+linear question here reads these row blocks: the span, the independence
+level `invariant_t` (a subscheme's rows are prefixes of its germs'
+blocks), the contact with a subspace (the leading rows that all cutting
+forms kill) and the collinearity search (a germ's tangent line is
+spanned by its first two rows).  A subspace's cutting forms are read as
+ints too (`LinearSubspace.int_forms`, cleared once on one common scale).
 
-The searches run on `CurvilinearGerm.int_rows`, the block read once off
-the series (coprime integer rows over Q, residues over F_p), fed to
-the `ColumnSpace` reducer of `exactalg`.  `invariant_t` is a depth-first
-search, germ by germ and one row at a time: a branch extends a copy of
-its parent's reducer, so subschemes sharing a prefix share its
-elimination, and it carries each later germ's first row reduced against
-the branch, so a node's pivot is taken out of those rows once
-(`ColumnSpace.push`) and a child tests its first row for zero without
-reducing it.  A branch ends at its first dependent row and is cut once
-it cannot beat the least dependent degree found.  `max_collinear_length`
-keys each candidate line by its normalised Pluecker vector and groups
-the supports by line from the keys of their pairs; a line's score is
-then a sum over its supports (1, or the germ's contact with its own
-tangent when that is the line), so no row is reduced per line and
-the best score is the length.
+The searches feed the rows to the `ColumnSpace` reducer of `exactalg`.
+`invariant_t` is a depth-first search, germ by germ and one row at a
+time: a branch extends a copy of its parent's reducer, so subschemes
+sharing a prefix share its elimination, and it carries each later germ's
+first row reduced against the branch, so a node's pivot is taken out of
+those rows once (`ColumnSpace.push`) and a child tests its first row for
+zero without reducing it.  A branch ends at its first dependent row and
+is cut once it cannot beat the least dependent degree found.
+`max_collinear_length` keys each candidate line by its normalised
+Pluecker vector and groups the supports by line from the keys of their
+pairs; a line's score is then a sum over its supports (1, or the germ's
+contact with its own tangent when that is the line), so no row is
+reduced per line and the best score is the length.
 """
 
 from __future__ import annotations
@@ -159,17 +160,12 @@ class CurvilinearGerm:
         return CurvilinearGerm(self.support, self.chart,
                                [s[:new_length] for s in self.series], self.field)
 
-    def linear_rows(self):
-        """The germ's functionals on linear forms: row k holds the t^k
-        coefficients of the N + 1 coordinates along the arc."""
-        scalar, den = self.field.scalar, self.series[self.chart][0]
-        return [[scalar(s[k], den) for s in self.series] for k in range(self.length)]
-
     def int_rows(self):
-        """`linear_rows` as plain ints, read off the series once and taken
-        through `field.ints`: over Q each row cleared to coprime integers
-        (a row scale changes no span and no membership), over F_p the
-        residues."""
+        """The germ's functionals on linear forms: row k holds the t^k
+        coefficients of the N + 1 coordinate series, read off the series
+        once and taken through `field.ints`: over Q each row cleared to
+        coprime integers (a row scale changes no span and no membership),
+        over F_p the residues."""
         if self._int_rows is None:
             self._int_rows = [self.field.ints([s[k] for s in self.series])
                               for k in range(self.length)]
@@ -311,9 +307,15 @@ def span_dim(scheme: FiniteScheme) -> int:
 
 
 class LinearSubspace:
-    """A linear subspace of P^N cut out by independent linear forms."""
+    """A linear subspace of P^N cut out by independent linear forms.
 
-    __slots__ = ("ambient", "cutting_forms", "field", "_int_forms")
+    `cutting_forms` holds the scalars; `int_forms` the same forms
+    cleared on one common positive scale (`field.ints` of all their
+    coefficients: coprime integers over Q, residues over F_p), which cut
+    out the same subspace and give the values of the forms at a point up
+    to one common scale.  Every map from forms to numbers reads it."""
+
+    __slots__ = ("ambient", "cutting_forms", "field", "int_forms")
 
     def __init__(self, ambient: int, cutting_forms, field=QQ):
         forms = tuple(tuple(field(c) for c in f) for f in cutting_forms)
@@ -325,7 +327,8 @@ class LinearSubspace:
         self.ambient = ambient
         self.cutting_forms = forms
         self.field = field
-        self._int_forms = [field.ints(f) for f in forms]
+        flat, width = field.ints([c for f in forms for c in f]), ambient + 1
+        self.int_forms = tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width))
 
     @property
     def dim(self) -> int:
@@ -333,10 +336,10 @@ class LinearSubspace:
 
     def contains_point(self, point) -> bool:
         """Whether every cutting form vanishes at the point, tested on the
-        point's int vector against the forms as ints."""
+        point's int vector against `int_forms`."""
         vec = point.vec if isinstance(point, ProjPoint) else self.field.ints(point)
         return not any(self.field.ints([sum(c * x for c, x in zip(f, vec))
-                                        for f in self._int_forms]))
+                                        for f in self.int_forms]))
 
     def __repr__(self):
         return "LinearSubspace(dim=%d in P^%d)" % (self.dim, self.ambient)
@@ -350,13 +353,14 @@ def subspace_from_rows(rows, ambient: int, field=QQ) -> LinearSubspace:
 
 def contact_length(scheme, subspace: LinearSubspace) -> int:
     """Degree of the scheme-theoretic intersection with the subspace: per
-    germ, the number of leading rows that every cutting form kills."""
+    germ, the number of leading rows that every cutting form kills, on
+    ints (`int_rows` against `int_forms`)."""
     germs = scheme.germs if isinstance(scheme, FiniteScheme) else (scheme,)
-    forms = subspace.cutting_forms
+    forms, ints = subspace.int_forms, subspace.field.ints
     total = 0
     for g in germs:
-        for row in g.linear_rows():
-            if any(sum(c * x for c, x in zip(f, row) if c) != 0 for f in forms):
+        for row in g.int_rows():
+            if any(ints([sum(c * x for c, x in zip(f, row) if c) for f in forms])):
                 break
             total += 1
     return total

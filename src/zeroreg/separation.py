@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from zeroreg.exactalg import ColumnSpace, QQ
 from zeroreg.forms import _power_tables, monomials_of_degree
-from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint, reduced_germ
+from zeroreg.scheme import FiniteScheme, ProjPoint, reduced_germ
 
 
 class DegenerateConfiguration(Exception):
@@ -158,7 +158,7 @@ class SeparatorConfig:
         if len(set(us)) != len(us):
             raise ValueError("aligned points must be distinct")
         off = [p if isinstance(p, ProjPoint) else ProjPoint(p, field) for p in off_points]
-        if any(len(p.coords) != 3 for p in off):
+        if any(len(p.vec) != 3 for p in off):
             raise ValueError("off-line points must be points of P^2 (three coordinates)")
         if len(off) == 2:
             case = 1
@@ -169,8 +169,9 @@ class SeparatorConfig:
         n = len(us) + len(off) - 3
         if n < 2:
             raise ValueError("too few points: need n >= 2")
+        (a_int, b_int), _ = field.cleared([a, b])
         for p in off:
-            if b * p.coords[1] - a * p.coords[2] == 0:
+            if not any(field.ints([b_int * p.vec[1] - a_int * p.vec[2]])):
                 raise ValueError("off-line point lies on the line")
         if len(set(off)) != len(off):
             raise ValueError("off-line points must be distinct")
@@ -185,9 +186,6 @@ class SeparatorConfig:
     @property
     def points(self):
         return self.aligned + self.off
-
-    def line(self) -> LinearSubspace:
-        return LinearSubspace(2, [(self.field(0), self.b, -self.a)], self.field)
 
     def scheme(self) -> FiniteScheme:
         return FiniteScheme([reduced_germ(p, self.field) for p in self.points], self.field)

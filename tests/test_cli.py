@@ -364,6 +364,39 @@ def test_lemma26_stdout_pinned(argv, want_code, want_digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
 
 
+# `project` on hand-written documents, stdout pinned by its sha256: over
+# F_7 a length-2 germ and a center with a 3/2 entry (5 in F_7), over Q a
+# center whose two forms have different denominators; both merge points
+PROJECT_PINNED = [
+    ({"field": {"Fp": 7}, "ambient": 3, "germs": [
+        {"point": ["1", "2", "3", "4"], "chart": 0,
+         "jet": [None, ["2", "1"], ["3", "5"], ["4", "0"]]},
+        {"point": ["0", "1", "1", "2"]}, {"point": ["1", "0", "2", "3"]},
+        {"point": ["2", "1", "0", "5"]}, {"point": ["3", "3", "1", "0"]}]},
+     {"field": {"Fp": 7}, "ambient": 3,
+      "cutting_forms": [["1", "0", "3/2", "0"], ["0", "1", "0", "2"]]},
+     "af6769827b7776626f7b3f90410413707b0d0670b4e86145e3bd743ca19f8a55"),
+    ({"field": "Q", "ambient": 2, "germs": [
+        {"point": ["1", "0", "0"]}, {"point": ["0", "1", "0"]}, {"point": ["0", "0", "1"]},
+        {"point": ["1", "1", "1"], "jet": [None, ["1", "1/2"], ["1", "-2"]]},
+        {"point": ["2", "-1", "3"]}, {"point": ["3", "6", "-2"]}, {"point": ["4", "10", "6"]}]},
+     {"field": "Q", "ambient": 2,
+      "cutting_forms": [["1/2", "0", "1/3"], ["0", "3/5", "1"]]},
+     "6a9a368b7f81aa154aed74974fe7cafa25b40a89de0f2d02383e2e8854a129eb"),
+]
+
+
+@pytest.mark.parametrize("scheme, center, want_digest", PROJECT_PINNED,
+                         ids=["fp7-length-2-germ", "q-two-denominators"])
+def test_project_stdout_pinned(scheme, center, want_digest, tmp_path, capsys):
+    (tmp_path / "x.json").write_text(json.dumps(scheme))
+    (tmp_path / "c.json").write_text(json.dumps(center))
+    code, out, _ = run_cli(["project", "--scheme", str(tmp_path / "x.json"),
+                            "--center", str(tmp_path / "c.json")], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
 def test_project_fibers(tmp_path, capsys):
     pts = [reduced_germ(ProjPoint(c))
            for c in [(1, 0, 0, 1), (1, 0, 0, 2), (0, 1, 1, 0), (1, 1, 1, 1)]]
@@ -540,6 +573,24 @@ def _plane_germs(path, field, first):
     return ["hilbert", "--scheme", str(path), "--max-degree", "2"]
 
 
+def _doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _section(d, curve=None, subspace=None):
+    """curve-section on the golden curve and subspace, one of them replaced."""
+    return ["curve-section",
+            "--curve", _doc(d / "c.json", curve) if curve else str(GOLDEN_DIR / "curve.json"),
+            "--subspace", _doc(d / "z.json", subspace) if subspace
+            else str(GOLDEN_DIR / "subspace.json")]
+
+
+def _separate_with_recipe(d, recipe):
+    return ["separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "3",
+            "--recipe", _doc(d / "r.json", recipe)]
+
+
 _LEMMA26_LINE = ["lemma26", "--aligned", "1,2,3,4", "--a", "1", "--b", "2"]
 
 # Non-generic or malformed input, each as (argv from a scratch directory,
@@ -589,6 +640,12 @@ INPUT_ERRORS = {
     "chart-true-with-a-jet": (lambda d: _plane_germs(
         d / "x.json", "Q", {"point": ["0", "1", "2"], "chart": True,
                             "jet": [["0", "1"], None, ["2", "0"]]}), "coordinate index"),
+    # the center's forms would be read as ints of the scheme's field
+    "project-center-over-another-field": (lambda d: [
+        "project", "--scheme", _coordinate_points(d / "x.json"),
+        "--center", _doc(d / "z.json", {"field": {"Fp": 7}, "ambient": 2,
+                                        "cutting_forms": [["1", "1", "0"], ["0", "1", "1"]]})],
+        "different fields"),
     "curve-fiber-center-over-fp": (lambda d: [
         "curve-fiber", "--curve", _twisted_cubic(d / "c.json"),
         "--center", _subspace_over_f7(d / "z.json"), "--y", "1:1"], "different fields"),
@@ -604,6 +661,43 @@ INPUT_ERRORS = {
         "regularity", "--scheme", _conic_points(d / "x.json", jsonio.SCHEME_MAX_DEGREE + 1)],
         "scheme degree must be <= %d, got %d" % (jsonio.SCHEME_MAX_DEGREE,
                                                  jsonio.SCHEME_MAX_DEGREE + 1)),
+    # a document must use JSON arrays for its lists: a number is no list,
+    # and a string is not read as one ("100" is not (1:0:0)), while a
+    # boolean is not a count or an exponent
+    "scheme-germs-a-number": (lambda d: ["hilbert", "--scheme", _doc(
+        d / "x.json", {"field": "Q", "ambient": 2, "germs": 5}), "--max-degree", "2"], "germs must be a JSON array"),
+    "germ-point-a-number": (lambda d: _plane_germs(
+        d / "x.json", "Q", {"point": 12}), "point must be a JSON array"),
+    "germ-point-a-string": (lambda d: _plane_germs(
+        d / "x.json", "Q", {"point": "012"}), "point must be a JSON array"),
+    "germ-jet-a-number": (lambda d: _plane_germs(
+        d / "x.json", "Q", {"point": ["0", "1", "2"], "jet": 5}), "jet must be a JSON array"),
+    "scheme-ambient-true": (lambda d: ["hilbert", "--scheme", _doc(
+        d / "x.json", {"field": "Q", "ambient": True, "germs": [{"point": ["1", "0"]}]}), "--max-degree", "2"],
+        "ambient must be a positive integer"),
+    "curve-forms-a-number": (lambda d: _section(d, curve={"forms": 5}),
+                             "forms must be a JSON array"),
+    "curve-form-a-number": (lambda d: _section(d, curve={"forms": [5, ["0", "1"]]}),
+                            "a form must be a JSON array"),
+    "curve-forms-strings": (lambda d: _section(
+        d, curve={"forms": ["1000", "0100", "0010", "0001"]}), "a form must be a JSON array"),
+    "center-cutting-forms-a-number": (lambda d: _section(
+        d, subspace={"ambient": 3, "cutting_forms": 5}), "cutting_forms must be a JSON array"),
+    "center-cutting-form-a-number": (lambda d: _section(
+        d, subspace={"ambient": 3, "cutting_forms": [5, ["0", "1", "0", "0"]]}),
+        "a form must be a JSON array"),
+    "center-ambient-true": (lambda d: _section(
+        d, subspace={"ambient": True, "cutting_forms": [["1", "1"]]}),
+        "ambient must be a positive integer"),
+    "recipe-level-a-number": (lambda d: _separate_with_recipe(
+        d, {"levels": {"3": 5}, "standard": True, "t_count": 2}),
+        "level 3 must be a JSON array"),
+    "recipe-t-count-true": (lambda d: _separate_with_recipe(
+        d, {"levels": {}, "standard": True, "t_count": True}),
+        "t_count must be a positive integer"),
+    "recipe-exponent-true": (lambda d: _separate_with_recipe(
+        d, {"levels": {"3": [[[[True, 2], "1"]]]}, "standard": True, "t_count": 2}),
+        "exponents must be nonnegative integers"),
     "separate-recipe-wider-than-the-space": (lambda d: [
         "separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "2",
         "--recipe", _three_variable_recipe(d / "r.json")], "3 tangent variables"),

@@ -3,10 +3,27 @@
 field it runs over.  Outside `exactalg`, an `is QQ` or `is not QQ` test
 is allowed only where a result truly differs by field: curves are
 rational by contract (`RationalCurve.__init__`) and a document names its
-field (`jsonio.field_to_jsonable`)."""
+field (`jsonio.field_to_jsonable`).  Behind the boundary the library
+computes on plain ints: with the arithmetic of F_p elements made to
+raise, every F_p code path still runs."""
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from zeroreg import cli, harness
+from zeroreg.exactalg import prime_field
+from zeroreg.jsonio import canonical_json, scheme_dumps, subspace_to_jsonable
+from zeroreg.projection import project_scheme
+from zeroreg.scheme import (
+    FiniteScheme,
+    LinearSubspace,
+    contact_length,
+    make_germ,
+    reduced_germ,
+    subspace_from_rows,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {("projection", "RationalCurve.__init__"), ("jsonio", "field_to_jsonable")}
@@ -52,3 +69,62 @@ def test_field_branches_stay_where_the_result_differs_by_field():
             tree = ast.parse(path.read_text(), str(path))
             found.update((path.stem, name) for name in _field_branches(tree))
     assert found == ALLOWED
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
+
+class FpArithmetic(AssertionError):
+    """F_p element arithmetic behind the scalar boundary."""
+
+
+@pytest.fixture
+def no_fp_arithmetic(monkeypatch):
+    """F_7 and F_(2^31 - 1) elements whose arithmetic raises."""
+    def refuse(*args):
+        raise FpArithmetic("F_p element arithmetic on %r" % (args,))
+
+    for p in (7, 2**31 - 1):
+        for name in _ARITHMETIC:
+            monkeypatch.setattr(prime_field(p), name, refuse)
+
+
+def _fp_scheme(F):
+    """A length-2 germ at (1:2:3:4) with tangent direction (0:1:5:0),
+    and four reduced points."""
+    germs = [make_germ((1, 2, 3, 4), 0, [(2, 1), (3, 5), (4, 0)], F)]
+    germs += [reduced_germ(c, F) for c in [(0, 1, 1, 2), (1, 0, 2, 3), (2, 1, 0, 5),
+                                           (3, 3, 1, 0)]]
+    return FiniteScheme(germs, F)
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_fp_paths_do_no_element_arithmetic(p, no_fp_arithmetic, tmp_path, capsys):
+    F = prime_field(p)
+    with pytest.raises(FpArithmetic):
+        sum([F(3)])
+    for suite in harness.SUITE_NAMES:
+        if suite not in harness._CURVE_SUITES:
+            # over F_7 some planted features cannot be drawn; no property fails
+            report = harness.run_suite(suite, 8, 5, prime=p)
+            assert all(f["message"].startswith("generator exhausted")
+                       for f in report.failures), (suite, report.failures)
+    x = _fp_scheme(F)
+    center = LinearSubspace(3, [(1, 0, F("3/2"), 0), (0, 1, 0, 2)], F)
+    assert contact_length(x, center) == 0
+    fibers = project_scheme(x, center)
+    assert sorted(x.truncated(s).degree for _, s in fibers) == ([1, 1, 1, 3] if p == 7
+                                                                else [1, 1, 1, 1, 2])
+    tangent = subspace_from_rows([(1, 2, 3, 4), (0, 1, 5, 0)], 3, F)
+    assert [contact_length(g, tangent) for g in x.germs] == [2, 0, 0, 0, 0]
+    scheme = tmp_path / "x.json"
+    scheme.write_text(scheme_dumps(x))
+    sub = tmp_path / "c.json"
+    sub.write_text(canonical_json(subspace_to_jsonable(center)))
+    for argv in (["lemma26", "--aligned", "1,2,3,4", "--a", "1", "--b", "1", "--off", "1:2:3",
+                  "--off", "1:5:-1", "--field", "fp:%d" % p],
+                 ["separate", "--scheme", str(scheme), "--degree", "2"],
+                 ["project", "--scheme", str(scheme), "--center", str(sub)]):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == ""

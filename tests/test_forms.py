@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from zeroreg.exactalg import QQ, prime_field
 from zeroreg.forms import (
+    _binary_gcd,
+    _gcd,
     binary_degree,
     binary_eval,
-    binary_gcd,
     binary_gcd_many,
     evaluate_form,
     form_values,
@@ -19,7 +20,6 @@ from zeroreg.forms import (
     poly_derivative,
     poly_eval,
     poly_exact_div,
-    poly_gcd,
     poly_mul,
     poly_normalize,
     poly_pseudo_rem,
@@ -193,14 +193,12 @@ def test_int_gcd_matches_the_fraction_reference(dc, da, db, mult, seed):
     common = poly_mul(_int_poly(rng, dc), _planted(rng, rng.randint(0, 3), mult, 0))
     a = poly_mul(_int_poly(rng, da), common)
     b = poly_mul(_int_poly(rng, db), common)
-    got = poly_gcd(a, b)
-    assert got == _gcd_reference(a, b)
-    assert all(type(c) is Fraction for c in got)
+    got = _gcd(a, b, QQ)
+    assert _monic_reference(got) == _gcd_reference(a, b)
+    assert got[-1] > 0 and gcd(*got) == 1 and all(type(c) is int for c in got)
     assert poly_degree(got) >= poly_degree(common)
-    # binary_gcd_many: the primitive int gcd, with the pad for s
-    h = binary_gcd_many([a + (0,), b + (0, 0)])
-    assert h[:-1] == tuple(c * h[-2] for c in got) and h[-1] == 0
-    assert h[-2] > 0 and gcd(*h) == 1
+    # binary_gcd_many: the same primitive int gcd, with the pad for s
+    assert binary_gcd_many([a + (0,), b + (0, 0)]) == got + (0,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,7 +221,7 @@ def test_int_squarefree_decomposition_matches_the_fraction_reference(
     assert all(c * p[-1] == d * recon[-1] for c, d in zip(recon, p))
 
 
-def test_poly_gcd_against_sympy():
+def test_int_gcd_against_sympy():
     rng = random.Random(11)
     for _ in range(25):
         a = rand_poly(rng, rng.randint(0, 5))
@@ -233,18 +231,18 @@ def test_poly_gcd_against_sympy():
         common = rand_poly(rng, rng.randint(0, 3))
         if common:
             a, b = poly_mul(a, common), poly_mul(b, common)
-        got = poly_gcd(a, b)
+        got = _gcd(a, b, QQ)
         want = from_sympy(sympy.Poly(sympy.gcd(to_sympy(a).as_expr(), to_sympy(b).as_expr()), x))
-        # both monic by convention
-        assert got == tuple(c / want[-1] for c in want)
+        # equal up to a scalar: both made monic
+        assert _monic_reference(got) == tuple(c / want[-1] for c in want)
 
 
 def test_gcd_of_int_coefficients_is_exact():
-    # an int lead must not turn the monic gcd into floats
-    got = poly_gcd((2, 1), (4, 2))
-    assert got == (2, 1) and all(type(c) is Fraction for c in got)
-    got = binary_gcd((0, 0, 0, 1), (0, 0, 1, 0))
-    assert got == (0, 0, 1) and all(type(c) is Fraction for c in got)
+    # the gcds stay in Z[x]: primitive ints with a positive lead, no floats
+    got = _gcd((2, 1), (4, 2), QQ)
+    assert got == (2, 1) and all(type(c) is int for c in got)
+    got = binary_gcd_many([(0, 0, 0, 1), (0, 0, 1, 0)])
+    assert got == (0, 0, 1) and all(type(c) is int for c in got)
 
 
 def test_taylor_shift():
@@ -272,7 +270,7 @@ def test_squarefree_decomposition():
             recon = poly_mul(recon, fac)
     assert recon == p
     for fac, _ in dec:
-        g = poly_gcd(fac, poly_derivative(fac))
+        g = _gcd(fac, poly_derivative(fac), QQ)
         assert poly_degree(g) == 0
 
 
@@ -376,7 +374,7 @@ def test_binary_gcd_matches_sympy():
         common = rand_binary(rng.randint(0, 3))
         f = binary_mul_oracle(rand_binary(rng.randint(0, 3)), common)
         g = binary_mul_oracle(rand_binary(rng.randint(0, 3)), common)
-        got = binary_gcd(f, g)
+        got = binary_gcd_many([f, g])
         sf = sum(sympy.Rational(c) * s ** (binary_degree(f) - i) * t**i for i, c in enumerate(f))
         sg = sum(sympy.Rational(c) * s ** (binary_degree(g) - i) * t**i for i, c in enumerate(g))
         want = sympy.gcd(sf, sg)
@@ -400,21 +398,21 @@ def test_binary_gcd_pure_powers():
     # f = s^2 t^3, g = s t^4 -> gcd s t^3
     f = (0, 0, 0, Fraction(1), 0, 0)
     g = (0, 0, 0, 0, Fraction(1), 0)
-    got = binary_gcd(f, g)
+    got = binary_gcd_many([f, g])
     assert binary_degree(got) == 4
     assert got[3] != 0 and all(c == 0 for i, c in enumerate(got) if i != 3)
 
 
-def test_binary_gcd_pads_with_the_field_zero():
-    # over F_7: gcd(s t (4s + t), t (4s + t) (s + t)) = t (4s + t), whose
-    # s^2 coefficient is padding and must be the zero of F_7
+def test_binary_gcd_over_fp_is_residues():
+    # over F_7: gcd(s t (4s + t), t (4s + t) (s + t)) = t (4s + t), as
+    # residues monic in t, from F_7 elements and from ints alike
     F = prime_field(7)
-    f = tuple(F(c) for c in (0, 4, 1, 0))
-    g = tuple(F(c) for c in (0, 4, 5, 1))
-    got = binary_gcd(f, g)
-    assert got == (F(0), F(4), F(1))
-    assert all(type(c) is F for c in got)
-    assert all(type(c) is Fraction for c in binary_gcd((0, 0, 0, Fraction(1)), (0, 0, Fraction(1), 0)))
+    f, g = (0, 4, 1, 0), (0, 4, 5, 1)
+    assert _binary_gcd(f, g, F) == (0, 4, 1)
+    assert _binary_gcd(tuple(F(c) for c in f), tuple(F(c) for c in g), F) == (0, 4, 1)
+    # gcd(3 s^2 t, 5 s t^2) = s t: the common power of s padded on as 0
+    got = _binary_gcd((0, 3, 0, 0), (0, 0, 5, 0), F)
+    assert got == (0, 1, 0) and all(type(c) is int for c in got)
 
 
 def test_binary_gcd_many_and_eval():

@@ -443,7 +443,7 @@ def test_conic_fiber_with_double_point():
     g = fib.germs[0]
     assert g.length == 2
     assert g.support == ProjPoint((1, 0, 0))
-    assert g.linear_rows()[1] == [0, 1, 0]
+    assert g.int_rows()[1] == [0, 1, 0]
 
 
 def test_chord_center_meets_curve():

@@ -141,21 +141,20 @@ def _scalar_rows(x):
 
 
 def _scalar_views(support, chart, jets, field):
-    """Reference: jets, linear_rows and int_rows of a germ built from
-    scalar jets in the chart, as germs were stored before they kept int
-    series."""
+    """Reference: jets and int_rows of a germ built from scalar jets in
+    the chart, as germs were stored before they kept int series."""
     length = len(next(j for j in jets if j is not None))
     hom = [_constant_series(1, length, field) if i == chart else tuple(jets[i])
            for i in range(len(jets))]
     rows = [[s[k] for s in hom] for k in range(length)]
-    return tuple(jets), rows, [field.ints(r) for r in rows]
+    return tuple(jets), [field.ints(r) for r in rows]
 
 
 def _assert_views(g, want):
-    jets, rows, int_rows = want
+    jets, int_rows = want
     assert g.jets == jets
-    assert g.linear_rows() == rows and g.int_rows() == int_rows
-    assert all(type(v) is type(g.field(0)) for row in g.linear_rows() for v in row)
+    assert g.int_rows() == int_rows
+    assert all(type(v) is int for row in g.int_rows() for v in row)
     den = g.series[g.chart][0]
     assert g.series[g.chart] == (den,) + (0,) * (g.length - 1)
     assert den > 0 if g.field is QQ else den == 1
@@ -587,7 +586,7 @@ def _random_subspace(rng, x):
         for _ in range(rng.randint(1, n)):
             if rng.random() < 0.7:
                 g = rng.choice(x.germs)
-                rows.append(g.linear_rows()[rng.randrange(g.length)])
+                rows.append(_scalar_rows(FiniteScheme([g]))[rng.randrange(g.length)])
             else:
                 rows.append([field(rng.randint(-2, 2)) for _ in range(n + 1)])
         sub = subspace_from_rows(rows, n, field)
@@ -631,7 +630,8 @@ def _max_collinear_reference(x):
         subspace_from_rows([a.support.coords, b.support.coords], n, field)
         for a, b in itertools.combinations(x.germs, 2)
     ]
-    lines += [subspace_from_rows(g.linear_rows()[:2], n, field) for g in x.germs if g.length >= 2]
+    lines += [subspace_from_rows(_scalar_rows(FiniteScheme([g]))[:2], n, field)
+              for g in x.germs if g.length >= 2]
     return max((contact_length(x, line) for line in lines), default=x.degree)
 
 
@@ -705,8 +705,8 @@ def test_germ_int_rows_are_the_rows_cleared():
 
 def test_germ_rows_are_the_coordinate_coefficients():
     g = make_germ((2, 1, 7), 1, [(2, -1, 4), (7, 0, 1)])
-    assert g.linear_rows() == [[2, 1, 7], [-1, 0, 0], [4, 0, 1]]
+    assert g.int_rows() == [[2, 1, 7], [-1, 0, 0], [4, 0, 1]]
     x = FiniteScheme([g, reduced_germ((1, 0, 0))])
-    assert _scalar_rows(x) == g.linear_rows() + [[1, 0, 0]]
+    assert _scalar_rows(x) == g.int_rows() + [[1, 0, 0]]
     for k in range(1, 4):
-        assert g.truncate(k).linear_rows() == g.linear_rows()[:k]
+        assert g.truncate(k).int_rows() == g.int_rows()[:k]

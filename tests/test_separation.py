@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from zeroreg.exactalg import QQ, Matrix, prime_field
 from zeroreg.forms import evaluate_form, monomials_of_degree
 from zeroreg.normality import is_k_normal
-from zeroreg.scheme import FiniteScheme, ProjPoint, germ_on_line, make_germ, reduced_germ
+from zeroreg.scheme import (
+    FiniteScheme,
+    LinearSubspace,
+    ProjPoint,
+    germ_on_line,
+    make_germ,
+    reduced_germ,
+)
 from zeroreg.separation import (
     DegenerateConfiguration,
     FormSpaceRecipe,
@@ -142,7 +149,7 @@ def test_separator_config_structure():
     cfg = make_case2_config()
     assert (cfg.n, cfg.case) == (3, 2)
     assert len(cfg.points) == 6
-    line = cfg.line()
+    line = LinearSubspace(2, [(0, cfg.b, -cfg.a)])
     for p in cfg.aligned:
         assert line.contains_point(p)
     assert line.contains_point(ProjPoint((1, 0, 0)))
