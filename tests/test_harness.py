@@ -334,6 +334,47 @@ def test_mather_reports_unchanged_where_the_first_curve_suffices():
     assert digest == "d34263b5ea15a85442c4546a347b00a443e16e6537d25369af0b2f5cbb6cdde5"
 
 
+# sha256 of the canonical report of run_suite(suite, 20, 11, prime=P):
+# every suite over Q, the non-curve suites over F_7 and F_(2^31-1).  The
+# F_7 runs end in 16 exhausted generators, so the pins cover redraw
+# counts and exhaustion messages as well as verdicts.
+_PINNED_REPORTS = {
+    (None, "cor1_3a"): "27342359cff398014a3b732b60b4052f49bd637b3b634a1f2a5fc6959269ea26",
+    (None, "cor1_3b"): "80ffaaf0ebdb2c07933e76efae51e51a7be2f40b005eecc4c9ccba3eaf7f15e1",
+    (None, "fiber_cases"): "485b5447b0c365d0dcee806d82150175d69dde5afa6dce8b3079d9f93fa1d29e",
+    (None, "flatness"): "56a13048ec0cace624070029e61ac83de1be8456bbc2939c6047bb8380d93047",
+    (None, "hilbert_shape"): "f044f70b2ef10c2f5e7083b9fa66c8e0f41a975e883681d98f38b4bc7c0ad8f9",
+    (None, "invariance"): "29d17805ae9baab079d8ca7039516f45448f300a384f9d09d74d7c5abc598d0a",
+    (None, "lemma2_6"): "4b705ad0a3c27381fdd2923020b940870036285203cb9ee006682db8a67fcee4",
+    (None, "lemma3_1"): "edb5c7061d38a91d79ac872ae1130e80cb1d5c637d9b03a1ee40f34750b48b93",
+    (None, "mather_consistency"): "c5da9a08a14c5a2540e13421bc226a6c2ebd2a56d1644ef21788812e91510f90",
+    (None, "prop1_2"): "63bf2c329b2fa86855109fe8a6c3a4ff7d7e52cf1bac55eef0b2ee0f1a984bef",
+    (7, "cor1_3a"): "37b92d376d8247c7bffaa1603e82e07d746706707d227b0b186e64db7ea0a035",
+    (7, "cor1_3b"): "fd344119e7e3270d295029aa71478bf602479cdb38a1311b090f4f3e36cd65f9",
+    (7, "fiber_cases"): "6c9258c83688c965f8378ce0487460de9413befc515dde294b336988e2a3d986",
+    (7, "hilbert_shape"): "c99e8c89e35681e0ea33b92e8acc5ed45041c7bab6f700f4b65282f170f04e02",
+    (7, "invariance"): "a402087cfdf2ca1a541b3213a6f48af79dcf3d397440a00b2f972e79dbd0ff45",
+    (7, "lemma2_6"): "3c0e6598c772041caa9ceeb718e2f56c97f6f95e993545dd2fbc632f808db609",
+    (7, "prop1_2"): "b7d22fc154a0304597d3980e1be74b6285835a4fbf81666e798a274e5a09dd27",
+    (2147483647, "cor1_3a"): "27342359cff398014a3b732b60b4052f49bd637b3b634a1f2a5fc6959269ea26",
+    (2147483647, "cor1_3b"): "80ffaaf0ebdb2c07933e76efae51e51a7be2f40b005eecc4c9ccba3eaf7f15e1",
+    (2147483647, "fiber_cases"): "485b5447b0c365d0dcee806d82150175d69dde5afa6dce8b3079d9f93fa1d29e",
+    (2147483647, "hilbert_shape"): "f044f70b2ef10c2f5e7083b9fa66c8e0f41a975e883681d98f38b4bc7c0ad8f9",
+    (2147483647, "invariance"): "29d17805ae9baab079d8ca7039516f45448f300a384f9d09d74d7c5abc598d0a",
+    (2147483647, "lemma2_6"): "4b705ad0a3c27381fdd2923020b940870036285203cb9ee006682db8a67fcee4",
+    (2147483647, "prop1_2"): "63bf2c329b2fa86855109fe8a6c3a4ff7d7e52cf1bac55eef0b2ee0f1a984bef",
+}
+
+
+def test_suite_reports_pinned():
+    digests = {}
+    for prime, name in _PINNED_REPORTS:
+        report = run_suite(name, 20, 11, prime=prime)
+        digests[prime, name] = hashlib.sha256(
+            canonical_json(report.to_jsonable()).encode()).hexdigest()
+    assert digests == _PINNED_REPORTS
+
+
 def test_cor1_3a_asks_each_oracle_once_per_trial(monkeypatch):
     # a kept scheme gets its span and its collinear search from the
     # secant verdict alone; the generator's own feature checks (inside
