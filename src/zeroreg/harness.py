@@ -4,8 +4,10 @@ Every suite draws its inputs from a splittable 64-bit seed stream, so a
 run is reproducible from (suite, trials, seed) alone and parallel runs
 agree byte-for-byte with serial ones.  Generators plant the features a
 suite needs (collinear subsets, long secants, specific fiber shapes),
-then verify them post hoc and redraw degenerate attempts with a logged
-count — never silently.
+then verify them post hoc.  `_redraw` redraws degenerate attempts and
+counts them, never silently; only `gen_scheme`, whose exhaustion message
+names the misses by feature, counts in a loop of its own, and the
+coordinate helpers (`_draw_point`, `_off_point`, ...) retry uncounted.
 
 Verification always goes through the exact rank oracles; the generators
 certify general position with independent closed-form tests (never by
@@ -101,6 +103,18 @@ class _Redraws:
 
     def bump(self):
         self.count += 1
+
+
+def _redraw(log, attempt, exhausted, tries=200):
+    """The result of the first call of `attempt()` that does not raise
+    _Retry, counting each _Retry in `log`; `exhausted` is raised after
+    `tries` calls.  Other exceptions pass through uncounted."""
+    for _ in range(tries):
+        try:
+            return attempt()
+        except _Retry:
+            log.bump()
+    raise exhausted
 
 
 class GeneratorSpec:
@@ -523,7 +537,7 @@ def _gen_fiber_instance(rng, field, label):
 
 
 def _draw_curve(rng, log):
-    for _ in range(200):
+    def attempt():
         ambient = rng.randint(3, 5)
         degree = rng.randint(ambient, 6)
         forms = [tuple(rng.randint(-6, 6) for _ in range(degree + 1))
@@ -531,13 +545,13 @@ def _draw_curve(rng, log):
         try:
             curve = RationalCurve(forms)
         except ValueError:
-            log.bump()
-            continue
+            raise _Retry from None
         if not curve.is_nondegenerate():
-            log.bump()
-            continue
+            raise _Retry
         return curve
-    raise GenerationExhausted("no base-point-free nondegenerate curve found")
+
+    return _redraw(log, attempt,
+                   GenerationExhausted("no base-point-free nondegenerate curve found"))
 
 
 def _center_meets_tangent_line(curve, center) -> bool:
@@ -558,7 +572,7 @@ def _center_meets_tangent_line(curve, center) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the trial bodies; each returns (ok, redraws, signature, failure detail)
+# the trial bodies; each returns (signature, failure detail or None)
 
 
 def _fail(message, x=None, extra=None):
@@ -570,8 +584,7 @@ def _fail(message, x=None, extra=None):
     return detail
 
 
-def _trial_prop12(rng, field, index):
-    log = _Redraws()
+def _trial_prop12(rng, field, index, log):
     ambient = rng.randint(2, 5)
     d = rng.randint(2, 10)
     maxlen = rng.choice((1, 1, 1, 2, 2, 3))
@@ -588,40 +601,38 @@ def _trial_prop12(rng, field, index):
     bad = [k for k in range(k0, d) if hilbert_function(x, k) != d]
     sig = (d, k0, tuple(bad))
     if bad:
-        return False, log.count, sig, _fail(
-            "not k-normal above the threshold", x, {"threshold": k0, "bad": bad})
-    return True, log.count, sig, None
+        return sig, _fail("not k-normal above the threshold", x,
+                          {"threshold": k0, "bad": bad})
+    return sig, None
 
 
-def _trial_cor13a(rng, field, index):
-    log = _Redraws()
+def _trial_cor13a(rng, field, index, log):
     planted = index % 2 == 0
     ambient = rng.choice((2, 3))
     d = rng.randint(ambient + 3, 10)
     maxlen = rng.choice((1, 1, 2, 3))
-    for _ in range(200):
+
+    def attempt():
         spec = GeneratorSpec(ambient, degree=d, max_germ_length=maxlen,
                              collinear=d - ambient + 1 if planted else None,
                              box=(-8, 8), field=field, seed=rng.getrandbits(63))
         x = gen_scheme(spec, log)
         # d >= ambient + 3 > span + 2, so the verdict always applies
         v = secant_normality_verdict(x)
-        if v.span == ambient and (planted or not v.has_long_secant):
-            break
-        log.bump()
-    else:
-        raise GenerationExhausted("no nondegenerate scheme in the secant regime")
+        if v.span != ambient or (v.has_long_secant and not planted):
+            raise _Retry
+        return x, v
+
+    x, v = _redraw(log, attempt,
+                   GenerationExhausted("no nondegenerate scheme in the secant regime"))
     sig = (d, ambient, v.normal_at_d_minus_n, v.normal_at_d_minus_n_1,
            v.has_long_secant)
-    ok = v.equivalence_holds and v.has_long_secant == planted
-    if not ok:
-        return False, log.count, sig, _fail(
-            "secant dichotomy violated", x, {"verdict": v.to_jsonable()})
-    return True, log.count, sig, None
+    if not (v.equivalence_holds and v.has_long_secant == planted):
+        return sig, _fail("secant dichotomy violated", x, {"verdict": v.to_jsonable()})
+    return sig, None
 
 
-def _trial_cor13b(rng, field, index):
-    log = _Redraws()
+def _trial_cor13b(rng, field, index, log):
     ambient = rng.randint(2, 5)
     d = rng.randint(ambient + 1, 10)
     maxlen = rng.choice((1, 1, 1, 2))
@@ -633,39 +644,35 @@ def _trial_cor13b(rng, field, index):
     bad = [k for k in range(k_star, d) if hilbert_function(x, k) != d]
     sig = (d, ambient, k_star, tuple(bad))
     if bad:
-        return False, log.count, sig, _fail(
-            "general-position scheme not normal from ceil((d-1)/N) on", x,
-            {"first_k": k_star, "bad": bad})
-    return True, log.count, sig, None
+        return sig, _fail("general-position scheme not normal from ceil((d-1)/N) on",
+                          x, {"first_k": k_star, "bad": bad})
+    return sig, None
 
 
-def _trial_lemma26(rng, field, index):
-    log = _Redraws()
+def _trial_lemma26(rng, field, index, log):
     n = 3 + index % 4
     case = 1 + (index // 4) % 2
     aligned = n + 1 if case == 1 else n
     off_count = 2 if case == 1 else 3
-    for _ in range(200):
+
+    def attempt():
         us = rng.sample([u for u in range(-9, 10) if u], aligned)
         a = rng.choice([u for u in range(-5, 6) if u])
         b = rng.choice([u for u in range(-5, 6) if u])
         offs = []
         try:
-            avoid = set()
             for _ in range(off_count):
-                p = _off_point(rng, (-9, 9), field, avoid)
+                p = _off_point(rng, (-9, 9), field, offs)
                 if not any(field.ints([b * p.vec[1] - a * p.vec[2]])):
                     raise _Retry
-                avoid.add(p)
                 offs.append(p)
             config = SeparatorConfig(us, a, b, offs, field)
-            forms = separator_forms(config)
-        except (_Retry, ValueError, DegenerateConfiguration):
-            log.bump()
-            continue
-        break
-    else:
-        raise GenerationExhausted("no admissible separator configuration")
+            return config, separator_forms(config)
+        except (ValueError, DegenerateConfiguration):
+            raise _Retry from None
+
+    config, forms = _redraw(log, attempt,
+                            GenerationExhausted("no admissible separator configuration"))
     allowed = set(separator_monomial_basis(n))
     confined = all(set(f) <= allowed for f in forms)
     # the values come from forms.form_values, not from the solver's own
@@ -676,83 +683,66 @@ def _trial_lemma26(rng, field, index):
     # nonzeros exactly on i == j: the rank is the diagonal's length
     rank = min(len(rows), len(rows[0])) if diagonal else Matrix(rows, field=field).rank()
     sig = (n, case, confined, diagonal, rank)
-    ok = confined and diagonal and rank == n + 3
-    if not ok:
-        return False, log.count, sig, _fail(
-            "separator solver postcondition failed",
-            config.scheme(),
-            {"n": n, "case": case, "rank": rank, "confined": confined})
-    return True, log.count, sig, None
+    if not (confined and diagonal and rank == n + 3):
+        return sig, _fail("separator solver postcondition failed", config.scheme(),
+                          {"n": n, "case": case, "rank": rank, "confined": confined})
+    return sig, None
 
 
-def _trial_fiber(rng, field, index):
-    log = _Redraws()
+def _trial_fiber(rng, field, index, log):
     label = _FIBER_TYPES[index % len(_FIBER_TYPES)]
-    for _ in range(200):
-        try:
-            x, n = _gen_fiber_instance(rng, field, label)
-        except _Retry:
-            log.bump()
-            continue
-        break
-    else:
-        raise GenerationExhausted("no instance of fiber type %s" % label)
+    x, n = _redraw(log, lambda: _gen_fiber_instance(rng, field, label),
+                   GenerationExhausted("no instance of fiber type %s" % label))
     profile = classify_fiber(x, n)
     if profile.case != label:
-        return False, log.count, (label, profile.case), _fail(
+        return (label, profile.case), _fail(
             "planted fiber classified as %s" % profile.case, x)
     mnd = min_normal_degree(x)
     pair = recipe_for_fiber(profile)
     sig = (label, profile.predicted_normality, mnd)
     if mnd != profile.predicted_normality:
-        return False, log.count, sig, _fail(
-            "minimal normality degree %d does not match prediction %d"
-            % (mnd, profile.predicted_normality), x)
+        return sig, _fail("minimal normality degree %d does not match prediction %d"
+                          % (mnd, profile.predicted_normality), x)
     if pair is None:
-        return False, log.count, sig, _fail("no separator recipe for %s" % label, x)
+        return sig, _fail("no separator recipe for %s" % label, x)
     recipe, k = pair
     if not recipe_separates(x, recipe, k):
-        return False, log.count, sig, _fail(
-            "recipe fails to separate at degree %d" % k, x)
-    return True, log.count, sig, None
+        return sig, _fail("recipe fails to separate at degree %d" % k, x)
+    return sig, None
 
 
-def _trial_flatness(rng, field, index):
-    log = _Redraws()
+def _trial_flatness(rng, field, index, log):
     curve = _draw_curve(rng, log)
     n = curve.ambient
-    for _ in range(200):
+
+    def attempt():
         forms = [_draw_coords(rng, n + 1, (-5, 5)) for _ in range(2)]
         try:
             center = LinearSubspace(n, forms)
         except ValueError:
-            log.bump()
-            continue
+            raise _Retry from None
         ys = [(1, 0), (0, 1), (1, 1)]
         ys += [(1, rng.randint(-9, 9)) for _ in range(2)]
         try:
-            fibers = [curve_fiber(curve, center, y) for y in ys]
+            return [curve_fiber(curve, center, y) for y in ys]
         except (CenterMeetsCurve, DuplicateFiberSupport, NonCurvilinearFiber):
-            log.bump()
-            continue
-        break
-    else:
-        raise GenerationExhausted("no usable projection center")
+            raise _Retry from None
+
+    fibers = _redraw(log, attempt, GenerationExhausted("no usable projection center"))
     totals = [f.total for f in fibers]
     sig = (curve.degree, tuple(totals))
     if any(t != curve.degree for t in totals):
-        return False, log.count, sig, _fail(
-            "fiber total %r differs from the curve degree %d"
-            % (totals, curve.degree))
-    return True, log.count, sig, None
+        return sig, _fail("fiber total %r differs from the curve degree %d"
+                          % (totals, curve.degree))
+    return sig, None
 
 
-def _trial_lemma31(rng, field, index):
-    log = _Redraws()
+def _trial_lemma31(rng, field, index, log):
     curve = _draw_curve(rng, log)
     n = curve.ambient
     d = curve.degree
-    for _ in range(200):
+
+    def attempt():
         r = rng.randint(0, n - 2)
         if rng.random() < 0.5:
             rows = [_draw_coords(rng, n + 1, (-5, 5)) for _ in range(r + 1)]
@@ -763,35 +753,31 @@ def _trial_lemma31(rng, field, index):
             rows += [_draw_coords(rng, n + 1, (-5, 5)) for _ in range(r + 1 - through)]
         sub = subspace_from_rows(rows, n)
         if sub.dim != r:
-            log.bump()
-            continue
-        length = curve_linear_section_length(curve, sub)
-        bound = d - (n - 1 - r)
-        sig = (d, n, r, length, bound)
-        if length > bound:
-            return False, log.count, sig, _fail(
-                "linear section length %d exceeds the bound %d" % (length, bound))
-        return True, log.count, sig, None
-    raise GenerationExhausted("no linear subspace of the requested dimension")
+            raise _Retry
+        return r, sub
+
+    r, sub = _redraw(log, attempt,
+                     GenerationExhausted("no linear subspace of the requested dimension"))
+    length = curve_linear_section_length(curve, sub)
+    bound = d - (n - 1 - r)
+    sig = (d, n, r, length, bound)
+    if length > bound:
+        return sig, _fail("linear section length %d exceeds the bound %d" % (length, bound))
+    return sig, None
 
 
-def _trial_mather(rng, field, index):
-    log = _Redraws()
-    for _ in range(20):
-        curve = _draw_curve(rng, log)
-        result = _mather_on_curve(rng, curve, log)
-        if result is not None:
-            return result
-        # no generic center in 200 draws: the curve is redrawn
-        log.bump()
-    raise GenerationExhausted("no generic plane-projection center")
+def _trial_mather(rng, field, index, log):
+    # a curve with no generic center within its draw budget is redrawn
+    return _redraw(log, lambda: _mather_on_curve(rng, _draw_curve(rng, log), log),
+                   GenerationExhausted("no generic plane-projection center"), tries=20)
 
 
 def _mather_on_curve(rng, curve, log):
-    """The Mather check on plane projections of one curve; None when
-    no generic center turned up within the draw budget."""
+    """The Mather check on plane projections of one curve, as (signature,
+    detail); raises _Retry when no center in the draw budget is generic."""
     n = curve.ambient
-    for _ in range(200):
+
+    def attempt():
         t1, t2 = rng.sample(range(-9, 10), 2)
         p1 = curve.point(1, t1)
         p2 = curve.point(1, t2)
@@ -800,49 +786,34 @@ def _mather_on_curve(rng, curve, log):
         l1, l2 = (next(c for c in p.vec if c) for p in (p1, p2))
         chord_pt = tuple(l2 * a + lam * l1 * b for a, b in zip(p1.vec, p2.vec))
         if not any(chord_pt):
-            log.bump()
-            continue
+            raise _Retry
         rows = [chord_pt]
         rows += [_draw_coords(rng, n + 1, (-5, 5)) for _ in range(n - 3)]
         center = subspace_from_rows(rows, n)
-        if center.dim != n - 3:
-            log.bump()
-            continue
-        if _center_meets_tangent_line(curve, center):
-            log.bump()
-            continue
+        if center.dim != n - 3 or _center_meets_tangent_line(curve, center):
+            raise _Retry
         try:
             y_star = project_point(curve.point(1, t1), center).vec
             planted = plane_fiber(curve, center, y_star)
+            if planted.total != 2 or len(planted.germs) != 2 or any(
+                    g.length != 1 for g in planted.germs):
+                raise _Retry
+            return [planted] + [
+                plane_fiber(curve, center, project_point(curve.point(1, tau), center).vec)
+                for tau in rng.sample(range(-9, 10), 3)]
         except (CenterMeetsScheme, CenterMeetsCurve, DuplicateFiberSupport,
                 NonCurvilinearFiber):
-            log.bump()
-            continue
-        if planted.total != 2 or len(planted.germs) != 2 or any(
-                g.length != 1 for g in planted.germs):
-            log.bump()
-            continue
-        try:
-            others = []
-            for tau in rng.sample(range(-9, 10), 3):
-                y = project_point(curve.point(1, tau), center).vec
-                others.append(plane_fiber(curve, center, y))
-        except (CenterMeetsScheme, CenterMeetsCurve, DuplicateFiberSupport,
-                NonCurvilinearFiber):
-            log.bump()
-            continue
-        checks = [mather_inequality(f, 1) for f in [planted] + others]
-        sig = (curve.degree, n, tuple(c.total for c in checks))
-        if not all(c.holds for c in checks):
-            return False, log.count, sig, _fail(
-                "curve fiber multiplicity exceeds the generic bound",
-                extra={"totals": [c.total for c in checks]})
-        return True, log.count, sig, None
-    return None
+            raise _Retry from None
+
+    checks = [mather_inequality(f, 1) for f in _redraw(log, attempt, _Retry())]
+    sig = (curve.degree, n, tuple(c.total for c in checks))
+    if not all(c.holds for c in checks):
+        return sig, _fail("curve fiber multiplicity exceeds the generic bound",
+                          extra={"totals": [c.total for c in checks]})
+    return sig, None
 
 
-def _trial_invariance(rng, field, index):
-    log = _Redraws()
+def _trial_invariance(rng, field, index, log):
     ambient = rng.randint(2, 5)
     d = rng.randint(2, 10)
     maxlen = rng.choice((1, 1, 2, 3))
@@ -862,17 +833,14 @@ def _trial_invariance(rng, field, index):
     phi_x = [hilbert_function(x, k) for k in range(1, mx + 1)]
     phi_y = [hilbert_function(y, k) for k in range(1, mx + 1)]
     sig = (d, mx, tx, cx)
-    ok = mx == my and tx == ty and cx == cy and phi_x == phi_y
-    if not ok:
-        return False, log.count, sig, _fail(
-            "coordinate change altered an invariant", x,
-            {"normal": [mx, my], "t": [tx, ty], "collinear": [cx, cy],
-             "phi": [phi_x, phi_y]})
-    return True, log.count, sig, None
+    if not (mx == my and tx == ty and cx == cy and phi_x == phi_y):
+        return sig, _fail("coordinate change altered an invariant", x,
+                          {"normal": [mx, my], "t": [tx, ty], "collinear": [cx, cy],
+                           "phi": [phi_x, phi_y]})
+    return sig, None
 
 
-def _trial_hilbert_shape(rng, field, index):
-    log = _Redraws()
+def _trial_hilbert_shape(rng, field, index, log):
     ambient = rng.randint(2, 4)
     d = rng.randint(2, 10)
     maxlen = rng.choice((1, 1, 2, 3))
@@ -898,8 +866,8 @@ def _trial_hilbert_shape(rng, field, index):
         problems.append("phi drops below the degree after reaching it")
     sig = (d, mnd, tuple(phi))
     if problems:
-        return False, log.count, sig, _fail("; ".join(problems), x, {"phi": phi})
-    return True, log.count, sig, None
+        return sig, _fail("; ".join(problems), x, {"phi": phi})
+    return sig, None
 
 
 _TRIALS = {
@@ -945,26 +913,24 @@ class SuiteReport:
 
 
 def _run_trial(args):
+    """(redraw count, failure record or None) of one trial."""
     suite, master, index, prime = args
     field = QQ if prime is None else prime_field(prime)
     seed = trial_seed(master, index)
     fn = _TRIALS[suite]
+    log = _Redraws()
     try:
-        ok, redraws, sig, detail = fn(random.Random(seed), field, index)
+        sig, detail = fn(random.Random(seed), field, index, log)
     except GenerationExhausted as err:
-        return {"trial": index, "seed": seed, "ok": False, "redraws": 0,
-                "detail": {"message": "generator exhausted: %s" % err}}
+        return 0, {"trial": index, "seed": seed,
+                   "message": "generator exhausted: %s" % err}
     if prime is not None and index % 100 == 0:
-        ok_q, _, sig_q, _ = fn(random.Random(seed), QQ, index)
-        if ok_q != ok or sig_q != sig:
-            ok = False
+        sig_q, detail_q = fn(random.Random(seed), QQ, index, _Redraws())
+        if (detail_q is None) != (detail is None) or sig_q != sig:
             detail = {"message": "prime-field result disagrees with the "
                                  "rational cross-check",
                       "fp": list(map(str, sig)), "q": list(map(str, sig_q))}
-    out = {"trial": index, "seed": seed, "ok": ok, "redraws": redraws}
-    if detail is not None:
-        out["detail"] = detail
-    return out
+    return log.count, None if detail is None else {"trial": index, "seed": seed, **detail}
 
 
 def worker_count(jobs: int, trials: int) -> int:
@@ -998,13 +964,7 @@ def run_suite(name: str, trials: int, seed: int, prime=None,
             results = list(pool.map(_run_trial, args, chunksize=chunk))
     else:
         results = [_run_trial(a) for a in args]
-    failures = []
-    redraws = 0
-    for r in results:
-        redraws += r["redraws"]
-        if not r["ok"]:
-            record = {"trial": r["trial"], "seed": r["seed"]}
-            record.update(r.get("detail") or {"message": "trial failed"})
-            failures.append(record)
+    failures = [failure for _, failure in results if failure is not None]
+    redraws = sum(count for count, _ in results)
     return SuiteReport(name, trials, failures, redraws,
                        time.monotonic() - started)

@@ -336,8 +336,14 @@ class LinearSubspace:
 
     def contains_point(self, point) -> bool:
         """Whether every cutting form vanishes at the point, tested on the
-        point's int vector against `int_forms`."""
-        vec = point.vec if isinstance(point, ProjPoint) else self.field.ints(point)
+        point's int vector against `int_forms`.  A `ProjPoint` over another
+        field is a ValueError."""
+        if isinstance(point, ProjPoint):
+            if point.field is not self.field:
+                raise ValueError("point and subspace lie over different fields")
+            vec = point.vec
+        else:
+            vec = self.field.ints(point)
         return not any(self.field.ints([sum(c * x for c, x in zip(f, vec))
                                         for f in self.int_forms]))
 
@@ -354,7 +360,10 @@ def subspace_from_rows(rows, ambient: int, field=QQ) -> LinearSubspace:
 def contact_length(scheme, subspace: LinearSubspace) -> int:
     """Degree of the scheme-theoretic intersection with the subspace: per
     germ, the number of leading rows that every cutting form kills, on
-    ints (`int_rows` against `int_forms`)."""
+    ints (`int_rows` against `int_forms`).  A scheme or germ over another
+    field than the subspace is a ValueError."""
+    if scheme.field is not subspace.field:
+        raise ValueError("scheme and subspace lie over different fields")
     germs = scheme.germs if isinstance(scheme, FiniteScheme) else (scheme,)
     forms, ints = subspace.int_forms, subspace.field.ints
     total = 0

@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 from zeroreg import cli, harness
-from zeroreg.exactalg import prime_field
+from zeroreg.exactalg import QQ, prime_field
 from zeroreg.jsonio import canonical_json, scheme_dumps, subspace_to_jsonable
 from zeroreg.projection import project_scheme
 from zeroreg.scheme import (
     FiniteScheme,
     LinearSubspace,
+    ProjPoint,
     contact_length,
     make_germ,
     reduced_germ,
@@ -128,3 +129,21 @@ def test_fp_paths_do_no_element_arithmetic(p, no_fp_arithmetic, tmp_path, capsys
                  ["project", "--scheme", str(scheme), "--center", str(sub)]):
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().err == ""
+
+
+def test_subspace_reads_refuse_a_point_or_scheme_over_another_field():
+    # mod 7 the line 5 x0 + x1 = 0 holds (1:2:3), over Q it does not; read
+    # against a subspace over the other field, the int vectors would
+    # silently answer for the wrong one
+    F = prime_field(7)
+    for field, other in ((F, QQ), (QQ, F)):
+        point = ProjPoint((1, 2, 3), field)
+        germ = reduced_germ(point, field)
+        own, line = (LinearSubspace(2, [(5, 1, 0)], f) for f in (field, other))
+        assert own.contains_point(point) == (field is F)
+        assert contact_length(FiniteScheme([germ], field), own) == (field is F)
+        for read in (lambda: line.contains_point(point),
+                     lambda: contact_length(germ, line),
+                     lambda: contact_length(FiniteScheme([germ], field), line)):
+            with pytest.raises(ValueError, match="different fields"):
+                read()

@@ -1,8 +1,10 @@
 """Tests for the seeded generators and verification suites."""
 
+import ast
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from zeroreg.harness import (
     SuiteReport,
     SUITE_NAMES,
     _build_scheme,
+    _redraw,
+    _Redraws,
     _Retry,
     conic_frame_certificate,
     gen_scheme,
@@ -136,8 +140,10 @@ def test_gen_scheme_reports_exhaustion():
 
 
 def test_exhaustion_names_the_missed_feature():
-    # over F_7 the independence level of a degree-8 scheme in P^4 never
-    # reaches 4, so every one of the 200 draws misses general position
+    # the eight F_7-points of the rational normal curve in P^4 do reach
+    # independence level 4, but none of the 200 random draws of this
+    # trial does: the exhaustion comes from random sampling, not from
+    # the field
     (failure,) = run_suite("cor1_3b", 1, 12345, prime=7).failures
     assert failure["message"] == (
         "generator exhausted: could not realize the planted features (ambient 4, "
@@ -150,6 +156,93 @@ def test_random_plants_always_verify(seed):
     x = gen_scheme(GeneratorSpec(3, degree=6, collinear=3, max_germ_length=2,
                                  seed=seed))
     assert max_collinear_length(x) == 3
+
+
+# ---------------------------------------------------------------------------
+# the counted redraw loop
+
+
+def _attempts(*outcomes):
+    """An attempt that raises or returns the given outcomes in turn, and
+    the list of the calls made."""
+    calls = []
+
+    def attempt():
+        outcome = outcomes[len(calls)]
+        calls.append(outcome)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    return attempt, calls
+
+
+def test_redraw_counts_one_bump_per_retry():
+    log = _Redraws()
+    attempt, calls = _attempts(_Retry(), _Retry(), _Retry(), "drawn")
+    assert _redraw(log, attempt, GenerationExhausted("never")) == "drawn"
+    assert log.count == 3 and len(calls) == 4
+
+
+def test_redraw_raises_the_given_exhaustion_after_its_tries():
+    log = _Redraws()
+    attempt, calls = _attempts(*[_Retry()] * 8)
+    with pytest.raises(GenerationExhausted, match="^out of draws$"):
+        _redraw(log, attempt, GenerationExhausted("out of draws"), tries=7)
+    assert log.count == 7 and len(calls) == 7
+
+
+def test_redraw_passes_an_inner_exhaustion_through_uncounted():
+    # a curve generator exhausted inside a Mather attempt ends the trial
+    log = _Redraws()
+    attempt, calls = _attempts(_Retry(), GenerationExhausted("no curve"), "drawn")
+    with pytest.raises(GenerationExhausted, match="^no curve$"):
+        _redraw(log, attempt, GenerationExhausted("no center"), tries=20)
+    assert log.count == 1 and len(calls) == 2
+
+
+def test_an_exhausted_inner_redraw_is_one_outer_redraw():
+    # the Mather shape: a curve on which every center fails is redrawn,
+    # and each failed center and each redrawn curve counts once
+    log = _Redraws()
+    centers, calls = _attempts(*[_Retry()] * 10, "center")
+
+    def curve_then_centers():
+        return _redraw(log, centers, _Retry(), tries=5)
+
+    assert _redraw(log, curve_then_centers, GenerationExhausted("x"), tries=20) == "center"
+    assert log.count == 2 * (5 + 1) and len(calls) == 11
+
+
+def _bump_sites(tree):
+    """The qualified name of the function around each `.bump(` call, in
+    source order."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "bump"):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_bump_check_sees_a_new_counting_site():
+    tree = ast.parse("def f(log):\n    def attempt():\n        log.bump()\n"
+                     "    return attempt\nclass C:\n    def g(self):\n        self.log.bump()\n")
+    assert _bump_sites(tree) == ["f.attempt", "C.g"]
+
+
+def test_redraws_are_counted_in_one_place():
+    # _redraw is the one counted loop; gen_scheme keeps its own because
+    # its exhaustion message names the misses by feature
+    path = Path(__file__).resolve().parent.parent / "src" / "zeroreg" / "harness.py"
+    assert _bump_sites(ast.parse(path.read_text(), str(path))) == ["_redraw", "gen_scheme"]
 
 
 # ---------------------------------------------------------------------------
