@@ -217,7 +217,7 @@ def _draw_germ(rng, point, length, box, field):
             continue
         tail = tuple(lead * rng.randint(box[0], box[1]) for _ in range(length - 2))
         series.append((c, lead * v[i]) + tail)
-    return CurvilinearGerm(point, chart, series, field)
+    return CurvilinearGerm(series, field)
 
 
 def _random_invertible(rng, size, field):

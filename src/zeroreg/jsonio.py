@@ -28,6 +28,7 @@ import json
 from .exactalg import QQ, parse_scalar, prime_field, scalar_str
 from .projection import RationalCurve
 from .scheme import CurvilinearGerm, FiniteScheme, LinearSubspace, ProjPoint, make_germ, reduced_germ
+from .separation import FormSpaceRecipe
 
 
 # The largest curve degree a curve document may have.  The gcds under
@@ -285,8 +286,6 @@ def form_from_jsonable(doc):
 
 
 def recipe_from_jsonable(doc):
-    from .separation import FormSpaceRecipe
-
     if not isinstance(doc, dict):
         raise DocumentFormatError("recipe must be a JSON object")
     missing = {"t_count", "levels"} - set(doc)

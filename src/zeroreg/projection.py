@@ -23,8 +23,8 @@ common denominator (`RationalCurve.int_forms`); a common scale moves
 neither a projective point nor the zeros of a pencil.  The fiber's
 binary form, its gcds and squarefree factors (`forms`), and the points
 and jets at its parameters are int polynomials and int vectors fed to
-`ProjPoint` and `germ_from_series`.  Scalars are built only for the
-output: a fiber's image and its rational parameters.
+`ProjPoint` and the `CurvilinearGerm` constructor.  Scalars are built
+only for the output: a fiber's image and its rational parameters.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from zeroreg.scheme import (
     FiniteScheme,
     LinearSubspace,
     ProjPoint,
-    germ_from_series,
     max_collinear_length,
     span_dim,
 )
@@ -409,16 +408,16 @@ class RationalCurve:
 
 
 def _germ_at_parameter(curve: RationalCurve, s0, t0, length: int) -> CurvilinearGerm:
-    """The length-L germ of the curve at (s0 : t0).  The arc is immersed
-    there exactly when rows 0 and 1 of the homogeneous jet are
-    independent; that is checked first, so a cusp is reported as
+    """The length-L germ of the curve at (s0 : t0).  The jet's constant
+    terms are the curve's point, never all zero, so the constructor's
+    only complaint is a degenerate arc: a cusp, reported as
     NonCurvilinearFiber."""
-    jet = curve.jet(s0, t0, length)
-    if length >= 2 and Matrix([[s[k] for s in jet] for k in (0, 1)], field=curve.field).rank() < 2:
+    try:
+        return CurvilinearGerm(curve.jet(s0, t0, length), curve.field)
+    except ValueError:
         raise NonCurvilinearFiber(
             "parameterization is not an immersion at a multiple fiber point"
-        )
-    return germ_from_series(jet, curve.field)
+        ) from None
 
 
 class CurveFiber:

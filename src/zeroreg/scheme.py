@@ -11,7 +11,8 @@ the germ lengths.
 Points and germs hold plain ints; `Fraction` and `FpElement` appear only
 at the boundary.  A `ProjPoint` is its field's normal form of an int
 vector (`field.normal_form`), and a germ is N + 1 homogeneous int
-series over one denominator, the chart's series being (den, 0, ..).
+series over one denominator, the chart's series being (den, 0, ..);
+the `CurvilinearGerm` constructor is the one code that normalises them.
 Forms are composed with a germ on its int series; the scalar views
 `coords` and `jets` are built on first use, `jets` for output only.
 
@@ -83,6 +84,16 @@ class ProjPoint:
         self.field = field
         self._coords = None
 
+    @classmethod
+    def of(cls, coords, field=QQ):
+        """`coords` as a point over `field`: a `ProjPoint` as it is, and a
+        ValueError when it lies over another field."""
+        if not isinstance(coords, ProjPoint):
+            return cls(coords, field)
+        if coords.field is not field:
+            raise ValueError("point and field lie over different fields")
+        return coords
+
     @property
     def coords(self):
         if self._coords is None:
@@ -113,27 +124,47 @@ class CurvilinearGerm:
     (`series`) over one denominator: the chart series is (den, 0, ..),
     and coordinate i is series[i] / den in the chart.  Over Q the block
     is primitive with den > 0, over F_p residues with den = 1.  The
-    scalar view `jets` (None in the chart slot), for output, is built
-    on first use.
+    support is the point of the constant terms, over the germ's field.
+    The scalar view `jets` (None in the chart slot), for output, is
+    built on first use.
 
-    The series are validated on ints: the support's chart coordinate is
-    nonzero, the constant terms are the support, and for L >= 2 the
-    linear terms do not all vanish (the arc is immersed).  `chart` and
-    the chart series being constant are the caller's to get right."""
+    The constructor is the one place a germ is normalised.  It takes
+    N + 1 homogeneous series of one length L, ints or scalars of
+    `field`, through `field.ints`; the chart is `chart`, or by default
+    the first coordinate with a nonzero constant term.  A chart series
+    u that is not constant is made (u0^L, 0, ..) by multiplying every
+    series by V = u0^L / u mod t^L; V is integral,
+    V_k = A_k u0^(L-1-k) with A_0 = 1 and
+    A_k = -sum_(j=1..k) u_j A_(k-j) u0^(j-1).  The block is stored in
+    its field's normal form, and for L >= 2 the linear terms must not
+    all vanish (the arc is immersed)."""
 
     __slots__ = ("support", "chart", "length", "series", "field", "_jets", "_int_rows")
 
-    def __init__(self, support: ProjPoint, chart: int, series, field=QQ):
-        if not support.vec[chart]:
+    def __init__(self, series, field=QQ, chart=None):
+        length = len(series[0])
+        if not length or any(len(s) != length for s in series):
+            raise ValueError("a germ needs nonempty series of one common length")
+        flat = field.ints([c for s in series for c in s])
+        series = [flat[k:k + length] for k in range(0, len(flat), length)]
+        if chart is None:
+            chart = next((i for i, s in enumerate(series) if s[0]), None)
+            if chart is None:
+                raise ValueError("the coordinate series all vanish at the support")
+        u = series[chart]
+        if not u[0]:
             raise ValueError("chart coordinate vanishes at the support point")
-        length = len(series[chart])
-        flat = field.normal_form([c for s in series for c in s], chart * length)
-        if flat is None or field.normal_form(flat[::length]) != support.vec:
-            raise ValueError("jet constant term disagrees with the support point")
+        if any(u[1:]):
+            inv = [1]
+            for k in range(1, length):
+                inv.append(-sum(u[j] * inv[k - j] * u[0] ** (j - 1) for j in range(1, k + 1)))
+            inv = [a * u[0] ** (length - 1 - k) for k, a in enumerate(inv)]
+            flat = [c for s in series for c in series_mul(s, inv)]
+        flat = field.normal_form(flat, chart * length)
         series = tuple(flat[k:k + length] for k in range(0, len(flat), length))
         if length >= 2 and not any(s[1] for s in series):
             raise ValueError("degenerate arc: all linear jet coefficients vanish")
-        self.support = support
+        self.support = ProjPoint(flat[::length], field)
         self.chart = chart
         self.length = length
         self.series = series
@@ -157,8 +188,7 @@ class CurvilinearGerm:
             raise ValueError("truncation length out of range")
         if new_length == self.length:
             return self
-        return CurvilinearGerm(self.support, self.chart,
-                               [s[:new_length] for s in self.series], self.field)
+        return CurvilinearGerm([s[:new_length] for s in self.series], self.field, self.chart)
 
     def int_rows(self):
         """The germ's functionals on linear forms: row k holds the t^k
@@ -200,16 +230,13 @@ class CurvilinearGerm:
 def reduced_germ(coords, field=QQ, chart=None) -> CurvilinearGerm:
     """The length-1 germ at a point, in the chart of its first nonzero
     coordinate unless `chart` names another."""
-    p = coords if isinstance(coords, ProjPoint) else ProjPoint(coords, field)
-    if chart is None:
-        chart = next(i for i, c in enumerate(p.vec) if c)
-    return CurvilinearGerm(p, chart, [(c,) for c in p.vec], field)
+    return CurvilinearGerm([(c,) for c in ProjPoint.of(coords, field).vec], field, chart)
 
 
 def make_germ(coords, chart, non_chart_jets, field=QQ) -> CurvilinearGerm:
     """Build a germ from its support, a chart index and the jet series of
     the coordinates other than `chart`, in ascending coordinate order."""
-    p = coords if isinstance(coords, ProjPoint) else ProjPoint(coords, field)
+    p = ProjPoint.of(coords, field)
     if len(non_chart_jets) != p.ambient:
         raise ValueError("expected one jet per non-chart coordinate")
     lengths = {len(j) for j in non_chart_jets}
@@ -218,33 +245,13 @@ def make_germ(coords, chart, non_chart_jets, field=QQ) -> CurvilinearGerm:
     (length,) = lengths
     if length < 1:
         raise ValueError("germ length must be >= 1")
-    ints, den = field.cleared([field(c) for j in non_chart_jets for c in j])
-    series = [ints[k:k + length] for k in range(0, len(ints), length)]
-    series.insert(chart, (den,) + (0,) * (length - 1))
-    return CurvilinearGerm(p, chart, series, field)
-
-
-def germ_from_series(series, field) -> CurvilinearGerm:
-    """The germ of homogeneous coordinate series of one length L, scalars
-    or ints: the chart is the first coordinate with a nonzero constant
-    term, and the constant terms are the support.  The series are taken
-    to ints (`field.ints`) and multiplied by V = u0^L / u mod t^L, u the
-    chart's series, so the chart's becomes (u0^L, 0, ..); V is integral,
-    V_k = A_k u0^(L-1-k) with A_0 = 1 and
-    A_k = -sum_(j=1..k) u_j A_(k-j) u0^(j-1)."""
-    length = len(series[0])
-    flat = field.ints([c for s in series for c in s])
-    series = [flat[k:k + length] for k in range(0, len(flat), length)]
-    chart = next((i for i, s in enumerate(series) if s[0]), None)
-    if chart is None:
-        raise ValueError("the coordinate series all vanish at the support")
-    u = series[chart]
-    inv = [1]
-    for k in range(1, length):
-        inv.append(-sum(u[j] * inv[k - j] * u[0] ** (j - 1) for j in range(1, k + 1)))
-    inv = [a * u[0] ** (length - 1 - k) for k, a in enumerate(inv)]
-    support = ProjPoint([s[0] for s in series], field)
-    return CurvilinearGerm(support, chart, [series_mul(s, inv) for s in series], field)
+    if not p.vec[chart]:
+        raise ValueError("chart coordinate vanishes at the support point")
+    series = [[field(c) for c in j] for j in non_chart_jets]
+    series.insert(chart, [1] + [0] * (length - 1))
+    if ProjPoint([s[0] for s in series], field) != p:
+        raise ValueError("jet constant term disagrees with the support point")
+    return CurvilinearGerm(series, field, chart)
 
 
 def germ_on_line(point, direction, length, field=QQ) -> CurvilinearGerm:
@@ -252,12 +259,12 @@ def germ_on_line(point, direction, length, field=QQ) -> CurvilinearGerm:
     with the line spanned by the two vectors is at least L.  On ints:
     with point = vec / lead and direction = d / den, the series
     vec * den + t * lead * d is the arc scaled by lead * den."""
-    p = point if isinstance(point, ProjPoint) else ProjPoint(point, field)
+    p = ProjPoint.of(point, field)
     d, den = field.cleared(direction)
     lead = next(c for c in p.vec if c)
     pad = (0,) * max(0, length - 2)
     series = [((c * den, lead * v) + pad)[:length] for c, v in zip(p.vec, d)]
-    return germ_from_series(series, field)
+    return CurvilinearGerm(series, field)
 
 
 class FiniteScheme:
@@ -270,6 +277,8 @@ class FiniteScheme:
             raise ValueError("a finite scheme needs at least one germ")
         if field is None:
             field = germs[0].field
+        if any(g.field is not field for g in germs):
+            raise ValueError("germs and scheme lie over different fields")
         ambients = {g.ambient for g in germs}
         if len(ambients) != 1:
             raise ValueError("germs live in different ambient spaces")
@@ -338,12 +347,7 @@ class LinearSubspace:
         """Whether every cutting form vanishes at the point, tested on the
         point's int vector against `int_forms`.  A `ProjPoint` over another
         field is a ValueError."""
-        if isinstance(point, ProjPoint):
-            if point.field is not self.field:
-                raise ValueError("point and subspace lie over different fields")
-            vec = point.vec
-        else:
-            vec = self.field.ints(point)
+        vec = ProjPoint.of(point, self.field).vec
         return not any(self.field.ints([sum(c * x for c, x in zip(f, vec))
                                         for f in self.int_forms]))
 
@@ -516,7 +520,10 @@ def apply_matrix(scheme: FiniteScheme, matrix: Matrix) -> FiniteScheme:
     """Image of the scheme under an invertible change of homogeneous
     coordinates, applied on ints: the matrix cleared to ints by one
     `field.cleared` (a scale of the whole matrix moves no germ) acts on
-    each germ's int series."""
+    each germ's int series.  A matrix over another field than the
+    scheme is a ValueError."""
+    if matrix.field is not scheme.field:
+        raise ValueError("matrix and scheme lie over different fields")
     n = scheme.ambient
     if matrix.nrows != n + 1 or matrix.ncols != n + 1:
         raise ValueError("matrix size does not match the ambient space")
@@ -526,5 +533,5 @@ def apply_matrix(scheme: FiniteScheme, matrix: Matrix) -> FiniteScheme:
     for g in scheme.germs:
         new = [[sum(a * s[k] for a, s in zip(row, g.series) if a) for k in range(g.length)]
                for row in rows]
-        new_germs.append(germ_from_series(new, scheme.field))
+        new_germs.append(CurvilinearGerm(new, scheme.field))
     return FiniteScheme(new_germs, scheme.field)

@@ -157,7 +157,7 @@ class SeparatorConfig:
             raise ValueError("aligned points must have nonzero first coordinate")
         if len(set(us)) != len(us):
             raise ValueError("aligned points must be distinct")
-        off = [p if isinstance(p, ProjPoint) else ProjPoint(p, field) for p in off_points]
+        off = [ProjPoint.of(p, field) for p in off_points]
         if any(len(p.vec) != 3 for p in off):
             raise ValueError("off-line points must be points of P^2 (three coordinates)")
         if len(off) == 2:

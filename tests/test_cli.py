@@ -634,6 +634,11 @@ INPUT_ERRORS = {
     "reduced-germ-chart-on-a-zero-coordinate-fp": (lambda d: _plane_germs(
         d / "x.json", {"Fp": 7}, {"point": ["0", "1", "2"], "chart": 0}),
         "chart coordinate vanishes"),
+    # a germ with a jet whose explicit chart is a zero coordinate of its point
+    "germ-jet-chart-on-a-zero-coordinate": (lambda d: _plane_germs(
+        d / "x.json", "Q", {"point": ["0", "1", "2"], "chart": 0,
+                            "jet": [None, ["1", "1"], ["2", "0"]]}),
+        "chart coordinate vanishes at the support point"),
     # a JSON boolean is not a coordinate index, though bool subclasses int
     "chart-true": (lambda d: _plane_germs(
         d / "x.json", "Q", {"point": ["0", "1", "2"], "chart": True}), "coordinate index"),

@@ -13,18 +13,21 @@ from pathlib import Path
 import pytest
 
 from zeroreg import cli, harness
-from zeroreg.exactalg import QQ, prime_field
+from zeroreg.exactalg import QQ, Matrix, prime_field
 from zeroreg.jsonio import canonical_json, scheme_dumps, subspace_to_jsonable
-from zeroreg.projection import project_scheme
+from zeroreg.projection import RationalCurve, project_scheme
 from zeroreg.scheme import (
     FiniteScheme,
     LinearSubspace,
     ProjPoint,
+    apply_matrix,
     contact_length,
+    germ_on_line,
     make_germ,
     reduced_germ,
     subspace_from_rows,
 )
+from zeroreg.separation import SeparatorConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {("projection", "RationalCurve.__init__"), ("jsonio", "field_to_jsonable")}
@@ -131,19 +134,48 @@ def test_fp_paths_do_no_element_arithmetic(p, no_fp_arithmetic, tmp_path, capsys
         assert capsys.readouterr().err == ""
 
 
+# Every entry point that takes a point, germ, scheme, subspace or matrix,
+# called as read(a, b): its input lies over a and it works over b.  Over
+# another field the int vectors would silently answer for the wrong one.
+_LINE = [(5, 1, 0)]  # mod 7 the line 5 x0 + x1 = 0 holds (1:2:3), over Q not
+_ENTRY_POINTS = {
+    "reduced_germ": lambda a, b: reduced_germ(ProjPoint((1, 2, 3), a), b),
+    "make_germ": lambda a, b: make_germ(ProjPoint((1, 2, 3), a), 0, [(2, 1), (3, 0)], b),
+    "germ_on_line": lambda a, b: germ_on_line(ProjPoint((1, 2, 3), a), (0, 1, 0), 2, b),
+    "FiniteScheme": lambda a, b: FiniteScheme([reduced_germ((1, 0, 0), b),
+                                               reduced_germ((0, 1, 0), a)]),
+    "FiniteScheme-field": lambda a, b: FiniteScheme([reduced_germ((1, 0, 0), a)], b),
+    "SeparatorConfig": lambda a, b: SeparatorConfig(
+        [1, 2, 3, -1], 2, 3, [ProjPoint((1, 1, 0), a), ProjPoint((0, 1, 0), a)], b),
+    "apply_matrix": lambda a, b: apply_matrix(
+        FiniteScheme([reduced_germ((1, 2, 3), b)]),
+        Matrix([[a(c) for c in row] for row in ((1, 0, 0), (0, 1, 0), (1, 0, 1))], field=a)),
+    "contains_point": lambda a, b: LinearSubspace(2, _LINE, b).contains_point(
+        ProjPoint((1, 2, 3), a)),
+    "contact_length-germ": lambda a, b: contact_length(
+        reduced_germ((1, 2, 3), a), LinearSubspace(2, _LINE, b)),
+    "contact_length-scheme": lambda a, b: contact_length(
+        FiniteScheme([reduced_germ((1, 2, 3), a)]), LinearSubspace(2, _LINE, b)),
+    "project_scheme": lambda a, b: project_scheme(
+        FiniteScheme([reduced_germ((1, 2, 3), a)]),
+        LinearSubspace(2, [(1, 0, 0), (0, 1, 0)], b)),
+}
+
+
 def test_subspace_reads_refuse_a_point_or_scheme_over_another_field():
-    # mod 7 the line 5 x0 + x1 = 0 holds (1:2:3), over Q it does not; read
-    # against a subspace over the other field, the int vectors would
-    # silently answer for the wrong one
     F = prime_field(7)
     for field, other in ((F, QQ), (QQ, F)):
         point = ProjPoint((1, 2, 3), field)
-        germ = reduced_germ(point, field)
-        own, line = (LinearSubspace(2, [(5, 1, 0)], f) for f in (field, other))
+        own = LinearSubspace(2, _LINE, field)
         assert own.contains_point(point) == (field is F)
-        assert contact_length(FiniteScheme([germ], field), own) == (field is F)
-        for read in (lambda: line.contains_point(point),
-                     lambda: contact_length(germ, line),
-                     lambda: contact_length(FiniteScheme([germ], field), line)):
+        assert contact_length(FiniteScheme([reduced_germ(point, field)], field), own) == (field is F)
+        for name, read in _ENTRY_POINTS.items():
+            read(field, field)
             with pytest.raises(ValueError, match="different fields"):
-                read()
+                read(field, other)
+                pytest.fail(name)
+    # curves are over Q only, so a curve meets another field one way
+    curve = RationalCurve([(1, 0), (0, 1), (1, 1)])
+    curve.composed_forms(LinearSubspace(2, _LINE))
+    with pytest.raises(ValueError, match="different fields"):
+        curve.composed_forms(LinearSubspace(2, _LINE, F))

@@ -29,11 +29,11 @@ from zeroreg.projection import (
 )
 from zeroreg.exactalg import QQ, Matrix
 from zeroreg.scheme import (
+    CurvilinearGerm,
     FiniteScheme,
     LinearSubspace,
     ProjPoint,
     apply_matrix,
-    germ_from_series,
     germ_on_line,
     make_germ,
     reduced_germ,
@@ -420,7 +420,7 @@ def test_curve_jet_at_a_fractional_parameter_is_a_scaled_expansion():
     scale = jet[0][0] / scalar_jet[0][0]
     assert scale == 2 ** 4 * 6
     assert jet == tuple(tuple(scale * c for c in s) for s in scalar_jet)
-    assert germ_from_series(jet, QQ).series == germ_from_series(scalar_jet, QQ).series
+    assert CurvilinearGerm(jet, QQ).series == CurvilinearGerm(scalar_jet, QQ).series
 
 
 def test_conic_fiber_with_two_reduced_points():

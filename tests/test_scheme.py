@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
 from zeroreg.forms import monomials_of_degree, series_mul
-from zeroreg.harness import GenerationExhausted, GeneratorSpec, gen_scheme
+from zeroreg.harness import GenerationExhausted, GeneratorSpec, _draw_germ, gen_scheme
+from zeroreg.jsonio import scheme_dumps, scheme_loads
+from zeroreg.projection import RationalCurve, _germ_at_parameter
 from zeroreg.scheme import (
     DEFAULT_ENUM_CAP,
+    CurvilinearGerm,
     EnumerationCapExceeded,
     FiniteScheme,
     LinearSubspace,
@@ -212,6 +215,11 @@ def test_germ_validation():
         make_germ((1, 2, 3), 0, [(2, 0), (3, 0)])
     with pytest.raises(ValueError, match="common length"):
         make_germ((1, 2, 3), 0, [(2, 1), (3,)])
+    for series in ([(1, 0), (2, 1), (3,)], [(), (), ()]):
+        with pytest.raises(ValueError, match="nonempty series of one common length"):
+            CurvilinearGerm(series)
+    with pytest.raises(ValueError, match="all vanish"):
+        CurvilinearGerm([(0, 1), (0, 2)])
     # duplicate supports rejected at the scheme level
     with pytest.raises(ValueError, match="distinct"):
         FiniteScheme([reduced_germ((1, 1, 1)), reduced_germ((2, 2, 2))])
@@ -523,6 +531,40 @@ def test_truncate_roundtrip():
         g.truncate(0)
     with pytest.raises(ValueError):
         g.truncate(4)
+
+
+def _assert_normalised(g):
+    """The germ invariant every reader of `series` relies on."""
+    field, length = g.field, g.length
+    den = g.series[g.chart][0]
+    assert g.series[g.chart] == (den,) + (0,) * (length - 1)
+    assert den > 0 if field is QQ else den == 1
+    flat = tuple(c for s in g.series for c in s)
+    assert field.normal_form(flat, g.chart * length) == flat
+    assert g.support.field is field
+    assert g.support == ProjPoint([s[0] for s in g.series], field)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7)])
+def test_germs_from_every_path_are_normalised(field):
+    # the chart series (2, 3, 1) and the direction's chart entry make two
+    # chart series that are not constant before the constructor clears them
+    germs = [CurvilinearGerm([(2, 3, 1), (1, 5, 7), (4, 0, 2)], field),
+             CurvilinearGerm([(0, 1), (Fraction(1, 2), 3), (3, Fraction(2, 3))], field, 2),
+             reduced_germ((3, 6, 9), field), reduced_germ((0, 2, 3), field, 2),
+             make_germ((2, 4, 6), 0, [(2, Fraction(1, 2), 4), (3, 0, 5)], field),
+             germ_on_line((1, 2, 3), (1, 1, 0), 3, field),
+             _draw_germ(random.Random(3), ProjPoint((0, 2, 5), field), 4, (-3, 3), field)]
+    germs += [g.truncate(2) for g in germs if g.length > 2]
+    x = FiniteScheme(germs[:4], field)
+    germs += apply_matrix(x, Matrix([[1, 2, 0], [0, 1, 3], [1, 0, 2]], field=field)).germs
+    germs += scheme_loads(scheme_dumps(x)).germs
+    if field is QQ:
+        curve = RationalCurve([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)])
+        germs.append(_germ_at_parameter(curve, 2, -1, 3))
+    for g in germs:
+        _assert_normalised(g)
+    assert germs[0].chart == 0 and germs[1].chart == 2
 
 
 # ---------------------------------------------------------------------------
