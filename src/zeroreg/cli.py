@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .bounds import BoundQuery, known_regularity_bound, bel_bound, eisenbud_goto_bound
-from .exactalg import QQ, prime_field, scalar_str
+from .exactalg import QQ, parse_scalar, prime_field, scalar_str
 from .jsonio import (
     canonical_json,
     curve_loads,
@@ -163,7 +163,7 @@ def _cmd_separate(args) -> int:
         raise ValueError("--degree times the sum of the squared germ lengths must be "
                          "<= %d, got %d" % (SEPARATE_BUDGET, work))
     recipe = recipe_loads(_read(args.recipe)) if args.recipe else standard_recipe()
-    forms = [{m: _parse_scalar_arg(str(c), x.field) for m, c in f.items()}
+    forms = [{m: parse_scalar(str(c), x.field) for m, c in f.items()}
              for f in recipe_space(recipe, args.degree, x.ambient)]
     rank = family_rank(x, forms)
     separates = rank == x.degree
@@ -175,9 +175,9 @@ def _cmd_separate(args) -> int:
 def _cmd_lemma26(args) -> int:
     field = args.field
     config = SeparatorConfig(
-        [_parse_scalar_arg(u, field) for u in args.aligned.split(",")],
-        _parse_scalar_arg(args.a, field),
-        _parse_scalar_arg(args.b, field),
+        [parse_scalar(u, field) for u in args.aligned.split(",")],
+        parse_scalar(args.a, field),
+        parse_scalar(args.b, field),
         [_parse_point_arg(p, field) for p in args.off],
         field,
     )
@@ -226,7 +226,7 @@ def _cmd_classify_fiber(args) -> int:
 def _cmd_curve_fiber(args) -> int:
     curve = _load_curve(args.curve)
     center = subspace_loads(_read(args.center))
-    y = _parse_coords_arg(args.y, curve.field)
+    y = tuple(parse_scalar(c, curve.field) for c in args.y.split(":"))
     fiber = curve_fiber(curve, center, y)
     _emit({
         "image": [scalar_str(c) for c in fiber.image],
@@ -272,7 +272,7 @@ def _cmd_verify(args) -> int:
     from .harness import run_suite
 
     report = run_suite(args.suite, args.trials, args.seed,
-                       prime=args.field, jobs=args.jobs)
+                       prime=args.field.modulus, jobs=args.jobs)
     _emit(report.to_jsonable())
     return 0 if report.passed else 1
 
@@ -292,29 +292,8 @@ def _parse_field_arg(text: str):
     raise argparse.ArgumentTypeError("field must be Q or fp:PRIME")
 
 
-def _parse_prime_arg(text: str) -> int:
-    if not text.startswith("fp:"):
-        raise argparse.ArgumentTypeError("field must be fp:PRIME")
-    try:
-        prime_field(int(text[3:]))
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    return int(text[3:])
-
-
-def _parse_scalar_arg(text, field):
-    try:
-        return field(str(text).strip())
-    except (ValueError, ZeroDivisionError) as err:
-        raise ValueError("bad scalar %r: %s" % (text, err)) from None
-
-
-def _parse_coords_arg(text, field):
-    return tuple(_parse_scalar_arg(c, field) for c in text.split(":"))
-
-
 def _parse_point_arg(text, field):
-    coords = _parse_coords_arg(text, field)
+    coords = [parse_scalar(c, field) for c in text.split(":")]
     try:
         return ProjPoint(coords, field)
     except ValueError as err:
@@ -412,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", type=_parse_prime_arg, default=None,
+    p.add_argument("--field", type=_parse_field_arg, default=QQ,
                    metavar="fp:PRIME",
                    help="run over a prime field, cross-checking 1%% against Q")
     p.add_argument("--jobs", type=int, default=1)

@@ -38,14 +38,29 @@ for bit and do not depend on the order the rows were fed in.
 
 Scalars never cross fields silently: comparing an F_p element with a
 Fraction or with an element of another prime field raises TypeError.
+
+Scalar text has one grammar over both fields: an optional sign, decimal
+digits and an optional "/digits", with whitespace around the whole; F_p
+takes the image of the rational number a string names.  `parse_scalar`
+is the one reader of scalars from documents and the command line.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def _read_ratio(text):
+    """The Fraction named by a string in the one scalar grammar."""
+    m = re.fullmatch(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", text)
+    if m is None:
+        raise ValueError("a scalar is an integer or a ratio of integers such as -3/4")
+    num, den = m.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def _clear_row(row):
@@ -77,7 +92,7 @@ class RationalField:
     def __call__(self, value=0):
         if isinstance(value, Fraction):
             return value
-        return Fraction(value)
+        return _read_ratio(value) if isinstance(value, str) else Fraction(value)
 
     @staticmethod
     def cleared(row):
@@ -99,6 +114,10 @@ class RationalField:
 QQ = RationalField()
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Below this bound Miller-Rabin on `_MR_BASES` proves primality
+# (Sorenson and Webster 2015), and one test takes microseconds; a
+# 4,000-digit modulus takes seconds per base.
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
@@ -134,15 +153,17 @@ def _ratio_mod(num: int, den: int, p: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def prime_field(p: int):
-    """Return the element class for F_p.  p must be an odd prime.
+    """Return the element class for F_p.  p must be an odd prime below
+    3.3e24, where primality is proved.
 
-    The returned class doubles as the field tag: calling it coerces ints,
-    Fractions and strings ("7", "3/4") to num * den^-1 mod p, and takes
-    other elements of the same field as they are.  A denominator that p
-    divides raises ZeroDivisionError.
+    The returned class doubles as the field tag: calling it takes other
+    elements of the same field as they are, ints mod p, and anything
+    else as the rational number it is (a string in the one scalar
+    grammar, any other value through Fraction) to num * den^-1 mod p.
+    A denominator that p divides raises ZeroDivisionError.
     """
-    if p < 3 or not is_probable_prime(p):
-        raise ValueError(f"prime_field needs an odd prime, got {p}")
+    if not 3 <= p < _MR_BOUND or not is_probable_prime(p):
+        raise ValueError(f"prime_field needs an odd prime below 3.3e24, got {p}")
 
     class FpElement:
         __slots__ = ("value",)
@@ -152,19 +173,11 @@ def prime_field(p: int):
             if isinstance(value, FpElement):
                 self.value = value.value
             elif isinstance(value, int):
-                # before the Fraction test: isinstance against an ABC
-                # subclass is slow, and ints are the hot case
+                # ints are the hot case
                 self.value = value % p
-            elif isinstance(value, str):
-                if "/" in value:
-                    num, den = value.split("/")
-                    self.value = _ratio_mod(int(num), int(den), p)
-                else:
-                    self.value = int(value) % p
-            elif isinstance(value, Fraction):
-                self.value = _ratio_mod(value.numerator, value.denominator, p)
             else:
-                self.value = int(value) % p
+                q = _read_ratio(value) if isinstance(value, str) else Fraction(value)
+                self.value = _ratio_mod(q.numerator, q.denominator, p)
 
         @staticmethod
         def ints(row):
@@ -251,9 +264,16 @@ def field_of(x):
     return type(x)
 
 
-def parse_scalar(text, field=QQ):
-    """Parse a canonical scalar string ("5", "-3/4") into the given field."""
-    return field(text)
+def parse_scalar(raw, field=QQ):
+    """The element of `field` named by an int (not a bool) or a string in
+    the one scalar grammar; any failure is a ValueError "bad scalar ..."."""
+    try:
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+            raise ValueError("scalar must be an integer or string, got %s"
+                             % type(raw).__name__)
+        return field(raw)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError("bad scalar %r: %s" % (raw, err)) from None
 
 
 def scalar_str(x) -> str:

@@ -1,9 +1,10 @@
 """Reading and writing scheme, curve and subspace documents as JSON.
 
-Scalars travel as exact strings ("5", "-3/4"); floats are rejected so a
-document can never smuggle in rounding.  Output is canonical — sorted
-keys, no whitespace, one trailing newline — so byte identity means
-semantic identity.
+Scalars travel as exact strings ("5", "-3/4") or integers, read by
+`exactalg.parse_scalar` in its one grammar for both fields; floats are
+rejected so a document can never smuggle in rounding.  Output is
+canonical — sorted keys, no whitespace, one trailing newline — so byte
+identity means semantic identity.
 
 A scheme document looks like::
 
@@ -18,7 +19,9 @@ chart slot (that coordinate is identically 1 on the arc).
 
 Every list of the format is a JSON array (a string is not read as a
 list of characters), and every count or index is a JSON integer that
-is not a boolean; anything else raises `DocumentFormatError`.
+is not a boolean; anything else raises `DocumentFormatError`.  A form
+lists each exponent tuple once, and a recipe's level keys are canonical
+integers ("3", not "03").
 """
 
 from __future__ import annotations
@@ -103,15 +106,6 @@ def _positive_int(raw, what):
     return raw
 
 
-def _scalar_in(raw, field):
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise DocumentFormatError("scalar must be an integer or string, got %r" % (raw,))
-    try:
-        return parse_scalar(str(raw), field)
-    except (ValueError, ZeroDivisionError) as err:
-        raise DocumentFormatError("bad scalar %r: %s" % (raw, err)) from None
-
-
 def germ_to_jsonable(germ: CurvilinearGerm):
     doc = {"point": [scalar_str(c) for c in germ.support.coords]}
     default_chart = next(i for i, c in enumerate(germ.support.coords) if c != 0)
@@ -130,7 +124,7 @@ def germ_from_jsonable(doc, field) -> CurvilinearGerm:
     extra = set(doc) - {"point", "chart", "jet"}
     if extra:
         raise DocumentFormatError("unknown germ keys %s" % sorted(extra))
-    coords = [_scalar_in(c, field) for c in _array(doc["point"], "point")]
+    coords = [parse_scalar(c, field) for c in _array(doc["point"], "point")]
     try:
         point = ProjPoint(coords, field)
     except ValueError as err:
@@ -153,7 +147,7 @@ def germ_from_jsonable(doc, field) -> CurvilinearGerm:
             elif not isinstance(series, list) or not series:
                 raise DocumentFormatError("jet series must be nonempty lists")
             else:
-                jets.append(tuple(_scalar_in(c, field) for c in series))
+                jets.append(tuple(parse_scalar(c, field) for c in series))
     try:
         if raw_jet is None:
             return reduced_germ(point, field, chart)
@@ -212,7 +206,7 @@ def curve_from_jsonable(doc) -> RationalCurve:
     if not isinstance(doc, dict) or "forms" not in doc:
         raise DocumentFormatError("curve must be an object with a \"forms\" key")
     field = field_from_jsonable(doc.get("field", "Q"))
-    forms = [[_scalar_in(c, field) for c in _array(f, "a form")]
+    forms = [[parse_scalar(c, field) for c in _array(f, "a form")]
              for f in _array(doc["forms"], "forms")]
     degree = max((len(f) for f in forms), default=1) - 1
     if degree > CURVE_MAX_DEGREE:
@@ -243,7 +237,7 @@ def subspace_from_jsonable(doc) -> LinearSubspace:
         raise DocumentFormatError("subspace is missing keys %s" % sorted(missing))
     field = field_from_jsonable(doc.get("field", "Q"))
     ambient = _positive_int(doc["ambient"], "ambient")
-    forms = [[_scalar_in(c, field) for c in _array(f, "a form")]
+    forms = [[parse_scalar(c, field) for c in _array(f, "a form")]
              for f in _array(doc["cutting_forms"], "cutting_forms")]
     try:
         return LinearSubspace(ambient, forms, field)
@@ -281,7 +275,9 @@ def form_from_jsonable(doc):
         if not (isinstance(exps, list)
                 and all(type(e) is int and e >= 0 for e in exps)):
             raise DocumentFormatError("exponents must be nonnegative integers")
-        form[tuple(exps)] = _scalar_in(raw, QQ)
+        if tuple(exps) in form:
+            raise DocumentFormatError("exponents %s repeat in a form" % exps)
+        form[tuple(exps)] = parse_scalar(raw, QQ)
     return form
 
 
@@ -300,7 +296,9 @@ def recipe_from_jsonable(doc):
         try:
             j = int(key)
         except ValueError:
-            raise DocumentFormatError("level key %r is not an integer" % (key,)) from None
+            j = None
+        if str(j) != key:
+            raise DocumentFormatError("level key %r is not an integer" % (key,))
         spaces[j] = [form_from_jsonable(f) for f in _array(forms, "level %s" % key)]
     standard = doc.get("standard", True)
     if not isinstance(standard, bool):

@@ -521,12 +521,15 @@ def apply_matrix(scheme: FiniteScheme, matrix: Matrix) -> FiniteScheme:
     coordinates, applied on ints: the matrix cleared to ints by one
     `field.cleared` (a scale of the whole matrix moves no germ) acts on
     each germ's int series.  A matrix over another field than the
-    scheme is a ValueError."""
+    scheme, or a singular one, is a ValueError."""
     if matrix.field is not scheme.field:
         raise ValueError("matrix and scheme lie over different fields")
     n = scheme.ambient
     if matrix.nrows != n + 1 or matrix.ncols != n + 1:
         raise ValueError("matrix size does not match the ambient space")
+    if matrix.rank() != n + 1:
+        raise ValueError("singular matrix [%s] is no change of coordinates" % ", ".join(
+            "[%s]" % ", ".join(map(str, row)) for row in matrix.data))
     flat, _ = scheme.field.cleared([c for row in matrix.data for c in row])
     rows = [flat[r:r + n + 1] for r in range(0, len(flat), n + 1)]
     new_germs = []

@@ -529,6 +529,14 @@ def test_argparse_rejections(capsys):
         main(["verify", "--suite", "prop1_2", "--trials", "2", "--field", "fp:8"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # the commands that take a field share one parser for it
+    for argv in (["verify", "--suite", "prop1_2", "--trials", "2"],
+                 _LEMMA26_LINE + ["--off", "1:2:3", "--off", "1:5:-1"]):
+        for field in ("fp:8", "fp:%d" % (10**4000 + 1), "fp:x", "F7"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--field", field])
+            assert exc.value.code == 2
+            assert "argument --field" in capsys.readouterr().err
 
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "formats"
@@ -703,6 +711,27 @@ INPUT_ERRORS = {
     "recipe-exponent-true": (lambda d: _separate_with_recipe(
         d, {"levels": {"3": [[[[True, 2], "1"]]]}, "standard": True, "t_count": 2}),
         "exponents must be nonnegative integers"),
+    # one scalar grammar over every field: no exponent (which would
+    # expand to 100,001 digits), no decimal, no sign after the "/"
+    "lemma26-exponent-scalar": (lambda d: [
+        "lemma26", "--aligned", "1,2,3,4", "--a", "1e100000", "--b", "1",
+        "--off", "1:2:3", "--off", "1:5:-1"], "bad scalar '1e100000'"),
+    "scheme-decimal-scalar": (lambda d: _plane_germs(
+        d / "x.json", "Q", {"point": ["3.5", "1", "0"]}), "bad scalar '3.5'"),
+    "lemma26-off-signed-denominator-fp": (lambda d: _LEMMA26_LINE + [
+        "--off", "1:-3/-4:1", "--off", "1:5:-1", "--field", "fp:7"], "bad scalar '-3/-4'"),
+    "recipe-level-key-with-a-leading-zero": (lambda d: _separate_with_recipe(
+        d, {"levels": {"03": [[[[3, 0], "1"]]]}, "standard": True, "t_count": 2}),
+        "level key '03' is not an integer"),
+    "recipe-repeated-exponent": (lambda d: _separate_with_recipe(
+        d, {"levels": {"3": [[[[3, 0], "1"], [[3, 0], "2"]]]}, "standard": True, "t_count": 2}),
+        "exponents [3, 0] repeat in a form"),
+    "lemma26-off-point-all-zero": (lambda d: _LEMMA26_LINE + [
+        "--off", "0:0:0", "--off", "1:5:-1"], "bad point '0:0:0'"),
+    "curve-fiber-y-zero": (lambda d: [
+        "curve-fiber", "--curve", str(GOLDEN_DIR / "curve.json"),
+        "--center", str(GOLDEN_DIR / "subspace.json"), "--y", "0:0"],
+        "(0 : 0) is not a point of the target line"),
     "separate-recipe-wider-than-the-space": (lambda d: [
         "separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "2",
         "--recipe", _three_variable_recipe(d / "r.json")], "3 tangent variables"),

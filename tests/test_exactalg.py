@@ -1,6 +1,8 @@
 """Exact linear algebra: ranks, kernels, field cross-checks."""
 
 import random
+import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -106,6 +108,17 @@ def test_prime_field_requires_odd_prime():
         prime_field(10)
     with pytest.raises(ValueError):
         prime_field(2)
+
+
+def test_prime_field_takes_only_primes_it_proves_and_refuses_others_at_once():
+    assert prime_field(2**61 - 1).modulus == 2**61 - 1
+    started = time.monotonic()
+    # a Mersenne prime above the bound, and a 4,001-digit odd number
+    # with no factor up to 37 (one Miller-Rabin round on it takes seconds)
+    for p in (2**89 - 1, 10**4000 + 1):
+        with pytest.raises(ValueError, match="odd prime below 3.3e24"):
+            prime_field(p)
+    assert time.monotonic() - started < 1
 
 
 def test_is_probable_prime_small():
@@ -316,6 +329,59 @@ def test_prime_field_coerces_fractions_exactly():
         F(Fraction(1, 7))
     with pytest.raises(ZeroDivisionError):
         F("2/21")
+
+
+def test_prime_field_reads_other_values_as_rationals():
+    F = prime_field(7)
+    for x in (2.5, -0.75, 3.0):
+        assert F(x) == F(QQ(x))
+    assert F(2.5) == F(6)
+
+
+# scalar text and the rational it names, or None where the one grammar
+# refuses it; every ratio here has an image in F_7
+_SCALAR_TEXTS = [
+    ("5", Fraction(5)), ("-3/4", Fraction(-3, 4)), ("+6/8", Fraction(3, 4)),
+    (" 3/4 ", Fraction(3, 4)), ("0/5", Fraction(0)), ("007", Fraction(7)),
+    ("3.5", None), ("1e3", None), ("1E3", None), ("1_000", None), ("-3/-4", None),
+    (" 3 / 4", None), ("3/+4", None), ("3/", None), ("/4", None), ("", None),
+    ("-", None), ("0x10", None), ("inf", None), ("nan", None), ("\u0663", None),
+    ("1/2/3", None),
+]
+
+
+@pytest.mark.parametrize("text, value", _SCALAR_TEXTS)
+def test_scalar_text_reads_alike_over_q_and_fp(text, value):
+    F = prime_field(7)
+    for field in (QQ, F):
+        if value is None:
+            with pytest.raises(ValueError, match="^bad scalar %s: " % re.escape(repr(text))):
+                parse_scalar(text, field)
+        else:
+            assert parse_scalar(text, field) == field(value)
+
+
+def test_parse_scalar_turns_every_failure_into_bad_scalar():
+    F = prime_field(7)
+    for raw in (True, None, 2.5, [1], Fraction(1, 2)):
+        with pytest.raises(ValueError, match="^bad scalar .*: scalar must be an "
+                                             "integer or string, got "):
+            parse_scalar(raw, F)
+    assert parse_scalar(12, QQ) == 12 and parse_scalar(12, F) == F(5)
+    for text in ("3/0", "2/21"):
+        with pytest.raises(ValueError, match="^bad scalar '%s': " % text):
+            parse_scalar(text, F)
+    with pytest.raises(ValueError, match="^bad scalar '3/0': "):
+        parse_scalar("3/0", QQ)
+    assert parse_scalar("2/21", QQ) == Fraction(2, 21)
+    # more digits than int() takes, and an exponent that would expand to
+    # as many, are refused at once
+    started = time.monotonic()
+    for text in ("1" * 5000, "1/" + "1" * 5000, "1e100000"):
+        for field in (QQ, F):
+            with pytest.raises(ValueError, match="^bad scalar "):
+                parse_scalar(text, field)
+    assert time.monotonic() - started < 1
 
 
 @pytest.mark.parametrize("p", [0, 7, 2**31 - 1])

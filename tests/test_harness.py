@@ -5,6 +5,7 @@ import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from zeroreg.harness import (
     trial_seed,
     worker_count,
 )
-from zeroreg.jsonio import canonical_json, scheme_dumps
+from zeroreg.jsonio import canonical_json, scheme_dumps, scheme_from_jsonable
 from zeroreg.normality import min_normal_degree
 from zeroreg.scheme import (
     FiniteScheme,
@@ -392,6 +393,41 @@ def test_failed_report_shape():
     report = SuiteReport("prop1_2", 3, [{"trial": 1, "seed": 9, "message": "x"}], 0)
     assert not report.passed
     assert not report.to_jsonable()["passed"]
+
+
+# one oracle per suite, replaced in the harness's namespace by one that
+# contradicts the checked property on every trial; the start of the
+# failure message, and whether the failure carries a scheme artifact
+_BROKEN_ORACLES = {
+    "prop1_2": ("hilbert_function", lambda x, k: -1,
+                "not k-normal above the threshold", True),
+    "lemma2_6": ("separator_monomial_basis", lambda n: (),
+                 "separator solver postcondition failed", True),
+    "fiber_cases": ("min_normal_degree", lambda x: -1,
+                    "minimal normality degree -1 does not match", True),
+    "flatness": ("curve_fiber", lambda curve, center, y: SimpleNamespace(total=0),
+                 "fiber total [0, 0, 0, 0, 0] differs", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_ORACLES))
+def test_a_broken_oracle_fails_every_trial(name, monkeypatch, capsys):
+    from zeroreg import harness
+    from zeroreg.cli import main
+
+    oracle, broken, message, has_artifact = _BROKEN_ORACLES[name]
+    monkeypatch.setattr(harness, oracle, broken)
+    report = run_suite(name, 3, seed=5)
+    assert not report.passed and not report.to_jsonable()["passed"]
+    assert [f["trial"] for f in report.failures] == [0, 1, 2]
+    for failure in report.failures:
+        assert failure["seed"] == trial_seed(5, failure["trial"])
+        assert failure["message"].startswith(message)
+        assert ("artifact" in failure) == has_artifact
+        if has_artifact:
+            scheme_from_jsonable(failure["artifact"])
+    assert main(["verify", "--suite", name, "--trials", "3", "--seed", "5"]) == 1
+    assert capsys.readouterr().out == canonical_json(report.to_jsonable())
 
 
 def test_curve_suites_share_the_same_curves():

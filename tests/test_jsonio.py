@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from zeroreg.jsonio import (
     curve_from_jsonable,
     curve_loads,
     curve_to_jsonable,
+    form_from_jsonable,
     germ_to_jsonable,
     parse_document,
     recipe_from_jsonable,
@@ -203,6 +205,33 @@ def test_recipe_document_rejects_bad_shapes():
     with pytest.raises(DocumentFormatError):
         # degree-2 form in the degree-3 slot
         recipe_from_jsonable({"t_count": 2, "levels": {"3": [[[[2, 0], "1"]]]}})
+
+
+def test_recipe_level_keys_are_canonical_integers():
+    form = [[[3, 0], "1"]]
+    assert recipe_from_jsonable({"t_count": 2, "levels": {"3": [form]}}).space(3)
+    for key in ("03", "3_0", " 3", "+3", "3.0", "three"):
+        with pytest.raises(DocumentFormatError, match=re.escape("level key %r is not an integer" % key)):
+            recipe_from_jsonable({"t_count": 2, "levels": {key: [form]}})
+    # two spellings of one level no longer collapse into the last one
+    with pytest.raises(DocumentFormatError, match="level key '03'"):
+        recipe_loads('{"t_count":2,"levels":{"3":[[[[3,0],"1"]]],"03":[[[[0,3],"1"]]]}}')
+
+
+def test_a_form_lists_each_exponent_once():
+    assert form_from_jsonable([[[1, 0], "1"], [[0, 1], "2"]]) == {(1, 0): 1, (0, 1): 2}
+    with pytest.raises(DocumentFormatError, match=r"exponents \[1, 0\] repeat in a form"):
+        form_from_jsonable([[[1, 0], "1"], [[1, 0], "2"]])
+
+
+def test_document_scalars_are_read_in_the_one_grammar():
+    doc = {"field": {"Fp": 7}, "ambient": 2, "germs": [{"point": ["1", "-3/4", 2]}]}
+    assert scheme_from_jsonable(doc).germs[0].support.vec == (1, 1, 2)
+    for bad in ("3.5", "1e3", "-3/-4", " 3 / 4", True, None):
+        for field in ("Q", {"Fp": 7}):
+            doc = {"field": field, "ambient": 2, "germs": [{"point": ["1", bad, "0"]}]}
+            with pytest.raises(ValueError, match="^bad scalar "):
+                scheme_from_jsonable(doc)
 
 
 points3 = st.tuples(*(st.integers(-4, 4) for _ in range(4)))

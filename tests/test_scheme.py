@@ -501,6 +501,21 @@ def test_apply_matrix_preserves_invariants():
             assert g_new.support == ProjPoint(image)
 
 
+@pytest.mark.parametrize("field", [QQ, prime_field(7)])
+def test_apply_matrix_refuses_a_singular_matrix(field):
+    # rank 2: (1:0:0), (0:1:0) and (1:1:1) would land on one line
+    x = FiniteScheme([reduced_germ(c, field) for c in [(1, 0, 0), (0, 1, 0), (1, 1, 1)]], field)
+    with pytest.raises(ValueError, match=r"singular matrix \[\[1, 0, 0\], \[0, 1, 0\], \[1, 1, 0\]\]"):
+        apply_matrix(x, Matrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]], field=field))
+    # singular over F_7 only: the determinant is 7
+    m = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 7]], field=field)
+    if field is QQ:
+        assert apply_matrix(x, m).degree == 3
+    else:
+        with pytest.raises(ValueError, match="singular matrix"):
+            apply_matrix(x, m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers())
 def test_trisecant_dichotomy_in_plane(seed):
