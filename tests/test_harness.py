@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,10 @@ from zeroreg.harness import (
     GeneratorSpec,
     SuiteReport,
     SUITE_NAMES,
+    _FIBER_TYPES,
+    _TRIALS,
     _build_scheme,
+    _gen_fiber_instance,
     _redraw,
     _Redraws,
     _Retry,
@@ -27,8 +31,15 @@ from zeroreg.harness import (
     trial_seed,
     worker_count,
 )
-from zeroreg.jsonio import canonical_json, scheme_dumps, scheme_from_jsonable
+from zeroreg.jsonio import (
+    canonical_json,
+    recipe_to_jsonable,
+    scheme_dumps,
+    scheme_from_jsonable,
+    scheme_to_jsonable,
+)
 from zeroreg.normality import min_normal_degree
+from zeroreg.projection import classify_fiber, recipe_for_fiber
 from zeroreg.scheme import (
     FiniteScheme,
     ProjPoint,
@@ -502,6 +513,83 @@ def test_suite_reports_pinned():
         digests[prime, name] = hashlib.sha256(
             canonical_json(report.to_jsonable()).encode()).hexdigest()
     assert digests == _PINNED_REPORTS
+
+
+# sha256 of (index, sig, detail) of every trial behind _PINNED_REPORTS,
+# with an exhausted generator recorded by its message.  The reports pin
+# failures and redraw counts only; these pin what each trial computed.
+_PINNED_TRIALS = {
+    (None, "cor1_3a"): "ceb1d2e9bb29340dd3447c331df38e13ca6f2115c599e3a87c9f7956f13c1730",
+    (None, "cor1_3b"): "732d0e0d04ca5e7b9dfed46cc69bc3f6c9294d2ed3bb6fa747a2a9834b6be58d",
+    (None, "fiber_cases"): "d0721ccfa3595427a36f23a441b807a24ece569bf1513b00ae5f5a9623d274c6",
+    (None, "flatness"): "6e10540f603de8d475c512ed4d7af07b46d9287fecd1a7317dbee2f7b4f8b622",
+    (None, "hilbert_shape"): "7598cb9712f1c1e546589700f88c615666ea090d13462a769234120c15b4bc34",
+    (None, "invariance"): "7503bd14ecb1d4667020498a1744b73c15c6ef9f0604d9298f652b8ece0d5d63",
+    (None, "lemma2_6"): "06dce39618b3c474f389cf83745862efb2873b812f55ec5224671b113a7d37b6",
+    (None, "lemma3_1"): "21be847fd3c02e3250c73d4272d488b17dec6f99446780aa4a0967f34691e0f2",
+    (None, "mather_consistency"): "ce533ef8f1e47a0daef051c7aee15d27a8e23da486e85c8688cf29816bdb2e90",
+    (None, "prop1_2"): "789b3c11b34eb522dd372f563d311b703489e983a7ce57fa821450faa096ef44",
+    (7, "cor1_3a"): "ceb1d2e9bb29340dd3447c331df38e13ca6f2115c599e3a87c9f7956f13c1730",
+    (7, "cor1_3b"): "bea90a0ca0da383f77bd13a632e4faa504d30dab19d2b2e1f3174d54454d3191",
+    (7, "fiber_cases"): "d0721ccfa3595427a36f23a441b807a24ece569bf1513b00ae5f5a9623d274c6",
+    (7, "hilbert_shape"): "6949cd6f01c3bbd36383620c5b13c8fa75618afc093e947019543ad234b96e2e",
+    (7, "invariance"): "0e6a4e010a5b53cccc35e3cf20daa46514c01a0e87f624ec2dd514307c509e12",
+    (7, "lemma2_6"): "fffc3577afb31c26f2fc45f1e6afcd32e1cf0abf5af23ee81eb9b30a879e9246",
+    (7, "prop1_2"): "a374ff2896b7b279709852a69677ff9c5dc02518670bb4d3db122f3f88fde5fd",
+    (2147483647, "cor1_3a"): "ceb1d2e9bb29340dd3447c331df38e13ca6f2115c599e3a87c9f7956f13c1730",
+    (2147483647, "cor1_3b"): "732d0e0d04ca5e7b9dfed46cc69bc3f6c9294d2ed3bb6fa747a2a9834b6be58d",
+    (2147483647, "fiber_cases"): "d0721ccfa3595427a36f23a441b807a24ece569bf1513b00ae5f5a9623d274c6",
+    (2147483647, "hilbert_shape"): "7598cb9712f1c1e546589700f88c615666ea090d13462a769234120c15b4bc34",
+    (2147483647, "invariance"): "7503bd14ecb1d4667020498a1744b73c15c6ef9f0604d9298f652b8ece0d5d63",
+    (2147483647, "lemma2_6"): "06dce39618b3c474f389cf83745862efb2873b812f55ec5224671b113a7d37b6",
+    (2147483647, "prop1_2"): "789b3c11b34eb522dd372f563d311b703489e983a7ce57fa821450faa096ef44",
+}
+
+
+def test_suite_trials_pinned():
+    digests = {}
+    for prime, name in _PINNED_REPORTS:
+        field = QQ if prime is None else prime_field(prime)
+        rows = []
+        for index in range(20):
+            rng = random.Random(trial_seed(11, index))
+            try:
+                sig, detail = _TRIALS[name](rng, field, index, _Redraws())
+            except GenerationExhausted as err:
+                sig, detail = None, str(err)
+            rows.append([index, sig, detail])
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"), default=str)
+        digests[prime, name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == _PINNED_TRIALS
+
+
+# sha256 of 20 planted instances of each fiber type, drawn as
+# `fiber_cases` draws them at seed 11: redraws, scheme document,
+# classify_fiber profile and prescribed recipe.
+_PINNED_FIBER_INSTANCES = {
+    None: "8ef6c03c56d3e146e3ac8968419a8e1d5f570819eb3846b7972e5da39633f446",
+    7: "128031df43d3fb2c4ba7604ee3876a0c2cf2e90028bec77fa02f2d4d05af1c75",
+    2147483647: "6c73cbcbdd914eb2dfdd2ac0a5349fe6812a4ff299e3401301b96490df60e773",
+}
+
+
+def test_fiber_instances_pinned():
+    digests = {}
+    for prime in _PINNED_FIBER_INSTANCES:
+        field = QQ if prime is None else prime_field(prime)
+        rows = []
+        for index in range(20 * len(_FIBER_TYPES)):
+            label = _FIBER_TYPES[index % len(_FIBER_TYPES)]
+            rng = random.Random(trial_seed(11, index))
+            log = _Redraws()
+            x, n = _redraw(log, lambda: _gen_fiber_instance(rng, field, label),
+                           GenerationExhausted(label))
+            profile = classify_fiber(x, n)
+            recipe, k = recipe_for_fiber(profile)
+            rows.append([label, log.count, scheme_to_jsonable(x), profile.to_jsonable(),
+                         recipe_to_jsonable(recipe), k])
+        digests[prime] = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+    assert digests == _PINNED_FIBER_INSTANCES
 
 
 def test_cor1_3a_asks_each_oracle_once_per_trial(monkeypatch):
