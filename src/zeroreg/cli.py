@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .bounds import BoundQuery, known_regularity_bound, bel_bound, eisenbud_goto_bound
-from .exactalg import QQ, parse_scalar, prime_field, scalar_str
+from .exactalg import QQ, parse_prime_field, parse_scalar, scalar_str
 from .jsonio import (
     canonical_json,
     curve_loads,
@@ -286,7 +286,7 @@ def _parse_field_arg(text: str):
         return QQ
     if text.startswith("fp:"):
         try:
-            return prime_field(int(text[3:]))
+            return parse_prime_field(text[3:])
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
     raise argparse.ArgumentTypeError("field must be Q or fp:PRIME")

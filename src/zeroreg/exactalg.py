@@ -42,7 +42,8 @@ Fraction or with an element of another prime field raises TypeError.
 Scalar text has one grammar over both fields: an optional sign, decimal
 digits and an optional "/digits", with whitespace around the whole; F_p
 takes the image of the rational number a string names.  `parse_scalar`
-is the one reader of scalars from documents and the command line.
+is the one reader of scalars from documents and the command line, and
+`parse_prime_field` reads a modulus through it.
 """
 
 from __future__ import annotations
@@ -274,6 +275,15 @@ def parse_scalar(raw, field=QQ):
         return field(raw)
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError("bad scalar %r: %s" % (raw, err)) from None
+
+
+def parse_prime_field(raw):
+    """F_p for the p that `raw` names in `parse_scalar`'s grammar, which
+    must be an integer; any failure is a ValueError."""
+    p = parse_scalar(raw)
+    if p.denominator != 1:
+        raise ValueError("bad modulus %r: not an integer" % (raw,))
+    return prime_field(p.numerator)
 
 
 def scalar_str(x) -> str:

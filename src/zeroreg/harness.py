@@ -9,10 +9,11 @@ counts them, never silently; only `gen_scheme`, whose exhaustion message
 names the misses by feature, counts in a loop of its own, and the
 coordinate helpers (`_draw_point`, `_off_point`, ...) retry uncounted.
 
-Verification always goes through the exact rank oracles; the generators
-certify general position with independent closed-form tests (never by
-running the property under test), so a failing trial is a genuine
-counterexample and is reported with a replayable JSON artifact.
+Verification always goes through the exact rank oracles, and so does
+`gen_scheme`'s check of what it planted: `_missed_feature` asks
+`max_collinear_length` for the collinear length and `invariant_t` for
+general position.  A failing trial is reported with a replayable JSON
+artifact.
 """
 
 from __future__ import annotations
@@ -328,32 +329,27 @@ def gen_scheme(spec: GeneratorSpec, log: _Redraws = None) -> FiniteScheme:
 # ---------------------------------------------------------------------------
 # plane fiber generators (all in P^2) with closed-form frame certificates
 
+# The coordinate box of the plane draws: fibers and separator off points.
+_PLANE_BOX = (-9, 9)
 
-def _line_basis(rng, box, field):
+
+def _line_basis(rng, field):
     """Two independent int plane points whose line is in general position
     for the separator frame: it meets {x0 = 0} away from {x1 = 0}."""
     for _ in range(80):
-        b0 = _draw_coords(rng, 3, box)
-        b1 = _draw_coords(rng, 3, box)
+        b0 = _draw_coords(rng, 3, _PLANE_BOX)
+        b1 = _draw_coords(rng, 3, _PLANE_BOX)
         if any(field.ints([b0[0] * b1[1] - b0[1] * b1[0]])):
             return b0, b1
     raise _Retry
 
 
-def _line_point(basis, s, t, field):
-    b0, b1 = basis
-    coords = [s * x + t * y for x, y in zip(b0, b1)]
-    if not any(field.ints(coords)):
-        raise _Retry
-    return ProjPoint(coords, field)
-
-
-def _off_point(rng, box, field, avoid, on_lines=()):
+def _off_point(rng, field, avoid, on_lines=()):
     """A point with nonzero first coordinate (so the separator frame's
     distinguished coordinate does not vanish there), off the given lines."""
     for _ in range(80):
         try:
-            p = ProjPoint(_draw_coords(rng, 3, box), field)
+            p = ProjPoint(_draw_coords(rng, 3, _PLANE_BOX), field)
         except ValueError:
             continue
         if not p.vec[0] or p in avoid:
@@ -364,34 +360,31 @@ def _off_point(rng, box, field, avoid, on_lines=()):
     raise _Retry
 
 
-def _line_scheme(rng, field, box, line_lengths, off_lengths):
+def _line_scheme(rng, field, line_lengths, off_lengths=()):
     """Contact `sum(line_lengths)` with a generic-frame line plus off
     points; raises _Retry on degenerate draws."""
-    basis = _line_basis(rng, box, field)
-    direction = basis[1]
+    b0, b1 = _line_basis(rng, field)
     params = rng.sample(range(-7, 8), len(line_lengths))
     germs, used = [], set()
     for length, t in zip(line_lengths, params):
-        p = _line_point(basis, 1, t, field)
+        coords = [x + t * y for x, y in zip(b0, b1)]
+        if not any(field.ints(coords)):
+            raise _Retry
+        p = ProjPoint(coords, field)
         if p in used:
             raise _Retry
         used.add(p)
-        germs.append(germ_on_line(p, direction, length, field))
+        germs.append(germ_on_line(p, b1, length, field))
     if off_lengths:
-        lsub = subspace_from_rows([basis[0], basis[1]], 2, field)
+        lsub = subspace_from_rows([b0, b1], 2, field)
         for length in off_lengths:
-            p = _off_point(rng, box, field, used, on_lines=(lsub,))
+            p = _off_point(rng, field, used, on_lines=(lsub,))
             used.add(p)
-            germs.append(_draw_germ(rng, p, length, box, field))
+            germs.append(_draw_germ(rng, p, length, _PLANE_BOX, field))
     try:
         return FiniteScheme(germs, field)
     except ValueError:
         raise _Retry from None
-
-
-def _conic_rows(rng, field):
-    m = _random_invertible(rng, 3, field)
-    return [tuple(m.data[i]) for i in range(3)]
 
 
 def _conic_eval(row, tau):
@@ -433,7 +426,7 @@ def _conic_scheme(rng, field, with_germ):
     """Six units of degree on a smooth conic through a random frame,
     certified separable by the degree-3 separator family."""
     for _ in range(80):
-        rows = _conic_rows(rng, field)
+        rows = [tuple(row) for row in _random_invertible(rng, 3, field).data]
         count = 5 if with_germ else 6
         taus = rng.sample(range(-9, 10), count)
         parameters = [(taus[0], 2)] + [(t, 1) for t in taus[1:]] if with_germ \
@@ -459,7 +452,7 @@ def _conic_scheme(rng, field, with_germ):
     raise _Retry
 
 
-def _spread_scheme(rng, field, box, lengths, want_phi2=None):
+def _spread_scheme(rng, field, lengths, want_phi2=None):
     """Span-2 scheme with no collinear subscheme of length above 3;
     `want_phi2` pins the quadric rank (6 keeps the scheme off every
     conic)."""
@@ -467,9 +460,9 @@ def _spread_scheme(rng, field, box, lengths, want_phi2=None):
         germs, used = [], set()
         try:
             for length in lengths:
-                p = _draw_point(rng, 2, box, field, avoid=used)
+                p = _draw_point(rng, 2, _PLANE_BOX, field, avoid=used)
                 used.add(p)
-                germs.append(_draw_germ(rng, p, length, box, field))
+                germs.append(_draw_germ(rng, p, length, _PLANE_BOX, field))
             x = FiniteScheme(germs, field)
         except (_Retry, ValueError):
             continue
@@ -481,55 +474,41 @@ def _spread_scheme(rng, field, box, lengths, want_phi2=None):
     raise _Retry
 
 
-_FIBER_TYPES = ("1.i", "1.ii", "1.iii", "2.i", "2.ii",
-                "5.line", "5.span2", "5.span2.4sec",
-                "6.line", "6.span2", "6.span2.4sec", "6.span2.5sec",
-                "6.span2.conic")
+# The planted fiber types, in the order `fiber_cases` cycles through
+# them: label -> (n, variants).  A variant is (builder, *args), called
+# as builder(rng, field, *args); a type with two variants draws the
+# first when rng.random() < 0.5, one with more draws rng.randrange.
+_FIBERS = {
+    "1.i": (5, [(_line_scheme, [1] * 5)]),
+    "1.ii": (5, [(_line_scheme, [1] * 4, [1])]),
+    "1.iii": (5, [(_spread_scheme, [1] * 5)]),
+    "2.i": (5, [(_line_scheme, [2, 1, 1, 1])]),
+    "2.ii": (5, [(_line_scheme, [2, 1, 1], [1]), (_spread_scheme, [2, 1, 1, 1])]),
+    "5.line": (6, [(_line_scheme, [2, 1, 1, 1]), (_line_scheme, [1] * 5)]),
+    "5.span2": (6, [(_spread_scheme, [2, 1, 1, 1]), (_spread_scheme, [1] * 5)]),
+    "5.span2.4sec": (6, [(_line_scheme, on, [1]) for on in ([1] * 4, [2, 1, 1], [2, 2], [3, 1])]),
+    "6.line": (6, [(_line_scheme, [2, 1, 1, 1, 1]), (_line_scheme, [1] * 6)]),
+    "6.span2": (6, [(_spread_scheme, [2, 1, 1, 1, 1], 6), (_spread_scheme, [1] * 6, 6)]),
+    "6.span2.4sec": (6, [(_line_scheme, [1] * 4, [1, 1]), (_line_scheme, [2, 1, 1], [1, 1]),
+                         (_line_scheme, [1] * 4, [2])]),
+    "6.span2.5sec": (6, [(_line_scheme, [2, 1, 1, 1], [1]), (_line_scheme, [1] * 5, [1])]),
+    "6.span2.conic": (6, [(_conic_scheme, True), (_conic_scheme, False)]),
+}
+_FIBER_TYPES = tuple(_FIBERS)
 
 
 def _gen_fiber_instance(rng, field, label):
-    box = (-9, 9)
-    if label == "1.i":
-        return _line_scheme(rng, field, box, [1] * 5, []), 5
-    if label == "1.ii":
-        return _line_scheme(rng, field, box, [1] * 4, [1]), 5
-    if label == "1.iii":
-        return _spread_scheme(rng, field, box, [1] * 5), 5
-    if label == "2.i":
-        return _line_scheme(rng, field, box, [2, 1, 1, 1], []), 5
-    if label == "2.ii":
-        if rng.random() < 0.5:
-            return _line_scheme(rng, field, box, [2, 1, 1], [1]), 5
-        return _spread_scheme(rng, field, box, [2, 1, 1, 1]), 5
-    if label == "5.line":
-        parts = [2, 1, 1, 1] if rng.random() < 0.5 else [1] * 5
-        return _line_scheme(rng, field, box, parts, []), 6
-    if label == "5.span2":
-        parts = [2, 1, 1, 1] if rng.random() < 0.5 else [1] * 5
-        return _spread_scheme(rng, field, box, parts), 6
-    if label == "5.span2.4sec":
-        variant = rng.randrange(4)
-        parts = ([1] * 4, [2, 1, 1], [2, 2], [3, 1])[variant]
-        return _line_scheme(rng, field, box, list(parts), [1]), 6
-    if label == "6.line":
-        parts = [2, 1, 1, 1, 1] if rng.random() < 0.5 else [1] * 6
-        return _line_scheme(rng, field, box, parts, []), 6
-    if label == "6.span2":
-        parts = [2, 1, 1, 1, 1] if rng.random() < 0.5 else [1] * 6
-        return _spread_scheme(rng, field, box, parts, want_phi2=6), 6
-    if label == "6.span2.4sec":
-        variant = rng.randrange(3)
-        if variant == 0:
-            return _line_scheme(rng, field, box, [1] * 4, [1, 1]), 6
-        if variant == 1:
-            return _line_scheme(rng, field, box, [2, 1, 1], [1, 1]), 6
-        return _line_scheme(rng, field, box, [1] * 4, [2]), 6
-    if label == "6.span2.5sec":
-        parts = [2, 1, 1, 1] if rng.random() < 0.5 else [1] * 5
-        return _line_scheme(rng, field, box, parts, [1]), 6
-    if label == "6.span2.conic":
-        return _conic_scheme(rng, field, with_germ=rng.random() < 0.5), 6
-    raise ValueError("unknown fiber type %r" % (label,))
+    if label not in _FIBERS:
+        raise ValueError("unknown fiber type %r" % (label,))
+    n, variants = _FIBERS[label]
+    if len(variants) == 1:
+        variant = variants[0]
+    elif len(variants) == 2:
+        variant = variants[0] if rng.random() < 0.5 else variants[1]
+    else:
+        variant = variants[rng.randrange(len(variants))]
+    build, *args = variant
+    return build(rng, field, *args), n
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +641,7 @@ def _trial_lemma26(rng, field, index, log):
         offs = []
         try:
             for _ in range(off_count):
-                p = _off_point(rng, (-9, 9), field, offs)
+                p = _off_point(rng, field, offs)
                 if not any(field.ints([b * p.vec[1] - a * p.vec[2]])):
                     raise _Retry
                 offs.append(p)

@@ -19,16 +19,17 @@ chart slot (that coordinate is identically 1 on the arc).
 
 Every list of the format is a JSON array (a string is not read as a
 list of characters), and every count or index is a JSON integer that
-is not a boolean; anything else raises `DocumentFormatError`.  A form
-lists each exponent tuple once, and a recipe's level keys are canonical
-integers ("3", not "03").
+is not a boolean; anything else raises `DocumentFormatError`.  So does
+an object that repeats a key or has a key its kind does not know.  A
+form lists each exponent tuple once, and a recipe's level keys are
+canonical integers ("3", not "03").
 """
 
 from __future__ import annotations
 
 import json
 
-from .exactalg import QQ, parse_scalar, prime_field, scalar_str
+from .exactalg import QQ, parse_prime_field, parse_scalar, scalar_str
 from .projection import RationalCurve
 from .scheme import CurvilinearGerm, FiniteScheme, LinearSubspace, ProjPoint, make_germ, reduced_germ
 from .separation import FormSpaceRecipe
@@ -68,9 +69,18 @@ def _reject_float(text):
         "floating-point literal %r: use exact \"p/q\" strings" % text)
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentFormatError("key %r repeats in an object" % key)
+        obj[key] = value
+    return obj
+
+
 def parse_document(text: str):
     try:
-        return json.loads(text, parse_float=_reject_float)
+        return json.loads(text, parse_float=_reject_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise DocumentFormatError("not valid JSON: %s" % err) from None
 
@@ -86,10 +96,24 @@ def field_from_jsonable(tag):
         return QQ
     if isinstance(tag, dict) and set(tag) == {"Fp"}:
         try:
-            return prime_field(int(tag["Fp"]))
-        except (TypeError, ValueError) as err:
+            return parse_prime_field(tag["Fp"])
+        except ValueError as err:
             raise DocumentFormatError(str(err)) from None
     raise DocumentFormatError("field must be \"Q\" or {\"Fp\": p}, got %r" % (tag,))
+
+
+def _object(doc, what, required, optional=()):
+    """doc, a JSON object with every key in `required` and no key outside
+    `required` and `optional`."""
+    if not isinstance(doc, dict):
+        raise DocumentFormatError("%s must be a JSON object" % what)
+    missing = set(required) - set(doc)
+    if missing:
+        raise DocumentFormatError("%s is missing keys %s" % (what, sorted(missing)))
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise DocumentFormatError("unknown %s keys %s" % (what, sorted(unknown)))
+    return doc
 
 
 def _array(raw, what):
@@ -119,11 +143,7 @@ def germ_to_jsonable(germ: CurvilinearGerm):
 
 
 def germ_from_jsonable(doc, field) -> CurvilinearGerm:
-    if not isinstance(doc, dict) or "point" not in doc:
-        raise DocumentFormatError("germ must be an object with a \"point\" key")
-    extra = set(doc) - {"point", "chart", "jet"}
-    if extra:
-        raise DocumentFormatError("unknown germ keys %s" % sorted(extra))
+    _object(doc, "germ", ("point",), ("chart", "jet"))
     coords = [parse_scalar(c, field) for c in _array(doc["point"], "point")]
     try:
         point = ProjPoint(coords, field)
@@ -165,11 +185,7 @@ def scheme_to_jsonable(scheme: FiniteScheme):
 def scheme_from_jsonable(doc) -> FiniteScheme:
     """The scheme of a document; one of degree above `SCHEME_MAX_DEGREE`
     is rejected before any rank work."""
-    if not isinstance(doc, dict):
-        raise DocumentFormatError("scheme must be a JSON object")
-    missing = {"field", "ambient", "germs"} - set(doc)
-    if missing:
-        raise DocumentFormatError("scheme is missing keys %s" % sorted(missing))
+    _object(doc, "scheme", ("field", "ambient", "germs"))
     field = field_from_jsonable(doc["field"])
     ambient = _positive_int(doc["ambient"], "ambient")
     germs = [germ_from_jsonable(g, field) for g in _array(doc["germs"], "germs")]
@@ -203,8 +219,7 @@ def curve_to_jsonable(curve: RationalCurve):
 def curve_from_jsonable(doc) -> RationalCurve:
     """The curve of a document; one of degree above `CURVE_MAX_DEGREE` is
     rejected before any polynomial work."""
-    if not isinstance(doc, dict) or "forms" not in doc:
-        raise DocumentFormatError("curve must be an object with a \"forms\" key")
+    _object(doc, "curve", ("forms",), ("field",))
     field = field_from_jsonable(doc.get("field", "Q"))
     forms = [[parse_scalar(c, field) for c in _array(f, "a form")]
              for f in _array(doc["forms"], "forms")]
@@ -230,11 +245,7 @@ def subspace_to_jsonable(sub: LinearSubspace):
 
 
 def subspace_from_jsonable(doc) -> LinearSubspace:
-    if not isinstance(doc, dict):
-        raise DocumentFormatError("subspace must be a JSON object")
-    missing = {"ambient", "cutting_forms"} - set(doc)
-    if missing:
-        raise DocumentFormatError("subspace is missing keys %s" % sorted(missing))
+    _object(doc, "subspace", ("ambient", "cutting_forms"), ("field",))
     field = field_from_jsonable(doc.get("field", "Q"))
     ambient = _positive_int(doc["ambient"], "ambient")
     forms = [[parse_scalar(c, field) for c in _array(f, "a form")]
@@ -282,11 +293,7 @@ def form_from_jsonable(doc):
 
 
 def recipe_from_jsonable(doc):
-    if not isinstance(doc, dict):
-        raise DocumentFormatError("recipe must be a JSON object")
-    missing = {"t_count", "levels"} - set(doc)
-    if missing:
-        raise DocumentFormatError("recipe is missing keys %s" % sorted(missing))
+    _object(doc, "recipe", ("t_count", "levels"), ("standard",))
     t_count = _positive_int(doc["t_count"], "t_count")
     levels = doc["levels"]
     if not isinstance(levels, dict):

@@ -276,37 +276,32 @@ def classify_fiber(fiber: FiniteScheme, n: int) -> FiberProfile:
     return profile("Y7", col - 1 if col >= 5 else 3)
 
 
+# The separating family of each fiber case: the powers of one line up
+# to a level, or the standard family plus T1^j for 3 <= j <= a top
+# level, which is also the degree it separates in.
+_LINE_POWER_LEVEL = {"1.i": 4, "2.i": 4, "5.line": 4, "6.line": 5}
+_STANDARD_TOP = {"1.ii": 3, "5.span2.4sec": 3, "6.span2.4sec": 3, "6.span2.conic": 3,
+                 "6.span2.5sec": 4, "1.iii": 2, "5.span2": 2, "6.span2": 2}
+
+
 def recipe_for_fiber(profile: FiberProfile):
     """The separating family prescribed for the fiber's case, as a
     (recipe, degree) pair, or None when no case family applies.  The
     recipe's variables are not bound per fiber: `recipe_space` always
     takes U = x_0 and T_i = x_i."""
     case = profile.case
-    k = profile.predicted_normality
-    if case in ("1.i", "2.i", "5.line"):
-        return line_power_recipe(4), 4
-    if case == "6.line":
-        return line_power_recipe(5), 5
-    if case in ("1.ii", "5.span2.4sec", "6.span2.4sec", "6.span2.conic"):
-        return standard_recipe(extra={3: [t_monomial(2, (3, 0))]}), 3
+    if case in _LINE_POWER_LEVEL:
+        k = _LINE_POWER_LEVEL[case]
+        return line_power_recipe(k), k
     if case == "2.ii":
-        if k == 3:
-            return standard_recipe(extra={3: [t_monomial(2, (3, 0))]}), 3
-        return standard_recipe(), 2
-    if case == "6.span2.5sec":
-        return (
-            standard_recipe(extra={3: [t_monomial(2, (3, 0))], 4: [t_monomial(2, (4, 0))]}),
-            4,
-        )
-    if case in ("1.iii", "5.span2", "6.span2"):
-        return standard_recipe(), 2
-    if case in ("Y6", "Y7"):
+        top = 3 if profile.predicted_normality == 3 else 2
+    elif case in ("Y6", "Y7"):
         top = 5 if profile.n == 5 else 6
-        return (
-            standard_recipe(extra={j: [t_monomial(2, (j, 0))] for j in range(3, top + 1)}),
-            top,
-        )
-    return None
+    elif case in _STANDARD_TOP:
+        top = _STANDARD_TOP[case]
+    else:
+        return None
+    return standard_recipe(extra={j: [t_monomial(2, (j, 0))] for j in range(3, top + 1)}), top
 
 
 # ---------------------------------------------------------------------------

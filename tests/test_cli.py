@@ -532,7 +532,7 @@ def test_argparse_rejections(capsys):
     # the commands that take a field share one parser for it
     for argv in (["verify", "--suite", "prop1_2", "--trials", "2"],
                  _LEMMA26_LINE + ["--off", "1:2:3", "--off", "1:5:-1"]):
-        for field in ("fp:8", "fp:%d" % (10**4000 + 1), "fp:x", "F7"):
+        for field in ("fp:8", "fp:%d" % (10**4000 + 1), "fp:x", "F7", "fp:1_0_1"):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--field", field])
             assert exc.value.code == 2
@@ -592,6 +592,11 @@ def _section(d, curve=None, subspace=None):
             "--curve", _doc(d / "c.json", curve) if curve else str(GOLDEN_DIR / "curve.json"),
             "--subspace", _doc(d / "z.json", subspace) if subspace
             else str(GOLDEN_DIR / "subspace.json")]
+
+
+def _text(path, text):
+    path.write_text(text)
+    return str(path)
 
 
 def _separate_with_recipe(d, recipe):
@@ -732,6 +737,21 @@ INPUT_ERRORS = {
         "curve-fiber", "--curve", str(GOLDEN_DIR / "curve.json"),
         "--center", str(GOLDEN_DIR / "subspace.json"), "--y", "0:0"],
         "(0 : 0) is not a point of the target line"),
+    # an object names each key once, and only keys its kind knows; a
+    # field modulus is an integer in the scalar grammar
+    "germ-repeated-key": (lambda d: ["hilbert", "--scheme", _text(
+        d / "x.json", '{"field":"Q","ambient":2,"germs":[{"point":["1","0","0"],'
+                      '"point":["0","1","0"]}]}'), "--max-degree", "2"],
+        "key 'point' repeats in an object"),
+    "scheme-modulus-with-underscores": (lambda d: _plane_germs(
+        d / "x.json", {"Fp": "1_0_1"}, {"point": ["0", "1", "2"]}), "bad scalar '1_0_1'"),
+    "scheme-modulus-true": (lambda d: _plane_germs(
+        d / "x.json", {"Fp": True}, {"point": ["0", "1", "2"]}), "bad scalar True"),
+    "center-unknown-key": (lambda d: _section(
+        d, subspace={"ambient": 3, "cutting_forms": [["1", "1", "0", "0"]],
+                     "feild": {"Fp": 7}}), "unknown subspace keys ['feild']"),
+    "recipe-unknown-key": (lambda d: _separate_with_recipe(
+        d, {"levels": {}, "standrad": False, "t_count": 2}), "unknown recipe keys ['standrad']"),
     "separate-recipe-wider-than-the-space": (lambda d: [
         "separate", "--scheme", _coordinate_points(d / "x.json"), "--degree", "2",
         "--recipe", _three_variable_recipe(d / "r.json")], "3 tangent variables"),

@@ -573,6 +573,11 @@ _PINNED_FIBER_INSTANCES = {
 }
 
 
+def test_an_unknown_fiber_type_is_refused():
+    with pytest.raises(ValueError, match="unknown fiber type '7.i'"):
+        _gen_fiber_instance(random.Random(0), QQ, "7.i")
+
+
 def test_fiber_instances_pinned():
     digests = {}
     for prime in _PINNED_FIBER_INSTANCES:

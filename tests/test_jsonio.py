@@ -13,6 +13,7 @@ from zeroreg.jsonio import (
     curve_from_jsonable,
     curve_loads,
     curve_to_jsonable,
+    field_from_jsonable,
     form_from_jsonable,
     germ_to_jsonable,
     parse_document,
@@ -23,6 +24,7 @@ from zeroreg.jsonio import (
     scheme_from_jsonable,
     scheme_loads,
     scheme_to_jsonable,
+    subspace_from_jsonable,
     subspace_loads,
     subspace_to_jsonable,
 )
@@ -232,6 +234,42 @@ def test_document_scalars_are_read_in_the_one_grammar():
             doc = {"field": field, "ambient": 2, "germs": [{"point": ["1", bad, "0"]}]}
             with pytest.raises(ValueError, match="^bad scalar "):
                 scheme_from_jsonable(doc)
+
+
+def test_an_object_may_not_repeat_a_key():
+    with pytest.raises(DocumentFormatError, match="key 'point' repeats in an object"):
+        parse_document('{"point":["1","0","0"],"point":["0","1","0"]}')
+    with pytest.raises(DocumentFormatError, match="key '3' repeats in an object"):
+        recipe_loads('{"t_count":2,"levels":{"3":[[[[3,0],"1"]]],"3":[[[[0,3],"1"]]]}}')
+    assert parse_document('{"a":{"b":1},"b":{"a":2}}') == {"a": {"b": 1}, "b": {"a": 2}}
+
+
+def test_a_field_modulus_is_an_integer_in_the_scalar_grammar():
+    for raw in (7, "7", " 7 ", "+7", "7/1"):
+        assert field_from_jsonable({"Fp": raw}) is prime_field(7)
+    for raw in ("1_0_1", True, "7/2", "7.0", "0x7", None, [7], 8, -7):
+        with pytest.raises(DocumentFormatError):
+            field_from_jsonable({"Fp": raw})
+
+
+def test_every_document_kind_refuses_unknown_keys():
+    scheme = {"field": "Q", "ambient": 2, "germs": [{"point": ["1", "0", "0"]}]}
+    curve = {"forms": [["1", "0"], ["0", "1"]]}
+    subspace = {"ambient": 2, "cutting_forms": [["1", "0", "0"]]}
+    recipe = {"t_count": 2, "levels": {}}
+    for read, doc, what in ((scheme_from_jsonable, scheme, "scheme"),
+                            (curve_from_jsonable, curve, "curve"),
+                            (subspace_from_jsonable, subspace, "subspace"),
+                            (recipe_from_jsonable, recipe, "recipe")):
+        read(doc)
+        with pytest.raises(DocumentFormatError, match=re.escape("unknown %s keys ['feild']" % what)):
+            read(dict(doc, feild={"Fp": 7}))
+    germ = {"point": ["1", "0", "0"], "jte": [None, ["0", "1"], ["0", "0"]]}
+    with pytest.raises(DocumentFormatError, match=re.escape("unknown germ keys ['jte']")):
+        scheme_from_jsonable(dict(scheme, germs=[germ]))
+    # a misspelt optional key no longer falls back to its default
+    with pytest.raises(DocumentFormatError, match=re.escape("unknown recipe keys ['standrad']")):
+        recipe_from_jsonable(dict(recipe, standrad=False))
 
 
 points3 = st.tuples(*(st.integers(-4, 4) for _ in range(4)))
