@@ -55,8 +55,9 @@ from .separation import (
 
 # The largest n that `lemma26` takes, so that every input does bounded
 # work.  The solver eliminates n + 3 systems of width n + 4 whose integer
-# entries grow with n: n = 40 takes about 1.2 s in a fresh process on a
-# 2-core Xeon VM, n = 80 well over a minute.
+# entries grow with n: n = 40 (41 aligned points and two off the line)
+# takes about 1.25 s in a fresh process on a 2-core Xeon VM (median of
+# six runs), n = 80 well over a minute.
 LEMMA26_MAX_N = 40
 
 # The largest `separate --degree` and `hilbert --max-degree`.  `separate`
@@ -184,10 +185,11 @@ def _cmd_lemma26(args) -> int:
     if config.n > LEMMA26_MAX_N:
         raise ValueError("lemma26 takes n <= %d, got n = %d" % (LEMMA26_MAX_N, config.n))
     try:
-        forms = separator_forms(config)
+        mons, vectors = separator_forms(config)
     except DegenerateConfiguration as err:
         _emit({"n": config.n, "case": config.case, "error": str(err)})
         return 1
+    forms = [{m: field.scalar(v, den) for m, v in zip(mons, x) if v} for x, den in vectors]
     points = [_point_out(p) for p in config.points]
     _emit({"n": config.n, "case": config.case, "points": points,
            "forms": [form_to_jsonable(f) for f in forms]})

@@ -13,6 +13,12 @@ Representations are deliberately plain:
 * a binary form of degree D is a tuple (c_0, .., c_D) standing for
   sum_i c_i s^(D-i) t^i.
 
+Forms are evaluated on ints: `cleared_form_values` takes forms cleared
+by `cleared_form` to int vectors and returns ints (residues over F_p),
+and `form_values`, the scalar wrapper, builds one scalar per nonzero
+value.  A caller that needs only which values vanish, such as the
+Lemma 2.6 check in `harness`, calls the core and builds no scalars.
+
 Polynomials and binary forms are ints inside.  `poly_pseudo_rem`,
 `poly_exact_div`, `squarefree_decomposition` (primitive int factors)
 and `binary_gcd_many` (a primitive int form) work in Z[x]; the gcd
@@ -67,27 +73,21 @@ def cleared_form(f, field=QQ):
     return den, deg, terms
 
 
-def form_values(forms, points, field=QQ):
-    """Values of each form at each point: row i holds forms[i] at every
-    point, as elements of `field`.  Forms need not be homogeneous.
+def cleared_form_values(cleared, vectors, p=None):
+    """The int core of `form_values`: row i holds the forms cleared by
+    `cleared_form` at every int vector, each vector an (n, D) pair.
 
-    Each form's coefficients are cleared to ints once (`cleared_form`,
-    E_f their common denominator) and each point once (D its common
-    denominator, n = D * point), with one power table per point.  With
-    K_f the largest total degree of f, f(point) is
-    sum_m (E_f a_m) n^m D^(K_f - |m|) / (E_f D^K_f), summed in Python
-    ints and made a scalar once (`field.scalar`).  Over F_p, E_f = D = 1
-    and the power tables hold residues.
+    With (E_f, K_f) the denominator and degree of f, the entry is
+    sum_m (E_f a_m) n^m D^(K_f - |m|) = E_f D^K_f f(n / D), summed in
+    Python ints from one power table per vector; a residue mod p if p
+    is given.  For a homogeneous form and D = 1 that is E_f f(n), a
+    nonzero multiple of f's value at the point n stands for.
     """
-    p = field.modulus
-    cleared = [cleared_form(f, field) for f in forms]
     top = max((deg for _, deg, _ in cleared), default=0)
-    rows = [[] for _ in forms]
-    zero = field(0)
-    for point in points:
-        nums, point_den = field.cleared(point)
-        *tables, den_powers = _power_tables(nums + [point_den], top, p)
-        for row, (den, deg, terms) in zip(rows, cleared):
+    rows = [[] for _ in cleared]
+    for nums, den in vectors:
+        *tables, den_powers = _power_tables(list(nums) + [den], top, p)
+        for row, (_, deg, terms) in zip(rows, cleared):
             total = 0
             for v, gap, exps in terms:
                 if gap:
@@ -95,8 +95,28 @@ def form_values(forms, points, field=QQ):
                 for i, e in exps:
                     v *= tables[i][e]
                 total += v
-            row.append(field.scalar(total, den * den_powers[deg]) if total else zero)
+            row.append(total if p is None else total % p)
     return rows
+
+
+def form_values(forms, points, field=QQ):
+    """Values of each form at each point: row i holds forms[i] at every
+    point, as elements of `field`.  Forms need not be homogeneous.
+
+    Each form's coefficients are cleared to ints once (`cleared_form`,
+    E_f their common denominator) and each point once (D its common
+    denominator, n = D * point).  `cleared_form_values` gives
+    E_f D^K_f f(point) on ints, and each nonzero value is made a scalar
+    once, over E_f D^K_f (`field.scalar`).  Over F_p, E_f = D = 1 and
+    the core's values are residues.
+    """
+    cleared = [cleared_form(f, field) for f in forms]
+    vectors = [field.cleared(point) for point in points]
+    rows = cleared_form_values(cleared, vectors, field.modulus)
+    scalar, zero = field.scalar, field(0)
+    return [[scalar(v, den * point_den ** deg) if v else zero
+             for v, (_, point_den) in zip(row, vectors)]
+            for row, (den, deg, _) in zip(rows, cleared)]
 
 
 def evaluate_form(f, point, field=QQ):

@@ -27,7 +27,8 @@ from .exactalg import Matrix, QQ, prime_field
 from .forms import (
     binary_degree,
     binary_gcd_many,
-    form_values,
+    cleared_form,
+    cleared_form_values,
     poly_derivative,
     poly_mul,
     poly_pseudo_rem,
@@ -639,27 +640,35 @@ def _trial_lemma26(rng, field, index, log):
         a = rng.choice([u for u in range(-5, 6) if u])
         b = rng.choice([u for u in range(-5, 6) if u])
         offs = []
+        for _ in range(off_count):
+            p = _off_point(rng, field, offs)
+            if not any(field.ints([b * p.vec[1] - a * p.vec[2]])):
+                raise _Retry
+            offs.append(p)
         try:
-            for _ in range(off_count):
-                p = _off_point(rng, field, offs)
-                if not any(field.ints([b * p.vec[1] - a * p.vec[2]])):
-                    raise _Retry
-                offs.append(p)
             config = SeparatorConfig(us, a, b, offs, field)
+        except ValueError:
+            raise _Retry from None
+        try:
             return config, separator_forms(config)
-        except (ValueError, DegenerateConfiguration):
+        except DegenerateConfiguration:
             raise _Retry from None
 
-    config, forms = _redraw(log, attempt,
-                            GenerationExhausted("no admissible separator configuration"))
+    config, (mons, vectors) = _redraw(
+        log, attempt, GenerationExhausted("no admissible separator configuration"))
+    # the int forms {m: x_m} are den times the separators, with the same
+    # zeros; evaluated by the forms core on ProjPoint.vec, a nonzero
+    # multiple of each point, not by the solver's own monomial tables,
+    # so the check stays independent of the solver
+    forms = [{m: v for m, v in zip(mons, x) if v} for x, _ in vectors]
     allowed = set(separator_monomial_basis(n))
     confined = all(set(f) <= allowed for f in forms)
-    # the values come from forms.form_values, not from the solver's own
-    # monomial tables, so the check stays independent of it
-    rows = form_values(forms, [p.coords for p in config.points], field)
+    rows = cleared_form_values([cleared_form(f, field) for f in forms],
+                               [(p.vec, 1) for p in config.points], field.modulus)
     diagonal = all((i == j) != (value == 0)
                    for i, row in enumerate(rows) for j, value in enumerate(row))
-    # nonzeros exactly on i == j: the rank is the diagonal's length
+    # nonzeros exactly on i == j: the rank is the diagonal's length; the
+    # int rows are the scalar rows with nonzero row and column scales
     rank = min(len(rows), len(rows[0])) if diagonal else Matrix(rows, field=field).rank()
     sig = (n, case, confined, diagonal, rank)
     if not (confined and diagonal and rank == n + 3):

@@ -23,7 +23,9 @@ conquer, copying a reducer and adding one half of a range before
 recursing into the other half, about (n + 3) log2(n + 3) row additions
 in all instead of (n + 3)(n + 2).  A kernel basis with one vector per
 free column set to 1 is unique for its row space, so the separators do
-not depend on the order in which the rows were eliminated.
+not depend on the order in which the rows were eliminated.  The
+separators come back on ints, one kernel vector per point; only
+`cli lemma26`, which prints them, builds scalars.
 """
 
 from __future__ import annotations
@@ -236,15 +238,21 @@ def separator_forms(config: SeparatorConfig):
     point and not at its own; DegenerateConfiguration, naming the first
     such point, if some point admits none.
 
+    Returned on ints, as (mons, vectors): the family monomials
+    (`separator_monomial_basis`) and, per point, its separator's
+    coefficients on them as a (numerators, den) pair of plain ints, as
+    `ColumnSpace.kernel` yields it (residues and den 1 over F_p).  The
+    separator is {m: field.scalar(v, den)} over the nonzero v; the int
+    form {m: v} is den times it, with the same zeros.
+
     The separators of point j are the kernel of the evaluation rows of
     the other points.  The leave-one-out reducers share their
     eliminations (`_leave_one_out`), and each point's kernel is read off
     its reducer's pivots.  The kernel basis with one vector per free
     column set to 1 depends only on the row space, so it is the basis
     `Matrix(other rows).kernel_basis()` returns; the separator is its
-    first vector that does not vanish at the point.  Candidates are
-    tested as int dot products; scalars are built for the chosen vector
-    only."""
+    first vector that does not vanish at the point, tested as an int
+    dot product."""
     field = config.field
     p = field.modulus
     mons = separator_monomial_basis(config.n)
@@ -263,5 +271,5 @@ def separator_forms(config: SeparatorConfig):
             raise DegenerateConfiguration(
                 "no separator for point %d inside the monomial family" % j
             )
-        out.append({m: field.scalar(v, den) for m, v in zip(mons, x) if v})
-    return out
+        out.append((x, den))
+    return mons, out

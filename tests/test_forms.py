@@ -13,6 +13,8 @@ from zeroreg.forms import (
     binary_degree,
     binary_eval,
     binary_gcd_many,
+    cleared_form,
+    cleared_form_values,
     evaluate_form,
     form_values,
     monomials_of_degree,
@@ -477,19 +479,27 @@ def _random_form(rng, nvars, top, homogeneous, scalar):
 
 def _assert_matches_naive(forms, points, field):
     """form_values against the naive evaluator entry by entry, and
-    evaluate_form as its one-form, one-point case."""
+    evaluate_form as its one-form, one-point case.  The int core on the
+    cleared points: over Q its value times 1 / (E_f D^K_f) is the
+    scalar value, over F_p it is the value's residue."""
     got = form_values(forms, points, field)
-    assert len(got) == len(forms)
-    for f, row in zip(forms, got):
-        assert len(row) == len(points)
-        for point, value in zip(points, row):
+    cleared = [cleared_form(f, field) for f in forms]
+    vectors = [field.cleared(point) for point in points]
+    core = cleared_form_values(cleared, vectors, field.modulus)
+    assert len(got) == len(core) == len(forms)
+    for f, row, core_row, (den, deg, _) in zip(forms, got, core, cleared):
+        assert len(row) == len(core_row) == len(points)
+        for point, value, v, (_, point_den) in zip(points, row, core_row, vectors):
             want = _naive_evaluate(f, point, field)
             assert value == want
             assert evaluate_form(f, point, field) == want
+            assert type(v) is int
             if field is QQ:
                 assert isinstance(value, Fraction)
+                assert v * Fraction(1, den * point_den ** deg) == value
             else:
                 assert type(value) is field
+                assert 0 <= v < field.modulus and v == value.value
 
 
 def test_form_values_match_naive_over_q():
@@ -504,6 +514,12 @@ def test_form_values_match_naive_over_q():
         points = [tuple(_random_scalar(rng) for _ in range(nvars))
                   for _ in range(rng.randint(0, 4))]
         _assert_matches_naive(forms, points, QQ)
+    # non-homogeneous forms on int and fractional points with zero
+    # entries, where the core's D^(K_f - |m|) factors are not all 1
+    nonhomogeneous = [{(0, 0, 0): Fraction(-3, 4), (1, 0, 2): 2, (0, 2, 0): Fraction(5, 6)},
+                      {(2, 0, 0): 7, (0, 0, 1): Fraction(1, 9)}]
+    _assert_matches_naive(nonhomogeneous,
+                          [(0, 3, 0), (Fraction(1, 2), 0, Fraction(-2, 3)), (0, 0, 0)], QQ)
 
 
 def test_form_values_edge_inputs_over_q():
@@ -537,4 +553,8 @@ def test_form_values_match_naive_over_fp():
         points = [tuple(F(rng.randint(0, 6)) for _ in range(3))
                   for _ in range(rng.randint(1, 3))]
         _assert_matches_naive(forms, points, F)
+    # non-homogeneous forms on points with zero entries; the core takes
+    # Fraction coordinates to residues first
+    _assert_matches_naive([{(0, 0, 0): 3, (1, 0, 2): Fraction(5, 3), (0, 2, 0): 6}],
+                          [(0, 3, 0), (Fraction(1, 2), 0, F(6)), (0, 0, 0)], F)
     assert evaluate_form({}, (F(1), F(2)), F) == F(0)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeroreg.exactalg import QQ, Matrix, prime_field
+from zeroreg.forms import form_values
 from zeroreg.harness import (
     GenerationExhausted,
     GeneratorSpec,
@@ -439,6 +440,63 @@ def test_a_broken_oracle_fails_every_trial(name, monkeypatch, capsys):
             scheme_from_jsonable(failure["artifact"])
     assert main(["verify", "--suite", name, "--trials", "3", "--seed", "5"]) == 1
     assert capsys.readouterr().out == canonical_json(report.to_jsonable())
+
+
+def test_a_solver_value_error_is_not_a_redraw(monkeypatch):
+    # only SeparatorConfig's ValueError and DegenerateConfiguration are
+    # degenerate draws; any other error of the solver surfaces
+    from zeroreg import harness
+
+    def broken(config):
+        raise ValueError("solver bug")
+
+    monkeypatch.setattr(harness, "separator_forms", broken)
+    with pytest.raises(ValueError, match="solver bug"):
+        run_suite("lemma2_6", 3, seed=5)
+
+
+# solvers that hand each point another point's separator: the next
+# point's, or point 0's for every point
+_MISPLACED_SEPARATORS = {
+    "rotated": lambda vectors: vectors[1:] + vectors[:1],
+    "first": lambda vectors: vectors[:1] * len(vectors),
+}
+
+
+@pytest.mark.parametrize("misplace", sorted(_MISPLACED_SEPARATORS))
+@pytest.mark.parametrize("prime", [None, 11])
+def test_misplaced_separators_are_ranked_like_their_scalar_rows(misplace, prime,
+                                                                monkeypatch):
+    # the zero pattern is not diagonal, so the check ranks its int rows;
+    # the rank must be that of the scalar values on the lead-1 coords
+    from zeroreg import harness, separation
+
+    field = QQ if prime is None else prime_field(prime)
+    solved = []
+
+    def misplaced(config):
+        mons, vectors = separation.separator_forms(config)
+        solved.append(config)
+        return mons, _MISPLACED_SEPARATORS[misplace](vectors)
+
+    monkeypatch.setattr(harness, "separator_forms", misplaced)
+    report = run_suite("lemma2_6", 8, seed=5, prime=prime)
+    assert [f["trial"] for f in report.failures] == list(range(8))
+    for failure in report.failures:
+        assert failure["message"] == "separator solver postcondition failed"
+        assert failure["confined"] is True
+    for index in range(8):
+        solved.clear()
+        sig, detail = _TRIALS["lemma2_6"](random.Random(trial_seed(5, index)), field,
+                                          index, _Redraws())
+        config = solved[-1]
+        mons, vectors = separation.separator_forms(config)
+        forms = [{m: field.scalar(v, den) for m, v in zip(mons, x) if v}
+                 for x, den in _MISPLACED_SEPARATORS[misplace](vectors)]
+        rows = form_values(forms, [p.coords for p in config.points], field)
+        want = Matrix(rows, field=field).rank()
+        assert want == (config.n + 3 if misplace == "rotated" else 1)
+        assert sig[3] is False and detail["rank"] == sig[4] == want
 
 
 def test_curve_suites_share_the_same_curves():
