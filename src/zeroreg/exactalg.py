@@ -24,13 +24,13 @@ reducer on plain ints, `ColumnSpace`: over Q by cross-multiplication,
 then division by the content, so entries stay integral without Bareiss
 divisions; over F_p on residues, each pivot scaled to lead with 1.
 `ColumnSpace.reduce` takes a vector through `field.ints` and steps it
-against the pivots kept so far, sorted by lead; `ColumnSpace.push`
-keeps a reduced vector as a new pivot and steps each row a caller
-carries against that one pivot, so the rows stay reduced as the space
-grows; `ColumnSpace.add` is the two in turn.  `Matrix.rank` and
+against the pivots kept so far, in push order; `ColumnSpace.push`
+appends a reduced vector as the newest pivot, last, and steps each row
+a caller carries against that one pivot, so the rows stay reduced as
+the space grows; `ColumnSpace.add` is the two in turn.  `Matrix.rank` and
 `Matrix.kernel_basis` feed the rows into one reducer.
-One back-substitution, `_kernel`, reads a kernel off its pivots
-(`ColumnSpace.kernel`) as integer numerators over one common
+One back-substitution, `_kernel`, reads a kernel off its pivots sorted
+by lead (`ColumnSpace.kernel`) as integer numerators over one common
 denominator, residues over 1 for F_p; scalars are built only for the
 entries a caller keeps.  A kernel basis is the unique one with one
 vector per non-pivot column set to 1, so results are reproducible bit
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import re
-from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -102,11 +101,11 @@ class RationalField:
 
     @staticmethod
     def normal_form(vec, lead=None):
-        x = next((v for v in vec if v), 0) if lead is None else vec[lead]
-        if not x:
-            return None
-        g = gcd(*vec)
-        return tuple(v // g for v in vec) if x > 0 else tuple(-v // g for v in vec)
+        for x in vec if lead is None else (vec[lead],):
+            if x:
+                g = gcd(*vec) if x > 0 else -gcd(*vec)
+                return tuple(vec) if g == 1 else tuple([v // g for v in vec])
+        return None
 
     def __repr__(self):
         return "QQ"
@@ -367,9 +366,8 @@ class Matrix:
         per non-pivot column, with that column set to 1.
 
         len(result) == ncols - rank, and row . v == 0 for every row and
-        every basis vector v.  The stored pivots of the row space are
-        sorted by lead and zero before it, so they are an echelon form;
-        the basis does not depend on which echelon form it is read from.
+        every basis vector v.  It depends on the row space alone, not on
+        the echelon form it is read off.
         """
         scalar = self.field.scalar
         return [tuple(scalar(v, den) for v in x)
@@ -402,12 +400,13 @@ class ColumnSpace:
     operator images of one degree of a Hilbert function) are fed one at
     a time and reduced against the pivots collected so far, so a caller
     can stop early once a target rank is reached.  `pivots` holds (lead,
-    vector) pairs sorted by lead, with distinct leads and every vector
-    zero before its lead: an echelon form of the span.  The vectors are
-    plain ints: over the rationals coprime integers reduced by
-    cross-multiplication, over F_p residues mod p (plain ints are taken
-    mod p on entry) scaled to lead with 1.
-    """
+    vector) pairs in push order, the newest last: distinct leads, each
+    vector zero before its lead and at every earlier pivot's lead, so
+    `reduce` steps through them in that order, and sorted by lead they
+    are an echelon form of the span.  The vectors are plain ints: over
+    the rationals coprime integers reduced by cross-multiplication,
+    over F_p residues mod p (plain ints are taken mod p on entry) scaled
+    to lead with 1."""
 
     __slots__ = ("field", "pivots")
 
@@ -443,14 +442,16 @@ class ColumnSpace:
         reduced against the old pivots stay reduced against the new ones,
         since v is zero at every earlier lead.  Returns True if the rank
         grew."""
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is None:
+        for lead, a in enumerate(v):
+            if a:
+                break
+        else:
             return False
         p = self.field.modulus
         if p is not None:
             inv = pow(v[lead], -1, p)
             v = [a * inv % p for a in v]
-        insort(self.pivots, (lead, v))
+        self.pivots.append((lead, v))
         for k, w in enumerate(pending):
             if w[lead]:
                 pending[k] = _eliminate(w, lead, v, p)
@@ -462,8 +463,8 @@ class ColumnSpace:
 
     def kernel(self, width):
         """The kernel basis of `Matrix.kernel_basis` for the span in
-        K^width, yielded lazily as plain ints: (numerators, common
-        denominator) pairs over Q, (residues, 1) pairs over F_p.  A
-        caller that needs only some of the vectors builds no scalars for
-        the others."""
-        return _kernel(self.pivots, width, self.field.modulus)
+        K^width, read off the pivots sorted by lead and yielded lazily as
+        plain ints: (numerators, common denominator) pairs over Q,
+        (residues, 1) pairs over F_p.  A caller that needs only some of
+        the vectors builds no scalars for the others."""
+        return _kernel(sorted(self.pivots), width, self.field.modulus)

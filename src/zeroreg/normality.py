@@ -86,10 +86,10 @@ class SchemeEvaluator:
     The operators are built once, as the flat rows of `_operators`.  For
     the last degree reached it keeps the standard monomials, in
     ascending lex order, as (last variable, vector) pairs, the vector
-    being the pivot that `ColumnSpace.add` kept for the monomial's image
-    (coprime ints over Q, residues over F_p).  A step maps each of them
-    by the operators of its last variable and the ones above it, one
-    `_times` per candidate; `phi` keeps every value, and ranks no
+    being the pivot, newest and so last, that `ColumnSpace.add` kept for
+    the monomial's image (coprime ints over Q, residues over F_p).  A
+    step maps each of them by the operators of its last variable and the
+    ones above it, one `_times` per candidate; `phi` keeps every value, and ranks no
     further once it is d.
     `column(mon)`, one monomial's evaluation, is not used by `phi`; the
     benchmark's tracer (`perfbench/tracer.py`) wraps it by name."""
@@ -112,14 +112,11 @@ class SchemeEvaluator:
         candidates = ((i, vec) for last, vec in self._standard
                       for i in range(top, last - 1, -1))
         space = ColumnSpace(self.scheme.field)
-        standard, leads = [], set()
+        standard = []
         for i, vec in candidates:
             if not space.add(_times(self._ops[i], vec)):
                 continue
-            # the one pivot whose lead is new is the reduced image
-            lead, pivot = next(pv for pv in space.pivots if pv[0] not in leads)
-            leads.add(lead)
-            standard.append((i, pivot))
+            standard.append((i, space.pivots[-1][1]))
             if space.rank == d:
                 break
         self._standard = standard

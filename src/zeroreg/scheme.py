@@ -35,12 +35,13 @@ ints too (`LinearSubspace.int_forms`, cleared once on one common scale).
 
 The searches feed the rows to the `ColumnSpace` reducer of `exactalg`.
 `invariant_t` is a depth-first search, germ by germ and one row at a
-time: a branch extends a copy of its parent's reducer, so subschemes
-sharing a prefix share its elimination, and it carries each later germ's
-first row reduced against the branch, so a node's pivot is taken out of
-those rows once (`ColumnSpace.push`) and a child tests its first row for
-zero without reducing it.  A branch ends at its first dependent row and
-is cut once it cannot beat the least dependent degree found.
+time, on one reducer: a branch pushes its rows, the newest pivot last,
+and truncates the pivots on return, so subschemes sharing a prefix share
+its elimination; it carries each later germ's first row reduced against
+the branch, so a node's pivot is taken out of those rows once
+(`ColumnSpace.push`) and a child tests its first row for zero without
+reducing it.  A branch ends at its first dependent row and is cut once
+it cannot beat the least dependent degree found.
 `max_collinear_length` keys each candidate line by its normalised
 Pluecker vector and groups the supports by line from the keys of their
 pairs; a line's score is then a sum over its supports (1, or the germ's
@@ -164,7 +165,8 @@ class CurvilinearGerm:
         series = tuple(flat[k:k + length] for k in range(0, len(flat), length))
         if length >= 2 and not any(s[1] for s in series):
             raise ValueError("degenerate arc: all linear jet coefficients vanish")
-        self.support = ProjPoint(flat[::length], field)
+        pt = self.support = ProjPoint.__new__(ProjPoint)
+        pt.vec, pt.field, pt._coords = field.normal_form(flat[::length]), field, None
         self.chart = chart
         self.length = length
         self.series = series
@@ -475,44 +477,44 @@ def invariant_t(scheme: FiniteScheme) -> int:
     contains a dependent subscheme is dependent, so k is (the least
     degree of a dependent subscheme) - 2, or d - 1 when none is.  The
     search is depth-first, germ by germ and one row at a time, on one
-    reducer per branch: subschemes sharing a prefix share its
-    elimination, a branch ends at its first dependent row, and branches
-    that cannot beat the least dependent degree found are cut.  Row 0 of
-    every later germ is carried down the path reduced against the
-    branch: a node that adds a pivot steps those rows against it alone,
-    so a child's first row is dependent exactly when its carried row is
-    zero; a germ's deeper rows are reduced against the branch in full.
+    reducer that a branch pushes its rows onto and truncates on return:
+    subschemes sharing a prefix share its elimination, a branch ends at
+    its first dependent row, and branches that cannot beat the least
+    dependent degree found are cut.  Row 0 of every later germ is
+    carried down the path reduced against the branch: a node that adds a
+    pivot steps those rows against it alone, so a child's first row is
+    dependent exactly when its carried row is zero; a germ's deeper rows
+    are reduced against the branch in full.
     Guarded by the enumeration cap on the scheme degree."""
     d = scheme.degree
     if d == 1:
         return 1
     _check_cap(scheme)
     blocks = [g.int_rows() for g in scheme.germs]
-    least = d + 1
+    least, space = d + 1, ColumnSpace(scheme.field)
 
-    def walk(start, space, heads):
-        # space: the independent rows chosen from the germs before start;
-        # heads[j]: row 0 of germ start + j reduced against space
+    def walk(start, heads, base):
+        # space: base rows from the germs before start, then germ start +
+        # j's (rank in all); heads[j]: row 0 of that germ reduced to base
         nonlocal least
         for j, head in enumerate(heads):
-            if space.rank + 1 >= least:
+            if base + 1 >= least:
                 return
-            branch = space
-            for k, row in enumerate(blocks[start + j]):
-                if branch.rank + 1 >= least:
+            pending = heads[j + 1:]
+            for rank, row in enumerate(blocks[start + j], base):
+                if rank + 1 >= least:
                     break
-                v = branch.reduce(row) if k else head
+                v = space.reduce(row) if rank > base else head
                 if not any(v):
-                    least = branch.rank + 1
+                    least = rank + 1
                     break
-                if branch.rank + 2 >= least:
+                if rank + 2 >= least:
                     break  # a longer branch could not beat least
-                if not k:
-                    branch, pending = space.copy(), heads[j + 1:]
-                branch.push(v, pending)
-                walk(start + j + 1, branch, pending)
+                space.push(v, pending)
+                walk(start + j + 1, pending, rank + 1)
+            del space.pivots[base:]
 
-    walk(0, ColumnSpace(scheme.field), [block[0] for block in blocks])
+    walk(0, [block[0] for block in blocks], 0)
     return least - 2
 
 

@@ -386,7 +386,10 @@ def test_parse_scalar_turns_every_failure_into_bad_scalar():
 
 @pytest.mark.parametrize("p", [0, 7, 2**31 - 1])
 def test_column_space_pivots_are_an_echelon_form(p):
-    # Matrix.kernel_basis back-substitutes these pivots as they are
+    # the pivots are kept in push order, the newest last.  `reduce` steps
+    # a vector against them in that order and `kernel` back-substitutes
+    # them sorted by lead; both rely on each pivot being zero before its
+    # lead and at the lead of every earlier pivot, with distinct leads
     field = QQ if p == 0 else prime_field(p)
     rng = random.Random(100 + p)
     inserted_before_a_lead = 0
@@ -405,10 +408,11 @@ def test_column_space_pivots_are_an_echelon_form(p):
                 (new,) = {lead for lead, _ in space.pivots} - before
                 inserted_before_a_lead += new < max(before)
         leads = [lead for lead, _ in space.pivots]
-        assert all(a < b for a, b in zip(leads, leads[1:]))
-        for lead, v in space.pivots:
+        assert len(set(leads)) == len(leads)
+        for k, (lead, v) in enumerate(space.pivots):
             assert len(v) == ncols and all(type(x) is int for x in v)
             assert not any(v[:lead]) and v[lead] != 0
+            assert not any(v[c] for c in leads[:k])
             if field is QQ:
                 assert gcd(*v) == 1
             else:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -582,6 +583,70 @@ def test_germs_from_every_path_are_normalised(field):
     assert germs[0].chart == 0 and germs[1].chart == 2
 
 
+def _two_pass_normal_form(vec, lead=None):
+    """Reference: the rational normal form as a generator over the
+    entries, the sign folded into each quotient."""
+    x = next((v for v in vec if v), 0) if lead is None else vec[lead]
+    if not x:
+        return None
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if x > 0 else tuple(-v // g for v in vec)
+
+
+def test_rational_normal_form_matches_the_two_pass_reference():
+    rng = random.Random(2626)
+    cases = dict.fromkeys(("negative lead", "content > 1", "content 1", "zero lead",
+                           "all zeros"), 0)
+    for _ in range(3000):
+        vec = [rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(rng.randint(1, 6))]
+        vec = [v * rng.choice((1, 1, rng.randint(-6, 6))) for v in vec]
+        for lead in (None, rng.randrange(len(vec))):
+            got, want = QQ.normal_form(vec, lead), _two_pass_normal_form(vec, lead)
+            assert got == want and (got is None or type(got) is tuple)
+            x = next((v for v in vec if v), 0) if lead is None else vec[lead]
+            cases["all zeros"] += not any(vec)
+            cases["zero lead"] += lead is not None and not x and any(vec)
+            cases["negative lead"] += x < 0
+            cases["content > 1"] += bool(x) and gcd(*vec) > 1
+            cases["content 1"] += bool(x) and gcd(*vec) == 1
+    assert min(cases.values()) > 100, cases
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
+def test_germ_support_matches_the_two_pass_construction(field):
+    # the support was the point of the normalised block's constant terms,
+    # taken through `field.ints` and the normal form once more
+    rng = random.Random(26 + (0 if field is QQ else field.modulus % 1000))
+    shapes = set()
+    for _ in range(400):
+        n, length = rng.randint(1, 4), rng.randint(1, 4)
+        fractions = rng.random() < 0.5
+        series = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if fractions
+                   else rng.randint(-9, 9) * rng.choice((1, 6)) for _ in range(length)]
+                  for _ in range(n + 1)]
+        # a later chart leaves a first constant term of either sign
+        charts = [i for i, s in enumerate(series) if field.ints([s[0]])[0]]
+        try:
+            g = CurvilinearGerm(series, field, rng.choice(charts) if charts else None)
+        except ValueError:
+            continue
+        constants = [s[0] for s in g.series]
+        want = (_two_pass_normal_form(QQ.ints(constants)) if field is QQ
+                else field.normal_form(field.ints(constants)))
+        assert type(g.support) is ProjPoint and g.support.field is field
+        assert g.support.vec == want and g.support == ProjPoint(constants, field)
+        assert hash(g.support) == hash(ProjPoint(constants, field))
+        assert g.support.coords == ProjPoint(constants, field).coords
+        if field is QQ:
+            shapes.add((fractions, next(c for c in constants if c) < 0, gcd(*constants) > 1))
+        else:
+            shapes.add((fractions, g.chart > next(i for i, c in enumerate(constants) if c)))
+    # Fraction and int series; over Q constants with a negative lead and
+    # with content above 1, which the support divides out; over F_p
+    # charts after the first nonzero constant
+    assert len(shapes) == (8 if field is QQ else 4)
+
+
 # ---------------------------------------------------------------------------
 # the row view and the searches on it against what they replaced: every
 # truncated scheme ranked afresh for invariant_t, series of linear forms
@@ -749,6 +814,59 @@ def test_collinear_search_matches_the_reference_on_planted_lines(field):
                 assert max_collinear_length(x) == _max_collinear_reference(x) == spec.collinear
                 compared += 1
     assert compared >= 30
+
+
+def _hilbert_mix_spec(rng, field):
+    """A GeneratorSpec as the Hilbert suites draw them: general position,
+    a planted collinear subscheme, a secant germ along it, or none, with
+    germ lengths up to 3."""
+    ambient, d = rng.randint(2, 5), rng.randint(2, 10)
+    maxlen = rng.choice((1, 2, 2, 3, 3))
+    kind = rng.choice(("general", "collinear", "secant", "plain"))
+    if kind == "general":
+        return GeneratorSpec(ambient, degree=max(d, ambient + 1), max_germ_length=maxlen,
+                             general_position=True, box=(-9, 9), field=field,
+                             seed=rng.getrandbits(63))
+    d = max(d, 3)
+    secant = kind == "secant" and maxlen >= 2
+    collinear = rng.randint(3, d) if kind != "plain" else None
+    return GeneratorSpec(ambient, degree=d, max_germ_length=maxlen, collinear=collinear,
+                         secant=secant, box=(-8, 8), field=field, seed=rng.getrandbits(63))
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
+def test_invariant_t_matches_the_reference_on_hilbert_mix_schemes(field, monkeypatch):
+    # the search pushes a germ's row 1 with the same carried rows as its
+    # row 0; a push in between came from a branch below row 0, so such a
+    # pair is a deeper row pushed after that sibling branch has returned
+    seen, after_sibling, last = [], 0, [None]
+    push = ColumnSpace.push
+
+    def recording_push(self, v, pending=()):
+        nonlocal after_sibling
+        after_sibling += any(p is pending for p in seen) and last[0] is not pending
+        seen.append(pending)
+        last[0] = pending
+        return push(self, v, pending)
+
+    monkeypatch.setattr(ColumnSpace, "push", recording_push)
+    rng = random.Random(26 + (0 if field is QQ else field.modulus % 1000))
+    levels, compared = set(), 0
+    for _ in range(36):
+        try:
+            x = gen_scheme(_hilbert_mix_spec(rng, field))
+        except GenerationExhausted:
+            continue
+        del seen[:]
+        last[0] = None
+        t = invariant_t(x)
+        assert t == _invariant_t_reference(x)
+        levels.add(t)
+        compared += 1
+    assert compared >= 25
+    # dependent subschemes of degree 3, and deeper rows past a sibling
+    assert min(levels) == 1 and max(levels) >= 3
+    assert after_sibling >= 100
 
 
 def test_germ_int_rows_are_the_rows_cleared():
