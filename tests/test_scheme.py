@@ -839,14 +839,14 @@ def test_invariant_t_matches_the_reference_on_hilbert_mix_schemes(field, monkeyp
     # the search pushes a germ's row 1 with the same carried rows as its
     # row 0; a push in between came from a branch below row 0, so such a
     # pair is a deeper row pushed after that sibling branch has returned
-    seen, after_sibling, last = [], 0, [None]
+    seen, after_sibling, last = [], 0, None
     push = ColumnSpace.push
 
     def recording_push(self, v, pending=()):
-        nonlocal after_sibling
-        after_sibling += any(p is pending for p in seen) and last[0] is not pending
+        nonlocal after_sibling, last
+        after_sibling += last is not pending and any(p is pending for p in seen)
         seen.append(pending)
-        last[0] = pending
+        last = pending
         return push(self, v, pending)
 
     monkeypatch.setattr(ColumnSpace, "push", recording_push)
@@ -858,7 +858,7 @@ def test_invariant_t_matches_the_reference_on_hilbert_mix_schemes(field, monkeyp
         except GenerationExhausted:
             continue
         del seen[:]
-        last[0] = None
+        last = None
         t = invariant_t(x)
         assert t == _invariant_t_reference(x)
         levels.add(t)
