@@ -61,18 +61,21 @@ from .separation import (
 LEMMA26_MAX_N = 40
 
 # The largest `separate --degree` and `hilbert --max-degree`.  `separate`
-# multiplies U^(k-j) out on int series one factor at a time: k = 10,000
-# takes about 0.15 s for two points and 0.5 s for two length-3 germs in a
-# fresh process on a 2-core Xeon VM; `hilbert` prints k + 1 entries.
+# raises each germ coordinate to the powers of U^(k-j) by one running
+# product of int series, one factor at a time: k = 10,000 takes about
+# 0.10 s for two points and 0.12 s for two length-3 germs in a fresh
+# process on a 2-core Xeon VM (medians of seven runs); `hilbert` prints
+# k + 1 entries.
 MAX_DEGREE = 10000
 
 # The largest `separate` work: --degree k times the sum of L^2 over the
 # germs' lengths L, since each factor of U^(k-j) is one product of
-# length-L series.  At the budget, k = 10,000 on one length-15 germ takes
-# about 1.9 s and k = 1,000 on a length-49 germ 1.8 s in a fresh process
-# on a 2-core Xeon VM; a length-40 germ at k = 10,000 (six times the
-# budget) takes 11.5 s.  Reduced points stay below it: the 80 that
-# `jsonio.SCHEME_MAX_DEGREE` allows take 0.5 s at k = 10,000.
+# length-L series, taken once per germ.  At the budget, k = 10,000 on one
+# length-15 germ takes about 0.30 s and k = 1,000 on a length-49 germ
+# 0.28 s in a fresh process on a 2-core Xeon VM (medians of seven runs);
+# a length-40 germ at k = 10,000 (six times the budget) takes 1.4 s.
+# Reduced points stay below it: the 80 that `jsonio.SCHEME_MAX_DEGREE`
+# allows take 0.10 s at k = 10,000.
 SEPARATE_BUDGET = 2500000
 
 # The `verify --suite` choices.  `harness.SUITE_NAMES` is the authority

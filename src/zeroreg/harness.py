@@ -657,14 +657,18 @@ def _trial_lemma26(rng, field, index, log):
     config, (mons, vectors) = _redraw(
         log, attempt, GenerationExhausted("no admissible separator configuration"))
     # the int forms {m: x_m} are den times the separators, with the same
-    # zeros; evaluated by the forms core on ProjPoint.vec, a nonzero
-    # multiple of each point, not by the solver's own monomial tables,
-    # so the check stays independent of the solver
-    forms = [{m: v for m, v in zip(mons, x) if v} for x, _ in vectors]
+    # zeros.  The family is cleared once, and each separator's cleared
+    # form is its int kernel vector on the family's terms: E = 1, as the
+    # vectors are ints over Q and residues over F_p, and gap 0, as every
+    # family monomial has degree n.  The forms core evaluates them on
+    # ProjPoint.vec, a nonzero multiple of each point, not the solver's
+    # own monomial tables, so the check stays independent of the solver
     allowed = set(separator_monomial_basis(n))
-    confined = all(set(f) <= allowed for f in forms)
-    rows = cleared_form_values([cleared_form(f, field) for f in forms],
-                               [(p.vec, 1) for p in config.points], field.modulus)
+    confined = all(m in allowed for x, _ in vectors for m, v in zip(mons, x) if v)
+    _, deg, terms = cleared_form(dict.fromkeys(mons, 1), field)
+    cleared = [(1, deg, [(v, gap, exps) for v, (_, gap, exps) in zip(x, terms) if v])
+               for x, _ in vectors]
+    rows = cleared_form_values(cleared, [(p.vec, 1) for p in config.points], field.modulus)
     diagonal = all((i == j) != (value == 0)
                    for i, row in enumerate(rows) for j, value in enumerate(row))
     # nonzeros exactly on i == j: the rank is the diagonal's length; the

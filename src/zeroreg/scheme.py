@@ -13,7 +13,11 @@ at the boundary.  A `ProjPoint` is its field's normal form of an int
 vector (`field.normal_form`), and a germ is N + 1 homogeneous int
 series over one denominator, the chart's series being (den, 0, ..);
 the `CurvilinearGerm` constructor is the one code that normalises them.
-Forms are composed with a germ on its int series; the scalar views
+Forms are composed with a germ on its int series by one core,
+`CurvilinearGerm.form_series`: a family of forms cleared by
+`cleared_form`, each non-chart series raised once per germ by a running
+product and kept only at the exponents the family uses;
+`evaluate_form` is its one-form scalar wrapper.  The scalar views
 `coords` and `jets` are built on first use, `jets` for output only.
 
 Each germ of length L carries L linear functionals on forms: the
@@ -203,27 +207,77 @@ class CurvilinearGerm:
                               for k in range(self.length)]
         return self._int_rows
 
+    def form_series(self, cleared):
+        """The int core of `evaluate_form`, for a family of forms cleared
+        by `cleared_form`: (s, series), where `series` yields form by form,
+        as they are asked for, the length-L series E_f den^s f(arc) on ints
+        (residues over F_p), E_f being f's denominator.
+
+        A monomial m of f gives E_f a_m times the non-chart series raised
+        to m_i, times den^(top - |m| + m_chart), top being the family's
+        largest degree and the chart's series (den, 0, ..).  The least of
+        those exponents is taken out of every term, so s is top less it:
+        over Q a recipe's U^(k - j) in the chart would otherwise make
+        every value a multiple of den^(k - j).  Each non-chart series is
+        raised once per germ, by one running `series_mul` product
+        (residues over F_p), and kept only at the exponents in use."""
+        chart, length, p = self.chart, self.length, self.field.modulus
+        den = self.series[chart][0]
+        top = max((deg for _, deg, _ in cleared), default=0)
+        used, low = set(), top
+        for _, deg, terms in cleared:
+            for _, gap, exps in terms:
+                shift = top - deg + gap
+                for i, e in exps:
+                    if i == chart:
+                        shift += e
+                    else:
+                        used.add((i, e))
+                if shift < low:
+                    low = shift
+
+        def mul(a, b):
+            c = series_mul(a, b)
+            return c if p is None else [x % p for x in c]
+
+        # tables[i, e]: series i to the power e, for the (i, e) in use
+        tables, last = {}, None
+        for i, e in sorted(used):
+            if i != last:
+                last, at, power = i, 0, (1,) + (0,) * (length - 1)
+            for _ in range(at, e):
+                power = mul(power, self.series[i])
+            tables[i, e], at = power, e
+
+        def values():
+            for _, deg, terms in cleared:
+                total = [0] * length
+                for v, gap, exps in terms:
+                    shift, term = top - deg + gap - low, None
+                    for i, e in exps:
+                        if i == chart:
+                            shift += e
+                        else:
+                            term = tables[i, e] if term is None else mul(term, tables[i, e])
+                    if shift and den != 1:
+                        v *= den ** shift
+                    if term is None:
+                        total[0] += v
+                    else:
+                        total = [a + v * b for a, b in zip(total, term)]
+                yield total if p is None else [c % p for c in total]
+
+        return top - low, values()
+
     def evaluate_form(self, form):
         """Compose a form (exponent-tuple -> coefficient dict) with the
-        arc; returns the length-L coefficient series.  As in `form_values`,
-        on ints: a monomial m of the form cleared by `cleared_form` (E, K)
-        is the `series_mul` product of the non-chart series (residues over
-        F_p) times den^(K - |m| + m_chart), the chart's series being
-        (den, 0, ..); each coefficient is made a scalar over E den^K."""
-        field, chart, den = self.field, self.chart, self.series[self.chart][0]
-        p = field.modulus
-        scale, top, terms = cleared_form(form, field)
-        total = [0] * self.length
-        for v, gap, exps in terms:
-            term = (v,) + (0,) * (self.length - 1)
-            for i, e in exps:
-                for _ in range(0 if i == chart else e):
-                    term = series_mul(term, self.series[i])
-                    if p is not None:
-                        term = [c % p for c in term]
-            power = den ** (gap + dict(exps).get(chart, 0))
-            total = [a + b * power for a, b in zip(total, term)]
-        return tuple(field.scalar(v, scale * den ** top) for v in total)
+        arc; returns the length-L coefficient series, as scalars.  The
+        form is cleared by `cleared_form` and taken through the int core
+        `form_series`, each coefficient made a scalar over E den^s."""
+        cleared = cleared_form(form, self.field)
+        s, (total,) = self.form_series([cleared])
+        scale = cleared[0] * self.series[self.chart][0] ** s
+        return tuple(self.field.scalar(v, scale) for v in total)
 
     def __repr__(self):
         return "CurvilinearGerm(len=%d at %r)" % (self.length, self.support)

@@ -10,7 +10,10 @@ regularity bounds tight.
 A family of forms separates a finite scheme when its evaluations span
 all of the scheme's functionals, equivalently when for every functional
 some member of the family takes a prescribed nonzero value after
-killing the others.
+killing the others.  `family_rank` ranks those evaluations on ints: the
+forms are cleared once, each germ takes each coordinate's powers once
+(`CurvilinearGerm.form_series`), and the int columns differ from the
+scalar ones by nonzero row and column scales only.
 
 For plane configurations of n + 3 points with n + 1 (or n) of them on
 a line through (1:0:0) avoiding the two coordinate vertices, a family
@@ -31,7 +34,7 @@ separators come back on ints, one kernel vector per point; only
 from __future__ import annotations
 
 from zeroreg.exactalg import ColumnSpace, QQ
-from zeroreg.forms import _power_tables, monomials_of_degree
+from zeroreg.forms import _power_tables, cleared_form, monomials_of_degree
 from zeroreg.scheme import FiniteScheme, ProjPoint, reduced_germ
 
 
@@ -114,13 +117,25 @@ def recipe_space(recipe: FormSpaceRecipe, k: int, ambient: int):
 
 
 def family_rank(scheme: FiniteScheme, forms) -> int:
-    """Rank of the family's evaluations on the scheme's functionals."""
-    space = ColumnSpace(scheme.field)
-    for f in forms:
-        col = []
-        for g in scheme.germs:
-            col.extend(g.evaluate_form(f))
-        space.add(col)
+    """Rank of the family's evaluations on the scheme's functionals.
+
+    Ranked on ints: each form is cleared once (`cleared_form`), and each
+    germ gives its block of every column through its int core
+    `CurvilinearGerm.form_series`, which takes each coordinate's powers
+    once per germ.  The int block of f on germ g is E_f den_g^s times
+    the scalar one, E_f being f's denominator and s <= top, the family's
+    largest degree; a form of lower degree K_f is lifted by
+    den_g^(top - K_f) to that scale.  So E_f scales a whole column and
+    den_g^s a whole germ block, the same for every form: the int matrix
+    is the scalar one with nonzero scales on its rows and columns, and
+    has the same rank.  Over F_p every scale is 1.  The columns are
+    taken one at a time, and the rank is read off as soon as it reaches
+    the degree."""
+    field = scheme.field
+    cleared = [cleared_form(f, field) for f in forms]
+    space = ColumnSpace(field)
+    for blocks in zip(*(g.form_series(cleared)[1] for g in scheme.germs)):
+        space.add([v for block in blocks for v in block])
         if space.rank == scheme.degree:
             break
     return space.rank

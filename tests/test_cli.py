@@ -7,11 +7,13 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from zeroreg import cli, harness, jsonio, normality
 from zeroreg.cli import main
+from zeroreg.forms import cleared_form, series_mul
 from zeroreg.jsonio import (
     canonical_json,
     curve_to_jsonable,
@@ -21,6 +23,7 @@ from zeroreg.jsonio import (
 )
 from zeroreg.projection import RationalCurve
 from zeroreg.scheme import FiniteScheme, LinearSubspace, ProjPoint, make_germ, reduced_germ
+from zeroreg.separation import family_rank, recipe_space, standard_recipe
 
 
 def _collinear5(path):
@@ -246,6 +249,39 @@ def test_separate_work_budget_is_degree_times_squared_lengths(tmp_path, capsys, 
     code, out, err = run_cli(["separate", "--scheme", scheme, "--degree", "5"], capsys)
     assert code == 2 and out == ""
     assert "must be <= 40, got 50" in err
+
+
+def test_separate_at_the_degree_cap_takes_each_power_once(tmp_path, monkeypatch):
+    # on the long germ U = x_0 is a series: its powers up to k are one
+    # running product, kept only at the exponents the family uses, and
+    # T2 = x_2 is raised no further than its own exponents, so there is
+    # about one series product per degree and no table of every power
+    x = scheme_loads(pathlib.Path(_long_germ(tmp_path / "x.json", 3)).read_text())
+    forms = recipe_space(standard_recipe(), cli.MAX_DEGREE, x.ambient)
+    calls = []
+    original = series_mul
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("zeroreg")
+                and vars(module).get("series_mul") is original):
+            monkeypatch.setattr(module, "series_mul", counted)
+    tracemalloc.start()
+    try:
+        rank = family_rank(x, forms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == x.degree
+    assert cli.MAX_DEGREE <= len(calls) <= cli.MAX_DEGREE + 20
+    assert peak < 2**20
+    # where U is the chart, den^(k - 2) is common to every value of the
+    # germ and is taken out: the values stay small ints
+    s, values = reduced_germ((7, 1, 2)).form_series([cleared_form(f) for f in forms])
+    assert s == 2 and [v for (v,) in values] == [49, 7, 14, 1, 2, 4]
 
 
 def test_curve_degree_cap_is_inclusive(tmp_path, capsys):

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
-from zeroreg.exactalg import QQ, Matrix, prime_field
-from zeroreg.forms import evaluate_form, monomials_of_degree
+from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
+from zeroreg.forms import evaluate_form, monomials_of_degree, series_mul
+from zeroreg.harness import (
+    _FIBER_TYPES,
+    GenerationExhausted,
+    _gen_fiber_instance,
+    _redraw,
+    _Redraws,
+)
 from zeroreg.normality import is_k_normal
+from zeroreg.projection import classify_fiber, recipe_for_fiber
 from zeroreg.scheme import (
     FiniteScheme,
     LinearSubspace,
@@ -116,26 +124,93 @@ def test_family_rank_partial():
     assert family_rank(x, [{(0, 0, 0): Fraction(1)}]) == 1
 
 
+def _composed(g, form):
+    """Reference: the form composed with the arc on scalars, from the
+    jets with the chart coordinate 1, every power multiplied out."""
+    zero = g.field(0)
+    out = [zero] * g.length
+    for mon, coeff in form.items():
+        term = (g.field(coeff),) + (zero,) * (g.length - 1)
+        for i, e in enumerate(mon):
+            for _ in range(0 if i == g.chart else e):
+                term = series_mul(term, g.jets[i])
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
+def _fiber_schemes(field):
+    """One planted fiber per shape of `harness._FIBERS`, with the family
+    its prescribed recipe spawns at the prescribed degree."""
+    out = []
+    for index, label in enumerate(_FIBER_TYPES):
+        rng = random.Random(index)
+        x, n = _redraw(_Redraws(), lambda: _gen_fiber_instance(rng, field, label),
+                       GenerationExhausted(label))
+        recipe, k = recipe_for_fiber(classify_fiber(x, n))
+        out.append((x, recipe_space(recipe, k, x.ambient)))
+    return out
+
+
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
-def test_family_rank_of_mixed_degrees_is_the_rank_of_the_evaluations(field):
-    # forms of degrees 0 .. 4, some not homogeneous, on germs in charts 1
-    # and 2 and a point: the rank of the evaluate_form columns
-    x = FiniteScheme([make_germ((0, 1, 2), 1, [(0, 3, 1), (2, -1, 5)], field),
+def test_family_rank_of_mixed_degrees_is_the_rank_of_the_evaluations(field, monkeypatch):
+    # the rank of the columns of the forms composed with the arcs on
+    # scalars, and the rank is read off as soon as it is the degree
+    adds = []
+    original_add = ColumnSpace.add
+    monkeypatch.setattr(ColumnSpace, "add",
+                        lambda space, vec: adds.append(1) or original_add(space, vec))
+
+    def check(x, forms):
+        cols = []
+        for f in forms:
+            cols.append([v for g in x.germs for v in _composed(g, f)])
+            assert cols[-1] == [v for g in x.germs for v in g.evaluate_form(f)]
+        # the rank of each prefix, up to the first that spans
+        for used in range(1, len(cols) + 1):
+            want = Matrix([[c[i] for c in cols[:used]] for i in range(x.degree)],
+                          field=field).rank()
+            if want == x.degree:
+                break
+        adds.clear()
+        assert family_rank(x, forms) == want
+        assert len(adds) == used
+        return want, used < len(forms)
+
+    # forms of degrees 0 .. 4, some not homogeneous and with fractional
+    # coefficients, on germs of lengths 1 .. 4: in chart 1 with x_0 a
+    # series, in charts 2 and 0 over a denominator other than 1 over Q
+    schemes = [
+        FiniteScheme([make_germ((0, 1, 2), 1, [(0, 3, 1), (2, -1, 5)], field),
                       make_germ((2, 3, 1), 2, [(2, Fraction(1, 3), 4), (3, 2, -5)], field),
-                      reduced_germ((1, 1, 1), field)], field)
+                      reduced_germ((1, 1, 1), field)], field),
+        FiniteScheme([make_germ((1, 1, 2), 1, [(1, 1, -1, 2), (2, -1, 3, 1)], field),
+                      make_germ((3, 1, 2), 0, [(Fraction(1, 3), 2, Fraction(-1, 2), 1),
+                                               (Fraction(2, 3), 0, 1, Fraction(5, 4))], field),
+                      reduced_germ((2, 3, 1), field)], field),
+        FiniteScheme([make_germ((1, 2, 0, 1), 3, [(1, Fraction(1, 2), 0, 3), (2, 1, 1, 0),
+                                                  (0, -1, Fraction(2, 5), 1)], field),
+                      make_germ((2, 1, 1, 3), 0, [(Fraction(1, 2), 1, 2),
+                                                  (Fraction(1, 2), 0, -1),
+                                                  (Fraction(3, 2), 1, 1)], field)], field),
+    ]
     rng = random.Random(26)
     ranks = set()
-    for _ in range(12):
-        forms = []
-        for _ in range(rng.randint(1, 6)):
-            mons = [m for k in rng.sample(range(5), 2) for m in monomials_of_degree(3, k)]
-            forms.append({m: Fraction(rng.randint(1, 4), rng.randint(1, 3))
-                          for m in rng.sample(mons, 2)})
-        cols = [[v for g in x.germs for v in g.evaluate_form(f)] for f in forms]
-        want = Matrix([[c[i] for c in cols] for i in range(x.degree)], field=field).rank()
-        assert family_rank(x, forms) == want
-        ranks.add(want)
+    for x in schemes:
+        nvars = x.ambient + 1
+        for _ in range(12):
+            forms = []
+            for _ in range(rng.randint(1, 6)):
+                mons = [m for k in rng.sample(range(5), 2) for m in monomials_of_degree(nvars, k)]
+                forms.append({m: Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                              for m in rng.sample(mons, 2)})
+            ranks.add(check(x, forms)[0])
+        # every degree-6 monomial, many more members than the degree: the
+        # rank reaches the degree before the last member
+        rank, stopped = check(x, [{m: 1} for m in monomials_of_degree(nvars, 6)])
+        assert rank == x.degree and stopped
     assert len(ranks) > 2
+    for x, forms in _fiber_schemes(field):
+        assert check(x, forms)[0] == x.degree
 
 
 def make_case2_config():
