@@ -54,10 +54,11 @@ from .separation import (
 
 
 # The largest n that `lemma26` takes, so that every input does bounded
-# work.  The solver eliminates n + 3 systems of width n + 4 whose integer
-# entries grow with n: n = 40 (41 aligned points and two off the line)
-# takes about 1.25 s in a fresh process on a 2-core Xeon VM (median of
-# six runs), n = 80 well over a minute.
+# work.  The solver eliminates one system of n + 3 rows of width 2n + 7,
+# then back-substitutes once per point, on integers that grow with n:
+# n = 40 (41 aligned points and two off the line) takes about 0.29 s and
+# n = 20 about 0.14 s in a fresh process on a 2-core Xeon VM (medians of
+# five runs); n = 80, past the cap, takes about 9 s.
 LEMMA26_MAX_N = 40
 
 # The largest `separate --degree` and `hilbert --max-degree`.  `separate`

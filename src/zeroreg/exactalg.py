@@ -30,7 +30,8 @@ a caller carries against that one pivot, so the rows stay reduced as
 the space grows; `ColumnSpace.add` is the two in turn.  `Matrix.rank` and
 `Matrix.kernel_basis` feed the rows into one reducer.
 One back-substitution, `_kernel`, reads a kernel off its pivots sorted
-by lead (`ColumnSpace.kernel`) as integer numerators over one common
+by lead (`ColumnSpace.kernel`, and `separation.separator_forms` on
+triangular systems cut from them) as integer numerators over one common
 denominator, residues over 1 for F_p; scalars are built only for the
 entries a caller keeps.  A kernel basis is the unique one with one
 vector per non-pivot column set to 1, so results are reproducible bit
@@ -417,13 +418,6 @@ class ColumnSpace:
     @property
     def rank(self):
         return len(self.pivots)
-
-    def copy(self) -> "ColumnSpace":
-        """A reducer with the same pivots; adding to either leaves the
-        other as it was (the pivot vectors are never mutated)."""
-        other = ColumnSpace(self.field)
-        other.pivots = self.pivots.copy()
-        return other
 
     def reduce(self, vec):
         """vec reduced against the current pivots, as plain ints: all zero

@@ -19,21 +19,20 @@ For plane configurations of n + 3 points with n + 1 (or n) of them on
 a line through (1:0:0) avoiding the two coordinate vertices, a family
 of n + 4 monomials of degree n suffices; `separator_forms` produces one
 certified separator per point inside that family, or reports the
-configuration as degenerate.  The separators of a point are the kernel
-of the other points' evaluation rows.  Those n + 3 leave-one-out
-systems share their eliminations: the reducers are built by divide and
-conquer, copying a reducer and adding one half of a range before
-recursing into the other half, about (n + 3) log2(n + 3) row additions
-in all instead of (n + 3)(n + 2).  A kernel basis with one vector per
-free column set to 1 is unique for its row space, so the separators do
-not depend on the order in which the rows were eliminated.  The
-separators come back on ints, one kernel vector per point; only
-`cli lemma26`, which prints them, builds scalars.
+configuration as degenerate.  The separators of point j are the kernel
+of A_{-j}, the evaluation matrix A of all n + 3 points without row j.
+All of them come from one elimination of [A | I]: a point has a
+separator exactly when no dependency among the rows of A involves it,
+and when A has full rank each separator is w_j, the solution of
+A w_j = e_j that is zero at A's one non-lead column, scaled to 1 at its
+last nonzero entry, which one back-substitution per point reads off.
+The separators come back on ints, one normalized vector per point;
+only `cli lemma26`, which prints them, builds scalars.
 """
 
 from __future__ import annotations
 
-from zeroreg.exactalg import ColumnSpace, QQ
+from zeroreg.exactalg import ColumnSpace, QQ, _kernel
 from zeroreg.forms import _power_tables, cleared_form, monomials_of_degree
 from zeroreg.scheme import FiniteScheme, ProjPoint, reduced_germ
 
@@ -225,28 +224,6 @@ def _monomial_values(vec, mons, degree, p):
     return out
 
 
-def _leave_one_out(space, rows, lo, hi):
-    """Yield, for each j in [lo, hi) in order, a reducer holding `space`
-    and every row of rows[lo:hi] except rows[j].
-
-    Divide and conquer: a copy of `space` takes the right half and
-    serves the left half, then `space` itself takes the left half and
-    serves the right half, so each row is added once per level, about
-    len(rows) * log2(len(rows)) adds in all.  `space` is consumed; a
-    yielded reducer is not changed afterwards."""
-    if hi - lo == 1:
-        yield space
-        return
-    mid = (lo + hi) // 2
-    left = space.copy()
-    for row in rows[mid:hi]:
-        left.add(row)
-    yield from _leave_one_out(left, rows, lo, mid)
-    for row in rows[lo:mid]:
-        space.add(row)
-    yield from _leave_one_out(space, rows, mid, hi)
-
-
 def separator_forms(config: SeparatorConfig):
     """One degree-n separator per configuration point, each a linear
     combination of the n + 4 family monomials vanishing at every other
@@ -255,36 +232,55 @@ def separator_forms(config: SeparatorConfig):
 
     Returned on ints, as (mons, vectors): the family monomials
     (`separator_monomial_basis`) and, per point, its separator's
-    coefficients on them as a (numerators, den) pair of plain ints, as
-    `ColumnSpace.kernel` yields it (residues and den 1 over F_p).  The
-    separator is {m: field.scalar(v, den)} over the nonzero v; the int
-    form {m: v} is den times it, with the same zeros.
+    coefficients on them as a (numerators, den) pair of plain ints,
+    `field.normal_form` of the separator at its last nonzero entry f:
+    primitive integers with den = numerators[f] > 0 over Q, residues
+    with den = numerators[f] = 1 over F_p.  The separator is
+    {m: field.scalar(v, den)} over the nonzero v; the int form {m: v} is
+    den times it, with the same zeros.
 
-    The separators of point j are the kernel of the evaluation rows of
-    the other points.  The leave-one-out reducers share their
-    eliminations (`_leave_one_out`), and each point's kernel is read off
-    its reducer's pivots.  The kernel basis with one vector per free
-    column set to 1 depends only on the row space, so it is the basis
-    `Matrix(other rows).kernel_basis()` returns; the separator is its
-    first vector that does not vanish at the point, tested as an int
-    dot product."""
+    The n + 3 rows [A_j | e_j] (point j's monomial values, then row j of
+    the identity) go into one reducer; sorted by lead, its pivots are
+    [R | L] with R = L A an echelon form of A.
+    - Point j has a separator exactly when A_j is not in the span of the
+      other rows, that is when no left-kernel vector of A is nonzero at
+      j.  The pivots leading inside the identity block have R = 0, and
+      their L parts are a basis of that left kernel: the first point
+      without a separator is the least index in the union of their
+      supports.
+    - Otherwise A has rank n + 3, and R leaves out one column c0.  ker A
+      is spanned by k0, whose last nonzero entry is at c0, and ker A_{-j}
+      = span(k0, w_j), where A w_j = e_j and w_j[c0] = 0.  The kernel
+      basis of `Matrix(other rows).kernel_basis()`, one vector per free
+      column set to 1, is k0 and w_j scaled to 1 at its last nonzero
+      entry, and the separator is its one vector that does not vanish at
+      point j, the second.  R w_j = L e_j is triangular once c0 is
+      dropped, so `_kernel` reads -w_j off those pivots with L's column
+      j appended as their only free column."""
     field = config.field
     p = field.modulus
     mons = separator_monomial_basis(config.n)
-    values = [_monomial_values(pt.vec, mons, config.n, p) for pt in config.points]
+    width, count = len(mons), len(config.points)
+    space = ColumnSpace(field)
+    for j, pt in enumerate(config.points):
+        row = _monomial_values(pt.vec, mons, config.n, p) + [0] * count
+        row[width + j] = 1
+        space.add(row)
+    pivots = sorted(space.pivots)
+    dependencies = [row[width:] for c, row in pivots if c >= width]
+    if dependencies:
+        j = min(i for row in dependencies for i, v in enumerate(row) if v)
+        raise DegenerateConfiguration(
+            "no separator for point %d inside the monomial family" % j
+        )
+    c0 = next((i for i, (c, _) in enumerate(pivots) if c != i), width - 1)
+    triangular = [(c - (c > c0), row[:c0] + row[c0 + 1:width]) for c, row in pivots]
     out = []
-    spaces = _leave_one_out(ColumnSpace(field), values, 0, len(values))
-    for j, space in enumerate(spaces):
-        own = values[j]
-        for x, den in space.kernel(len(mons)):
-            val = sum(a * b for a, b in zip(own, x))
-            if p is not None:
-                val %= p
-            if val:
-                break
-        else:
-            raise DegenerateConfiguration(
-                "no separator for point %d inside the monomial family" % j
-            )
-        out.append((x, den))
+    for col in range(width, width + count):
+        system = [(c, r + [row[col]]) for (c, r), (_, row) in zip(triangular, pivots)]
+        (y, _), = _kernel(system, width, p)
+        y = y[:c0] + [0] + y[c0:-1]
+        f = max(i for i, v in enumerate(y) if v)
+        x = field.normal_form(y, f)
+        out.append((x, x[f]))
     return mons, out

@@ -285,9 +285,9 @@ def test_prime_field_kernels_match_gauss_jordan_reference(p):
 
 @pytest.mark.parametrize("p", [0, 7, 2**31 - 1])
 def test_column_space_kernel_does_not_depend_on_the_row_order(p):
-    # separator_forms reads kernels off reducers fed in another order
-    # than Matrix.kernel_basis feeds them; the plain-int vectors must
-    # still be the basis kernel_basis returns
+    # ColumnSpace.kernel reads its basis off the span alone: a reducer
+    # fed the rows in another order than Matrix.kernel_basis feeds them
+    # must still give, as plain ints, the basis kernel_basis returns
     field = QQ if p == 0 else prime_field(p)
     rng = random.Random(300 + p)
     for _ in range(200):

@@ -355,11 +355,34 @@ F7 = prime_field(7)
 F31 = prime_field(2**31 - 1)
 
 
+@pytest.mark.parametrize("field", [QQ, F7, F31])
+def test_separator_forms_adds_each_point_once(field, monkeypatch):
+    # one reducer takes each point's row [A_j | e_j] once, separable or
+    # not: n + 3 adds
+    adds = []
+    original_add = ColumnSpace.add
+    monkeypatch.setattr(ColumnSpace, "add",
+                        lambda space, vec: adds.append(1) or original_add(space, vec))
+    configs = [
+        ([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (1, 2, 3)]),
+        ([1, 2, 3, -1], 1, 2, [(1, 1, 1), (1, 0, 1)]),
+        ([1, 2, 3, -1, -2, -3], 3, -2, [(1, 0, 1), (2, 1, 5)]),
+        ([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (0, 0, 1)]),
+    ]
+    outcomes = set()
+    for args in configs:
+        cfg = SeparatorConfig(*args, field)
+        adds.clear()
+        outcomes.add(_outcome(_scalar_separators, cfg)[0])
+        assert len(adds) == cfg.n + 3
+    assert outcomes == {"forms", "degenerate"}
+
+
 def _separator_forms_reference(config):
-    """The per-point solver the shared leave-one-out eliminations
-    replaced: for each point j, the kernel basis of the other points'
-    evaluation rows from scratch, and its first vector that does not
-    vanish at j.  Values are taken in the field, unscaled."""
+    """The per-point solver that one elimination of [A | I] replaced:
+    for each point j, the kernel basis of the other points' evaluation
+    rows from scratch, and its first vector that does not vanish at j.
+    Values are taken in the field, unscaled."""
     field = config.field
     mons = separator_monomial_basis(config.n)
     values = []
@@ -430,6 +453,13 @@ def separator_inputs(draw):
 @example((QQ, [1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (0, 0, 1)]))
 @example((F7, [1, 2, 3, 4], 1, 1, [(0, 1, 0), (0, 0, 1)]))
 @example((F31, [Fraction(1, 2), 3, 5], 2, 3, [(1, 0, 1), (1, 1, 0), (0, 0, 1)]))
+# full rank, case 1, n = 6: the echelon form of the evaluation rows
+# leaves out the family's second-to-last monomial, not its last
+@example((QQ, [6, -9, 4, 9, 3, -7, -3], 8, -8, [(6, 3, -1), (4, 2, 8)]))
+# rank n + 1, two short: the three off-line points at U = 0 are
+# dependent, and point 5, the first of them, is the first without a
+# separator
+@example((QQ, [-8, -9, 3, -2, -4], 4, 5, [(0, 8, -4), (0, -9, -4), (0, -5, 7)]))
 def test_separator_forms_match_the_per_point_solver(inputs):
     field, us, a, b, offs = inputs
     try:
