@@ -20,9 +20,10 @@ nonzero entry, and a zero entry there gives None), and `modulus` p, or
 None for Q.
 
 Elimination is one single-pivot step, `_eliminate`, in an incremental
-reducer on plain ints, `ColumnSpace`: over Q by cross-multiplication,
-then division by the content, so entries stay integral without Bareiss
-divisions; over F_p on residues, each pivot scaled to lead with 1.
+reducer on plain ints, `ColumnSpace`: one cross-multiplication for both
+fields, with no inverse (fraction-free, as in Bareiss 1968), then over
+Q division by the content, so entries stay integral and small, and over
+F_p reduction mod p.  A pivot keeps the nonzero lead it was reduced to.
 `ColumnSpace.reduce` takes a vector through `field.ints` and steps it
 against the pivots kept so far, in push order; `ColumnSpace.push`
 appends a reduced vector as the newest pivot, last, and steps each row
@@ -32,7 +33,8 @@ the space grows; `ColumnSpace.add` is the two in turn.  `Matrix.rank` and
 One back-substitution, `_kernel`, reads a kernel off its pivots sorted
 by lead (`ColumnSpace.kernel`, and `separation.separator_forms` on
 triangular systems cut from them) as integer numerators over one common
-denominator, residues over 1 for F_p; scalars are built only for the
+denominator, the same loop on residues for F_p with one inverse per
+vector to bring the denominator to 1; scalars are built only for the
 entries a caller keeps.  A kernel basis is the unique one with one
 vector per non-pivot column set to 1, so results are reproducible bit
 for bit and do not depend on the order the rows were fed in.
@@ -195,11 +197,14 @@ def prime_field(p: int):
 
         @staticmethod
         def normal_form(vec, lead=None):
-            x = next((r for r in (v % p for v in vec) if r), 0) if lead is None else vec[lead] % p
-            if not x:
-                return None
-            inv = pow(x, -1, p)
-            return tuple(v * inv % p for v in vec)
+            for x in vec if lead is None else (vec[lead],):
+                x %= p
+                if x:
+                    if x == 1:
+                        return tuple([v % p for v in vec])
+                    inv = pow(x, -1, p)
+                    return tuple([v * inv % p for v in vec])
+            return None
 
         def __add__(self, other):
             return FpElement(self.value + FpElement(other).value)
@@ -296,11 +301,12 @@ def _kernel(pivots, width, p):
     sorted by lead, one vector per free column with that column set to
     1, yielded lazily as (numerators, denominator) pairs of plain ints.
 
-    Over Q (p None) the vector is kept as integer numerators over one
-    running common denominator, and each pivot step rescales the
-    numerators set so far instead of dividing.  Over F_p the pivots
-    lead with 1, so the scale is 1, each step is a residue and the
-    denominator stays 1.
+    The vector is kept as integer numerators over one running common
+    denominator, and each pivot step rescales the numerators set so far
+    by the pivot's lead over its gcd with the step's sum instead of
+    dividing.  Over F_p the same loop runs on the residue rows, and one
+    inverse of the denominator per vector takes the result to residues
+    over 1.
     """
     pivot_set = {c for c, _ in pivots}
     for f in range(width):
@@ -323,7 +329,10 @@ def _kernel(pivots, width, p):
                     if x[j]:
                         x[j] *= scale
                 den *= scale
-            x[c] = -(s // g) if p is None else -s % p
+            x[c] = -(s // g)
+        if p is not None:
+            inv = pow(den, -1, p)
+            x, den = [v * inv % p for v in x], 1
         yield x, den
 
 
@@ -380,17 +389,16 @@ class Matrix:
 
 def _eliminate(v, idx, piv, p):
     """The one elimination step: v with its entry at idx cleared by the
-    pivot piv leading there.  Over Q (p None) by cross-multiplication,
-    then division by the content, so entries stay integral and small;
-    over F_p on residues, piv leading with 1.  The caller tests v[idx]
-    first, so no step is taken on a zero head."""
-    head = v[idx]
+    pivot piv leading there, by cross-multiplication, piv[idx] v -
+    v[idx] piv.  Over Q (p None) then divided by the content, so entries
+    stay integral and small; over F_p taken mod p, with no inverse.  The
+    caller tests v[idx] first, so no step is taken on a zero head."""
+    head, scale = v[idx], piv[idx]
     if p is None:
-        scale = piv[idx]
         v = [scale * a - head * b for a, b in zip(v, piv)]
         g = gcd(*v)
         return [a // g for a in v] if g > 1 else v
-    return [(a - head * b) % p for a, b in zip(v, piv)]
+    return [(scale * a - head * b) % p for a, b in zip(v, piv)]
 
 
 class ColumnSpace:
@@ -404,10 +412,11 @@ class ColumnSpace:
     vector) pairs in push order, the newest last: distinct leads, each
     vector zero before its lead and at every earlier pivot's lead, so
     `reduce` steps through them in that order, and sorted by lead they
-    are an echelon form of the span.  The vectors are plain ints: over
-    the rationals coprime integers reduced by cross-multiplication,
-    over F_p residues mod p (plain ints are taken mod p on entry) scaled
-    to lead with 1."""
+    are an echelon form of the span.  The vectors are plain ints reduced
+    by cross-multiplication and kept at the nonzero lead that left them:
+    over the rationals coprime integers, over F_p residues mod p (plain
+    ints are taken mod p on entry).  No pivot is rescaled, so no step
+    takes an inverse."""
 
     __slots__ = ("field", "pivots")
 
@@ -431,20 +440,16 @@ class ColumnSpace:
 
     def push(self, v, pending=()) -> bool:
         """Take v, already reduced against the current pivots, as a new
-        pivot unless it is zero (over F_p scaled to lead with 1), then
-        eliminate its lead from each row of `pending` in place.  Rows
-        reduced against the old pivots stay reduced against the new ones,
-        since v is zero at every earlier lead.  Returns True if the rank
-        grew."""
+        pivot as it is, unscaled, unless it is zero, then eliminate its
+        lead from each row of `pending` in place.  Rows reduced against
+        the old pivots stay reduced against the new ones, since v is zero
+        at every earlier lead.  Returns True if the rank grew."""
         for lead, a in enumerate(v):
             if a:
                 break
         else:
             return False
         p = self.field.modulus
-        if p is not None:
-            inv = pow(v[lead], -1, p)
-            v = [a * inv % p for a in v]
         self.pivots.append((lead, v))
         for k, w in enumerate(pending):
             if w[lead]:

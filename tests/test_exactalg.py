@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from zeroreg import exactalg
 from zeroreg.exactalg import (
     QQ,
     ColumnSpace,
@@ -22,6 +23,9 @@ from zeroreg.exactalg import (
     prime_field,
     scalar_str,
 )
+from zeroreg.harness import GeneratorSpec, gen_scheme
+from zeroreg.normality import hilbert_function
+from zeroreg.scheme import invariant_t
 
 
 def _mul_vec(rows, vec):
@@ -162,7 +166,7 @@ def test_column_space_prime_field():
     # plain ints are residues after reduction mod p: 14 is a zero lead
     cs = ColumnSpace(prime_field(7))
     assert cs.add([14, 3, 7 * 10**12 + 5])
-    assert cs.pivots == [(1, [0, 1, 4])]
+    assert cs.pivots == [(1, [0, 3, 5])]
 
 
 def test_kernel_regression_zero_head_rows():
@@ -281,6 +285,27 @@ def test_prime_field_kernels_match_gauss_jordan_reference(p):
         shapes["deficient"] += len(pivots) < min(len(rows), ncols)
         shapes["zero_row"] += any(all(x == 0 for x in row) for row in rows)
     assert all(count > 30 for count in shapes.values()), shapes
+    # plain int rows, entries shifted by multiples of p and some of them
+    # multiples of p: the pivots keep the leads they were reduced to,
+    # and the kernel still comes out as residues over 1
+    leads = {"one": 0, "other": 0}
+    for _ in range(400):
+        ncols = rng.randint(1, 7)
+        basis = [[rng.choice((0, rng.randint(-9, 9))) + p * rng.randint(-2, 2)
+                  for _ in range(ncols)] for _ in range(rng.randint(0, 4))]
+        rows = [[sum(rng.randint(-3, 3) * b[j] for b in basis) + p * rng.randint(-2, 2)
+                 for j in range(ncols)] for _ in range(rng.randint(1, 5))]
+        space = ColumnSpace(F)
+        for row in rows:
+            space.add(row)
+        for lead, v in space.pivots:
+            leads["one" if v[lead] == 1 else "other"] += 1
+        want = _fraction_kernel(rows, ncols, F)
+        got = list(space.kernel(ncols))
+        assert all(den == 1 and all(0 <= v < p for v in x) for x, den in got)
+        assert [tuple(F(v) for v in x) for x, _ in got] == want
+        assert Matrix(rows, field=F, ncols=ncols).kernel_basis() == want
+    assert leads["other"] > 200 and leads["one"] > 0, leads
 
 
 @pytest.mark.parametrize("p", [0, 7, 2**31 - 1])
@@ -416,7 +441,7 @@ def test_column_space_pivots_are_an_echelon_form(p):
             if field is QQ:
                 assert gcd(*v) == 1
             else:
-                assert v[lead] == 1 and all(0 <= x < p for x in v)
+                assert v[lead] % p != 0 and all(0 <= x < p for x in v)
     assert inserted_before_a_lead > 20
 
 
@@ -532,3 +557,91 @@ def test_prime_field_boundary_is_the_residues(p, tagged, num, den):
         with pytest.raises(ZeroDivisionError):
             F.scalar(num, den)
     assert F.scalar(num) == F(num)
+
+
+def _generator_normal_form(vec, lead, p):
+    """FpElement.normal_form as two nested generators that find the
+    lead, always inverting it: the reference for the plain loop."""
+    x = next((r for r in (v % p for v in vec) if r), 0) if lead is None else vec[lead] % p
+    if not x:
+        return None
+    inv = pow(x, -1, p)
+    return tuple(v * inv % p for v in vec)
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_prime_field_normal_form_matches_the_generator_reference(p):
+    F = prime_field(p)
+    rng = random.Random(700 + p)
+    seen = dict.fromkeys(("lead one", "zero lead", "all zero", "other"), 0)
+    for trial in range(3000):
+        width = rng.randint(1, 7)
+        vec = [rng.choice((0, rng.randint(-9, 9), rng.randint(-10**15, 10**15),
+                           p * rng.randint(-3, 3))) for _ in range(width)]
+        lead = rng.randrange(width) if trial % 2 else None
+        kind = trial % 8 // 2
+        if kind == 1:  # the lead residue is 1 already
+            k = rng.randrange(width) if lead is None else lead
+            if lead is None:
+                vec[:k] = [p * rng.randint(-2, 2) for _ in range(k)]
+            vec[k] = 1 + p * rng.randint(-3, 3)
+        elif kind == 2 and lead is not None:  # a zero residue at the lead
+            vec[lead] = p * rng.randint(-3, 3)
+        elif kind >= 2:  # the zero vector, as unreduced ints
+            vec = [p * rng.randint(-3, 3) for _ in range(width)]
+        want = _generator_normal_form(vec, lead, p)
+        assert F.normal_form(vec, lead) == want
+        if lead is None:
+            assert F.normal_form(vec) == want
+        if want is None:
+            seen["zero lead" if lead is not None and any(v % p for v in vec) else "all zero"] += 1
+        else:
+            first = lead if lead is not None else next(i for i, v in enumerate(vec) if v % p)
+            seen["lead one" if vec[first] % p == 1 else "other"] += 1
+    assert all(count > 300 for count in seen.values()), seen
+
+
+def test_prime_field_elimination_takes_no_inverse(monkeypatch):
+    # over F_p a step is the Q cross-multiplication taken mod p and a
+    # pivot keeps the lead it was reduced to, so the reducer and the
+    # searches on it invert nothing; a kernel vector takes one inverse
+    # at most, for its denominator
+    p = 2**31 - 1
+    F = prime_field(p)
+    rng = random.Random(31)
+    specs = [GeneratorSpec(3, degree=7, general_position=True, field=F, seed=1),
+             GeneratorSpec(3, degree=8, collinear=4, max_germ_length=2, field=F, seed=2),
+             GeneratorSpec(4, degree=9, max_germ_length=3, field=F, seed=3),
+             GeneratorSpec(2, degree=6, collinear=3, secant=True, max_germ_length=2,
+                           field=F, seed=4)]
+    schemes = [gen_scheme(spec) for spec in specs]
+    inverses = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inverses.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(exactalg, "pow", counting_pow, raising=False)
+    # the count sees the inverses exactalg takes
+    assert F.normal_form([0, 2, 5]) == (0, 1, 5 * (p + 1) // 2 % p) and inverses == [2]
+    inverses.clear()
+    nonunit = kernel_inverses = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        space = ColumnSpace(F)
+        for _ in range(rng.randint(1, 8)):
+            space.add([rng.randint(-10**12, 10**12) if rng.random() < 0.7
+                       else p * rng.randint(-2, 2) for _ in range(ncols)])
+        assert inverses == []
+        nonunit += sum(v[lead] != 1 for lead, v in space.pivots)
+        for count, _ in enumerate(space.kernel(ncols), 1):
+            assert len(inverses) <= count
+        kernel_inverses += len(inverses)
+        inverses.clear()
+    assert nonunit > 500 and kernel_inverses > 100
+    for x in schemes:
+        invariant_t(x)
+        for k in range(x.degree):
+            hilbert_function(x, k)
+    assert inverses == []
