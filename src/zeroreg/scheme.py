@@ -38,14 +38,15 @@ spanned by its first two rows).  A subspace's cutting forms are read as
 ints too (`LinearSubspace.int_forms`, cleared once on one common scale).
 
 The searches feed the rows to the `ColumnSpace` reducer of `exactalg`.
-`invariant_t` is a depth-first search, germ by germ and one row at a
-time, on one reducer: a branch pushes its rows, the newest pivot last,
-and truncates the pivots on return, so subschemes sharing a prefix share
-its elimination; it carries each later germ's first row reduced against
-the branch, so a node's pivot is taken out of those rows once
-(`ColumnSpace.push`) and a child tests its first row for zero without
-reducing it.  A branch ends at its first dependent row and is cut once
-it cannot beat the least dependent degree found.
+`invariant_t` searches the smaller side of the row matroid: the
+prefix-closed subschemes on their rows, or, when the K = d - R
+dependencies among the rows are fewer than their rank R, the
+suffix-closed complements on the K-wide Gale columns.  Each search is
+depth-first, germ by germ, on one reducer: a branch pushes, the newest
+pivot last, and truncates the pivots on return; it carries each later
+germ's first row (column) reduced against the branch, so a node's pivot
+is taken out of those once (`ColumnSpace.push`) and a child tests its
+first one without reducing it.
 `max_collinear_length` keys each candidate line by its normalised
 Pluecker vector and groups the supports by line from the keys of their
 pairs; a line's score is then a sum over its supports (1, or the germ's
@@ -522,30 +523,29 @@ def enumerate_subschemes(scheme: FiniteScheme, length: int):
     yield from rec(0, length, [])
 
 
-def invariant_t(scheme: FiniteScheme) -> int:
-    """The largest k such that every subscheme of degree at most k + 1
-    spans a linear space of projective dimension exactly one less than
-    its degree.  A single point yields 1 by convention.
+def _parallel(w, v, lead, p):
+    """Whether w is a multiple of v (zero included), v leading at `lead`:
+    exactly when w reduced against v alone is zero, tested without
+    building the reduced row."""
+    a, b = w[lead], v[lead]
+    if p is None:
+        return all(b * x == a * y for x, y in zip(w, v))
+    return all((b * x - a * y) % p == 0 for x, y in zip(w, v))
 
-    A subscheme's rows are prefixes of its germs' blocks, and one that
-    contains a dependent subscheme is dependent, so k is (the least
-    degree of a dependent subscheme) - 2, or d - 1 when none is.  The
-    search is depth-first, germ by germ and one row at a time, on one
-    reducer that a branch pushes its rows onto and truncates on return:
-    subschemes sharing a prefix share its elimination, a branch ends at
-    its first dependent row, and branches that cannot beat the least
-    dependent degree found are cut.  Row 0 of every later germ is
-    carried down the path reduced against the branch: a node that adds a
-    pivot steps those rows against it alone, so a child's first row is
-    dependent exactly when its carried row is zero; a germ's deeper rows
-    are reduced against the branch in full.
-    Guarded by the enumeration cap on the scheme degree."""
-    d = scheme.degree
-    if d == 1:
-        return 1
-    _check_cap(scheme)
-    blocks = [g.int_rows() for g in scheme.germs]
-    least, space = d + 1, ColumnSpace(scheme.field)
+
+def _least_dependent_prefix(blocks, field):
+    """The least degree of a dependent subscheme of the germs' row blocks,
+    or d + 1 when none is.
+
+    Depth-first, germ by germ and one row at a time, on one reducer that
+    a branch pushes its rows onto and truncates on return, so subschemes
+    sharing a prefix share its elimination.  A branch ends at its first
+    dependent row and is cut once it cannot beat the least found.  Row 0
+    of each later germ is carried down reduced against the branch, so a
+    child tests it for zero; on the last level that can beat it, it is
+    only tested for being a multiple of the new pivot (`_parallel`)."""
+    p, space = field.modulus, ColumnSpace(field)
+    least = sum(map(len, blocks)) + 1
 
     def walk(start, heads, base):
         # space: base rows from the germs before start, then germ start +
@@ -564,12 +564,115 @@ def invariant_t(scheme: FiniteScheme) -> int:
                     break
                 if rank + 2 >= least:
                     break  # a longer branch could not beat least
-                space.push(v, pending)
-                walk(start + j + 1, pending, rank + 1)
+                if rank + 3 < least:
+                    space.push(v, pending)
+                    walk(start + j + 1, pending, rank + 1)
+                    continue
+                space.push(v)  # the children would only test their heads
+                if any(_parallel(w, v, space.pivots[-1][0], p) for w in pending):
+                    least = rank + 2
             del space.pivots[base:]
 
     walk(0, [block[0] for block in blocks], 0)
-    return least - 2
+    return least
+
+
+def _largest_suffix(cols, field, corank):
+    """The largest size of a suffix-closed set T of rows (each germ's last
+    ones) whose Gale columns have rank below `corank`; cols[i] holds germ
+    i's columns, its last row first.
+
+    The walk of `_least_dependent_prefix` on the columns: a column in the
+    span extends T without using rank.  Once the rank is corank - 1, no
+    column may add a pivot, so a subtree's best takes each germ's run of
+    columns in the span, read in one scan, later germs' first columns by
+    `_parallel`.  A branch is cut once it cannot beat the best found, and
+    the search stops once T holds all rows but three: every subscheme of
+    degree 2 is independent, so the least dependent degree is at least 3."""
+    p, space, best = field.modulus, ColumnSpace(field), 0
+    rest = list(itertools.accumulate(map(len, reversed(cols))))[::-1]
+    limit = rest[0] - 3
+
+    def run(block):
+        # how many of the block's leading columns lie in the span
+        n = 0
+        for col in block:
+            if any(space.reduce(col)):
+                break
+            n += 1
+        return n
+
+    if corank == 1:
+        return sum(map(run, cols))
+
+    def walk(start, heads, size):
+        # space: the columns of T, of rank below corank - 1; heads[j]:
+        # germ start + j's first column reduced to the space
+        nonlocal best
+        base = space.rank
+        for j, head in enumerate(heads):
+            if min(size + rest[start + j], limit) <= best:
+                return
+            pending, block = heads[j + 1:], cols[start + j]
+            for k, col in enumerate(block, 1):
+                v = space.reduce(col) if k > 1 else head
+                if any(v):
+                    if space.rank + 2 == corank:
+                        space.push(v)
+                        lead = space.pivots[-1][0]
+                        best = max(best, size + k + run(block[k:]) + sum(
+                            1 + run(cols[i][1:]) for i, w in enumerate(pending, start + j + 1)
+                            if _parallel(w, v, lead, p)))
+                        break
+                    space.push(v, pending)
+                best = max(best, size + k)
+                walk(start + j + 1, pending, size + k)
+            del space.pivots[base:]
+
+    walk(0, [block[0] for block in cols], 0)
+    return best
+
+
+def invariant_t(scheme: FiniteScheme) -> int:
+    """The largest k such that every subscheme of degree at most k + 1
+    spans a linear space of projective dimension exactly one less than
+    its degree.  A single point yields 1 by convention.
+
+    A subscheme's rows are prefixes of its germs' blocks, and one that
+    contains a dependent subscheme is dependent, so k is (the least
+    degree of a dependent subscheme) - 2, or d - 1 when none is.  Below
+    d = 2(N + 1) one elimination of the rows [r_i | e_i] gives their rank
+    R and, in the pivots leading in the identity block, a basis of their
+    K = d - R dependencies; K = 0 gives d - 1.  By matroid duality
+    (Oxley, Matroid Theory, 2nd ed., ch. 2: r*(X) = |X| - r(E) + r(E - X))
+    a subscheme is dependent exactly when the Gale columns of the other
+    rows (the basis read one row at a time) have rank below K.  So when
+    0 < K < R the least dependent degree is d less the largest
+    suffix-closed set of rows (each germ's last ones) of column rank
+    below K, found by `_largest_suffix`; otherwise
+    `_least_dependent_prefix` searches the rows.
+    Guarded by the enumeration cap on the scheme degree."""
+    d = scheme.degree
+    if d == 1:
+        return 1
+    _check_cap(scheme)
+    field, width = scheme.field, scheme.ambient + 1
+    blocks = [g.int_rows() for g in scheme.germs]
+    if d < 2 * width:
+        space = ColumnSpace(field)
+        for i, row in enumerate(itertools.chain.from_iterable(blocks)):
+            unit = [0] * d
+            unit[i] = 1
+            space.add(row + unit)
+        kernel = [v[width:] for lead, v in space.pivots if lead >= width]
+        corank = len(kernel)
+        if not corank:
+            return d - 1
+        if corank < d - corank:
+            columns = iter(zip(*kernel))
+            cols = [list(itertools.islice(columns, len(block)))[::-1] for block in blocks]
+            return d - _largest_suffix(cols, field, corank) - 2
+    return _least_dependent_prefix(blocks, field) - 2
 
 
 def apply_matrix(scheme: FiniteScheme, matrix: Matrix) -> FiniteScheme:

@@ -273,6 +273,9 @@ def separator_forms(config: SeparatorConfig):
         raise DegenerateConfiguration(
             "no separator for point %d inside the monomial family" % j
         )
+    # each pivot in its field's normal form at its lead, once: over F_p
+    # the back-substitutions then step on leads 1 and rescale nothing
+    pivots = [(c, list(field.normal_form(row, c))) for c, row in pivots]
     c0 = next((i for i, (c, _) in enumerate(pivots) if c != i), width - 1)
     triangular = [(c - (c > c0), row[:c0] + row[c0 + 1:width]) for c, row in pivots]
     out = []

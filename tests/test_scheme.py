@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeroreg import exactalg
 from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
 from zeroreg.forms import monomials_of_degree, series_mul
 from zeroreg.harness import GenerationExhausted, GeneratorSpec, _draw_germ, gen_scheme
@@ -716,6 +717,17 @@ def _random_subspace(rng, x):
             return sub
 
 
+def _row_matroid(x):
+    """(R, K, free) for the scheme's rows: their rank, the number K = d - R
+    of independent dependencies among them, and whether some row lies in
+    none, its Gale column being zero (removing it drops the rank)."""
+    rows = _scalar_rows(x)
+    rank = Matrix(rows, field=x.field).rank()
+    free = any(Matrix(rows[:i] + rows[i + 1:], field=x.field, ncols=len(rows[0])).rank() < rank
+               for i in range(len(rows)))
+    return rank, len(rows) - rank, free
+
+
 def _invariant_t_reference(x):
     """Every selector of every degree, level by level, ranked afresh."""
     d = x.degree
@@ -836,37 +848,116 @@ def _hilbert_mix_spec(rng, field):
 
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
 def test_invariant_t_matches_the_reference_on_hilbert_mix_schemes(field, monkeypatch):
-    # the search pushes a germ's row 1 with the same carried rows as its
-    # row 0; a push in between came from a branch below row 0, so such a
-    # pair is a deeper row pushed after that sibling branch has returned
-    seen, after_sibling, last = [], 0, None
-    push = ColumnSpace.push
+    # counts[search]: pivot counts after the pushes of the prefix search
+    # (rows, N + 1 wide) or the suffix search (Gale columns, narrower);
+    # the elimination's rows are wider.  Only a germ's deeper rows are
+    # reduced in a search, and one reduced below the last count comes
+    # after a sibling branch that pushed past it has returned.
+    counts, after_sibling = {"prefix": [], "suffix": []}, {"prefix": 0, "suffix": 0}
+    push, reduce = ColumnSpace.push, ColumnSpace.reduce
+
+    def search(vec):
+        return None if len(vec) > width else "prefix" if len(vec) == width else "suffix"
 
     def recording_push(self, v, pending=()):
-        nonlocal after_sibling, last
-        after_sibling += last is not pending and any(p is pending for p in seen)
-        seen.append(pending)
-        last = pending
-        return push(self, v, pending)
+        grew = push(self, v, pending)
+        if search(v):
+            counts[search(v)].append(self.rank)
+        return grew
+
+    def recording_reduce(self, vec):
+        seen = counts.get(search(vec))
+        if seen:
+            after_sibling[search(vec)] += seen[-1] > self.rank
+        return reduce(self, vec)
 
     monkeypatch.setattr(ColumnSpace, "push", recording_push)
+    monkeypatch.setattr(ColumnSpace, "reduce", recording_reduce)
     rng = random.Random(26 + (0 if field is QQ else field.modulus % 1000))
-    levels, compared = set(), 0
-    for _ in range(36):
+    levels, compared, sides, width = set(), 0, {"prefix": 0, "suffix": 0}, 0
+    for _ in range(144):
         try:
             x = gen_scheme(_hilbert_mix_spec(rng, field))
         except GenerationExhausted:
             continue
-        del seen[:]
-        last = None
+        width = x.ambient + 1
+        for seen in counts.values():
+            seen.clear()
         t = invariant_t(x)
+        width = 0  # record the searches of this call alone
         assert t == _invariant_t_reference(x)
         levels.add(t)
         compared += 1
-    assert compared >= 25
-    # dependent subschemes of degree 3, and deeper rows past a sibling
+        rank, corank, _ = _row_matroid(x)
+        if corank:
+            sides["suffix" if corank < rank and x.degree < 2 * x.ambient + 2 else "prefix"] += 1
+    assert compared >= 100
+    # dependent subschemes of degree 3, both searches, and deeper rows
+    # past a sibling in each (measured: at least 43 schemes a side, and
+    # over F_7 25 such rows in the prefix search and 5 in the suffix one)
     assert min(levels) == 1 and max(levels) >= 3
-    assert after_sibling >= 100
+    assert min(sides.values()) >= 40
+    assert after_sibling["prefix"] >= 20 and after_sibling["suffix"] >= 5
+
+
+def _embedded(x, n):
+    """The scheme x of P^m as a scheme of P^n, n > m, inside the span of
+    the first m + 1 coordinates: its rows then reach rank at most m + 1."""
+    pad = n - x.ambient
+    return FiniteScheme([CurvilinearGerm(g.series + ((0,) * g.length,) * pad, x.field, g.chart)
+                         for g in x.germs], x.field)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)])
+def test_invariant_t_matches_the_reference_on_both_sides_of_the_row_matroid(field):
+    # below d = 2(N + 1) the search side is set by the rank R of the rows
+    # and the number K = d - R of dependencies; a third of the schemes
+    # lie in a smaller coordinate space, so that K >= R comes up too
+    rng = random.Random(31 + (0 if field is QQ else field.modulus % 1000))
+    seen = set()
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        m = rng.choice((n, n, rng.randint(1, n - 1)))
+        x = _random_scheme(rng, field, m, box=rng.choice((1, 1, 3)))
+        if m < n:
+            x = _embedded(x, n)
+        t = invariant_t(x)
+        assert t == _invariant_t_reference(x)
+        rank, corank, free = _row_matroid(x)
+        if x.degree >= 2 * (n + 1):
+            seen.add("d >= 2(N + 1)")
+        elif not 0 < corank < rank:
+            seen.add("K = 0" if not corank else "K = R" if corank == rank else "K > R")
+        else:
+            seen.update(name for name, hit in (
+                ("suffix, K = 1", corank == 1), ("suffix, K = R - 1", corank == rank - 1),
+                ("suffix, t = 1", t == 1), ("suffix, a row in no dependency", free),
+                ("suffix, a germ of length 4", max(g.length for g in x.germs) == 4)) if hit)
+    assert seen == {"d >= 2(N + 1)", "K = 0", "K = R", "K > R", "suffix, K = 1",
+                    "suffix, K = R - 1", "suffix, t = 1", "suffix, a row in no dependency",
+                    "suffix, a germ of length 4"}
+
+
+def test_invariant_t_on_general_points_searches_the_dependencies(monkeypatch):
+    # d points of the rational normal curve of P^N are in linearly general
+    # position, so t = N.  With K = d - N - 1 < N + 1 dependencies the
+    # search walks K-wide columns: 12 points in P^9 take the C(12, 2) = 66
+    # steps of the one elimination and none after it (4,072 steps in the
+    # row search), and 10 points in P^5 take 122 (841 in the row search)
+    steps = 0
+    eliminate = exactalg._eliminate
+
+    def counting_eliminate(*args):
+        nonlocal steps
+        steps += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(exactalg, "_eliminate", counting_eliminate)
+    for n, d, most in ((9, 12, 66), (5, 10, 130)):
+        x = scheme_of_points([[a ** k for k in range(n + 1)] for a in range(1, d + 1)])
+        steps = 0
+        assert invariant_t(x) == n
+        assert steps <= most
 
 
 def test_germ_int_rows_are_the_rows_cleared():

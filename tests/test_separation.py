@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
+from zeroreg import separation
 from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
 from zeroreg.forms import evaluate_form, monomials_of_degree, series_mul
 from zeroreg.harness import (
@@ -376,6 +377,28 @@ def test_separator_forms_adds_each_point_once(field, monkeypatch):
         outcomes.add(_outcome(_scalar_separators, cfg)[0])
         assert len(adds) == cfg.n + 3
     assert outcomes == {"forms", "degenerate"}
+
+
+@pytest.mark.parametrize("field", [F7, F31])
+def test_prime_field_separators_back_substitute_on_leads_one(field, monkeypatch):
+    # each pivot goes through field.normal_form once per call, so over
+    # F_p every per-point back-substitution steps on leads 1 and rescales
+    # none of the vectors it builds
+    leads = []
+    kernel = separation._kernel
+
+    def recording_kernel(pivots, width, p):
+        leads.extend(row[c] for c, row in pivots)
+        return kernel(pivots, width, p)
+
+    monkeypatch.setattr(separation, "_kernel", recording_kernel)
+    for args in ([1, 2, 3, -1], 1, 2, [(1, 1, 1), (1, 0, 1)]), \
+            ([1, 2, 3, -1, -2, -3], 3, -2, [(1, 0, 1), (2, 1, 5)]):
+        cfg = SeparatorConfig(*args, field)
+        leads.clear()
+        got = _outcome(_scalar_separators, cfg)
+        assert got[0] == "forms" and got == _outcome(_separator_forms_reference, cfg)
+        assert len(leads) == (cfg.n + 3) ** 2 and set(leads) == {1}
 
 
 def _separator_forms_reference(config):
