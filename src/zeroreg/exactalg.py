@@ -41,6 +41,8 @@ for bit and do not depend on the order the rows were fed in.
 
 Scalars never cross fields silently: comparing an F_p element with a
 Fraction or with an element of another prime field raises TypeError.
+F_p elements have no arithmetic: they are built for documents and
+printing only, so a stray F_p operation raises TypeError too.
 
 Scalar text has one grammar over both fields: an optional sign, decimal
 digits and an optional "/digits", with whitespace around the whole; F_p
@@ -163,7 +165,9 @@ def prime_field(p: int):
     elements of the same field as they are, ints mod p, and anything
     else as the rational number it is (a string in the one scalar
     grammar, any other value through Fraction) to num * den^-1 mod p.
-    A denominator that p divides raises ZeroDivisionError.
+    A denominator that p divides raises ZeroDivisionError.  An element
+    is a tag on its residue `value`: it compares, hashes and prints,
+    and has no arithmetic.
     """
     if not 3 <= p < _MR_BOUND or not is_probable_prime(p):
         raise ValueError(f"prime_field needs an odd prime below 3.3e24, got {p}")
@@ -205,39 +209,6 @@ def prime_field(p: int):
                     inv = pow(x, -1, p)
                     return tuple([v * inv % p for v in vec])
             return None
-
-        def __add__(self, other):
-            return FpElement(self.value + FpElement(other).value)
-
-        __radd__ = __add__
-
-        def __sub__(self, other):
-            return FpElement(self.value - FpElement(other).value)
-
-        def __rsub__(self, other):
-            return FpElement(FpElement(other).value - self.value)
-
-        def __mul__(self, other):
-            return FpElement(self.value * FpElement(other).value)
-
-        __rmul__ = __mul__
-
-        def __truediv__(self, other):
-            o = FpElement(other)
-            if o.value == 0:
-                raise ZeroDivisionError("division by zero in F_p")
-            return FpElement(self.value * pow(o.value, -1, p))
-
-        def __rtruediv__(self, other):
-            if self.value == 0:
-                raise ZeroDivisionError("division by zero in F_p")
-            return FpElement(FpElement(other).value * pow(self.value, -1, p))
-
-        def __neg__(self):
-            return FpElement(-self.value)
-
-        def __pow__(self, e):
-            return FpElement(pow(self.value, e, p))
 
         def __eq__(self, other):
             if isinstance(other, FpElement):

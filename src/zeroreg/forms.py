@@ -132,7 +132,7 @@ def evaluate_form(f, point, field=QQ):
 def series_mul(a, b, length=None):
     if length is None:
         length = min(len(a), len(b))
-    out = [a[0] * b[0] * 0] * length
+    out = [0] * length
     for i, x in enumerate(a[:length]):
         if x == 0:
             continue

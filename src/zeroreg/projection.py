@@ -81,7 +81,8 @@ class NonCurvilinearFiber(ValueError):
 
 
 def _coord_key(point: ProjPoint):
-    return tuple(c if isinstance(c, Fraction) else int(c.value) for c in point.coords)
+    lead = next(v for v in point.vec if v)
+    return tuple(Fraction(v, lead) for v in point.vec)
 
 
 def project_point(point: ProjPoint, center: LinearSubspace) -> ProjPoint:

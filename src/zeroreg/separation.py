@@ -162,14 +162,15 @@ class SeparatorConfig:
     misses (0:1:0) and (0:0:1)); two off-line points give the
     (n+1)-aligned case, three give the n-aligned case."""
 
-    __slots__ = ("n", "case", "a", "b", "aligned", "off", "field")
+    __slots__ = ("n", "case", "aligned", "off", "field")
 
     def __init__(self, aligned_u, a, b, off_points, field=QQ):
-        a, b = field(a), field(b)
+        # u, a and b (ints, Fractions or elements of `field`) go to ints
+        # on one common scale, which moves no point (u : a : b)
+        *us, a, b = field.ints([*aligned_u, a, b])
         if a == 0 or b == 0:
             raise ValueError("the line parameters a, b must be nonzero")
-        us = [field(u) for u in aligned_u]
-        if any(u == 0 for u in us):
+        if 0 in us:
             raise ValueError("aligned points must have nonzero first coordinate")
         if len(set(us)) != len(us):
             raise ValueError("aligned points must be distinct")
@@ -185,16 +186,13 @@ class SeparatorConfig:
         n = len(us) + len(off) - 3
         if n < 2:
             raise ValueError("too few points: need n >= 2")
-        (a_int, b_int), _ = field.cleared([a, b])
         for p in off:
-            if not any(field.ints([b_int * p.vec[1] - a_int * p.vec[2]])):
+            if not any(field.ints([b * p.vec[1] - a * p.vec[2]])):
                 raise ValueError("off-line point lies on the line")
         if len(set(off)) != len(off):
             raise ValueError("off-line points must be distinct")
         self.n = n
         self.case = case
-        self.a = a
-        self.b = b
         self.aligned = tuple(ProjPoint((u, a, b), field) for u in us)
         self.off = tuple(off)
         self.field = field

@@ -97,14 +97,19 @@ def test_rank_equals_rank_of_transpose(rows):
 
 
 def test_prime_field_arithmetic():
+    # what an element keeps: construction, equality with elements and
+    # ints, hashing and printing; its arithmetic is gone
     F = prime_field(101)
-    a, b = F(7), F(45)
-    assert a + b == F(52)
-    assert a * b == F(7 * 45 % 101)
-    assert (a / b) * b == a
-    assert -a == F(94)
-    assert a ** 3 == F(pow(7, 3, 101))
-    assert F("3/4") * F(4) == F(3)
+    assert F(7) == F(108) == F(-94) == F(F(7)) == 7 and F(7) != F(8)
+    assert F("3/4") == F(Fraction(3, 4)) == 3 * pow(4, -1, 101) % 101
+    for bad in ("3/202", Fraction(1, 101)):
+        with pytest.raises(ZeroDivisionError):
+            F(bad)
+    assert hash(F(7)) == hash(F(108)) and len({F(7), F(108), F(8)}) == 2
+    assert str(F(-1)) == "100" and repr(F(3)) == "Fp(3 mod 101)"
+    assert not F(101) and F(3)
+    with pytest.raises(TypeError):
+        F(7) + F(45)
 
 
 def test_prime_field_requires_odd_prime():
@@ -196,8 +201,8 @@ def test_scalar_round_trip():
 
 
 def _fraction_rref(rows, width, field=Fraction):
-    """Reference: Gauss-Jordan over Fractions (or the elements of a prime
-    field).  Returns (rows, pivots)."""
+    """Reference: Gauss-Jordan over Fractions (or over `_gf(F)`).
+    Returns (rows, pivots)."""
     rows = [[field(v) for v in row] for row in rows]
     pivots = []
     r = 0
@@ -229,6 +234,22 @@ def _fraction_kernel(rows, width, field=Fraction):
             x[c] = -reduced[i][f]
         basis.append(tuple(x))
     return basis
+
+
+def _gf(F):
+    """The reference's arithmetic over F = prime_field(p): an int, a
+    Fraction or an element of F as an element of sympy's GF(p)."""
+    K = GF(F.modulus, symmetric=False)
+
+    def element(x):
+        x = Fraction(x.value if type(x) is F else x)
+        return K(x.numerator) / K(x.denominator)
+    return element
+
+
+def _gf_kernel(rows, width, F):
+    """`_fraction_kernel` over `_gf(F)`, as elements of F."""
+    return [tuple(F(int(x)) for x in v) for v in _fraction_kernel(rows, width, _gf(F))]
 
 
 def _random_rational_matrix(rng):
@@ -271,10 +292,10 @@ def test_prime_field_kernels_match_gauss_jordan_reference(p):
         rows, ncols = _random_rational_matrix(rng)
         rows = [[F(x) for x in row] for row in rows]
         m = Matrix(rows, field=F, ncols=ncols)
-        _, pivots = _fraction_rref(rows, ncols, F)
+        _, pivots = _fraction_rref(rows, ncols, _gf(F))
         assert m.rank() == len(pivots)
         got = m.kernel_basis()
-        assert got == _fraction_kernel(rows, ncols, F)
+        assert got == _gf_kernel(rows, ncols, F)
         assert all(type(x) is F for v in got for x in v)
         columns, row_space = ColumnSpace(F), ColumnSpace(F)
         for j in range(ncols):
@@ -300,7 +321,7 @@ def test_prime_field_kernels_match_gauss_jordan_reference(p):
             space.add(row)
         for lead, v in space.pivots:
             leads["one" if v[lead] == 1 else "other"] += 1
-        want = _fraction_kernel(rows, ncols, F)
+        want = _gf_kernel(rows, ncols, F)
         got = list(space.kernel(ncols))
         assert all(den == 1 and all(0 <= v < p for v in x) for x, den in got)
         assert [tuple(F(v) for v in x) for x, _ in got] == want
@@ -552,7 +573,7 @@ def test_prime_field_boundary_is_the_residues(p, tagged, num, den):
     assert F.cleared(row) == (want, 1)
     assert F.modulus == p and QQ.modulus is None
     if den % p:
-        assert F.scalar(num, den) == F(num) / F(den)
+        assert F.scalar(num, den).value * den % p == num % p
     else:
         with pytest.raises(ZeroDivisionError):
             F.scalar(num, den)

@@ -147,7 +147,7 @@ def _rand_chart_scheme(rng, field):
             for i in range(n + 1):
                 if i != chart:
                     tail = [Fraction(rng.randint(-4, 4), den) for _ in range(length - 1)]
-                    jets.append([field(coords[i]) / field(coords[chart])] + tail)
+                    jets.append([field(Fraction(coords[i], coords[chart]))] + tail)
             if length >= 2 and all(j[1] == 0 for j in jets):
                 jets[0][1] = field(Fraction(1, den))
             germs.append(make_germ(coords, chart, jets, field))
@@ -179,7 +179,7 @@ def _rand_sparse_scheme(rng, field):
                     tail = [0 if straight and k > 1
                             else rng.choice((0, 0, 7, -14, Fraction(7, 2), 1, -2))
                             for k in range(1, length)]
-                    jets.append([field(coords[i]) / field(coords[chart])]
+                    jets.append([field(Fraction(coords[i], coords[chart]))]
                                 + [field(c) for c in tail])
             if length >= 2 and all(j[1] == 0 for j in jets):
                 jets[rng.randrange(n)][1] = field(1)

@@ -76,9 +76,8 @@ FIELDS = [QQ, prime_field(7), prime_field(2**31 - 1)]
 def _lead_one(coords, field):
     """Reference: the scalars of a point scaled so the first nonzero
     coordinate is 1, as points were stored before they kept ints."""
-    coords = [field(c) for c in coords]
-    lead = next((c for c in coords if c != 0), None)
-    return None if lead is None else tuple(c / lead for c in coords)
+    lead = next((c for c in coords if field(c) != 0), None)
+    return None if lead is None else tuple(field(Fraction(c, lead)) for c in coords)
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,6 +114,19 @@ def test_points_and_scalars_of_two_fields_do_not_compare():
         ProjPoint((1, 2), F) == ProjPoint((1, 2), prime_field(11))
     with pytest.raises(TypeError):
         ProjPoint((1, 2), F).coords[1] == Fraction(2)
+
+
+def _arith(field):
+    """Scalars with arithmetic for the references, and the way back to
+    `field`: Fractions over Q, sympy's GF(p) over F_p."""
+    if field is QQ:
+        return Fraction, QQ
+    K = sympy.GF(field.modulus, symmetric=False)
+
+    def lift(x):
+        x = Fraction(x.value if type(x) is field else x)
+        return K(x.numerator) / K(x.denominator)
+    return lift, lambda v: field(int(v))
 
 
 def _series_quotient(a, b):
@@ -174,10 +186,10 @@ def test_germ_views_match_the_scalar_construction(field, length, seed):
     chart = rng.randrange(n + 1)
     if field(coords[chart]) == 0:
         coords[chart] = 1
-    lead = field(coords[chart])
     jets = [None if i == chart else
-            (field(c) / lead,) + tuple(field(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-                                       for _ in range(length - 1))
+            (field(Fraction(c, coords[chart])),)
+            + tuple(field(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                    for _ in range(length - 1))
             for i, c in enumerate(coords)]
     if length >= 2 and all(j[1] == 0 for j in jets if j is not None):
         jets[(chart + 1) % (n + 1)] = jets[(chart + 1) % (n + 1)][:1] + (field(1),) * (length - 1)
@@ -188,10 +200,12 @@ def test_germ_views_match_the_scalar_construction(field, length, seed):
         _assert_views(g.truncate(k), _scalar_views(g.support, chart, short, field))
     # the arc point + t * direction, divided by its first unit series
     direction = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in coords]
-    base = ProjPoint(coords, field).coords
-    series = [((c, field(v)) + (field(0),) * length)[:length] for c, v in zip(base, direction)]
+    lift, back = _arith(field)
+    base = [lift(c) for c in ProjPoint(coords, field).coords]
+    series = [((c, lift(v)) + (lift(0),) * length)[:length] for c, v in zip(base, direction)]
     unit = next(i for i, s in enumerate(series) if s[0] != 0)
-    ref = [None if i == unit else _series_quotient(s, series[unit]) for i, s in enumerate(series)]
+    ref = [None if i == unit else tuple(map(back, _series_quotient(s, series[unit])))
+           for i, s in enumerate(series)]
     if length >= 2 and all(j[1] == 0 for j in ref if j is not None):
         with pytest.raises(ValueError, match="degenerate arc"):
             germ_on_line(coords, direction, length, field)
@@ -242,15 +256,17 @@ def test_evaluate_form_against_sympy_series():
 
 def _uncached_composition(g, form):
     """Reference: every monomial rebuilt from the scalar coordinate series
-    of the arc by repeated multiplication, chart coordinate included."""
-    out = _constant_series(0, g.length, g.field)
+    of the arc by repeated multiplication, chart coordinate included,
+    on `_arith`'s scalars."""
+    lift, back = _arith(g.field)
+    out = _constant_series(0, g.length, lift)
     for mon, coeff in form.items():
-        term = _constant_series(coeff, g.length, g.field)
+        term = _constant_series(coeff, g.length, lift)
         for i, e in enumerate(mon):
             for _ in range(e):
-                term = series_mul(term, _hom_series(g, i), g.length)
+                term = series_mul(term, [lift(v) for v in _hom_series(g, i)], g.length)
         out = tuple(a + b for a, b in zip(out, term))
-    return out
+    return tuple(map(back, out))
 
 
 def _rand_germ(rng, field, length):
@@ -260,12 +276,11 @@ def _rand_germ(rng, field, length):
         chart = rng.randrange(n + 1)
         if coords[chart] % 7:
             break
-    lead = field(coords[chart])
     jets = []
     for i in range(n + 1):
         if i != chart:
             tail = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(length - 1)]
-            jets.append([field(coords[i]) / lead] + tail)
+            jets.append([field(Fraction(coords[i], coords[chart]))] + tail)
     if length >= 2 and all(j[1] == 0 for j in jets):
         jets[0][1] = field(1)
     return make_germ(coords, chart, jets, field)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
+from sympy import GF
 
 from zeroreg import separation
 from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
@@ -125,18 +126,33 @@ def test_family_rank_partial():
     assert family_rank(x, [{(0, 0, 0): Fraction(1)}]) == 1
 
 
+def _arith(field):
+    """Scalars with arithmetic for the references, and the way back to
+    `field`: Fractions over Q, sympy's GF(p) over F_p."""
+    if field is QQ:
+        return Fraction, QQ
+    K = GF(field.modulus, symmetric=False)
+
+    def lift(x):
+        x = Fraction(x.value if type(x) is field else x)
+        return K(x.numerator) / K(x.denominator)
+    return lift, lambda v: field(int(v))
+
+
 def _composed(g, form):
-    """Reference: the form composed with the arc on scalars, from the
-    jets with the chart coordinate 1, every power multiplied out."""
-    zero = g.field(0)
+    """Reference: the form composed with the arc on `_arith`'s scalars,
+    from the jets with the chart coordinate 1, every power multiplied
+    out."""
+    lift, back = _arith(g.field)
+    zero = lift(0)
     out = [zero] * g.length
     for mon, coeff in form.items():
-        term = (g.field(coeff),) + (zero,) * (g.length - 1)
+        term = (lift(coeff),) + (zero,) * (g.length - 1)
         for i, e in enumerate(mon):
             for _ in range(0 if i == g.chart else e):
-                term = series_mul(term, g.jets[i])
+                term = series_mul(term, [lift(v) for v in g.jets[i]])
         out = [a + b for a, b in zip(out, term)]
-    return out
+    return [back(v) for v in out]
 
 
 def _fiber_schemes(field):
@@ -225,7 +241,8 @@ def test_separator_config_structure():
     cfg = make_case2_config()
     assert (cfg.n, cfg.case) == (3, 2)
     assert len(cfg.points) == 6
-    line = LinearSubspace(2, [(0, cfg.b, -cfg.a)])
+    a = b = 1  # the line b*T1 = a*T2 of make_case2_config
+    line = LinearSubspace(2, [(0, b, -a)])
     for p in cfg.aligned:
         assert line.contains_point(p)
     assert line.contains_point(ProjPoint((1, 0, 0)))
@@ -405,25 +422,26 @@ def _separator_forms_reference(config):
     """The per-point solver that one elimination of [A | I] replaced:
     for each point j, the kernel basis of the other points' evaluation
     rows from scratch, and its first vector that does not vanish at j.
-    Values are taken in the field, unscaled."""
+    Values are taken in the field (on `_arith`'s scalars), unscaled."""
     field = config.field
+    lift, back = _arith(field)
     mons = separator_monomial_basis(config.n)
     values = []
     for p in config.points:
         row = []
         for mon in mons:
-            v = field(1)
+            v = lift(1)
             for x, e in zip(p.coords, mon):
-                v = v * x ** e
+                v = v * lift(x) ** e
             row.append(v)
         values.append(row)
     out = []
     for j in range(len(values)):
-        candidates = Matrix([values[i] for i in range(len(values)) if i != j],
+        candidates = Matrix([[back(v) for v in values[i]] for i in range(len(values)) if i != j],
                             field=field, ncols=len(mons)).kernel_basis()
         chosen = None
         for v in candidates:
-            if sum((x * y for x, y in zip(values[j], v)), field(0)) != 0:
+            if sum((x * lift(y) for x, y in zip(values[j], v)), lift(0)) != 0:
                 chosen = v
                 break
         if chosen is None:
@@ -568,15 +586,27 @@ def _config_outcome(us, a, b, offs, field):
     return _outcome(_scalar_separators, cfg)
 
 
+@st.composite
+def fractional_config_inputs(draw):
+    """A field F_p, n = 2..5, a case, and the parameters of a
+    configuration as Fractions whose denominators p does not divide."""
+    F = draw(st.sampled_from((F7, F31)))
+    n, case = draw(st.integers(2, 5)), draw(st.sampled_from((1, 2)))
+    frac = _fractions_over(F.modulus)
+    us = draw(st.lists(frac, min_size=n + 2 - case, max_size=n + 2 - case))
+    a, b = draw(frac), draw(frac)
+    offs = draw(st.lists(st.tuples(frac, frac, frac), min_size=case + 1, max_size=case + 1))
+    return F, us, a, b, offs
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from((F7, F31)), st.integers(2, 5), st.sampled_from((1, 2)), st.data())
-def test_separator_config_from_fractions_matches_their_images(F, n, case, data):
+@given(fractional_config_inputs())
+# u, a and b over one denominator, 3, which their common clearing removes
+@example((F31, [Fraction(1, 3), Fraction(2, 3), Fraction(-4, 3)], Fraction(2, 3),
+          Fraction(5, 3), [(1, 0, 1), (1, 1, 0)]))
+def test_separator_config_from_fractions_matches_their_images(inputs):
+    F, us, a, b, offs = inputs
     p = F.modulus
-    frac = _fractions_over(p)
-    us = data.draw(st.lists(frac, min_size=n + 2 - case, max_size=n + 2 - case))
-    a, b = data.draw(frac), data.draw(frac)
-    offs = data.draw(st.lists(st.tuples(frac, frac, frac),
-                              min_size=case + 1, max_size=case + 1))
     images = ([_image(u, p) for u in us], _image(a, p), _image(b, p),
               [tuple(_image(c, p) for c in q) for q in offs])
     assert _config_outcome(us, a, b, offs, F) == _config_outcome(*images, F)
