@@ -79,6 +79,12 @@ MAX_DEGREE = 10000
 # allows take 0.10 s at k = 10,000.
 SEPARATE_BUDGET = 2500000
 
+# The largest `verify --trials`, checked before the harness is imported.
+# `run_suite` builds its argument tuples, about 106 bytes a trial, before
+# the first trial; `mather_consistency`, the slowest suite over Q, takes
+# 1.4-1.8 ms a trial on a 2-core Xeon VM, so the cap is 2-3 minutes.
+MAX_TRIALS = 100000
+
 # The `verify --suite` choices.  `harness.SUITE_NAMES` is the authority
 # and a test keeps the two equal; spelling them out here spares every
 # other command the import of the harness.
@@ -275,6 +281,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials > MAX_TRIALS:
+        raise ValueError("--trials must be <= %d, got %d" % (MAX_TRIALS, args.trials))
     from .harness import run_suite
 
     report = run_suite(args.suite, args.trials, args.seed,

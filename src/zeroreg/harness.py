@@ -4,15 +4,15 @@ Every suite draws its inputs from a splittable 64-bit seed stream, so a
 run is reproducible from (suite, trials, seed) alone and parallel runs
 agree byte-for-byte with serial ones.  Generators plant the features a
 suite needs (collinear subsets, long secants, specific fiber shapes),
-then verify them post hoc.  `_redraw` redraws degenerate attempts and
-counts them, never silently; only `gen_scheme`, whose exhaustion message
-names the misses by feature, counts in a loop of its own, and the
-coordinate helpers (`_draw_point`, `_off_point`, ...) retry uncounted.
+then verify them post hoc.  `_redraw`, the one counted loop, redraws
+degenerate attempts and counts them, never silently, naming the misses
+by reason on exhaustion; the coordinate helpers (`_draw_point`,
+`_off_point`, ...) retry uncounted.
 
-Verification always goes through the exact rank oracles, and so does
-`gen_scheme`'s check of what it planted: `_missed_feature` asks
-`max_collinear_length` for the collinear length and `invariant_t` for
-general position.  A failing trial is reported with a replayable JSON
+Verification and every check of what a generator planted go through the
+library's exact oracles: `max_collinear_length` and `invariant_t` for
+`gen_scheme`, `recipe_separates` for the conic fibers and `Matrix.rank`
+for the separators.  A failing trial is reported with a replayable JSON
 artifact.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import Counter
 from math import comb
 
 from .exactalg import Matrix, QQ, prime_field
@@ -31,7 +32,6 @@ from .forms import (
     cleared_form_values,
     poly_derivative,
     poly_mul,
-    poly_pseudo_rem,
     poly_sub,
 )
 from .jsonio import scheme_to_jsonable
@@ -69,7 +69,9 @@ from .scheme import (
     span_dim,
     subspace_from_rows,
 )
-from .separation import DegenerateConfiguration, SeparatorConfig, recipe_separates, separator_forms, separator_monomial_basis
+from .separation import (DegenerateConfiguration, SeparatorConfig, recipe_separates,
+                         separator_forms, separator_monomial_basis, standard_recipe,
+                         t_monomial)
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -94,7 +96,8 @@ class GenerationExhausted(Exception):
 
 
 class _Retry(Exception):
-    """Internal: the current attempt hit a degenerate draw."""
+    """Internal: the current attempt hit a degenerate draw.  An optional
+    reason names the miss for `_redraw`'s exhaustion message."""
 
 
 class _Redraws:
@@ -110,12 +113,19 @@ class _Redraws:
 def _redraw(log, attempt, exhausted, tries=200):
     """The result of the first call of `attempt()` that does not raise
     _Retry, counting each _Retry in `log`; `exhausted` is raised after
-    `tries` calls.  Other exceptions pass through uncounted."""
+    `tries` calls, its message followed by "; misses: " and the count of
+    each reason the retries named, in first-seen order.  Other
+    exceptions pass through uncounted."""
+    misses = Counter()
     for _ in range(tries):
         try:
             return attempt()
-        except _Retry:
+        except _Retry as retry:
             log.bump()
+            misses.update(retry.args)
+    if misses:
+        raise type(exhausted)("%s; misses: %s" % (
+            exhausted, ", ".join("%s %d" % m for m in misses.items())))
     raise exhausted
 
 
@@ -304,31 +314,30 @@ def _missed_feature(spec: GeneratorSpec, x: FiniteScheme):
 
 
 def gen_scheme(spec: GeneratorSpec, log: _Redraws = None) -> FiniteScheme:
-    """Draw a scheme with the requested features; degenerate attempts
-    are redrawn (counted in `log`) and exhaustion raises instead of
+    """Draw a scheme with the requested features.  Each attempt that is
+    degenerate or misses a planted feature is a `_redraw` retry named by
+    its miss (counted in `log`), and exhaustion raises instead of
     looping, naming how many draws missed each feature."""
     rng = random.Random(spec.seed)
-    misses = {}
-    for _ in range(200):
+
+    def attempt():
         try:
             x = _build_scheme(spec, rng)
         except _Retry:
-            miss = "degenerate draw"
-        else:
-            miss = _missed_feature(spec, x)
-            if miss is None:
-                return x
-        misses[miss] = misses.get(miss, 0) + 1
-        if log:
-            log.bump()
-    raise GenerationExhausted("could not realize the planted features "
-                              "(ambient %d, degree %d, collinear %r); misses: %s"
-                              % (spec.ambient, spec.degree, spec.collinear,
-                                 ", ".join("%s %d" % m for m in misses.items())))
+            raise _Retry("degenerate draw") from None
+        miss = _missed_feature(spec, x)
+        if miss is not None:
+            raise _Retry(miss)
+        return x
+
+    return _redraw(log or _Redraws(), attempt,
+                   GenerationExhausted("could not realize the planted features "
+                                       "(ambient %d, degree %d, collinear %r)"
+                                       % (spec.ambient, spec.degree, spec.collinear)))
 
 
 # ---------------------------------------------------------------------------
-# plane fiber generators (all in P^2) with closed-form frame certificates
+# plane fiber generators (all in P^2)
 
 # The coordinate box of the plane draws: fibers and separator off points.
 _PLANE_BOX = (-9, 9)
@@ -388,68 +397,40 @@ def _line_scheme(rng, field, line_lengths, off_lengths=()):
         raise _Retry from None
 
 
-def _conic_eval(row, tau):
-    return row[0] + row[1] * tau + row[2] * tau ** 2
-
-
-def _conic_tangent(row, tau):
-    return row[1] + 2 * row[2] * tau
-
-
-def conic_frame_certificate(rows, parameters, field=QQ) -> bool:
-    """Exact test that the standard separator frame separates the given
-    divisor on the conic parameterized by `rows`: with u, t1 the first
-    two coordinate restrictions and pi the divisor polynomial, the
-    family has full rank iff pi and t1^3 stay independent modulo u.
-    `parameters` lists (tau, multiplicity) pairs.  The rows must form an
-    invertible matrix (a smooth conic); frames whose first row is not
-    honestly quadratic are reported unseparated so callers redraw them.
-
-    Runs on ints (`field.ints`: coprime integers over Q, residues over
-    F_p) with pseudo-remainders, which scale a and b by powers of u's
-    lead, nonzero in the field, so the determinant keeps its zero test.
-    """
-    u = field.ints(rows[0])
-    t1 = field.ints(rows[1])
-    if len(u) != 3 or u[2] == 0:
-        return False
-    pi = (1,)
-    for tau, mult in parameters:
-        factor = tuple(field.ints([-tau, 1]))
-        for _ in range(mult):
-            pi = poly_mul(pi, factor)
-    a = poly_pseudo_rem(pi, u) + (0, 0)
-    b = poly_pseudo_rem(poly_mul(poly_mul(t1, t1), t1), u) + (0, 0)
-    return any(field.ints([a[0] * b[1] - a[1] * b[0]]))
+# The degree-3 separator family of a six-unit fiber on a conic.
+_CONIC_RECIPE = standard_recipe(extra={3: [t_monomial(2, (3, 0))]})
 
 
 def _conic_scheme(rng, field, with_germ):
-    """Six units of degree on a smooth conic through a random frame,
-    certified separable by the degree-3 separator family."""
+    """Six units of degree on the smooth conic tau -> rows . (1, tau,
+    tau^2) of a random invertible frame whose first row is honestly
+    quadratic (a nonzero tau^2 coefficient, tested before the build),
+    kept only when `_CONIC_RECIPE` separates it at degree 3."""
     for _ in range(80):
         rows = [tuple(row) for row in _random_invertible(rng, 3, field).data]
         count = 5 if with_germ else 6
         taus = rng.sample(range(-9, 10), count)
         parameters = [(taus[0], 2)] + [(t, 1) for t in taus[1:]] if with_germ \
             else [(t, 1) for t in taus]
-        if not conic_frame_certificate(rows, parameters, field):
+        if not field.ints(rows[0])[2]:
             continue
         germs, used = [], set()
         try:
             for tau, mult in parameters:
-                coords = tuple(_conic_eval(r, tau) for r in rows)
-                p = ProjPoint(coords, field)
+                p = ProjPoint(tuple(r[0] + r[1] * tau + r[2] * tau ** 2 for r in rows), field)
                 if p in used:
                     raise _Retry
                 used.add(p)
                 if mult == 1:
                     germs.append(reduced_germ(p, field))
                 else:
-                    tangent = tuple(_conic_tangent(r, tau) for r in rows)
+                    tangent = tuple(r[1] + 2 * r[2] * tau for r in rows)
                     germs.append(germ_on_line(p, tangent, 2, field))
-            return FiniteScheme(germs, field)
+            x = FiniteScheme(germs, field)
         except (ValueError, _Retry):
             continue
+        if recipe_separates(x, _CONIC_RECIPE, 3):
+            return x
     raise _Retry
 
 
@@ -662,7 +643,8 @@ def _trial_lemma26(rng, field, index, log):
     # vectors are ints over Q and residues over F_p, and gap 0, as every
     # family monomial has degree n.  The forms core evaluates them on
     # ProjPoint.vec, a nonzero multiple of each point, not the solver's
-    # own monomial tables, so the check stays independent of the solver
+    # own monomial tables, so the check stays independent of the solver.
+    # The int rows are the scalar rows times nonzero scales: same rank
     allowed = set(separator_monomial_basis(n))
     confined = all(m in allowed for x, _ in vectors for m, v in zip(mons, x) if v)
     _, deg, terms = cleared_form(dict.fromkeys(mons, 1), field)
@@ -671,9 +653,7 @@ def _trial_lemma26(rng, field, index, log):
     rows = cleared_form_values(cleared, [(p.vec, 1) for p in config.points], field.modulus)
     diagonal = all((i == j) != (value == 0)
                    for i, row in enumerate(rows) for j, value in enumerate(row))
-    # nonzeros exactly on i == j: the rank is the diagonal's length; the
-    # int rows are the scalar rows with nonzero row and column scales
-    rank = min(len(rows), len(rows[0])) if diagonal else Matrix(rows, field=field).rank()
+    rank = Matrix(rows, field=field).rank()
     sig = (n, case, confined, diagonal, rank)
     if not (confined and diagonal and rank == n + 3):
         return sig, _fail("separator solver postcondition failed", config.scheme(),

@@ -523,6 +523,19 @@ def test_verify_prime_field(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_verify_trials_over_the_cap_exit_two_before_the_harness_loads():
+    # in a fresh process, so that the harness is not already imported;
+    # exit 99 would mean the cap was checked after the import
+    probe = ("import sys; from zeroreg.cli import main; code = main(sys.argv[1:]); "
+             "sys.exit(99 if 'zeroreg.harness' in sys.modules else code)")
+    argv = ["verify", "--suite", "prop1_2", "--trials", str(cli.MAX_TRIALS + 1)]
+    proc = subprocess.run([sys.executable, "-c", probe] + argv,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --trials must be <= %d, got %d\n" % (
+        cli.MAX_TRIALS, cli.MAX_TRIALS + 1)
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     code, _, err = run_cli(["hilbert", "--scheme", str(tmp_path / "nope.json"),
                             "--max-degree", "3"], capsys)

@@ -19,14 +19,15 @@ from zeroreg.harness import (
     GeneratorSpec,
     SuiteReport,
     SUITE_NAMES,
+    _CONIC_RECIPE,
     _FIBER_TYPES,
     _TRIALS,
     _build_scheme,
+    _conic_scheme,
     _gen_fiber_instance,
     _redraw,
     _Redraws,
     _Retry,
-    conic_frame_certificate,
     gen_scheme,
     run_suite,
     trial_seed,
@@ -48,7 +49,7 @@ from zeroreg.scheme import (
     max_collinear_length,
     reduced_germ,
 )
-from zeroreg.separation import recipe_separates, standard_recipe, t_monomial
+from zeroreg.separation import recipe_separates
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,16 @@ def test_redraw_raises_the_given_exhaustion_after_its_tries():
     assert log.count == 7 and len(calls) == 7
 
 
+def test_redraw_names_the_reasons_of_its_misses():
+    # each retry counts; the named ones are tallied in first-seen order
+    log = _Redraws()
+    attempt, calls = _attempts(_Retry("a"), _Retry("b"), _Retry("a"), _Retry())
+    with pytest.raises(GenerationExhausted) as exhausted:
+        _redraw(log, attempt, GenerationExhausted("x"), tries=4)
+    assert str(exhausted.value) == "x; misses: a 2, b 1"
+    assert log.count == 4 and len(calls) == 4
+
+
 def test_redraw_passes_an_inner_exhaustion_through_uncounted():
     # a curve generator exhausted inside a Mather attempt ends the trial
     log = _Redraws()
@@ -252,14 +263,14 @@ def test_the_bump_check_sees_a_new_counting_site():
 
 
 def test_redraws_are_counted_in_one_place():
-    # _redraw is the one counted loop; gen_scheme keeps its own because
-    # its exhaustion message names the misses by feature
+    # _redraw is the one counted loop; gen_scheme names its misses by
+    # feature through the reasons its retries carry
     path = Path(__file__).resolve().parent.parent / "src" / "zeroreg" / "harness.py"
-    assert _bump_sites(ast.parse(path.read_text(), str(path))) == ["_redraw", "gen_scheme"]
+    assert _bump_sites(ast.parse(path.read_text(), str(path))) == ["_redraw"]
 
 
 # ---------------------------------------------------------------------------
-# the conic frame certificate
+# the conic fiber family
 
 
 def _conic_points(rows, taus):
@@ -270,76 +281,36 @@ def _conic_points(rows, taus):
     return FiniteScheme(germs, QQ)
 
 
-_CONIC_RECIPE = standard_recipe(extra={3: [t_monomial(2, (3, 0))]})
-
-
-def test_certificate_rejects_the_axis_frame():
+def test_conic_family_rejects_the_axis_frame():
     rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    taus = [-3, -1, 0, 1, 2, 4]
-    assert not conic_frame_certificate(rows, [(t, 1) for t in taus])
-    x = _conic_points(rows, taus)
+    x = _conic_points(rows, [-3, -1, 0, 1, 2, 4])
     assert not recipe_separates(x, _CONIC_RECIPE, 3)
     assert min_normal_degree(x) == 3
 
 
-def test_certificate_matches_the_rank_oracle_on_a_generic_frame():
+def test_conic_family_separates_a_generic_frame():
     rows = [(1, 1, 1), (0, 1, 1), (1, 0, 1)]
     for taus in ([-4, -2, 0, 1, 3, 5], [-9, -5, -1, 2, 6, 8], [0, 1, 2, 3, 4, 5]):
-        cert = conic_frame_certificate(rows, [(t, 1) for t in taus])
-        oracle = recipe_separates(_conic_points(rows, taus), _CONIC_RECIPE, 3)
-        assert cert == oracle
-        assert cert
+        assert recipe_separates(_conic_points(rows, taus), _CONIC_RECIPE, 3)
 
 
-def test_certificate_is_the_rank_oracle_on_quadratic_frames():
-    # in both directions; on the first two frames the pseudo-remainders
-    # satisfy a0 b1 = -a1 b0 != 0, so the determinant's sign matters
-    cases = [([(-1, 0, 1), (0, -1, 1), (3, 3, -3)], [-1, -4, 2, 4, -2, -6]),
-             ([(3, 0, -3), (1, 1, 0), (2, -1, 1)], [0, 1, -2, -5, 6, -6])]
-    rng = random.Random(18)
-    while len(cases) < 80:
-        rows = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
-        if rows[0][2] and Matrix(rows, field=QQ).rank() == 3:
-            cases.append((rows, rng.sample(range(-6, 7), 6)))
-    checked = 0
-    for rows, taus in cases:
-        try:
-            x = _conic_points(rows, taus)
-        except ValueError:
-            continue
-        if x.degree == 6:
-            cert = conic_frame_certificate(rows, [(t, 1) for t in taus])
-            assert cert == recipe_separates(x, _CONIC_RECIPE, 3)
-            checked += 1
-    assert checked > 40
+@pytest.mark.parametrize("with_germ", [False, True])
+def test_conic_frames_are_kept_only_by_the_rank_oracle(with_germ, monkeypatch):
+    # an oracle that refuses every frame leaves no instance; it is asked
+    # only about built six-unit schemes on honestly quadratic frames
+    from zeroreg import harness
 
+    asked = []
 
-def test_certificate_requires_a_quadratic_first_coordinate():
-    rows = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
-    assert not conic_frame_certificate(rows, [(t, 1) for t in range(6)])
+    def refuse(x, recipe, k):
+        asked.append((x, recipe, k))
+        return False
 
-
-@given(st.data())
-@settings(max_examples=25, deadline=None)
-def test_certificate_never_overclaims(data):
-    from zeroreg.exactalg import Matrix
-
-    rows = [
-        tuple(data.draw(st.integers(-4, 4)) for _ in range(3)) for _ in range(3)
-    ]
-    if Matrix([list(r) for r in rows], field=QQ).rank() != 3:
-        return
-    taus = data.draw(
-        st.lists(st.integers(-9, 9), min_size=6, max_size=6, unique=True)
-    )
-    try:
-        x = _conic_points(rows, taus)
-    except ValueError:
-        return
-    if x.degree != 6:
-        return
-    if conic_frame_certificate(rows, [(t, 1) for t in taus]):
-        assert recipe_separates(x, _CONIC_RECIPE, 3)
+    monkeypatch.setattr(harness, "recipe_separates", refuse)
+    with pytest.raises(_Retry):
+        _conic_scheme(random.Random(3), QQ, with_germ)
+    assert 0 < len(asked) <= 80
+    assert all(x.degree == 6 and recipe is _CONIC_RECIPE and k == 3 for x, recipe, k in asked)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +438,8 @@ _MISPLACED_SEPARATORS = {
 @pytest.mark.parametrize("prime", [None, 11])
 def test_misplaced_separators_are_ranked_like_their_scalar_rows(misplace, prime,
                                                                 monkeypatch):
-    # the zero pattern is not diagonal, so the check ranks its int rows;
-    # the rank must be that of the scalar values on the lead-1 coords
+    # the zero pattern is not diagonal, and the rank the check takes of
+    # its int rows must be that of the scalar values on the lead-1 coords
     from zeroreg import harness, separation
 
     field = QQ if prime is None else prime_field(prime)
