@@ -76,11 +76,7 @@ def _clear_row(row):
         g = gcd(*row)
         ints = list(row)
     except TypeError:
-        mult = lcm(*(f.denominator for f in row))
-        if mult == 1:
-            ints = [f.numerator for f in row]
-        else:
-            ints = [f.numerator * (mult // f.denominator) for f in row]
+        ints, _ = RationalField.cleared(row)
         g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -101,7 +97,10 @@ class RationalField:
 
     @staticmethod
     def cleared(row):
-        den = lcm(*(x.denominator for x in row))
+        try:
+            den = lcm(*(x.denominator for x in row))
+        except AttributeError:
+            raise TypeError("a rational scalar is an int or a Fraction") from None
         return [x.numerator * (den // x.denominator) for x in row], den
 
     @staticmethod

@@ -213,7 +213,7 @@ def scheme_loads(text: str) -> FiniteScheme:
 
 def curve_to_jsonable(curve: RationalCurve):
     return {"field": field_to_jsonable(curve.field),
-            "forms": [[scalar_str(c) for c in f] for f in curve.forms]}
+            "forms": [[scalar_str(c) for c in f] for f in curve.int_forms]}
 
 
 def curve_from_jsonable(doc) -> RationalCurve:
@@ -240,8 +240,7 @@ def curve_loads(text: str) -> RationalCurve:
 def subspace_to_jsonable(sub: LinearSubspace):
     return {"field": field_to_jsonable(sub.field),
             "ambient": sub.ambient,
-            "cutting_forms": [[scalar_str(c) for c in f]
-                              for f in sub.cutting_forms]}
+            "cutting_forms": [[scalar_str(c) for c in f] for f in sub.int_forms]}
 
 
 def subspace_from_jsonable(doc) -> LinearSubspace:

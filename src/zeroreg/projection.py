@@ -15,16 +15,16 @@ square-free decomposition; rational parameters are expanded into
 curvilinear germs, irrational ones are reported as clusters by degree
 and multiplicity.
 
-Projections run on ints.  A center's cutting forms are read off
-`LinearSubspace.int_forms`, cleared on one common scale: `project_point`
-takes them at a point's int vector, and `RationalCurve.composed_forms`
-composes them with a curve's forms, which the curve keeps cleared by one
-common denominator (`RationalCurve.int_forms`); a common scale moves
-neither a projective point nor the zeros of a pencil.  The fiber's
-binary form, its gcds and squarefree factors (`forms`), and the points
-and jets at its parameters are int polynomials and int vectors fed to
-`ProjPoint` and the `CurvilinearGerm` constructor.  Scalars are built
-only for the output: a fiber's image and its rational parameters.
+Projections run on ints, and centers and curves hold only ints: a
+center's cutting forms on one common scale (`LinearSubspace.int_forms`)
+and a curve's forms by one denominator (`RationalCurve.int_forms`).
+`project_point` takes the former at a point's int vector, and
+`RationalCurve.composed_forms` composes them with the latter; a common
+scale moves neither a projective point nor the zeros of a pencil.  The
+fiber's binary form, its gcds and squarefree factors (`forms`), and the
+points and jets at its parameters are int polynomials and int vectors
+fed to `ProjPoint` and the `CurvilinearGerm` constructor.  Scalars are
+built only for the output: a fiber's image and its rational parameters.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def project_scheme(scheme: FiniteScheme, center: LinearSubspace):
     """Fibers of the projection, as (image point, selector) pairs with
     the selectors picking out whole germs; fiber lengths sum to the
     degree.  The list is sorted by image coordinates."""
-    if len(center.cutting_forms) < 2:
+    if len(center.int_forms) < 2:
         raise ValueError("projection target needs at least two cutting forms")
     if center.ambient != scheme.ambient:
         raise ValueError("center and scheme live in different spaces")
@@ -311,18 +311,18 @@ def recipe_for_fiber(profile: FiberProfile):
 
 class RationalCurve:
     """A base-point-free parameterization P^1 -> P^N by binary forms of
-    one common degree, with exact rational coefficients.
+    one common degree, with exact rational coefficients, kept as ints
+    only: `int_forms` are the given forms (ints or Fractions) times one
+    common denominator (`field.cleared`, so ints stay as given).  They
+    parameterize the same curve, and points, jets, fibers and a
+    document read them."""
 
-    `forms` holds the scalar coefficients; `int_forms` the same forms
-    times one common denominator, which parameterizes the same curve
-    and is what points, jets and fibers are computed on."""
-
-    __slots__ = ("forms", "int_forms", "field")
+    __slots__ = ("int_forms", "field")
 
     def __init__(self, forms, field=QQ):
         if field is not QQ:
             raise ValueError("rational curves are supported over Q only")
-        forms = tuple(tuple(field(c) for c in f) for f in forms)
+        forms = list(forms)
         if len(forms) < 2:
             raise ValueError("need at least two coordinate forms")
         widths = {len(f) for f in forms}
@@ -338,17 +338,15 @@ class RationalCurve:
             raise ValueError("the zero tuple does not parameterize a curve")
         if binary_degree(binary_gcd_many(nonzero)) != 0:
             raise ValueError("coordinate forms share a zero (a base point)")
-        self.forms = forms
-        self.int_forms = int_forms
-        self.field = field
+        self.int_forms, self.field = int_forms, field
 
     @property
     def ambient(self) -> int:
-        return len(self.forms) - 1
+        return len(self.int_forms) - 1
 
     @property
     def degree(self) -> int:
-        return binary_degree(self.forms[0])
+        return binary_degree(self.int_forms[0])
 
     def point(self, s, t) -> ProjPoint:
         """The image of (s : t), ints or Fractions."""
@@ -474,7 +472,7 @@ def _fiber_from_binary_form(curve: RationalCurve, image, form) -> CurveFiber:
 def curve_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     """Fiber over y in P^1 of the projection from a center of dimension
     N - 2; always of total length equal to the curve's degree."""
-    if center.ambient != curve.ambient or len(center.cutting_forms) != 2:
+    if center.ambient != curve.ambient or len(center.int_forms) != 2:
         raise ValueError("center must be cut by exactly two forms in the curve's space")
     a, b = curve.composed_forms(center)
     if binary_degree(binary_gcd_many([a, b])) != 0:
@@ -492,7 +490,7 @@ def curve_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
 def plane_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     """Fiber over y in P^2 of the projection from a center of dimension
     N - 3; total length 0 when y is not on the image curve."""
-    if center.ambient != curve.ambient or len(center.cutting_forms) != 3:
+    if center.ambient != curve.ambient or len(center.int_forms) != 3:
         raise ValueError("center must be cut by exactly three forms in the curve's space")
     composed = curve.composed_forms(center)
     if binary_degree(binary_gcd_many(composed)) != 0:

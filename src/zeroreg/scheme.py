@@ -8,11 +8,12 @@ simultaneously (the arc is immersed).  A finite scheme is a disjoint
 union of germs at pairwise distinct points; its degree is the sum of
 the germ lengths.
 
-Points and germs hold plain ints; `Fraction` and `FpElement` appear only
-at the boundary.  A `ProjPoint` is its field's normal form of an int
-vector (`field.normal_form`), and a germ is N + 1 homogeneous int
-series over one denominator, the chart's series being (den, 0, ..);
-the `CurvilinearGerm` constructor is the one code that normalises them.
+Points, germs and subspaces hold plain ints; a `Fraction` or an
+`FpElement` is built only for output.  A `ProjPoint` is its field's
+normal form of an int vector (`field.normal_form`), and a germ is N + 1
+homogeneous int series over one denominator, the chart's series being
+(den, 0, ..); the `CurvilinearGerm` constructor is the one code that
+normalises them.
 Forms are composed with a germ on its int series by one core,
 `CurvilinearGerm.form_series`: a family of forms cleared by
 `cleared_form`, each non-chart series raised once per germ by a running
@@ -34,8 +35,9 @@ linear question here reads these row blocks: the span, the independence
 level `invariant_t` (a subscheme's rows are prefixes of its germs'
 blocks), the contact with a subspace (the leading rows that all cutting
 forms kill) and the collinearity search (a germ's tangent line is
-spanned by its first two rows).  A subspace's cutting forms are read as
-ints too (`LinearSubspace.int_forms`, cleared once on one common scale).
+spanned by its first two rows).  A subspace is its cutting forms as
+ints (`LinearSubspace.int_forms`, cleared once on one common scale);
+`subspace_from_rows` reads them off a `ColumnSpace` kernel.
 
 The searches feed the rows to the `ColumnSpace` reducer of `exactalg`.
 `invariant_t` searches the smaller side of the row matroid: the
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from math import lcm
 
 from zeroreg.exactalg import ColumnSpace, Matrix, QQ
 from zeroreg.forms import cleared_form, series_mul
@@ -304,7 +307,7 @@ def make_germ(coords, chart, non_chart_jets, field=QQ) -> CurvilinearGerm:
         raise ValueError("germ length must be >= 1")
     if not p.vec[chart]:
         raise ValueError("chart coordinate vanishes at the support point")
-    series = [[field(c) for c in j] for j in non_chart_jets]
+    series = [list(j) for j in non_chart_jets]
     series.insert(chart, [1] + [0] * (length - 1))
     if ProjPoint([s[0] for s in series], field) != p:
         raise ValueError("jet constant term disagrees with the support point")
@@ -373,32 +376,26 @@ def span_dim(scheme: FiniteScheme) -> int:
 
 
 class LinearSubspace:
-    """A linear subspace of P^N cut out by independent linear forms.
+    """A linear subspace of P^N cut out by independent linear forms, kept
+    as ints only: `int_forms`, the given forms (ints, Fractions or
+    elements of `field`) through one `field.cleared` pass (ints as given),
+    give the values of the forms at a point up to one common scale."""
 
-    `cutting_forms` holds the scalars; `int_forms` the same forms
-    cleared on one common positive scale (`field.ints` of all their
-    coefficients: coprime integers over Q, residues over F_p), which cut
-    out the same subspace and give the values of the forms at a point up
-    to one common scale.  Every map from forms to numbers reads it."""
-
-    __slots__ = ("ambient", "cutting_forms", "field", "int_forms")
+    __slots__ = ("ambient", "field", "int_forms")
 
     def __init__(self, ambient: int, cutting_forms, field=QQ):
-        forms = tuple(tuple(field(c) for c in f) for f in cutting_forms)
-        for f in forms:
-            if len(f) != ambient + 1:
-                raise ValueError("cutting form has the wrong number of coefficients")
-        if forms and Matrix(forms, field=field).rank() != len(forms):
-            raise ValueError("cutting forms are not linearly independent")
-        self.ambient = ambient
-        self.cutting_forms = forms
-        self.field = field
-        flat, width = field.ints([c for f in forms for c in f]), ambient + 1
+        forms, width = list(cutting_forms), ambient + 1
+        if any(len(f) != width for f in forms):
+            raise ValueError("cutting form has the wrong number of coefficients")
+        flat, _ = field.cleared([c for f in forms for c in f])
         self.int_forms = tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width))
+        if forms and Matrix(self.int_forms, field=field).rank() != len(forms):
+            raise ValueError("cutting forms are not linearly independent")
+        self.ambient, self.field = ambient, field
 
     @property
     def dim(self) -> int:
-        return self.ambient - len(self.cutting_forms)
+        return self.ambient - len(self.int_forms)
 
     def contains_point(self, point) -> bool:
         """Whether every cutting form vanishes at the point, tested on the
@@ -413,9 +410,16 @@ class LinearSubspace:
 
 
 def subspace_from_rows(rows, ambient: int, field=QQ) -> LinearSubspace:
-    """Span of the given homogeneous coordinate vectors."""
-    forms = Matrix(rows, field=field, ncols=ambient + 1).kernel_basis()
-    return LinearSubspace(ambient, forms, field)
+    """Span of the given homogeneous coordinate vectors, cut out by the
+    kernel of the rows' `ColumnSpace`, each vector times lcm / den."""
+    space = ColumnSpace(field)
+    for row in rows:
+        if len(row) != ambient + 1:
+            raise ValueError("a row has the wrong number of coordinates")
+        space.add(row)
+    kernel = list(space.kernel(ambient + 1))
+    scale = lcm(*(den for _, den in kernel))
+    return LinearSubspace(ambient, [[v * (scale // den) for v in x] for x, den in kernel], field)
 
 
 def contact_length(scheme, subspace: LinearSubspace) -> int:

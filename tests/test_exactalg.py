@@ -360,6 +360,22 @@ def test_prime_field_equality_refuses_other_fields():
         F(1) != G(1)
 
 
+def test_a_scalar_of_no_field_is_a_type_error_at_the_boundary():
+    # over Q a row holds ints and Fractions only, over F_p its own
+    # elements, ints and rationals; a stray scalar is a TypeError, not an
+    # AttributeError from deep inside the clearing
+    F, G = prime_field(7), prime_field(11)
+    for row in ([F(1), 2, 3], ["1", 2], [Fraction(1, 2), F(3)], [1.5, 2]):
+        for clear in (QQ.ints, QQ.cleared):
+            with pytest.raises(TypeError):
+                clear(row)
+    for clear in (F.ints, F.cleared):
+        with pytest.raises(TypeError):
+            clear([1, G(1)])
+    assert QQ.ints([4, 6]) == [2, 3] and QQ.cleared([4, Fraction(1, 2)]) == ([8, 1], 2)
+    assert F.ints([Fraction(1, 2), 9]) == [4, 2]
+
+
 def test_kernel_basis_edge_shapes():
     assert Matrix([[0, 0, 0]]).kernel_basis() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert Matrix([], field=QQ, ncols=2).kernel_basis() == [(1, 0), (0, 1)]

@@ -83,6 +83,18 @@ def _fraction_tests(tree):
     return _scopes(tree, count)
 
 
+def _scalar_builds(tree):
+    """Where a scalar is built: a call of a field tag (`QQ(..)`,
+    `field(..)`, `x.field(..)`), of a `scalar` builder or of `Fraction`."""
+    def count(node):
+        if not isinstance(node, ast.Call):
+            return 0
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in ("QQ", "field", "scalar", "Fraction")
+    return _scopes(tree, count)
+
+
 def test_the_check_sees_a_new_field_branch():
     tree = ast.parse(
         "class C:\n    def f(self, field):\n        return 1 if field is QQ else 2\n"
@@ -97,6 +109,15 @@ def test_the_check_sees_a_fraction_test():
         "class C:\n    def g(self, x):\n        return isinstance(x, (int, fractions.Fraction))\n"
         "def h(x):\n    return isinstance(x, int) or type(x) is Fraction\n")
     assert _fraction_tests(tree) == ["f", "C.g"]
+
+
+def test_the_check_sees_a_scalar_build():
+    tree = ast.parse(
+        "class C:\n    def f(self, c):\n        return self.field(c)\n"
+        "    def g(self, v):\n        return self.field.scalar(v, 2), self.field.ints([v])\n"
+        "def h(v, field):\n    return [fractions.Fraction(v), field(v), QQ(v)]\n"
+        "def k(field):\n    scalar = field.scalar\n    return scalar(1, 2), field.cleared([1])\n")
+    assert _scalar_builds(tree) == ["C.f", "C.g", "h", "h", "h", "k"]
 
 
 def _outside_exactalg(find):
@@ -116,6 +137,21 @@ def test_no_fraction_test_outside_exactalg():
     # a scalar's field is its tag's business: a Fraction test elsewhere
     # is a field branch the check above cannot see
     assert _outside_exactalg(_fraction_tests) == set()
+
+
+# the output views: the only places a point, germ, subspace, curve or
+# fiber builds a Fraction or an F_p element
+_OUTPUT_VIEWS = {("scheme", "ProjPoint.coords"), ("scheme", "CurvilinearGerm.jets"),
+                 ("scheme", "CurvilinearGerm.evaluate_form"), ("projection", "_coord_key"),
+                 ("projection", "curve_fiber"), ("projection", "plane_fiber")}
+
+
+def test_points_germs_subspaces_and_curves_build_scalars_only_for_output():
+    found = set()
+    for stem in ("scheme", "projection"):
+        path = ROOT / "src" / "zeroreg" / (stem + ".py")
+        found.update((stem, name) for name in _scalar_builds(ast.parse(path.read_text())))
+    assert found == _OUTPUT_VIEWS
 
 
 _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

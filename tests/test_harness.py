@@ -483,7 +483,7 @@ def test_curve_suites_share_the_same_curves():
         curves = [
             _draw_curve(random.Random(s), _Redraws()) for _ in range(3)
         ]
-        forms = {c.forms for c in curves}
+        forms = {c.int_forms for c in curves}
         assert len(forms) == 1
         degrees.append(curves[0].degree)
     assert len(set(degrees)) > 1

@@ -137,11 +137,18 @@ def test_duplicate_supports_are_rejected():
 
 
 def test_curve_round_trip():
-    c = RationalCurve([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    text = canonical_json(curve_to_jsonable(c))
-    back = curve_loads(text)
-    assert back.forms == c.forms
-    assert canonical_json(curve_to_jsonable(back)) == text
+    # int forms dump as given; Fraction forms dump times their common
+    # denominator, the same curve
+    for forms, dumped in [
+            ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], None),
+            ([(Fraction(1, 2), 0), (0, Fraction(-1, 3)), (1, 1)], [[3, 0], [0, -2], [6, 6]])]:
+        c = RationalCurve(forms)
+        text = canonical_json(curve_to_jsonable(c))
+        assert text == canonical_json(
+            {"field": "Q", "forms": [[str(v) for v in f] for f in dumped or forms]})
+        back = curve_loads(text)
+        assert back.int_forms == c.int_forms
+        assert canonical_json(curve_to_jsonable(back)) == text
 
 
 def test_curve_document_rejects_base_points():
@@ -170,12 +177,19 @@ def test_scheme_document_over_the_degree_cap_is_rejected():
 
 
 def test_subspace_round_trip():
-    sub = LinearSubspace(3, [(1, 0, 0, -1), (0, Fraction(1, 3), 1, 0)])
-    text = canonical_json(subspace_to_jsonable(sub))
-    back = subspace_loads(text)
-    assert back.ambient == 3
-    assert back.cutting_forms == sub.cutting_forms
-    assert canonical_json(subspace_to_jsonable(back)) == text
+    # int forms dump as given, a common factor included; Fraction forms
+    # dump cleared by their common denominator and load back equal
+    for forms, dumped in [([(1, 0, 0, -1), (0, 2, 4, 0)], None),
+                          ([(1, 0, 0, -1), (0, Fraction(1, 3), 1, 0)],
+                           [[3, 0, 0, -3], [0, 1, 3, 0]])]:
+        sub = LinearSubspace(3, forms)
+        text = canonical_json(subspace_to_jsonable(sub))
+        assert text == canonical_json({"ambient": 3, "field": "Q", "cutting_forms": [
+            [str(v) for v in f] for f in dumped or forms]})
+        back = subspace_loads(text)
+        assert back.ambient == 3
+        assert back.int_forms == sub.int_forms
+        assert canonical_json(subspace_to_jsonable(back)) == text
 
 
 def test_recipe_serialization_is_deterministic():

@@ -402,14 +402,16 @@ def test_curve_jet_matches_symbolic_expansion():
 
 
 def test_curve_jet_at_a_fractional_parameter_is_a_scaled_expansion():
-    # at (s : t) = (2 : -1) the int jet is s^D times the expansion of the
-    # coordinates in u at t/s = -1/2, and gives the germ the scalar
-    # expansion gives
-    curve = RationalCurve([(1, 0, 0, 0, 0), (0, Fraction(1, 2), 0, 0, 0), (0, 0, 0, 1, 0),
-                           (0, 0, Fraction(1, 3), 0, 1)])
+    # the curve keeps its forms times 6; at (s : t) = (2 : -1) the int jet
+    # is s^D times the expansion of those int forms in u at t/s = -1/2,
+    # and gives the germ the scalar expansion gives
+    forms = [(1, 0, 0, 0, 0), (0, Fraction(1, 2), 0, 0, 0), (0, 0, 0, 1, 0),
+             (0, 0, Fraction(1, 3), 0, 1)]
+    curve = RationalCurve(forms)
+    assert curve.int_forms == tuple(tuple(6 * c for c in f) for f in forms)
     u = sympy.symbols("u")
     scalar_jet = []
-    for f in curve.forms:
+    for f in curve.int_forms:
         expr = sympy.expand(sum(sympy.Rational(c) * (sympy.Rational(-1, 2) + u) ** i
                                 for i, c in enumerate(f)))
         coeffs = sympy.Poly(expr, u).all_coeffs()[::-1] + [0] * 4
@@ -418,7 +420,7 @@ def test_curve_jet_at_a_fractional_parameter_is_a_scaled_expansion():
     jet = curve.jet(2, -1, 3)
     assert jet == curve.jet(Fraction(-4), Fraction(2), 3)
     scale = jet[0][0] / scalar_jet[0][0]
-    assert scale == 2 ** 4 * 6
+    assert scale == 2 ** 4
     assert jet == tuple(tuple(scale * c for c in s) for s in scalar_jet)
     assert CurvilinearGerm(jet, QQ).series == CurvilinearGerm(scalar_jet, QQ).series
 
@@ -608,8 +610,10 @@ def test_curve_fibers_build_fractions_only_for_their_output(monkeypatch):
     # of the pencil x_0, x_3 is a double point at (1 : 0) and a conjugate
     # pair; the plane center (1 : 0 : 0 : 1) lies on the chord of the
     # twisted cubic through (1 : 0) and (0 : 1)
-    curve = RationalCurve([(1, 0, 0, 0, 0), (0, Fraction(1, 2), 0, 0, 0), (0, 0, 0, 1, 0),
-                           (0, 0, Fraction(1, 3), 0, 1)])
+    forms = [(1, 0, 0, 0, 0), (0, Fraction(1, 2), 0, 0, 0), (0, 0, 0, 1, 0),
+             (0, 0, Fraction(1, 3), 0, 1)]
+    curve = RationalCurve(forms)
+    assert curve.int_forms == tuple(tuple(6 * c for c in f) for f in forms)
     pencil = LinearSubspace(3, [(1, 0, 0, 0), (0, 0, 0, 1)])
     plane = LinearSubspace(3, [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)])
     made = _count_fractions(monkeypatch)

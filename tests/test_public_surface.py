@@ -25,6 +25,7 @@ ALLOWED = {
     "jsonio.scheme_dumps": "the one-call dual of scheme_loads, for library users",
     "jsonio.curve_to_jsonable": _SERIALIZATION,
     "jsonio.subspace_to_jsonable": _SERIALIZATION,
+    "exactalg.Matrix.kernel_basis": _TRACED,
     "scheme.contact_length": _TRACED,
     "scheme.enumerate_subschemes": _TRACED,
     "forms.rational_roots": _TRACED,

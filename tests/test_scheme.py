@@ -13,7 +13,7 @@ from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
 from zeroreg.forms import monomials_of_degree, series_mul
 from zeroreg.harness import GenerationExhausted, GeneratorSpec, _draw_germ, gen_scheme
 from zeroreg.jsonio import scheme_dumps, scheme_loads
-from zeroreg.projection import RationalCurve, _germ_at_parameter
+from zeroreg.projection import RationalCurve, _germ_at_parameter, project_point
 from zeroreg.scheme import (
     DEFAULT_ENUM_CAP,
     CurvilinearGerm,
@@ -457,6 +457,102 @@ def test_subspace_helpers():
         LinearSubspace(2, [(1, 0, 0), (2, 0, 0)])
 
 
+def _scalar_kernel_forms(rows, ambient, field):
+    """The int forms of the scalar path: the kernel basis of the rows as
+    scalars (`Matrix.kernel_basis`), cleared back by `field.ints` of all
+    their coefficients on one common scale."""
+    forms = Matrix(rows, field=field, ncols=ambient + 1).kernel_basis()
+    flat, width = field.ints([c for f in forms for c in f]), ambient + 1
+    return [flat[k:k + width] for k in range(0, len(flat), width)]
+
+
+@pytest.mark.parametrize("p", [0, 7, 2**31 - 1])
+def test_subspace_from_rows_matches_the_scalar_kernel_path(p):
+    field = QQ if p == 0 else prime_field(p)
+    rng = random.Random(3500 + p % 1000)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(rng.randint(0, n))]
+        if rows and rng.random() < 0.4:
+            # a dependent row
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(a, b)])
+        if rows and rng.random() < 0.4:
+            # a row with a common factor
+            k = rng.randrange(len(rows))
+            rows[k] = [rng.choice((2, 3, 6, 7)) * x for x in rows[k]]
+        rng.shuffle(rows)
+        sub = subspace_from_rows(rows, n, field)
+        want = _scalar_kernel_forms(rows, n, field)
+        assert len(sub.int_forms) == len(want) and sub.dim == n - len(want)
+        if want:
+            # one common nonzero scale away: one projective class
+            assert field.normal_form([c for f in sub.int_forms for c in f]) == field.normal_form(
+                [c for f in want for c in f])
+        for _ in range(4):
+            if rows and rng.random() < 0.5:
+                vec = [sum(rng.randint(-2, 2) * r[i] for r in rows) for i in range(n + 1)]
+            else:
+                vec = [rng.randint(-5, 5) for _ in range(n + 1)]
+            if not any(field.ints(vec)):
+                continue
+            point = ProjPoint(vec, field)
+            values = [sum(c * x for c, x in zip(f, point.vec)) for f in want]
+            assert sub.contains_point(point) == (not any(field.ints(values)))
+            if any(field.ints(values)):
+                assert project_point(point, sub) == ProjPoint(values, field)
+    for rows in ([(1, 0, 0), (0, 1)], [(1, 0, 0, 0)]):
+        with pytest.raises(ValueError):
+            subspace_from_rows(rows, 2, field)
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_subspaces_and_curves_hold_only_ints(monkeypatch):
+    F = prime_field(7)
+    built = [
+        LinearSubspace(3, [(1, 0, 2, 0), (0, 3, 0, 1)]),
+        LinearSubspace(3, [(Fraction(1, 2), 0, 2, 0), (0, Fraction(-3, 4), 0, 1)]),
+        LinearSubspace(3, [(F(1), 0, F(5), 0), (0, Fraction(1, 2), 0, F(3))], F),
+        RationalCurve([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        RationalCurve([(Fraction(1, 2), 0, 0), (0, Fraction(2, 3), 0), (0, 0, 1)]),
+    ]
+    # a scalar of another field is refused, not read
+    for make in (lambda: ProjPoint([F(1), 2, 3]), lambda: LinearSubspace(2, [(F(1), 2, 3)]),
+                 lambda: RationalCurve([(F(1), 0), (0, 1)])):
+        with pytest.raises(TypeError):
+            make()
+
+    # subspace_from_rows builds no scalar: every scalar builder refuses
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field element was built")
+
+    monkeypatch.setattr(exactalg, "Fraction", NoFraction)
+    monkeypatch.setattr(type(QQ), "__call__", refuse)
+    monkeypatch.setattr(type(QQ), "scalar", staticmethod(refuse))
+    for field in (QQ, F, prime_field(2**31 - 1)):
+        if field is not QQ:
+            monkeypatch.setattr(field, "__init__", refuse)
+            monkeypatch.setattr(field, "scalar", staticmethod(refuse))
+        # a kernel over the denominator 6, and two rows that span a point
+        built.append(subspace_from_rows([(2, 1, 0, 0), (0, 3, 1, 0)], 3, field))
+        built.append(subspace_from_rows([(1, 1, 1, 1), (2, 2, 2, 2)], 3, field))
+    assert built[5].int_forms == ((1, -2, 6, 0), (0, 0, 0, 6))
+    for obj in built:
+        held = [getattr(obj, slot) for slot in type(obj).__slots__ if slot != "field"]
+        assert all(type(v) is int for v in _leaves(held)), obj
+
+
 def test_enumerate_subschemes_counts():
     x = scheme_of_points([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     assert len(list(enumerate_subschemes(x, 2))) == 6
@@ -761,7 +857,7 @@ def _contact_reference(x, sub):
     total = 0
     for g in x.germs:
         orders = []
-        for f in sub.cutting_forms:
+        for f in sub.int_forms:
             form = {tuple(int(i == j) for j in range(n + 1)): c for i, c in enumerate(f) if c}
             series = g.evaluate_form(form)
             orders.append(next((k for k, v in enumerate(series) if v != 0), g.length))
