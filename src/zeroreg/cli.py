@@ -54,11 +54,12 @@ from .separation import (
 
 
 # The largest n that `lemma26` takes, so that every input does bounded
-# work.  The solver eliminates one system of n + 3 rows of width 2n + 7,
-# then back-substitutes once per point, on integers that grow with n:
-# n = 40 (41 aligned points and two off the line) takes about 0.29 s and
-# n = 20 about 0.14 s in a fresh process on a 2-core Xeon VM (medians of
-# five runs); n = 80, past the cap, takes about 9 s.
+# work.  The solver multiplies the aligned points' linear factors and
+# takes the minors of one system of 2 or 3 rows, on integers that grow
+# with n: n = 20 takes about 0.11 s, n = 40 (41 aligned points and two
+# off the line) 0.15 s and n = 80, past the cap, 0.18 s in a fresh
+# process on a 2-core Xeon VM (medians of five runs).  The cap stays
+# until the benchmark runs a `lemma26` input at it.
 LEMMA26_MAX_N = 40
 
 # The largest `separate --degree` and `hilbert --max-degree`.  `separate`

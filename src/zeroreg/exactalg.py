@@ -31,8 +31,7 @@ a caller carries against that one pivot, so the rows stay reduced as
 the space grows; `ColumnSpace.add` is the two in turn.  `Matrix.rank` and
 `Matrix.kernel_basis` feed the rows into one reducer.
 One back-substitution, `_kernel`, reads a kernel off its pivots sorted
-by lead (`ColumnSpace.kernel`, and `separation.separator_forms` on
-triangular systems cut from them) as integer numerators over one common
+by lead (`ColumnSpace.kernel`) as integer numerators over one common
 denominator, the same loop on residues for F_p with one inverse per
 vector to bring the denominator to 1; scalars are built only for the
 entries a caller keeps.  A kernel basis is the unique one with one

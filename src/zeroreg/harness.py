@@ -642,8 +642,8 @@ def _trial_lemma26(rng, field, index, log):
     # form is its int kernel vector on the family's terms: E = 1, as the
     # vectors are ints over Q and residues over F_p, and gap 0, as every
     # family monomial has degree n.  The forms core evaluates them on
-    # ProjPoint.vec, a nonzero multiple of each point, not the solver's
-    # own monomial tables, so the check stays independent of the solver.
+    # ProjPoint.vec, a nonzero multiple of each point, term by term; the
+    # solver evaluates no family monomial, so the check stays independent.
     # The int rows are the scalar rows times nonzero scales: same rank
     allowed = set(separator_monomial_basis(n))
     confined = all(m in allowed for x, _ in vectors for m, v in zip(mons, x) if v)

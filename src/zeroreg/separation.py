@@ -19,21 +19,19 @@ For plane configurations of n + 3 points with n + 1 (or n) of them on
 a line through (1:0:0) avoiding the two coordinate vertices, a family
 of n + 4 monomials of degree n suffices; `separator_forms` produces one
 certified separator per point inside that family, or reports the
-configuration as degenerate.  The separators of point j are the kernel
-of A_{-j}, the evaluation matrix A of all n + 3 points without row j.
-All of them come from one elimination of [A | I]: a point has a
-separator exactly when no dependency among the rows of A involves it,
-and when A has full rank each separator is w_j, the solution of
-A w_j = e_j that is zero at A's one non-lead column, scaled to 1 at its
-last nonzero entry, which one back-substitution per point reads off.
+configuration as degenerate.  It interpolates on the line, where a
+member takes the values of its binary part in (U, T1), and leaves one
+off-line system of 2 or 3 rows, whose signed minors k0 span the kernel
+of A, the evaluation matrix; k0 = 0 marks a degenerate configuration,
+named by its first point whose row lies in the span of the others.
 The separators come back on ints, one normalized vector per point;
 only `cli lemma26`, which prints them, builds scalars.
 """
 
 from __future__ import annotations
 
-from zeroreg.exactalg import ColumnSpace, QQ, _kernel
-from zeroreg.forms import _power_tables, cleared_form, monomials_of_degree
+from zeroreg.exactalg import ColumnSpace, Matrix, QQ
+from zeroreg.forms import cleared_form, monomials_of_degree
 from zeroreg.scheme import FiniteScheme, ProjPoint, reduced_germ
 
 
@@ -205,21 +203,25 @@ class SeparatorConfig:
         return FiniteScheme([reduced_germ(p, self.field) for p in self.points], self.field)
 
 
-def _monomial_values(vec, mons, degree, p):
-    """Values of the monomials at a point's int vector (`ProjPoint.vec`)
-    as plain ints, from one power table per coordinate: residues over
-    F_p (p the modulus).  Over Q that is the primitive integer
-    representative: it multiplies every value of the row by the same
-    positive constant, which changes no kernel and no zero pattern of
-    the separator systems."""
-    powers = _power_tables(vec, degree, p)
-    out = []
-    for m in mons:
-        v = powers[0][m[0]]
-        for table, e in zip(powers[1:], m[1:]):
-            v *= table[e]
-        out.append(v if p is None else v % p)
-    return out
+def _reduced(values, p):
+    """Plain ints as they are over Q (p None), their residues over F_p."""
+    return values if p is None else [v % p for v in values]
+
+
+def _minors(rows, p):
+    """The signed maximal minors of 2 x 3 or 3 x 4 int rows, entry t
+    (-1)^t times the minor without column t: a vector of their kernel,
+    zero exactly when their rank is below the number of rows."""
+    if len(rows) == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        out = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    else:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        out = [a1 * m23 - a2 * m13 + a3 * m12, a2 * m03 - a0 * m23 - a3 * m02,
+               a0 * m13 - a1 * m03 + a3 * m01, a1 * m02 - a0 * m12 - a2 * m01]
+    return _reduced(out, p)
 
 
 def separator_forms(config: SeparatorConfig):
@@ -237,51 +239,88 @@ def separator_forms(config: SeparatorConfig):
     {m: field.scalar(v, den)} over the nonzero v; the int form {m: v} is
     den times it, with the same zeros.
 
-    The n + 3 rows [A_j | e_j] (point j's monomial values, then row j of
-    the identity) go into one reducer; sorted by lead, its pivots are
-    [R | L] with R = L A an echelon form of A.
-    - Point j has a separator exactly when A_j is not in the span of the
-      other rows, that is when no left-kernel vector of A is nonzero at
-      j.  The pivots leading inside the identity block have R = 0, and
-      their L parts are a basis of that left kernel: the first point
-      without a separator is the least index in the union of their
-      supports.
-    - Otherwise A has rank n + 3, and R leaves out one column c0.  ker A
-      is spanned by k0, whose last nonzero entry is at c0, and ker A_{-j}
-      = span(k0, w_j), where A w_j = e_j and w_j[c0] = 0.  The kernel
-      basis of `Matrix(other rows).kernel_basis()`, one vector per free
-      column set to 1, is k0 and w_j scaled to 1 at its last nonzero
-      entry, and the separator is its one vector that does not vanish at
-      point j, the second.  R w_j = L e_j is triangular once c0 is
-      dropped, so `_kernel` reads -w_j off those pivots with L's column
-      j appended as their only free column."""
+    With L = b T1 - a T2 the family is the binary forms B of degree n
+    in (U, T1) plus L U^(n-2) (g0 U + g1 T1 + g2 T2), as a != 0, and a
+    member takes B's value at an aligned point.  With Z the product of
+    the aligned points' factors T_k U - U_k T1 and Z_i that without
+    point i's, members zero at every aligned point have B = 0 (case 1)
+    or c Z (case 2), and those zero at all but point i add Z_i (case 1)
+    or U Z_i (case 2).  Each off point o gives a row of H, in
+    z = ((c), g0, g1, g2): (Z(o)), then L(o) U(o)^(n-2) (U, T1, T2)(o),
+    with Z(o) and Z_i(o) from prefix and suffix products of the
+    factors' values at o.
+    - The signed maximal minors k0 of H, mapped to the family, span
+      ker A (A the evaluation matrix of all n + 3 points) and vanish
+      exactly when rank A < n + 3.  Then the first point j with
+      rank A_{-j} = rank A is named: an aligned one when its form's
+      values at the off points lie in the column span of H, an off one
+      when its row of H lies in the span of the others.
+    - Otherwise point j's separator is the one in ker A_{-j} that is
+      zero at c0, k0's last nonzero entry in the family (the column an
+      echelon form of A leaves out).  With phi that entry as a row in z,
+      N = [H; phi] has det N = +-phi(k0) != 0, and minus its adjugate's
+      columns M_o give them all: M_j at off point j, and at aligned
+      point i det N Z_i (or U Z_i) + sum_o v_o M_o, v_o that form's
+      values."""
     field = config.field
     p = field.modulus
-    mons = separator_monomial_basis(config.n)
-    width, count = len(mons), len(config.points)
-    space = ColumnSpace(field)
-    for j, pt in enumerate(config.points):
-        row = _monomial_values(pt.vec, mons, config.n, p) + [0] * count
-        row[width + j] = 1
-        space.add(row)
-    pivots = sorted(space.pivots)
-    dependencies = [row[width:] for c, row in pivots if c >= width]
-    if dependencies:
-        j = min(i for row in dependencies for i, v in enumerate(row) if v)
+    n = config.n
+    _, a, b = config.aligned[0].vec
+    aligned = [pt.vec[:2] for pt in config.aligned]
+    offs = [pt.vec for pt in config.off]
+    zeta = [1]
+    for uk, tk in aligned:
+        zeta = _reduced([tk * x - uk * y for x, y in zip(zeta + [0], [0] + zeta)], p)
+    case1 = len(offs) == 2
+    # per off point: every Z_i there (times U in case 2), its row of H
+    cuts, rows = [], []
+    for u, t, s in offs:
+        values = [tk * u - uk * t for uk, tk in aligned]
+        head, tail = [1], [1]
+        for v, w in zip(values, reversed(values)):
+            head.append(head[-1] * v)
+            tail.append(tail[-1] * w)
+        cut = [x * y for x, y in zip(head, reversed(tail[:-1]))]
+        cuts.append(_reduced(cut if case1 else [v * u for v in cut], p))
+        g = (b * t - a * s) * u ** (n - 2)
+        rows.append(_reduced(([] if case1 else head[-1:]) + [g * u, g * t, g * s], p))
+
+    def family(z):
+        *c, g0, g1, g2 = z
+        out = [0] * (n + 1) if case1 else [c[0] * v for v in zeta]
+        out[1] += b * g0
+        out[2] += b * g1
+        return out + [-a * g0, b * g2 - a * g1, -a * g2]
+
+    k0 = _minors(rows, p)
+    if not any(k0):
+        rank = Matrix(rows, field=field).rank()
+        named = [Matrix([[c[i]] + r for c, r in zip(cuts, rows)], field=field).rank() > rank
+                 for i in range(len(aligned))]
+        named += [Matrix(rows[:j] + rows[j + 1:], field=field).rank() == rank
+                  for j in range(len(offs))]
         raise DegenerateConfiguration(
-            "no separator for point %d inside the monomial family" % j
+            "no separator for point %d inside the monomial family" % named.index(True)
         )
-    # each pivot in its field's normal form at its lead, once: over F_p
-    # the back-substitutions then step on leads 1 and rescale nothing
-    pivots = [(c, list(field.normal_form(row, c))) for c, row in pivots]
-    c0 = next((i for i, (c, _) in enumerate(pivots) if c != i), width - 1)
-    triangular = [(c - (c > c0), row[:c0] + row[c0 + 1:width]) for c, row in pivots]
+    c0 = max(i for i, v in enumerate(_reduced(family(k0), p)) if v)
+    phi = [family([int(s == t) for t in range(len(k0))])[c0] for s in range(len(k0))]
+    det = (-1) ** len(rows) * sum(f * k for f, k in zip(phi, k0))
+    # minus the adjugate's column at each off row
+    adj = [_minors(rows[:o] + rows[o + 1:] + [phi], p) for o in range(len(offs))]
+    adj = [col if o % 2 else [-v for v in col] for o, col in enumerate(adj)]
     out = []
-    for col in range(width, width + count):
-        system = [(c, r + [row[col]]) for (c, r), (_, row) in zip(triangular, pivots)]
-        (y, _), = _kernel(system, width, p)
-        y = y[:c0] + [0] + y[c0:-1]
-        f = max(i for i, v in enumerate(y) if v)
-        x = field.normal_form(y, f)
-        out.append((x, x[f]))
-    return mons, out
+    for i, (uk, tk) in enumerate(aligned):
+        w = family([sum(col[t] * c[i] for col, c in zip(adj, cuts)) for t in range(len(k0))])
+        # Z_i = Z / (tk U - uk T1), by synthetic division
+        inv, v = None if p is None else pow(tk, -1, p), 0
+        for j, x in enumerate(zeta[:-1]):
+            v = (x + uk * v) // tk if p is None else (x + uk * v) * inv % p
+            w[j] += det * v
+        out.append(w)
+    out += [family(col) for col in adj]
+    for k, w in enumerate(out):
+        w = _reduced(w, p)
+        f = max(i for i, v in enumerate(w) if v)
+        x = field.normal_form(w, f)
+        out[k] = (x, x[f])
+    return separator_monomial_basis(n), out

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,15 +7,15 @@ from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 from sympy import GF
 
-from zeroreg import separation
 from zeroreg.exactalg import QQ, ColumnSpace, Matrix, prime_field
-from zeroreg.forms import evaluate_form, monomials_of_degree, series_mul
+from zeroreg.forms import evaluate_form, form_values, monomials_of_degree, series_mul
 from zeroreg.harness import (
     _FIBER_TYPES,
     GenerationExhausted,
     _gen_fiber_instance,
     _redraw,
     _Redraws,
+    run_suite,
 )
 from zeroreg.normality import is_k_normal
 from zeroreg.projection import classify_fiber, recipe_for_fiber
@@ -374,48 +375,31 @@ F31 = prime_field(2**31 - 1)
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F31])
-def test_separator_forms_adds_each_point_once(field, monkeypatch):
-    # one reducer takes each point's row [A_j | e_j] once, separable or
-    # not: n + 3 adds
-    adds = []
-    original_add = ColumnSpace.add
+def test_full_rank_separators_take_no_elimination(field, monkeypatch):
+    # products on the line and the minors of one small off-line system
+    # give every separator of a full-rank configuration: no reducer and
+    # no back-substitution.  A degenerate one names the point that the
+    # per-point solver names
+    from zeroreg import exactalg
+
+    calls = []
+    original_add, original_kernel = ColumnSpace.add, exactalg._kernel
     monkeypatch.setattr(ColumnSpace, "add",
-                        lambda space, vec: adds.append(1) or original_add(space, vec))
-    configs = [
-        ([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (1, 2, 3)]),
-        ([1, 2, 3, -1], 1, 2, [(1, 1, 1), (1, 0, 1)]),
-        ([1, 2, 3, -1, -2, -3], 3, -2, [(1, 0, 1), (2, 1, 5)]),
-        ([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (0, 0, 1)]),
-    ]
-    outcomes = set()
-    for args in configs:
+                        lambda space, vec: calls.append("add") or original_add(space, vec))
+    monkeypatch.setattr(exactalg, "_kernel",
+                        lambda *args: calls.append("kernel") or original_kernel(*args))
+    for args in (([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (1, 2, 3)]),
+                 ([1, 2, 3, -1], 1, 2, [(1, 1, 1), (1, 0, 1)]),
+                 ([1, 2, 3, -1, -2, -3], 3, -2, [(1, 0, 1), (2, 1, 5)])):
         cfg = SeparatorConfig(*args, field)
-        adds.clear()
-        outcomes.add(_outcome(_scalar_separators, cfg)[0])
-        assert len(adds) == cfg.n + 3
-    assert outcomes == {"forms", "degenerate"}
-
-
-@pytest.mark.parametrize("field", [F7, F31])
-def test_prime_field_separators_back_substitute_on_leads_one(field, monkeypatch):
-    # each pivot goes through field.normal_form once per call, so over
-    # F_p every per-point back-substitution steps on leads 1 and rescales
-    # none of the vectors it builds
-    leads = []
-    kernel = separation._kernel
-
-    def recording_kernel(pivots, width, p):
-        leads.extend(row[c] for c, row in pivots)
-        return kernel(pivots, width, p)
-
-    monkeypatch.setattr(separation, "_kernel", recording_kernel)
-    for args in ([1, 2, 3, -1], 1, 2, [(1, 1, 1), (1, 0, 1)]), \
-            ([1, 2, 3, -1, -2, -3], 3, -2, [(1, 0, 1), (2, 1, 5)]):
-        cfg = SeparatorConfig(*args, field)
-        leads.clear()
+        calls.clear()
         got = _outcome(_scalar_separators, cfg)
-        assert got[0] == "forms" and got == _outcome(_separator_forms_reference, cfg)
-        assert len(leads) == (cfg.n + 3) ** 2 and set(leads) == {1}
+        assert got[0] == "forms" and calls == []
+        assert got == _outcome(_separator_forms_reference, cfg)
+    cfg = SeparatorConfig([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (0, 0, 1)], field)
+    with pytest.raises(DegenerateConfiguration) as raised:
+        separator_forms(cfg)
+    assert _outcome(_separator_forms_reference, cfg) == ("degenerate", str(raised.value))
 
 
 def _separator_forms_reference(config):
@@ -501,6 +485,22 @@ def separator_inputs(draw):
 # dependent, and point 5, the first of them, is the first without a
 # separator
 @example((QQ, [-8, -9, 3, -2, -4], 4, 5, [(0, 8, -4), (0, -9, -4), (0, -5, 7)]))
+# the last nonzero entry c0 of the kernel vector k0 of the evaluation
+# matrix, which the separators are zero at: c0 = n + 3, n + 2 and n + 1
+# in case 1, n + 1 in case 2 over F_7, and c0 = n, k0 = c Z, in case 2
+@example((QQ, [1, 2, 3, -1], 1, 2, [(1, 1, 1), (1, 0, 1)]))
+@example((QQ, [2, -1, -3, 1, -2], -1, -1, [(-1, 2, -1), (-1, 2, 1)]))
+@example((QQ, [2, 1, -2], 2, 2, [(0, 2, 0), (0, -1, 1)]))
+@example((F7, [-2, -1, 1], -1, 2, [(-1, 2, -2), (-1, -3, 3), (-3, 1, 0)]))
+@example((QQ, [1, 2, -2, -1], 2, 2, [(-1, 1, 0), (2, 2, 0), (-1, 1, 2)]))
+@example((QQ, [2, -1], 2, -1, [(1, 1, 1), (-1, 2, 2), (1, 1, -1)]))
+# an off point at U = 0: no separator at n = 3, where U^(n-2) L vanishes
+# there, and separators at n = 2, where it is L
+@example((QQ, [1, 2, 3, -1], 1, 2, [(1, 1, 1), (0, 1, 0)]))
+@example((QQ, [1, 2, 3], 1, 2, [(1, 1, 1), (0, 1, 0)]))
+# n = 2 over F_7 and F_(2^31 - 1)
+@example((F7, [-2, -1, -3], 2, 2, [(-1, 2, -1), (2, 2, -1)]))
+@example((F31, [-1, 2], 2, 1, [(1, 2, 2), (0, 0, 2), (1, 1, 2)]))
 def test_separator_forms_match_the_per_point_solver(inputs):
     field, us, a, b, offs = inputs
     try:
@@ -510,6 +510,56 @@ def test_separator_forms_match_the_per_point_solver(inputs):
     got = _outcome(_scalar_separators, cfg)
     event("%s over %s" % (got[0], "Q" if field is QQ else "F_%d" % field.modulus))
     assert got == _outcome(_separator_forms_reference, cfg)
+
+
+def _kernel_shape(config):
+    """c0 - n for c0 the last nonzero entry of the one kernel vector of
+    the evaluation matrix, or "degenerate" when that has rank below
+    n + 3, read off `Matrix.kernel_basis` on scalar values."""
+    mons = separator_monomial_basis(config.n)
+    columns = form_values([{m: 1} for m in mons], [p.coords for p in config.points],
+                          config.field)
+    kernel = Matrix(list(zip(*columns)), field=config.field).kernel_basis()
+    if len(kernel) > 1:
+        return "degenerate"
+    return max(i for i, v in enumerate(kernel[0]) if v) - config.n
+
+
+def test_separator_forms_sweep_reaches_every_kernel_shape(monkeypatch):
+    # every configuration the lemma2_6 suite draws over Q and F_7, the
+    # degenerate ones it redraws included, and a small box where special
+    # positions are common, against the per-point solver
+    from zeroreg import harness
+
+    drawn = []
+    solver = harness.separator_forms
+    monkeypatch.setattr(harness, "separator_forms",
+                        lambda config: drawn.append(config) or solver(config))
+    for prime in (None, 7):
+        run_suite("lemma2_6", 32, seed=36, prime=prime)
+    assert {cfg.field for cfg in drawn} == {QQ, F7}
+    suite_draws = len(drawn)
+    rng = random.Random(36)
+    while len(drawn) < suite_draws + 500:
+        field = rng.choice((QQ, F7, F31))
+        n, case = rng.randint(2, 4), rng.choice((1, 2))
+        us = rng.sample([-3, -2, -1, 1, 2, 3], n + 2 - case)
+        a, b = rng.choice((-1, 1, 2)), rng.choice((-1, 1, 2))
+        offs = [(rng.choice((0, 0, -1, 1, 2)), rng.randint(-1, 2), rng.randint(-1, 2))
+                for _ in range(case + 1)]
+        try:
+            drawn.append(SeparatorConfig(us, a, b, offs, field))
+        except ValueError:
+            continue
+    shapes = Counter()
+    for cfg in drawn:
+        got = _outcome(_scalar_separators, cfg)
+        assert got == _outcome(_separator_forms_reference, cfg)
+        shape = _kernel_shape(cfg)
+        assert (got[0] == "degenerate") == (shape == "degenerate")
+        shapes[shape, cfg.case] += 1
+    assert set(shapes) == {(3, 1), (2, 1), (1, 1), ("degenerate", 1),
+                           (3, 2), (2, 2), (1, 2), (0, 2), ("degenerate", 2)}
 
 
 # ---------------------------------------------------------------------------
