@@ -374,12 +374,14 @@ F7 = prime_field(7)
 F31 = prime_field(2**31 - 1)
 
 
-@pytest.mark.parametrize("field", [QQ, F7, F31])
-def test_full_rank_separators_take_no_elimination(field, monkeypatch):
-    # products on the line and the minors of one small off-line system
-    # give every separator of a full-rank configuration: no reducer and
-    # no back-substitution.  A degenerate one names the point that the
-    # per-point solver names
+FULL_RANK = (([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (1, 2, 3)]),
+             ([1, 2, 3, -1], 1, 2, [(1, 1, 1), (1, 0, 1)]),
+             ([1, 2, 3, -1, -2, -3], 3, -2, [(1, 0, 1), (2, 1, 5)]))
+
+
+def _record_eliminations(monkeypatch):
+    """The list that every ColumnSpace.add and exactalg._kernel call
+    appends its name to from now on."""
     from zeroreg import exactalg
 
     calls = []
@@ -388,18 +390,44 @@ def test_full_rank_separators_take_no_elimination(field, monkeypatch):
                         lambda space, vec: calls.append("add") or original_add(space, vec))
     monkeypatch.setattr(exactalg, "_kernel",
                         lambda *args: calls.append("kernel") or original_kernel(*args))
-    for args in (([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (1, 2, 3)]),
-                 ([1, 2, 3, -1], 1, 2, [(1, 1, 1), (1, 0, 1)]),
-                 ([1, 2, 3, -1, -2, -3], 3, -2, [(1, 0, 1), (2, 1, 5)])):
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F31])
+def test_separator_forms_adds_each_point_once(field, monkeypatch):
+    # products on the line and the minors of one small off-line system
+    # give each point of a full-rank configuration its one separator,
+    # with no reducer and no back-substitution.  A degenerate one names
+    # the point that the per-point solver names
+    calls = _record_eliminations(monkeypatch)
+    for args in FULL_RANK:
         cfg = SeparatorConfig(*args, field)
         calls.clear()
-        got = _outcome(_scalar_separators, cfg)
-        assert got[0] == "forms" and calls == []
-        assert got == _outcome(_separator_forms_reference, cfg)
+        mons, vectors = separator_forms(cfg)
+        assert calls == [] and len(vectors) == cfg.n + 3
+        assert _outcome(_scalar_separators, cfg) == _outcome(_separator_forms_reference, cfg)
     cfg = SeparatorConfig([1, 2, 3], 1, 1, [(1, 1, 0), (1, 0, 1), (0, 0, 1)], field)
     with pytest.raises(DegenerateConfiguration) as raised:
         separator_forms(cfg)
     assert _outcome(_separator_forms_reference, cfg) == ("degenerate", str(raised.value))
+
+
+@pytest.mark.parametrize("field", [F7, F31])
+def test_prime_field_separators_back_substitute_on_leads_one(field, monkeypatch):
+    # over F_p each separator comes out in the field's normal form at its
+    # last nonzero entry: residues with lead and den 1, taken without a
+    # back-substitution, and the per-point solver's separators
+    calls = _record_eliminations(monkeypatch)
+    for args in FULL_RANK[1:]:
+        cfg = SeparatorConfig(*args, field)
+        calls.clear()
+        mons, vectors = separator_forms(cfg)
+        assert calls == []
+        for nums, den in vectors:
+            lead = max(i for i, v in enumerate(nums) if v)
+            assert den == nums[lead] == 1 and all(0 <= v < field.modulus for v in nums)
+        got = _outcome(_scalar_separators, cfg)
+        assert got[0] == "forms" and got == _outcome(_separator_forms_reference, cfg)
 
 
 def _separator_forms_reference(config):
