@@ -81,9 +81,6 @@ class KnownBound:
         self.source = source
         self.bel = bel
 
-    def to_jsonable(self):
-        return {"value": self.value, "source": self.source, "bel": self.bel}
-
     def __repr__(self):
         return "KnownBound(%d from %s; bel %d)" % (self.value, self.source, self.bel)
 
@@ -146,10 +143,6 @@ class SurfaceBound:
     def __init__(self, normality_threshold: int, regularity_bound: int):
         self.normality_threshold = normality_threshold
         self.regularity_bound = regularity_bound
-
-    def to_jsonable(self):
-        return {"normality_threshold": self.normality_threshold,
-                "regularity_bound": self.regularity_bound}
 
 
 def integral_surface_bound(d: int, e: int) -> SurfaceBound:

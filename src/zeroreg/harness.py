@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 from collections import Counter
 from math import comb
 
@@ -637,6 +636,8 @@ def _trial_lemma26(rng, field, index, log):
 
     config, (mons, vectors) = _redraw(
         log, attempt, GenerationExhausted("no admissible separator configuration"))
+    # the family the solver returned is the n + 4 monomials of Lemma 2.6
+    confined = mons == separator_monomial_basis(n)
     # the int forms {m: x_m} are den times the separators, with the same
     # zeros.  The family is cleared once, and each separator's cleared
     # form is its int kernel vector on the family's terms: E = 1, as the
@@ -645,8 +646,6 @@ def _trial_lemma26(rng, field, index, log):
     # ProjPoint.vec, a nonzero multiple of each point, term by term; the
     # solver evaluates no family monomial, so the check stays independent.
     # The int rows are the scalar rows times nonzero scales: same rank
-    allowed = set(separator_monomial_basis(n))
-    confined = all(m in allowed for x, _ in vectors for m, v in zip(mons, x) if v)
     _, deg, terms = cleared_form(dict.fromkeys(mons, 1), field)
     cleared = [(1, deg, [(v, gap, exps) for v, (_, gap, exps) in zip(x, terms) if v])
                for x, _ in vectors]
@@ -861,18 +860,16 @@ _CURVE_SUITES = frozenset(("flatness", "lemma3_1", "mather_consistency"))
 
 
 class SuiteReport:
-    """Aggregated outcome of one suite run.  The JSON form deliberately
-    omits wall time so reports are byte-identical across machines and
-    worker counts; the measured time stays available on the object."""
+    """Aggregated outcome of one suite run.  It holds no wall time, so
+    reports are byte-identical across machines and worker counts."""
 
-    __slots__ = ("suite", "trials", "failures", "redraws", "wall_seconds")
+    __slots__ = ("suite", "trials", "failures", "redraws")
 
-    def __init__(self, suite, trials, failures, redraws, wall_seconds=0.0):
+    def __init__(self, suite, trials, failures, redraws):
         self.suite = suite
         self.trials = trials
         self.failures = list(failures)
         self.redraws = redraws
-        self.wall_seconds = wall_seconds
 
     @property
     def passed(self) -> bool:
@@ -926,7 +923,6 @@ def run_suite(name: str, trials: int, seed: int, prime=None,
         raise ValueError("suite %s uses rational curve arithmetic; "
                          "prime fields are not supported" % name)
     jobs = worker_count(jobs, trials)
-    started = time.monotonic()
     args = [(name, int(seed), i, prime) for i in range(trials)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -938,5 +934,4 @@ def run_suite(name: str, trials: int, seed: int, prime=None,
         results = [_run_trial(a) for a in args]
     failures = [failure for _, failure in results if failure is not None]
     redraws = sum(count for count, _ in results)
-    return SuiteReport(name, trials, failures, redraws,
-                       time.monotonic() - started)
+    return SuiteReport(name, trials, failures, redraws)

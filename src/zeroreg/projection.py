@@ -7,10 +7,16 @@ the tuple of values of the cutting forms of Lambda at x.  For a finite
 scheme the fibers partition the germs: each germ lands, with its full
 length, in the fiber over the image of its support point.
 
+A fiber's separating family (`recipe_for_fiber`) is read off its
+profile: its degree is the predicted normality degree (n for Y6 and
+Y7), and it is the powers of one line for a non-Y fiber on a line.
+
 For a rational curve given by an (N+1)-tuple of coprime degree-d binary
 forms, projecting to a line or to a plane pulls fibers back to divisors
-on P^1: the parameters in the fiber over y are the zeros of an explicit
-binary form (or a gcd of two).  Multiplicities come from exact
+on P^1: the parameters in the fiber over y = (u_0 : ... : u_r), u_i0
+its first nonzero coordinate, are the common zeros of the minors
+u_i0 x_j - u_j x_i0 of the composed forms x_j (one binary form over a
+line, the gcd of two over a plane).  Multiplicities come from exact
 square-free decomposition; rational parameters are expanded into
 curvilinear germs, irrational ones are reported as clusters by degree
 and multiplicity.
@@ -145,7 +151,7 @@ class MatherCheck:
 def _fiber_lengths(fiber) -> list:
     if isinstance(fiber, FiniteScheme):
         return [g.length for g in fiber.germs]
-    if hasattr(fiber, "germs") and hasattr(fiber, "clusters"):
+    if isinstance(fiber, CurveFiber):
         lengths = [g.length for g in fiber.germs]
         for deg, mult in fiber.clusters:
             lengths.extend([mult] * deg)
@@ -215,9 +221,8 @@ def classify_fiber(fiber: FiniteScheme, n: int) -> FiberProfile:
     d = fiber.degree
     if d > n + 2:
         raise ValueError("fiber length exceeds n + 2")
-    lengths = [g.length for g in fiber.germs]
-    reduced = all(l == 1 for l in lengths)
-    mather = sum(2 * l - 1 for l in lengths)
+    reduced = all(g.length == 1 for g in fiber.germs)
+    mather = mather_inequality(fiber, n)
     span = span_dim(fiber)
     col = max_collinear_length(fiber)
     base = dict(
@@ -227,13 +232,13 @@ def classify_fiber(fiber: FiniteScheme, n: int) -> FiberProfile:
         span=span,
         max_collinear=col,
         reduced=reduced,
-        mather_total=mather,
+        mather_total=mather.total,
     )
 
     def profile(case, predicted):
         return FiberProfile(case=case, predicted_normality=predicted, **base)
 
-    if mather > n + 1:
+    if not mather.holds:
         return profile("impossible", None)
     if span > 2:
         return profile("high-span", None)
@@ -277,32 +282,25 @@ def classify_fiber(fiber: FiniteScheme, n: int) -> FiberProfile:
     return profile("Y7", col - 1 if col >= 5 else 3)
 
 
-# The separating family of each fiber case: the powers of one line up
-# to a level, or the standard family plus T1^j for 3 <= j <= a top
-# level, which is also the degree it separates in.
-_LINE_POWER_LEVEL = {"1.i": 4, "2.i": 4, "5.line": 4, "6.line": 5}
-_STANDARD_TOP = {"1.ii": 3, "5.span2.4sec": 3, "6.span2.4sec": 3, "6.span2.conic": 3,
-                 "6.span2.5sec": 4, "1.iii": 2, "5.span2": 2, "6.span2": 2}
-
-
 def recipe_for_fiber(profile: FiberProfile):
     """The separating family prescribed for the fiber's case, as a
-    (recipe, degree) pair, or None when no case family applies.  The
+    (recipe, degree) pair, or None when no case family applies (small,
+    impossible and high-span fibers).  Both are read off the profile:
+    the degree k is the predicted normality degree, or n for Y6 and Y7;
+    a fiber on a line takes the powers of that line up to k, and every
+    other case the standard family plus T1^j for 3 <= j <= k.  The
     recipe's variables are not bound per fiber: `recipe_space` always
     takes U = x_0 and T_i = x_i."""
     case = profile.case
-    if case in _LINE_POWER_LEVEL:
-        k = _LINE_POWER_LEVEL[case]
-        return line_power_recipe(k), k
-    if case == "2.ii":
-        top = 3 if profile.predicted_normality == 3 else 2
-    elif case in ("Y6", "Y7"):
-        top = 5 if profile.n == 5 else 6
-    elif case in _STANDARD_TOP:
-        top = _STANDARD_TOP[case]
-    else:
+    if case in ("small", "impossible", "high-span"):
         return None
-    return standard_recipe(extra={j: [t_monomial(2, (j, 0))] for j in range(3, top + 1)}), top
+    if case in ("Y6", "Y7"):
+        k = profile.n
+    else:
+        k = profile.predicted_normality
+        if profile.span == 1:
+            return line_power_recipe(k), k
+    return standard_recipe(extra={j: [t_monomial(2, (j, 0))] for j in range(3, k + 1)}), k
 
 
 # ---------------------------------------------------------------------------
@@ -469,52 +467,51 @@ def _fiber_from_binary_form(curve: RationalCurve, image, form) -> CurveFiber:
     return CurveFiber(image, germs, parameters, clusters, total)
 
 
+# a target's name, and its coordinate count as a number and as a word
+_TARGETS = {"line": (2, "two"), "plane": (3, "three")}
+
+
+def _fiber_over(curve: RationalCurve, center: LinearSubspace, y, target) -> CurveFiber:
+    """Fiber over y in the target line or plane.  With u the int
+    coordinates of y and i0 the first nonzero one, the parameters over y
+    are the common zeros of the minors u_i0 x_j - u_j x_i0 of the
+    composed forms: their gcd.  Over a line there is one minor, of the
+    curve's degree."""
+    r, count = _TARGETS[target]
+    if center.ambient != curve.ambient or len(center.int_forms) != r:
+        raise ValueError("center must be cut by exactly %s forms in the curve's space" % count)
+    composed = curve.composed_forms(center)
+    if binary_degree(binary_gcd_many(composed)) != 0:
+        raise CenterMeetsCurve("center intersects the curve")
+    if len(y) != r:
+        raise ValueError("a point of the target %s has %s coordinates, got %d"
+                         % (target, count, len(y)))
+    ys = tuple(curve.field(c) for c in y)
+    if all(v == 0 for v in ys):
+        raise ValueError("(%s) is not a point of the target %s" % (" : ".join("0" * r), target))
+    us, _ = curve.field.cleared(ys)
+    i0 = next(i for i, v in enumerate(us) if v)
+    minors = [tuple(us[i0] * xj - us[j] * xi for xj, xi in zip(composed[j], composed[i0]))
+              for j in range(r) if j != i0]
+    minors = [m for m in minors if not binary_is_zero(m)]
+    if not minors:
+        raise AssertionError("projection collapses the curve despite a disjoint center")
+    h = binary_gcd_many(minors)
+    if binary_degree(h) == 0:
+        return CurveFiber(ys, (), (), (), 0)
+    return _fiber_from_binary_form(curve, ys, h)
+
+
 def curve_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     """Fiber over y in P^1 of the projection from a center of dimension
     N - 2; always of total length equal to the curve's degree."""
-    if center.ambient != curve.ambient or len(center.int_forms) != 2:
-        raise ValueError("center must be cut by exactly two forms in the curve's space")
-    a, b = curve.composed_forms(center)
-    if binary_degree(binary_gcd_many([a, b])) != 0:
-        raise CenterMeetsCurve("center intersects the curve")
-    if len(y) != 2:
-        raise ValueError("a point of the target line has two coordinates, got %d" % len(y))
-    y0, y1 = (curve.field(c) for c in y)
-    if y0 == 0 and y1 == 0:
-        raise ValueError("(0 : 0) is not a point of the target line")
-    (u0, u1), _ = curve.field.cleared([y0, y1])
-    form = tuple(u1 * xa - u0 * xb for xa, xb in zip(a, b))
-    return _fiber_from_binary_form(curve, (y0, y1), form)
+    return _fiber_over(curve, center, y, "line")
 
 
 def plane_fiber(curve: RationalCurve, center: LinearSubspace, y) -> CurveFiber:
     """Fiber over y in P^2 of the projection from a center of dimension
     N - 3; total length 0 when y is not on the image curve."""
-    if center.ambient != curve.ambient or len(center.int_forms) != 3:
-        raise ValueError("center must be cut by exactly three forms in the curve's space")
-    composed = curve.composed_forms(center)
-    if binary_degree(binary_gcd_many(composed)) != 0:
-        raise CenterMeetsCurve("center intersects the curve")
-    if len(y) != 3:
-        raise ValueError("a point of the target plane has three coordinates, got %d" % len(y))
-    ys = tuple(curve.field(c) for c in y)
-    if all(v == 0 for v in ys):
-        raise ValueError("(0 : 0 : 0) is not a point of the target plane")
-    us, _ = curve.field.cleared(ys)
-    i0 = next(i for i, v in enumerate(us) if v)
-    minors = []
-    for j in range(3):
-        if j == i0:
-            continue
-        minors.append(
-            tuple(us[i0] * xj - us[j] * xi for xj, xi in zip(composed[j], composed[i0]))
-        )
-    if all(binary_is_zero(m) for m in minors):
-        raise AssertionError("projection collapses the curve despite a disjoint center")
-    h = binary_gcd_many([m for m in minors if not binary_is_zero(m)])
-    if binary_degree(h) == 0:
-        return CurveFiber(ys, (), (), (), 0)
-    return _fiber_from_binary_form(curve, ys, h)
+    return _fiber_over(curve, center, y, "plane")
 
 
 def curve_linear_section_length(curve: RationalCurve, subspace: LinearSubspace) -> int:

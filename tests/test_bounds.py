@@ -97,7 +97,7 @@ def test_bound_table_conditional_quadric_generators():
 def test_bound_reports_bel_alongside():
     got = known_regularity_bound(BoundQuery(5, 12, 4))
     assert got.bel == 44
-    assert got.to_jsonable() == {"value": 19, "source": "dim5", "bel": 44}
+    assert (got.value, got.source, got.bel) == (19, "dim5", 44)
 
 
 def test_low_dimension_bounds_at_least_eisenbud_goto():

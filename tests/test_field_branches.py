@@ -143,7 +143,7 @@ def test_no_fraction_test_outside_exactalg():
 # fiber builds a Fraction or an F_p element
 _OUTPUT_VIEWS = {("scheme", "ProjPoint.coords"), ("scheme", "CurvilinearGerm.jets"),
                  ("scheme", "CurvilinearGerm.evaluate_form"), ("projection", "_coord_key"),
-                 ("projection", "curve_fiber"), ("projection", "plane_fiber")}
+                 ("projection", "_fiber_over")}
 
 
 def test_points_germs_subspaces_and_curves_build_scalars_only_for_output():

@@ -351,7 +351,6 @@ def test_report_json_shape_omits_wall_time():
     report = run_suite("lemma3_1", 5, seed=3)
     doc = report.to_jsonable()
     assert sorted(doc) == ["failures", "passed", "redraws", "suite", "trials"]
-    assert report.wall_seconds > 0
 
 
 def test_prime_field_run_includes_the_rational_cross_check():

@@ -12,6 +12,7 @@ from zeroreg.projection import (
     CenterMeetsScheme,
     CurveContainedInSubspace,
     DuplicateFiberSupport,
+    FiberProfile,
     NonCurvilinearFiber,
     RationalCurve,
     classify_fiber,
@@ -354,14 +355,65 @@ def test_fiber_profile_is_jsonable():
     assert isinstance(data["reduced"], bool)
 
 
-def test_recipe_table_matches_predictions():
-    # where a case family exists, its degree is the predicted one
-    for pts, n in [(LINE_PTS, 5), (GENERAL_5, 5), (ALIGNED_4 + [(1, 1, 0)], 5),
-                   (LINE_PTS, 6), (GENERAL_5, 6)]:
-        prof = classify_fiber(points_scheme(pts), n)
-        recipe, k = recipe_for_fiber(prof)
-        assert k == prof.predicted_normality
-    assert recipe_for_fiber(classify_fiber(points_scheme([(1, 2, 3)]), 5)) is None
+# Every leaf of classify_fiber's tree, with Y6 and Y7 on a line and on
+# both sides of their collinear thresholds, as (n, case, degree, span,
+# max collinear, reduced, predicted) and its separating family as
+# (kind, degree): the powers T1^j of one line for j <= degree ("line"),
+# or the standard family plus T1^j for 3 <= j <= degree ("standard").
+_RECIPE_LEAVES = [
+    (5, "small", 1, 0, 1, True, 0, None),
+    (5, "small", 4, 1, 4, True, 3, None),
+    (5, "small", 4, 2, 3, True, 2, None),
+    (5, "small", 3, 2, 2, True, 1, None),
+    (5, "impossible", 5, 2, 3, False, None, None),
+    (5, "high-span", 5, 3, 2, True, None, None),
+    (5, "1.i", 5, 1, 5, True, 4, ("line", 4)),
+    (5, "1.ii", 5, 2, 4, True, 3, ("standard", 3)),
+    (5, "1.iii", 5, 2, 3, True, 2, ("standard", 2)),
+    (5, "2.i", 5, 1, 5, False, 4, ("line", 4)),
+    (5, "2.ii", 5, 2, 4, False, 3, ("standard", 3)),
+    (5, "2.ii", 5, 2, 3, False, 2, ("standard", 2)),
+    (5, "Y6", 6, 1, 6, True, 5, ("standard", 5)),
+    (5, "Y6", 6, 2, 5, True, 4, ("standard", 5)),
+    (5, "Y6", 6, 2, 4, True, 3, ("standard", 5)),
+    (5, "Y6", 6, 2, 3, True, 2, ("standard", 5)),
+    (5, "Y6", 6, 2, 3, True, 3, ("standard", 5)),
+    (6, "small", 4, 1, 4, True, 3, None),
+    (6, "impossible", 7, 2, 3, False, None, None),
+    (6, "high-span", 6, 3, 2, True, None, None),
+    (6, "5.line", 5, 1, 5, True, 4, ("line", 4)),
+    (6, "5.span2.4sec", 5, 2, 4, True, 3, ("standard", 3)),
+    (6, "5.span2", 5, 2, 3, True, 2, ("standard", 2)),
+    (6, "6.line", 6, 1, 6, True, 5, ("line", 5)),
+    (6, "6.span2.5sec", 6, 2, 5, True, 4, ("standard", 4)),
+    (6, "6.span2.4sec", 6, 2, 4, True, 3, ("standard", 3)),
+    (6, "6.span2", 6, 2, 3, True, 2, ("standard", 2)),
+    (6, "6.span2.conic", 6, 2, 3, True, 3, ("standard", 3)),
+    (6, "Y7", 7, 1, 7, True, 6, ("standard", 6)),
+    (6, "Y7", 7, 2, 5, True, 4, ("standard", 6)),
+    (6, "Y7", 7, 2, 4, True, 3, ("standard", 6)),
+]
+
+
+@pytest.mark.parametrize(
+    "n, case, d, span, col, reduced, predicted, family", _RECIPE_LEAVES,
+    ids=["n%d-%s-span%d-col%d-pred%s" % (leaf[:2] + leaf[3:5] + leaf[6:7])
+         for leaf in _RECIPE_LEAVES])
+def test_recipe_for_fiber_on_every_leaf(n, case, d, span, col, reduced, predicted, family):
+    lengths = [1] * d if reduced else [2] + [1] * (d - 2)
+    prof = FiberProfile(n=n, degree=d, support_size=len(lengths), span=span,
+                        max_collinear=col, reduced=reduced,
+                        mather_total=sum(2 * l - 1 for l in lengths), case=case,
+                        predicted_normality=predicted)
+    hit = recipe_for_fiber(prof)
+    if family is None:
+        assert hit is None
+        return
+    (kind, degree), (recipe, k) = family, hit
+    assert k == degree
+    assert recipe.standard == (kind == "standard")
+    low = 3 if recipe.standard else 0
+    assert recipe.spaces == {j: ({(j, 0): 1},) for j in range(low, degree + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +610,42 @@ def test_plane_fiber_needs_three_target_coordinates(y):
     center = LinearSubspace(3, [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)])
     with pytest.raises(ValueError, match="three coordinates, got %d" % len(y)):
         plane_fiber(TWISTED_CUBIC, center, y)
+
+
+# the twisted cubic's fiber routines on bad input: a center cut by the
+# wrong number of forms or in another space, a point of the wrong
+# length, and the zero point; each message as the routine raises it
+_LINE_CENTER = LinearSubspace(3, [(1, 0, 0, -1), (0, 1, 1, -1)])
+_PLANE_CENTER = LinearSubspace(3, [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)])
+_FIBER_ERRORS = [
+    (curve_fiber, _PLANE_CENTER, (1, 1),
+     "center must be cut by exactly two forms in the curve's space"),
+    (curve_fiber, LinearSubspace(2, [(1, 0, 0), (0, 0, 1)]), (1, 1),
+     "center must be cut by exactly two forms in the curve's space"),
+    (curve_fiber, _LINE_CENTER, (1,), "a point of the target line has two coordinates, got 1"),
+    (curve_fiber, _LINE_CENTER, (1, 1, 0),
+     "a point of the target line has two coordinates, got 3"),
+    (curve_fiber, _LINE_CENTER, (0, Fraction(0)), "(0 : 0) is not a point of the target line"),
+    (plane_fiber, _LINE_CENTER, (1, 1, 1),
+     "center must be cut by exactly three forms in the curve's space"),
+    (plane_fiber, LinearSubspace(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), (1, 1, 1),
+     "center must be cut by exactly three forms in the curve's space"),
+    (plane_fiber, _PLANE_CENTER, (1, 1),
+     "a point of the target plane has three coordinates, got 2"),
+    (plane_fiber, _PLANE_CENTER, (1, 1, 0, 5),
+     "a point of the target plane has three coordinates, got 4"),
+    (plane_fiber, _PLANE_CENTER, (0, 0, Fraction(0)),
+     "(0 : 0 : 0) is not a point of the target plane"),
+]
+
+
+@pytest.mark.parametrize("fiber, center, y, message", _FIBER_ERRORS,
+                         ids=["%s-%d" % (e[0].__name__, i) for i, e in enumerate(_FIBER_ERRORS)])
+def test_fiber_routines_reject_bad_input(fiber, center, y, message):
+    with pytest.raises(ValueError) as err:
+        fiber(TWISTED_CUBIC, center, y)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
 
 
 def test_plane_fiber_center_on_curve_is_rejected():
