@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import BoundQuery, known_regularity_bound, bel_bound, eisenbud_goto_bound
+from .bounds import BoundQuery, known_regularity_bound, eisenbud_goto_bound
 from .exactalg import QQ, parse_prime_field, parse_scalar, scalar_str
 from .jsonio import (
     canonical_json,
@@ -276,7 +276,7 @@ def _cmd_bounds(args) -> int:
     _emit({
         "eisenbud_goto": eisenbud_goto_bound(args.degree, args.codim),
         "best_known": best.value,
-        "bel": bel_bound(args.dim, args.degree, args.codim),
+        "bel": best.bel,
     })
     return 0
 

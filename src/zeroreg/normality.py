@@ -210,15 +210,7 @@ class SecantNormalityVerdict:
         self.equivalence_holds = lhs == self.has_long_secant
 
     def to_jsonable(self):
-        return {
-            "degree": self.degree,
-            "span": self.span,
-            "normal_at_d_minus_n": self.normal_at_d_minus_n,
-            "normal_at_d_minus_n_1": self.normal_at_d_minus_n_1,
-            "max_collinear": self.max_collinear,
-            "has_long_secant": self.has_long_secant,
-            "equivalence_holds": self.equivalence_holds,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def secant_normality_verdict(scheme: FiniteScheme) -> SecantNormalityVerdict:

@@ -426,11 +426,6 @@ class CurveFiber:
         self.clusters = tuple(clusters)
         self.total = total
 
-    def scheme(self) -> FiniteScheme:
-        if self.clusters:
-            raise ValueError("fiber has irrational points; no exact scheme over Q")
-        return FiniteScheme(self.germs)
-
     def __repr__(self):
         return "CurveFiber(total=%d, germs=%d, clusters=%r)" % (
             self.total, len(self.germs), list(self.clusters),

@@ -75,7 +75,12 @@ class EnumerationCapExceeded(ValueError):
 
 def enumeration_cap() -> int:
     raw = os.environ.get("REGLAB_CAP")
-    return int(raw) if raw else DEFAULT_ENUM_CAP
+    if not raw:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("REGLAB_CAP must be an integer, got %r" % raw) from None
 
 
 class ProjPoint:

@@ -684,6 +684,10 @@ INPUT_ERRORS = {
         "--off", "1:2", "--off", "3:4"], "three coordinates"),
     "lemma26-off-points-in-p3": (lambda d: _LEMMA26_LINE + [
         "--off", "1:2:3:4", "--off", "3:4:5:6"], "three coordinates"),
+    # the fuzz reaches this case but checks only its exit code
+    "curve-over-a-prime-field": (lambda d: _section(d, curve={
+        "field": {"Fp": 7}, "forms": [["1", "0"], ["0", "1"]]}),
+        "rational curves are supported over Q only"),
     "curve-fiber-y-in-p2": (lambda d: [
         "curve-fiber", "--curve", str(GOLDEN_DIR / "curve.json"),
         "--center", str(GOLDEN_DIR / "subspace.json"), "--y", "1:2:3"],
@@ -823,6 +827,17 @@ def test_input_errors_exit_two(name, via_module, tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["invariant-t", "--scheme", _square4(d / "sq.json")],
+    lambda d: ["verify", "--suite", "cor1_3b", "--trials", "1"],
+], ids=["invariant-t", "verify"])
+def test_a_non_integer_enumeration_cap_is_named(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REGLAB_CAP", "abc")
+    code, out, err = run_cli(argv(tmp_path), capsys)
+    assert code == 2 and out == ""
+    assert err == "error: REGLAB_CAP must be an integer, got 'abc'\n"
 
 
 GOLDEN_COMMANDS = {

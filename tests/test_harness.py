@@ -21,13 +21,20 @@ from zeroreg.harness import (
     SUITE_NAMES,
     _CONIC_RECIPE,
     _FIBER_TYPES,
+    _PLANE_BOX,
     _TRIALS,
     _build_scheme,
     _conic_scheme,
+    _draw_direction,
+    _draw_point,
     _gen_fiber_instance,
+    _line_basis,
+    _random_invertible,
     _redraw,
     _Redraws,
     _Retry,
+    _spread_scheme,
+    _until,
     gen_scheme,
     run_suite,
     trial_seed,
@@ -48,6 +55,7 @@ from zeroreg.scheme import (
     invariant_t,
     max_collinear_length,
     reduced_germ,
+    subspace_from_rows,
 )
 from zeroreg.separation import recipe_separates
 
@@ -238,22 +246,36 @@ def test_an_exhausted_inner_redraw_is_one_outer_redraw():
     assert log.count == 2 * (5 + 1) and len(calls) == 11
 
 
-def _bump_sites(tree):
-    """The qualified name of the function around each `.bump(` call, in
-    source order."""
+def _sites(tree, hit):
+    """The qualified name of the function around each node that `hit`
+    accepts, in source order."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "bump"):
+        if hit(node):
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def _bump_sites(tree):
+    """The qualified name of the function around each `.bump(` call."""
+    return _sites(tree, lambda node: isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "bump")
+
+
+def _eighty_try_loops(tree):
+    """The qualified name of the function around each `for _ in range(80)`."""
+    return _sites(tree, lambda node: isinstance(node, ast.For)
+                  and ast.unparse(node.iter) == "range(80)")
+
+
+_HARNESS = Path(__file__).resolve().parent.parent / "src" / "zeroreg" / "harness.py"
 
 
 def test_the_bump_check_sees_a_new_counting_site():
@@ -265,8 +287,177 @@ def test_the_bump_check_sees_a_new_counting_site():
 def test_redraws_are_counted_in_one_place():
     # _redraw is the one counted loop; gen_scheme names its misses by
     # feature through the reasons its retries carry
-    path = Path(__file__).resolve().parent.parent / "src" / "zeroreg" / "harness.py"
-    assert _bump_sites(ast.parse(path.read_text(), str(path))) == ["_redraw"]
+    assert _bump_sites(ast.parse(_HARNESS.read_text(), str(_HARNESS))) == ["_redraw"]
+
+
+# ---------------------------------------------------------------------------
+# the uncounted redraw loop
+
+
+def test_until_returns_the_first_kept_draw():
+    attempt, calls = _attempts(1, 2, 3, 4)
+    assert _until(attempt, lambda x: x >= 3) == 3
+    assert calls == [1, 2, 3]
+
+
+def test_until_counts_a_raising_draw_as_a_miss():
+    miss = (ValueError("bad"), _Retry("degenerate"))
+    attempt, calls = _attempts(*miss, "drawn")
+    kept = []
+    assert _until(attempt, lambda x: kept.append(x) or True) == "drawn"
+    # keep is asked only about draws that returned
+    assert len(calls) == 3 and kept == ["drawn"]
+
+
+@pytest.mark.parametrize("miss", [ValueError("bad"), _Retry(), "rejected"])
+def test_until_raises_retry_after_exactly_eighty_draws(miss):
+    attempt, calls = _attempts(*[miss] * 81)
+    with pytest.raises(_Retry):
+        _until(attempt, lambda x: x != "rejected")
+    assert len(calls) == 80
+
+
+def test_until_passes_other_errors_through():
+    attempt, calls = _attempts(_Retry(), ZeroDivisionError("other"), "drawn")
+    with pytest.raises(ZeroDivisionError):
+        _until(attempt, lambda x: True)
+    assert len(calls) == 2
+
+
+def test_the_loop_check_sees_a_new_eighty_try_loop():
+    tree = ast.parse("def f():\n    for _ in range(80):\n        pass\n"
+                     "    for _ in range(8):\n        pass\n"
+                     "class C:\n    def g(self):\n        for i in range(80):\n            pass\n")
+    assert _eighty_try_loops(tree) == ["f", "C.g"]
+
+
+def test_uncounted_retries_loop_in_three_places():
+    # whole candidates go through _until; the point and germ samplers,
+    # which run once per point and germ of every draw, keep their loops
+    tree = ast.parse(_HARNESS.read_text(), str(_HARNESS))
+    assert _eighty_try_loops(tree) == ["_until", "_draw_point", "_draw_germ"]
+
+
+def _off_points(field, avoid=(), lines=()):
+    """Three off points in a row, each avoiding the ones before, with the
+    filter of the separator frame: x0 nonzero and off `lines`."""
+    def keep(p):
+        return p.vec[0] != 0 and not any(line.contains_point(p) for line in lines)
+
+    def draw(rng):
+        points = list(avoid)
+        for _ in range(3):
+            points.append(_draw_point(rng, 2, _PLANE_BOX, field, points, keep=keep))
+        return tuple(tuple(p.vec) for p in points[len(avoid):])
+
+    return draw
+
+
+def _scheme_digest(x):
+    return hashlib.sha256(canonical_json(scheme_to_jsonable(x)).encode()).hexdigest()[:16]
+
+
+# Each uncounted helper, drawn from random.Random(seed) for seeds 0, 1, 2:
+# what it returned and the next rng.random() after it, so a helper that
+# draws one value more or less, or in another order, moves its pin
+_HELPERS = {
+    "direction": lambda f: lambda rng: tuple(
+        _draw_direction(rng, ProjPoint((1, 1), f), (-1, 1), f)),
+    "invertible": lambda f: lambda rng: tuple(
+        map(tuple, _random_invertible(rng, 3, f).data)),
+    "line_basis": lambda f: lambda rng: _line_basis(rng, f),
+    "off_point": lambda f: _off_points(f),
+    "off_line": lambda f: _off_points(
+        f, [ProjPoint((1, 1, 1), f)], [subspace_from_rows([(1, 0, 0), (0, 1, 0)], 2, f)]),
+    "spread": lambda f: lambda rng: _scheme_digest(_spread_scheme(rng, f, [2, 1, 1, 1])),
+    "spread_phi6": lambda f: lambda rng: _scheme_digest(_spread_scheme(rng, f, [2, 1, 1, 1, 1], 6)),
+    "conic_germ": lambda f: lambda rng: _scheme_digest(_conic_scheme(rng, f, True)),
+    "conic": lambda f: lambda rng: _scheme_digest(_conic_scheme(rng, f, False)),
+}
+
+_PINNED_HELPER_DRAWS = {
+    "direction": {
+        None: [((-1, 0), 0.9654648863619172), ((-1, 1), 0.8474337369372327),
+               ((-1, 0), 0.8354988781294496)],
+        7: [((-1, 0), 0.9654648863619172), ((-1, 1), 0.8474337369372327),
+            ((-1, 0), 0.8354988781294496)],
+    },
+    "invertible": {
+        None: [(((2, 2, -4), (0, 4, 3), (2, 0, 3)), 0.3580493746949883),
+               (((-3, 1, -4), (-4, -4, 4), (-4, 2, -1)), 0.9690406502940995),
+               (((-4, -3, -3), (1, -2, 0), (0, -1, -4)), 0.5812040171120031)],
+        7: [(((2, 2, -4), (0, 4, 3), (2, 0, 3)), 0.3580493746949883),
+            (((-3, 1, -4), (-4, -4, 4), (-4, 2, -1)), 0.9690406502940995),
+            (((-4, -3, -3), (1, -2, 0), (0, -1, -4)), 0.5812040171120031)],
+    },
+    "line_basis": {
+        None: [(((3, 4, -8), (-1, 7, 6)), 0.4049341374504143),
+               (((-5, 9, -7), (-1, -6, 6)), 0.7609624449125756),
+               (((-8, -7, -7), (2, -4, 0)), 0.25158329759496567)],
+        7: [(((3, 4, -8), (-1, 7, 6)), 0.4049341374504143),
+            (((-5, 9, -7), (-1, -6, 6)), 0.7609624449125756),
+            (((-8, -7, -7), (2, -4, 0)), 0.25158329759496567)],
+    },
+    "off_point": {
+        None: [(((3, 4, -8), (1, -7, -6), (1, 0, 2)), 0.3580493746949883),
+               (((5, -9, 7), (1, 6, -6), (5, 6, 3)), 0.7887233511355132),
+               (((8, 7, 7), (1, -2, 0), (1, 3, 8)), 0.5812040171120031)],
+        7: [(((1, 6, 2), (1, 0, 1), (1, 0, 2)), 0.3580493746949883),
+            (((1, 1, 0), (1, 6, 1), (1, 4, 2)), 0.7887233511355132),
+            (((1, 0, 0), (1, 5, 0), (1, 3, 1)), 0.5812040171120031)],
+    },
+    "off_line": {
+        None: [(((3, 4, -8), (1, -7, -6), (1, 0, 2)), 0.3580493746949883),
+               (((5, -9, 7), (1, 6, -6), (5, 6, 3)), 0.7887233511355132),
+               (((8, 7, 7), (1, 3, 8), (9, -4, 4)), 0.6384713381046937)],
+        7: [(((1, 6, 2), (1, 0, 1), (1, 0, 2)), 0.3580493746949883),
+            (((1, 6, 1), (1, 4, 2), (1, 2, 5)), 0.02834747652200631),
+            (((1, 3, 1), (1, 5, 2), (1, 0, 3)), 0.5441770474293208)],
+    },
+    "spread": {
+        None: [("9f0df5ab4e794f05", 0.1397457849666789),
+               ("e272ffd1d065a5e8", 0.6074379962852603),
+               ("549c570e7bad5117", 0.5441770474293208)],
+        7: [("100a3f351785e04a", 0.6108869734438016),
+            ("548e3c48068e3fa3", 0.7215400323407826),
+            ("035473d01ad3116d", 0.5441770474293208)],
+    },
+    "spread_phi6": {
+        None: [("62d55286310f9ecf", 0.9872592010330129),
+               ("ade41d986f15a570", 0.7215400323407826),
+               ("76d90a7eae7599d4", 0.2682407416493281)],
+        7: [("cce2c710ccc53bc2", 0.8750872873361456),
+            ("aa09cc5c6793a18a", 0.9014274576114836),
+            ("a2c9fe888f16e926", 0.3596914037964013)],
+    },
+    "conic_germ": {
+        None: [("939386c96cadd8ea", 0.1397457849666789),
+               ("9c6e41416eebb3b8", 0.43788759365057206),
+               ("78ec7571f90f83b8", 0.7230120812374659)],
+        7: [("1719ebd8ba1acc1e", 0.5962868615831063),
+            ("d342d08b9ebabd2d", 0.20040745546617267),
+            ("f1160e052b1818e3", 0.9900015462028011)],
+    },
+    "conic": {
+        None: [("a015b4393b667ae1", 0.7558042041572239),
+               ("5737cf87ac1f1af4", 0.9391670189485866),
+               ("4a69336708cbdd5c", 0.8602441027374532)],
+        7: [("6532bfe1b2432bac", 0.46713122754826175),
+            ("8bae78b5e1d203d2", 0.680890040408226),
+            ("021d5072d6bea0bc", 0.1644884240665313)],
+    },
+}
+
+
+@pytest.mark.parametrize("prime", [None, 7])
+@pytest.mark.parametrize("helper", sorted(_HELPERS))
+def test_uncounted_helpers_draw_their_pinned_streams(helper, prime):
+    draw = _HELPERS[helper](QQ if prime is None else prime_field(prime))
+    drawn = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        drawn.append((draw(rng), rng.random()))
+    assert drawn == _PINNED_HELPER_DRAWS[helper][prime]
 
 
 # ---------------------------------------------------------------------------
