@@ -6,9 +6,24 @@ violated (the offending evidence is still printed as JSON), 2 when a
 `ValueError` reaches `main`: malformed or non-generic input, or a usage
 error (message on standard error, nothing on standard output).
 
-Each call is a fresh process, so a command imports only what it needs:
-`verify` alone loads the harness, inside its handler, and the harness
-loads its process pool only for `--jobs` above 1.
+Each call is a fresh process, so a command imports only what it needs.
+This module imports `exactalg` alone at top level, for the parser's
+field and scalar arguments; each handler imports its own names when it
+runs.  Without a byte-code cache (a source checkout run with
+PYTHONDONTWRITEBYTECODE, say) a process compiles every source it
+imports, and that compile time is most of an import.  So:
+
+- `hilbert`, `normality`, `regularity`, `secant` and `invariant-t` load
+  `jsonio`, `scheme` and `forms`, plus `normality` for all but
+  `invariant-t`;
+- `separate` and `lemma26` load `separation` on top of those, and not
+  `normality`;
+- `project`, `classify-fiber`, `curve-fiber` and `curve-section` load
+  `projection`, which brings `normality` and `separation` with it;
+- `bounds` loads `bounds`, and `jsonio` (with `scheme` and `forms`) to
+  print;
+- `verify` alone loads the harness, which loads every module above, and
+  the harness loads its process pool only for `--jobs` above 1.
 """
 
 from __future__ import annotations
@@ -16,68 +31,37 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import BoundQuery, known_regularity_bound, eisenbud_goto_bound
 from .exactalg import QQ, parse_prime_field, parse_scalar, scalar_str
-from .jsonio import (
-    canonical_json,
-    curve_loads,
-    form_to_jsonable,
-    recipe_loads,
-    recipe_to_jsonable,
-    scheme_loads,
-    scheme_to_jsonable,
-    subspace_loads,
-)
-from .normality import (
-    hilbert_function_values,
-    is_k_normal,
-    min_normal_degree,
-    secant_normality_verdict,
-)
-from .projection import (
-    classify_fiber,
-    curve_fiber,
-    curve_linear_section_length,
-    project_scheme,
-    recipe_for_fiber,
-    yk_counts,
-)
-from .scheme import ProjPoint, invariant_t, max_collinear_length, span_dim
-from .separation import (
-    DegenerateConfiguration,
-    SeparatorConfig,
-    family_rank,
-    recipe_space,
-    separator_forms,
-    standard_recipe,
-)
 
 
 # The largest n that `lemma26` takes, so that every input does bounded
 # work.  The solver multiplies the aligned points' linear factors and
 # takes the minors of one system of 2 or 3 rows, on integers that grow
-# with n: n = 20 takes about 0.11 s, n = 40 (41 aligned points and two
-# off the line) 0.15 s and n = 80, past the cap, 0.18 s in a fresh
-# process on a 2-core Xeon VM (medians of five runs).  The cap stays
-# until the benchmark runs a `lemma26` input at it.
+# with n: n = 20 takes about 0.15 s, n = 40 (41 aligned points and two
+# off the line) 0.17 s and n = 80, past the cap, 0.25 s in a fresh
+# process on a 2-core Xeon VM, interpreter start included (medians of
+# five runs).  The cap stays until the benchmark runs a `lemma26` input
+# at it.
 LEMMA26_MAX_N = 40
 
 # The largest `separate --degree` and `hilbert --max-degree`.  `separate`
 # raises each germ coordinate to the powers of U^(k-j) by one running
 # product of int series, one factor at a time: k = 10,000 takes about
-# 0.10 s for two points and 0.12 s for two length-3 germs in a fresh
-# process on a 2-core Xeon VM (medians of seven runs); `hilbert` prints
+# 0.10 s for two points and 0.23 s for two length-3 germs in chart 1
+# (so U = x_0 is a series) in a fresh process on a 2-core Xeon VM,
+# interpreter start included (medians of five runs); `hilbert` prints
 # k + 1 entries.
 MAX_DEGREE = 10000
 
 # The largest `separate` work: --degree k times the sum of L^2 over the
 # germs' lengths L, since each factor of U^(k-j) is one product of
 # length-L series, taken once per germ.  At the budget, k = 10,000 on one
-# length-15 germ takes about 0.30 s and k = 1,000 on a length-49 germ
-# 0.28 s in a fresh process on a 2-core Xeon VM (medians of seven runs);
-# a length-40 germ at k = 10,000 (six times the budget) takes 1.4 s.
-# Reduced points stay below it: the 80 that `jsonio.SCHEME_MAX_DEGREE`
-# allows take 0.10 s at k = 10,000.
+# length-15 germ in chart 1 takes about 0.39 s and k = 1,000 on a
+# length-49 germ 0.31 s in a fresh process on a 2-core Xeon VM,
+# interpreter start included (medians of five runs); a length-40 germ
+# at k = 10,000 (six times the budget) takes 2.0 s.  Reduced points stay
+# below it: the 80 that `jsonio.SCHEME_MAX_DEGREE` allows take 0.10 s at
+# k = 10,000.
 SEPARATE_BUDGET = 2500000
 
 # The largest `verify --trials`, checked before the harness is imported.
@@ -104,14 +88,20 @@ def _read(path: str) -> str:
 
 
 def _load_scheme(path: str):
+    from .jsonio import scheme_loads
+
     return scheme_loads(_read(path))
 
 
 def _load_curve(path: str):
+    from .jsonio import curve_loads
+
     return curve_loads(_read(path))
 
 
 def _emit(doc) -> None:
+    from .jsonio import canonical_json
+
     sys.stdout.write(canonical_json(doc))
 
 
@@ -124,6 +114,8 @@ def _point_out(point):
 
 
 def _cmd_hilbert(args) -> int:
+    from .normality import hilbert_function_values
+
     if args.max_degree < 0:
         raise ValueError("--max-degree must be nonnegative")
     if args.max_degree > MAX_DEGREE:
@@ -134,6 +126,8 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_normality(args) -> int:
+    from .normality import is_k_normal
+
     if args.degree < 0:
         raise ValueError("--degree must be nonnegative")
     x = _load_scheme(args.scheme)
@@ -143,6 +137,8 @@ def _cmd_normality(args) -> int:
 
 
 def _cmd_regularity(args) -> int:
+    from .normality import min_normal_degree
+
     x = _load_scheme(args.scheme)
     k = min_normal_degree(x)
     _emit({"degree": x.degree, "min_normal_degree": k, "regularity": k + 1})
@@ -150,6 +146,8 @@ def _cmd_regularity(args) -> int:
 
 
 def _cmd_invariant_t(args) -> int:
+    from .scheme import invariant_t, max_collinear_length, span_dim
+
     x = _load_scheme(args.scheme)
     t = invariant_t(x)
     _emit({"degree": x.degree, "span": span_dim(x), "t": t,
@@ -158,6 +156,8 @@ def _cmd_invariant_t(args) -> int:
 
 
 def _cmd_secant(args) -> int:
+    from .normality import secant_normality_verdict
+
     x = _load_scheme(args.scheme)
     verdict = secant_normality_verdict(x)
     _emit(verdict.to_jsonable())
@@ -165,6 +165,9 @@ def _cmd_secant(args) -> int:
 
 
 def _cmd_separate(args) -> int:
+    from .jsonio import recipe_loads
+    from .separation import family_rank, recipe_space, standard_recipe
+
     if args.degree < 0:
         raise ValueError("--degree must be nonnegative")
     if args.degree > MAX_DEGREE:
@@ -185,6 +188,9 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_lemma26(args) -> int:
+    from .jsonio import form_to_jsonable
+    from .separation import DegenerateConfiguration, SeparatorConfig, separator_forms
+
     field = args.field
     config = SeparatorConfig(
         [parse_scalar(u, field) for u in args.aligned.split(",")],
@@ -208,6 +214,9 @@ def _cmd_lemma26(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .jsonio import scheme_to_jsonable, subspace_loads
+    from .projection import project_scheme, yk_counts
+
     x = _load_scheme(args.scheme)
     center = subspace_loads(_read(args.center))
     fibers = project_scheme(x, center)
@@ -222,6 +231,9 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_classify_fiber(args) -> int:
+    from .jsonio import recipe_to_jsonable
+    from .projection import classify_fiber, recipe_for_fiber
+
     x = _load_scheme(args.scheme)
     profile = classify_fiber(x, args.n)
     doc = profile.to_jsonable()
@@ -237,6 +249,9 @@ def _cmd_classify_fiber(args) -> int:
 
 
 def _cmd_curve_fiber(args) -> int:
+    from .jsonio import subspace_loads
+    from .projection import curve_fiber
+
     curve = _load_curve(args.curve)
     center = subspace_loads(_read(args.center))
     y = tuple(parse_scalar(c, curve.field) for c in args.y.split(":"))
@@ -253,6 +268,9 @@ def _cmd_curve_fiber(args) -> int:
 
 
 def _cmd_curve_section(args) -> int:
+    from .jsonio import subspace_loads
+    from .projection import curve_linear_section_length
+
     curve = _load_curve(args.curve)
     sub = subspace_loads(_read(args.subspace))
     length = curve_linear_section_length(curve, sub)
@@ -268,6 +286,8 @@ _QUADRIC = {"yes": True, "no": False, "unknown": None}
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import BoundQuery, eisenbud_goto_bound, known_regularity_bound
+
     q = BoundQuery(args.dim, args.degree, args.codim,
                    smooth=not args.not_smooth,
                    contained_in_quadric=_QUADRIC[args.on_quadric],
@@ -308,6 +328,8 @@ def _parse_field_arg(text: str):
 
 
 def _parse_point_arg(text, field):
+    from .scheme import ProjPoint
+
     coords = [parse_scalar(c, field) for c in text.split(":")]
     try:
         return ProjPoint(coords, field)

@@ -23,6 +23,11 @@ is not a boolean; anything else raises `DocumentFormatError`.  So does
 an object that repeats a key or has a key its kind does not know.  A
 form lists each exponent tuple once, and a recipe's level keys are
 canonical integers ("3", not "03").
+
+This module imports `exactalg` and `scheme` only.  The curve and recipe
+readers import `RationalCurve` and `FormSpaceRecipe` when they run, so a
+process that reads a scheme document loads neither `projection` nor
+`separation`.
 """
 
 from __future__ import annotations
@@ -30,29 +35,29 @@ from __future__ import annotations
 import json
 
 from .exactalg import QQ, parse_prime_field, parse_scalar, scalar_str
-from .projection import RationalCurve
 from .scheme import CurvilinearGerm, FiniteScheme, LinearSubspace, ProjPoint, make_germ, reduced_germ
-from .separation import FormSpaceRecipe
 
 
 # The largest curve degree a curve document may have.  The gcds under
 # `curve-fiber` and `curve-section` (the base-point test, the center
 # test, and the squarefree part of the fiber) are primitive PRS in Z[t],
 # whose coefficients grow with the degree: `curve-fiber` on a random
-# curve in P^3 with coefficients in [-9, 9] takes about 0.1 s at degree
-# 40, 0.13 s at 80, 0.65 s at 160, 1.4 s at 200 and 10 s at 320 in a
-# fresh process on a 2-core Xeon VM (`curve-section` 0.18 s at 160), and
-# longer for longer coefficients.
+# curve in P^3 with coefficients in [-9, 9] takes about 0.13 s at degree
+# 40, 0.23 s at 80, 1.0 s at 160, 1.9 s at 200 and 14 s at 320 in a
+# fresh process on a 2-core Xeon VM, interpreter start included (medians
+# of five runs; `curve-section` 0.33 s at 160), and longer for longer
+# coefficients.
 CURVE_MAX_DEGREE = 160
 
 # The largest scheme degree (the sum of the germ lengths) a scheme
 # document may have.  phi ranks vectors in K^d whose integer entries
 # grow with the degree k of the forms: on d random points of P^2 with
 # coordinates in [-50, 50], `regularity`, `hilbert` and `secant` each
-# take about 0.1 s at d = 40, 1.0 s at 80, 2.7 s at 100 and 7 s at 120
-# in a fresh process on a 2-core Xeon VM (`project` 0.1 s throughout);
-# 20 germs of length 4 take 0.7 s at d = 80, one germ of length 80
-# 0.7 s and of length 120 4.6 s.  Longer coordinates take longer.
+# take about 0.2 s at d = 40, 1.3 s at 80, 3.5 s at 100 and 7 s at 120
+# in a fresh process on a 2-core Xeon VM, interpreter start included
+# (medians of five runs; `project` 0.1-0.17 s throughout); 20 germs of
+# length 4 take 0.35-0.45 s at d = 80, one germ of length 80 0.9-1.0 s
+# and of length 120 7.5 s.  Longer coordinates take longer.
 SCHEME_MAX_DEGREE = 80
 
 
@@ -211,14 +216,16 @@ def scheme_loads(text: str) -> FiniteScheme:
     return scheme_from_jsonable(parse_document(text))
 
 
-def curve_to_jsonable(curve: RationalCurve):
+def curve_to_jsonable(curve):
     return {"field": field_to_jsonable(curve.field),
             "forms": [[scalar_str(c) for c in f] for f in curve.int_forms]}
 
 
-def curve_from_jsonable(doc) -> RationalCurve:
+def curve_from_jsonable(doc):
     """The curve of a document; one of degree above `CURVE_MAX_DEGREE` is
     rejected before any polynomial work."""
+    from .projection import RationalCurve
+
     _object(doc, "curve", ("forms",), ("field",))
     field = field_from_jsonable(doc.get("field", "Q"))
     forms = [[parse_scalar(c, field) for c in _array(f, "a form")]
@@ -233,7 +240,7 @@ def curve_from_jsonable(doc) -> RationalCurve:
         raise DocumentFormatError(str(err)) from None
 
 
-def curve_loads(text: str) -> RationalCurve:
+def curve_loads(text: str):
     return curve_from_jsonable(parse_document(text))
 
 
@@ -292,6 +299,8 @@ def form_from_jsonable(doc):
 
 
 def recipe_from_jsonable(doc):
+    from .separation import FormSpaceRecipe
+
     _object(doc, "recipe", ("t_count", "levels"), ("standard",))
     t_count = _positive_int(doc["t_count"], "t_count")
     levels = doc["levels"]

@@ -131,7 +131,6 @@ def test_regularity_computes_the_minimal_normal_degree_once(tmp_path, capsys, mo
         return real(scheme)
 
     monkeypatch.setattr(normality, "min_normal_degree", counted)
-    monkeypatch.setattr(cli, "min_normal_degree", counted)
     scheme = _collinear5(tmp_path / "pts.json")
     code, out, _ = run_cli(["regularity", "--scheme", scheme], capsys)
     assert code == 0
@@ -897,11 +896,74 @@ def test_help_stdout_pinned(argv, want_digest, capsys, monkeypatch):
 @pytest.mark.parametrize("module, absent", [
     ("zeroreg.cli", ("zeroreg.harness", "concurrent.futures", "multiprocessing")),
     ("zeroreg.harness", ("concurrent.futures", "multiprocessing")),
-], ids=["cli", "harness"])
+    ("zeroreg.jsonio", ("zeroreg.projection", "zeroreg.separation")),
+], ids=["cli", "harness", "jsonio"])
 def test_a_fresh_import_leaves_out_what_only_verify_needs(module, absent):
     probe = "import sys, %s; print([m for m in %r if m in sys.modules])" % (module, absent)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def _per_command_argv(command, tmp_path):
+    scheme = str(GOLDEN_DIR / "scheme.json")
+    if command == "hilbert":
+        return ["hilbert", "--scheme", scheme, "--max-degree", "4"]
+    if command == "normality":
+        return ["normality", "--scheme", scheme, "--degree", "2"]
+    if command in ("regularity", "invariant-t", "secant"):
+        return [command, "--scheme", scheme]
+    if command == "separate":
+        return ["separate", "--scheme", scheme, "--degree", "4",
+                "--recipe", str(GOLDEN_DIR / "recipe.json")]
+    if command == "lemma26":
+        return ["lemma26", "--aligned", "1,2,3,4", "--a", "1", "--b", "1",
+                "--off", "1:2:3", "--off", "1:5:-1"]
+    if command == "project":
+        center = _subspace(tmp_path / "c.json", 3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        return ["project", "--scheme", scheme, "--center", center]
+    if command == "classify-fiber":
+        return ["classify-fiber", "--scheme", _collinear5(tmp_path / "pts.json"), "--n", "5"]
+    if command == "curve-section":
+        return ["curve-section", "--curve", str(GOLDEN_DIR / "curve.json"),
+                "--subspace", str(GOLDEN_DIR / "subspace.json")]
+    return GOLDEN_COMMANDS[command + ".json"]
+
+
+_SCHEME_ONLY = ("zeroreg.projection", "zeroreg.separation", "zeroreg.bounds", "zeroreg.harness")
+_SEPARATORS = ("zeroreg.normality", "zeroreg.projection", "zeroreg.bounds", "zeroreg.harness")
+_FIBERS = ("zeroreg.bounds", "zeroreg.harness")
+
+
+PER_COMMAND = [
+    ("hilbert", 0, _SCHEME_ONLY),
+    ("regularity", 0, _SCHEME_ONLY),
+    ("normality", 0, _SCHEME_ONLY),
+    ("secant", 1, _SCHEME_ONLY),
+    ("invariant-t", 0, _SCHEME_ONLY + ("zeroreg.normality",)),
+    ("separate", 0, _SEPARATORS),
+    ("lemma26", 0, _SEPARATORS),
+    ("project", 0, _FIBERS),
+    ("classify-fiber", 0, _FIBERS),
+    ("curve-fiber", 0, _FIBERS),
+    ("curve-section", 0, _FIBERS),
+    ("bounds", 0, ("zeroreg.normality", "zeroreg.projection", "zeroreg.separation",
+                   "zeroreg.harness")),
+]
+
+
+@pytest.mark.parametrize("command, want_code, absent", PER_COMMAND,
+                         ids=[row[0] for row in PER_COMMAND])
+def test_each_command_imports_only_what_it_runs(command, want_code, absent, tmp_path):
+    # a fresh process compiles every source it imports when no byte-code
+    # cache exists; -X importtime names each module on standard error
+    argv = _per_command_argv(command, tmp_path)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "zeroreg"] + argv,
+                          capture_output=True, text=True)
+    loaded = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert proc.returncode == want_code and proc.stdout, proc.stderr
+    assert "zeroreg.cli" in loaded
+    assert sorted(loaded.intersection(absent)) == []
 
 
 def test_module_invocation_subprocess(tmp_path):
