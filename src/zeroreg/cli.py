@@ -6,24 +6,16 @@ violated (the offending evidence is still printed as JSON), 2 when a
 `ValueError` reaches `main`: malformed or non-generic input, or a usage
 error (message on standard error, nothing on standard output).
 
-Each call is a fresh process, so a command imports only what it needs.
-This module imports `exactalg` alone at top level, for the parser's
-field and scalar arguments; each handler imports its own names when it
-runs.  Without a byte-code cache (a source checkout run with
-PYTHONDONTWRITEBYTECODE, say) a process compiles every source it
-imports, and that compile time is most of an import.  So:
-
-- `hilbert`, `normality`, `regularity`, `secant` and `invariant-t` load
-  `jsonio`, `scheme` and `forms`, plus `normality` for all but
-  `invariant-t`;
-- `separate` and `lemma26` load `separation` on top of those, and not
-  `normality`;
-- `project`, `classify-fiber`, `curve-fiber` and `curve-section` load
-  `projection`, which brings `normality` and `separation` with it;
-- `bounds` loads `bounds`, and `jsonio` (with `scheme` and `forms`) to
-  print;
-- `verify` alone loads the harness, which loads every module above, and
-  the harness loads its process pool only for `--jobs` above 1.
+Each call is a fresh process, and without a byte-code cache (a source
+checkout run with PYTHONDONTWRITEBYTECODE, say) a process compiles every
+source it imports; that compile time is most of an import.  So each
+handler imports `jsonio`, `separation`, `projection`, `bounds` or the
+harness when it runs.  At top level this module imports `exactalg` for
+the parser's field and scalar arguments, and `normality` (which brings
+`scheme` and `forms`): `perfbench`'s self-test expects its tracer to
+find `hilbert_function_values` bound here.
+`test_each_command_imports_only_what_it_runs` in `tests/test_cli.py`
+pins the modules each command leaves out.
 """
 
 from __future__ import annotations
@@ -32,35 +24,38 @@ import argparse
 import sys
 
 from .exactalg import QQ, parse_prime_field, parse_scalar, scalar_str
+from .normality import (hilbert_function_values, is_k_normal, min_normal_degree,
+                        secant_normality_verdict)
+from .scheme import ProjPoint, invariant_t, max_collinear_length, span_dim
 
 
 # The largest n that `lemma26` takes, so that every input does bounded
 # work.  The solver multiplies the aligned points' linear factors and
 # takes the minors of one system of 2 or 3 rows, on integers that grow
-# with n: n = 20 takes about 0.15 s, n = 40 (41 aligned points and two
-# off the line) 0.17 s and n = 80, past the cap, 0.25 s in a fresh
+# with n: n = 20 takes about 0.16 s, n = 40 (41 aligned points and two
+# off the line) 0.18 s and n = 80, past the cap, 0.26 s in a fresh
 # process on a 2-core Xeon VM, interpreter start included (medians of
-# five runs).  The cap stays until the benchmark runs a `lemma26` input
+# seven runs).  The cap stays until the benchmark runs a `lemma26` input
 # at it.
 LEMMA26_MAX_N = 40
 
 # The largest `separate --degree` and `hilbert --max-degree`.  `separate`
 # raises each germ coordinate to the powers of U^(k-j) by one running
 # product of int series, one factor at a time: k = 10,000 takes about
-# 0.10 s for two points and 0.23 s for two length-3 germs in chart 1
+# 0.15 s for two points and 0.22 s for two length-3 germs in chart 1
 # (so U = x_0 is a series) in a fresh process on a 2-core Xeon VM,
-# interpreter start included (medians of five runs); `hilbert` prints
+# interpreter start included (medians of seven runs); `hilbert` prints
 # k + 1 entries.
 MAX_DEGREE = 10000
 
 # The largest `separate` work: --degree k times the sum of L^2 over the
 # germs' lengths L, since each factor of U^(k-j) is one product of
 # length-L series, taken once per germ.  At the budget, k = 10,000 on one
-# length-15 germ in chart 1 takes about 0.39 s and k = 1,000 on a
-# length-49 germ 0.31 s in a fresh process on a 2-core Xeon VM,
-# interpreter start included (medians of five runs); a length-40 germ
-# at k = 10,000 (six times the budget) takes 2.0 s.  Reduced points stay
-# below it: the 80 that `jsonio.SCHEME_MAX_DEGREE` allows take 0.10 s at
+# length-15 germ in chart 1 takes about 0.46 s and k = 1,000 on a
+# length-49 germ 0.33 s in a fresh process on a 2-core Xeon VM,
+# interpreter start included (medians of seven runs); a length-40 germ
+# at k = 10,000 (six times the budget) takes 1.7 s.  Reduced points stay
+# below it: the 80 that `jsonio.SCHEME_MAX_DEGREE` allows take 0.17 s at
 # k = 10,000.
 SEPARATE_BUDGET = 2500000
 
@@ -114,8 +109,6 @@ def _point_out(point):
 
 
 def _cmd_hilbert(args) -> int:
-    from .normality import hilbert_function_values
-
     if args.max_degree < 0:
         raise ValueError("--max-degree must be nonnegative")
     if args.max_degree > MAX_DEGREE:
@@ -126,8 +119,6 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_normality(args) -> int:
-    from .normality import is_k_normal
-
     if args.degree < 0:
         raise ValueError("--degree must be nonnegative")
     x = _load_scheme(args.scheme)
@@ -137,8 +128,6 @@ def _cmd_normality(args) -> int:
 
 
 def _cmd_regularity(args) -> int:
-    from .normality import min_normal_degree
-
     x = _load_scheme(args.scheme)
     k = min_normal_degree(x)
     _emit({"degree": x.degree, "min_normal_degree": k, "regularity": k + 1})
@@ -146,8 +135,6 @@ def _cmd_regularity(args) -> int:
 
 
 def _cmd_invariant_t(args) -> int:
-    from .scheme import invariant_t, max_collinear_length, span_dim
-
     x = _load_scheme(args.scheme)
     t = invariant_t(x)
     _emit({"degree": x.degree, "span": span_dim(x), "t": t,
@@ -156,8 +143,6 @@ def _cmd_invariant_t(args) -> int:
 
 
 def _cmd_secant(args) -> int:
-    from .normality import secant_normality_verdict
-
     x = _load_scheme(args.scheme)
     verdict = secant_normality_verdict(x)
     _emit(verdict.to_jsonable())
@@ -328,8 +313,6 @@ def _parse_field_arg(text: str):
 
 
 def _parse_point_arg(text, field):
-    from .scheme import ProjPoint
-
     coords = [parse_scalar(c, field) for c in text.split(":")]
     try:
         return ProjPoint(coords, field)

@@ -131,6 +131,7 @@ def test_regularity_computes_the_minimal_normal_degree_once(tmp_path, capsys, mo
         return real(scheme)
 
     monkeypatch.setattr(normality, "min_normal_degree", counted)
+    monkeypatch.setattr(cli, "min_normal_degree", counted)
     scheme = _collinear5(tmp_path / "pts.json")
     code, out, _ = run_cli(["regularity", "--scheme", scheme], capsys)
     assert code == 0
@@ -930,7 +931,7 @@ def _per_command_argv(command, tmp_path):
 
 
 _SCHEME_ONLY = ("zeroreg.projection", "zeroreg.separation", "zeroreg.bounds", "zeroreg.harness")
-_SEPARATORS = ("zeroreg.normality", "zeroreg.projection", "zeroreg.bounds", "zeroreg.harness")
+_SEPARATORS = ("zeroreg.projection", "zeroreg.bounds", "zeroreg.harness")
 _FIBERS = ("zeroreg.bounds", "zeroreg.harness")
 
 
@@ -939,15 +940,14 @@ PER_COMMAND = [
     ("regularity", 0, _SCHEME_ONLY),
     ("normality", 0, _SCHEME_ONLY),
     ("secant", 1, _SCHEME_ONLY),
-    ("invariant-t", 0, _SCHEME_ONLY + ("zeroreg.normality",)),
+    ("invariant-t", 0, _SCHEME_ONLY),
     ("separate", 0, _SEPARATORS),
     ("lemma26", 0, _SEPARATORS),
     ("project", 0, _FIBERS),
     ("classify-fiber", 0, _FIBERS),
     ("curve-fiber", 0, _FIBERS),
     ("curve-section", 0, _FIBERS),
-    ("bounds", 0, ("zeroreg.normality", "zeroreg.projection", "zeroreg.separation",
-                   "zeroreg.harness")),
+    ("bounds", 0, ("zeroreg.projection", "zeroreg.separation", "zeroreg.harness")),
 ]
 
 
